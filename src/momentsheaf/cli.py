@@ -34,6 +34,7 @@ from .sheaf import (
     boundary_image,
     canonical_sheaf,
     global_hilbert,
+    kl_degree_bound,
     monotonicity_check,
     planar_image,
     sheaf_dump,
@@ -60,7 +61,6 @@ class RunConfig:
     allow_approximation: bool = False
     out_path: str | None = None
     dot_path: str | None = None
-    threads: int = 1
 
     def validate(self) -> None:
         has_group = self.family is not None
@@ -74,8 +74,8 @@ class RunConfig:
                 "--algorithm polygon is an approximation in general; pass "
                 "--allow-approximation to acknowledge"
             )
-        if self.threads < 1:
-            raise ValidationError("--threads must be at least 1")
+        if self.max_degree is not None and self.max_degree < 0:
+            raise ValidationError("--max-degree must be nonnegative")
 
 
 def _parse_type(text: str) -> tuple[str, int | None]:
@@ -120,7 +120,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--allow-approximation", action="store_true")
     parser.add_argument("--out", dest="out_path")
     parser.add_argument("--dot", dest="dot_path")
-    parser.add_argument("--threads", type=int, default=1)
     ns = parser.parse_args(argv)
 
     family = rank = None
@@ -142,7 +141,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         allow_approximation=ns.allow_approximation,
         out_path=ns.out_path,
         dot_path=ns.dot_path,
-        threads=ns.threads,
     )
     config.validate()
     return config
@@ -200,8 +198,16 @@ def resolve_input(config: RunConfig) -> ResolvedInput:
 
 
 def _require_degree_bound(config: RunConfig, g: MomentGraph) -> int | None:
-    """Schubert graphs carry their own bound; loaded graphs need --max-degree."""
+    """Schubert graphs carry their own bound, and a --max-degree below it
+    would silently truncate the stalks; loaded graphs need --max-degree."""
     if g.schubert_origin:
+        top = g.unique_maximal()
+        proven = max(kl_degree_bound(g, x, top) for x in range(g.n_vertices))
+        if config.max_degree is not None and config.max_degree < proven:
+            raise ValidationError(
+                f"--max-degree {config.max_degree} is below the proven degree "
+                f"bound {proven} of this Schubert graph and would truncate it"
+            )
         return config.max_degree
     if config.max_degree is None:
         raise ValidationError(
@@ -237,10 +243,7 @@ def cmd_graph(config: RunConfig, resolved: ResolvedInput) -> int:
 def _build_sheaf(config: RunConfig, resolved: ResolvedInput) -> GammaSheaf:
     bound = _require_degree_bound(config, resolved.graph)
     return canonical_sheaf(
-        resolved.graph,
-        degree_bound=bound,
-        algorithm=config.algorithm,
-        threads=config.threads,
+        resolved.graph, degree_bound=bound, algorithm=config.algorithm
     )
 
 
@@ -262,7 +265,7 @@ def cmd_hilbert(config: RunConfig, resolved: ResolvedInput) -> int:
     d_max = config.max_degree
     if d_max is None:
         d_max = max(g.ranks)
-    dims = global_hilbert(sheaf, d_max, threads=config.threads)
+    dims = global_hilbert(sheaf, d_max)
     lines = ["d,dim"] + [f"{d},{v}" for d, v in enumerate(dims)]
     _emit("\n".join(lines) + "\n", config.out_path)
     return 0
@@ -298,9 +301,7 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
                 gz, shz = g, sheaf
             else:
                 gz = schubert_moment_graph(W, z, resolved.parabolic)
-                shz = canonical_sheaf(
-                    gz, algorithm=config.algorithm, threads=config.threads
-                )
+                shz = canonical_sheaf(gz, algorithm=config.algorithm)
             for v in range(gz.n_vertices):
                 x = _vertex_element(W, gz.labels[v])
                 if resolved.parabolic:
@@ -339,7 +340,7 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         record("monotonicity (transport surjective)", mono_ok)
         record("monotonicity (KL coefficientwise)", ineq_ok)
 
-    purity = verify_pure(sheaf, degree_bound=config.max_degree, threads=config.threads)
+    purity = verify_pure(sheaf, degree_bound=config.max_degree)
     detail = ""
     if not purity.ok:
         v = purity.first_violation
@@ -354,9 +355,9 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         if config.max_degree is not None:
             bound = config.max_degree
         else:
-            bound = max((g.ranks[top_vertex] - g.ranks[x] - 1) // 2, 0) + 1
-        bi = boundary_image(sheaf, x, bound, threads=config.threads)
-        pl = planar_image(sheaf, x, bound, threads=config.threads)
+            bound = kl_degree_bound(g, x, top_vertex) + 1
+        bi = boundary_image(sheaf, x, bound)
+        pl = planar_image(sheaf, x, bound)
         for d in range(bound + 1):
             if bi.subspace(d) != pl.subspace(d):
                 planar_ok = False

@@ -370,9 +370,6 @@ class WeylGroup:
             if self.elements[self.rmult(i, s)].length < li
         ]
 
-    def act(self, i: int, v: Sequence[Fraction]) -> Vector:
-        return mat_vec(self.elements[i].matrix, v)
-
     def inversions(self, i: int) -> int:
         """Number of positive roots sent to negative roots by element i."""
         m = self.elements[i].matrix
@@ -463,12 +460,12 @@ def longest_element(W: WeylGroup, indices: Sequence[int]) -> int:
 def minimal_coset_reps(W: WeylGroup, J: Iterable[int]) -> list[WeylElement]:
     """Minimal-length representatives of the cosets wW_J, in group order."""
     J = sorted(set(J))
+    sub = parabolic_subgroup(W, J)  # validates J before rmult uses it
     reps = [
         w
         for w in W.elements
         if all(W.length(W.rmult(w.index, s)) > w.length for s in J)
     ]
-    sub = parabolic_subgroup(W, J)
     if len(reps) * len(sub) != len(W):
         raise ValidationError("coset representative count mismatch")
     return reps

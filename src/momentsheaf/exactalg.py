@@ -132,10 +132,6 @@ def graded_dim(n: int, d: int) -> int:
 # polynomials as exponent dicts
 
 
-def poly_zero() -> Poly:
-    return {}
-
-
 def poly_const(n: int, c: Fraction | int) -> Poly:
     c = Fraction(c)
     return {tuple([0] * n): c} if c else {}
@@ -170,11 +166,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
             else:
                 out.pop(e, None)
     return out
-
-
-def poly_degree(p: Poly) -> int:
-    """Total degree; -1 for the zero polynomial."""
-    return max((sum(e) for e in p), default=-1)
 
 
 def poly_from_coeffs(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> Poly:
@@ -453,9 +444,11 @@ class QMatrix:
         return QMatrix(self.ncols, self.nrows, rows)
 
 
-def _row_axpy(target: Row, factor: Fraction, source: Row) -> None:
-    """target -= factor * source, dropping created zeros."""
+def _row_axpy(target: Row, factor: Fraction, source: Row, offset: int = 0) -> None:
+    """target -= factor * source, with source's columns shifted by offset,
+    dropping created zeros."""
     for c, v in source.items():
+        c += offset
         nv = target.get(c, 0) - factor * v
         if nv:
             target[c] = nv
@@ -638,9 +631,6 @@ class Subspace:
             and self.pivots == other.pivots
             and self.rows == other.rows
         )
-
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis_vectors())
 
     def annihilator(self) -> "Subspace":
         """{f in (Q^N)* : f(v) = 0 for all v}, via the kernel of the basis."""

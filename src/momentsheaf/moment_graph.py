@@ -43,7 +43,7 @@ class SubgraphSelector:
     """Names one of the subgraphs the sheaf layer needs.
 
     kinds: whole | above(x) | above_punctured(x) | up_edges(x) |
-    down_edges(x) | interval(x,y) | planar(x,H with two spanning vectors).
+    interval(x,y) | planar(x,H with two spanning vectors).
     """
 
     kind: str
@@ -66,10 +66,6 @@ class SubgraphSelector:
     @staticmethod
     def up_edges(x: int) -> "SubgraphSelector":
         return SubgraphSelector("up_edges", x=x)
-
-    @staticmethod
-    def down_edges(x: int) -> "SubgraphSelector":
-        return SubgraphSelector("down_edges", x=x)
 
     @staticmethod
     def interval(x: int, y: int) -> "SubgraphSelector":
@@ -178,32 +174,22 @@ class MomentGraph:
         return tops[0]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover relations (transitive reduction of the order)."""
+        """Cover relations (transitive reduction of the order), sorted.
+
+        i < j is a cover iff j lies strictly above i but not strictly above
+        any vertex strictly above i.
+        """
         n = self.n_vertices
+        above = [self.leq_bits[i] & ~(1 << i) for i in range(n)]
         out = []
         for i in range(n):
+            higher = 0
             for j in range(n):
-                if not self.less(i, j):
-                    continue
-                between = self.leq_bits[i] & self._geq_bits(j) & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
+                if (above[i] >> j) & 1:
+                    higher |= above[j]
+            minimal = above[i] & ~higher
+            out.extend((i, j) for j in range(n) if (minimal >> j) & 1)
         return out
-
-    def _geq_bits(self, j: int) -> int:
-        out = 0
-        for i in range(self.n_vertices):
-            if self.leq(i, j):
-                out |= 1 << i
-        return out
-
-    def toporder(self) -> list[int]:
-        """A linear extension of the order (by size of the down-set)."""
-        sizes = [bin(self._down_set(i)).count("1") for i in range(self.n_vertices)]
-        return sorted(range(self.n_vertices), key=lambda i: (sizes[i], i))
-
-    def _down_set(self, i: int) -> int:
-        return self._geq_bits(i)
 
 
 def poset_ranks(leq_bits: Sequence[int], n: int) -> tuple[int, ...]:
@@ -239,6 +225,7 @@ def schubert_moment_graph(
     for v = the sum of the fundamental weights off J.
     """
     J = tuple(sorted(set(J)))
+    reps = minimal_coset_reps(W, J)  # validates J first
     if not is_minimal_rep(W, w, J):
         raise ValidationError(
             f"{w.word_str()} is not a minimal coset representative for J={J}"
@@ -248,7 +235,7 @@ def schubert_moment_graph(
     for i in range(1, n + 1):
         if i not in J:
             v = [a + b for a, b in zip(v, W.cartan.fundamental_weights[i - 1])]
-    reps = [y for y in minimal_coset_reps(W, J) if bruhat_leq(W, y, w)]
+    reps = [y for y in reps if bruhat_leq(W, y, w)]
     points = [mat_vec(y.matrix, v) for y in reps]
     point_index = {p: i for i, p in enumerate(points)}
     if len(point_index) != len(reps):
@@ -326,9 +313,6 @@ def select(g: MomentGraph, sel: SubgraphSelector) -> Subgraph:
     if sel.kind == "up_edges":
         x = check_vertex(sel.x)
         return Subgraph((), tuple(g.up[x]))
-    if sel.kind == "down_edges":
-        x = check_vertex(sel.x)
-        return Subgraph((), tuple(g.down[x]))
     if sel.kind == "interval":
         x = check_vertex(sel.x)
         y = check_vertex(sel.y)

@@ -21,7 +21,6 @@ Loaded graphs carry no such guarantee and require an explicit bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -35,6 +34,7 @@ from .exactalg import (
     QuotientBasis,
     Subspace,
     Vector,
+    _row_axpy,
     graded_dim,
     image_basis,
     kernel_basis,
@@ -191,28 +191,38 @@ def section_layout(sheaf: GammaSheaf, sub: Subgraph, d: int) -> Layout:
     return Layout(d, tuple(comps), tuple(offsets), tuple(sizes), acc)
 
 
-def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
-    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases."""
-    key = (v, e, d)
-    hit = sheaf._rho_matrix_cache.get(key)
-    if hit is not None:
-        return hit
-    n = sheaf.n
-    em = sheaf.edge_modules[e]
-    rho = sheaf.rho[(v, e)]
-    vgens = sheaf.vertex_modules[v].gens
-    egens = em.module.gens
-    nrows = sheaf.edge_piece_dim(e, d)
+def _ring_basis(n: int, ring: LinearQuotient | None, d: int):
+    return monomial_basis(n, d) if ring is None else ring.basis(d)
+
+
+def degree_matrix(
+    n: int,
+    entries: Sequence[Sequence[Poly]],
+    src_gens: Sequence[int],
+    src_ring: LinearQuotient | None,
+    dst_gens: Sequence[int],
+    dst_ring: LinearQuotient | None,
+    d: int,
+) -> QMatrix:
+    """Degree-d matrix of the map between free graded modules (over
+    src_ring and dst_ring; None means A) whose (j, i) entry is entries[j][i].
+
+    Entries must already be in dst_ring normal form.  Each source basis
+    monomial is reduced into dst_ring and multiplied by the entry; the
+    product of two normal forms is again one, so no second reduction runs.
+    """
+    dst_bases = [_ring_basis(n, dst_ring, d - g) for g in dst_gens]
+    nrows = sum(len(b) for b in dst_bases)
     rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
     col = 0
-    for i, dg in enumerate(vgens):
-        src = monomial_basis(n, d - dg)
-        for mono in src.exponents:
-            reduced = em.quotient.reduce({mono: Fraction(1)})
+    for i, dg in enumerate(src_gens):
+        for mono in _ring_basis(n, src_ring, d - dg).exponents:
+            reduced: Poly = {mono: Fraction(1)}
+            if dst_ring is not None:
+                reduced = dst_ring.reduce(reduced)
             roff = 0
-            for j, eg in enumerate(egens):
-                tgt = em.quotient.basis(d - eg)
-                entry = rho.entries[j][i]
+            for j, tgt in enumerate(dst_bases):
+                entry = entries[j][i]
                 if entry and reduced:
                     prod = poly_mul(entry, reduced)
                     for pos, c in enumerate(poly_to_coeffs(tgt, prod)):
@@ -220,8 +230,25 @@ def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
                             rows[roff + pos][col] = c
                 roff += len(tgt)
             col += 1
-    m = QMatrix(nrows, col, rows)
-    sheaf._rho_matrix_cache[key] = m
+    return QMatrix(nrows, col, rows)
+
+
+def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
+    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases."""
+    key = (v, e, d)
+    m = sheaf._rho_matrix_cache.get(key)
+    if m is None:
+        em = sheaf.edge_modules[e]
+        m = degree_matrix(
+            sheaf.n,
+            sheaf.rho[(v, e)].entries,
+            sheaf.vertex_modules[v].gens,
+            None,
+            em.module.gens,
+            em.quotient,
+            d,
+        )
+        sheaf._rho_matrix_cache[key] = m
     return m
 
 
@@ -264,15 +291,9 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
             lo_off, _ = layout.slot("v", e.lower)
             hi_off, _ = layout.slot("v", e.upper)
             for r in range(erows):
-                row: dict[int, Fraction] = {}
-                for c, val in a.rows[r].items():
-                    row[lo_off + c] = row.get(lo_off + c, Fraction(0)) + val
-                for c, val in b.rows[r].items():
-                    nv = row.get(hi_off + c, Fraction(0)) - val
-                    if nv:
-                        row[hi_off + c] = nv
-                    else:
-                        row.pop(hi_off + c, None)
+                # the two vertex blocks are disjoint, so nothing cancels
+                row = {lo_off + c: val for c, val in a.rows[r].items()}
+                row.update((hi_off + c, -val) for c, val in b.rows[r].items())
                 if row:
                     rows.append(row)
         else:
@@ -284,17 +305,13 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
                 v_off, _ = layout.slot("v", v)
                 for r in range(erows):
                     row = {e_off + r: Fraction(-1)}
-                    for c, val in a.rows[r].items():
-                        row[v_off + c] = val
+                    row.update((v_off + c, val) for c, val in a.rows[r].items())
                     rows.append(row)
     return rows
 
 
 def sections(
-    sheaf: GammaSheaf,
-    z: Subgraph | SubgraphSelector,
-    d_max: int,
-    threads: int = 1,
+    sheaf: GammaSheaf, z: Subgraph | SubgraphSelector, d_max: int
 ) -> SectionSpace:
     """Exact bases of the section space in every degree up to d_max.
 
@@ -304,20 +321,12 @@ def sections(
     the full product of the edge modules.
     """
     sub = select(sheaf.graph, z) if isinstance(z, SubgraphSelector) else z
-
-    def solve(d: int) -> tuple[Layout, list[Vector]]:
-        layout = section_layout(sheaf, sub, d)
+    layouts = {}
+    bases = {}
+    for d in range(d_max + 1):
+        layout = layouts[d] = section_layout(sheaf, sub, d)
         rows = _sections_rows(sheaf, sub, layout)
-        return layout, kernel_basis(QMatrix(len(rows), layout.total, rows))
-
-    degrees = range(d_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, degrees))
-    else:
-        solved = [solve(d) for d in degrees]
-    layouts = {d: lay for d, (lay, _) in zip(degrees, solved)}
-    bases = {d: vecs for d, (_, vecs) in zip(degrees, solved)}
+        bases[d] = kernel_basis(QMatrix(len(rows), layout.total, rows))
     return SectionSpace(sub, layouts, bases)
 
 
@@ -395,12 +404,10 @@ def _project_to_dangling(layout: Layout, vec: Vector) -> Vector:
     return vec[voff:]
 
 
-def boundary_image(
-    sheaf: GammaSheaf, x: int, d_max: int, threads: int = 1
-) -> SectionSpace:
+def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Image of the restriction from sections above x (with its upward
     edges) to the product of the upward edge modules, degree by degree."""
-    secs = sections(sheaf, SubgraphSelector.above_punctured(x), d_max, threads)
+    secs = sections(sheaf, SubgraphSelector.above_punctured(x), d_max)
     target = select(sheaf.graph, SubgraphSelector.up_edges(x))
     layouts = {}
     bases = {}
@@ -413,62 +420,54 @@ def boundary_image(
     return SectionSpace(target, layouts, bases)
 
 
-def multiply_section(
-    sheaf: GammaSheaf,
-    src: Layout,
-    dst: Layout,
-    vec: Sequence[Fraction],
-    var: int,
-) -> Vector:
-    """Module action: multiply a degree-(d-1) product element by x_var."""
-    n = sheaf.n
-    out = [Fraction(0)] * dst.total
-    xvar = [0] * n
-    xvar[var] = 1
-    xpoly: Poly = {tuple(xvar): Fraction(1)}
-    for pos, (kind, idx) in enumerate(src.components):
-        off = src.offsets[pos]
-        dst_off, _ = dst.slot(kind, idx)
-        if kind == "v":
-            gens = sheaf.vertex_modules[idx].gens
-            reducer = None
-        else:
-            em = sheaf.edge_modules[idx]
-            gens = em.module.gens
-            reducer = em.quotient
-        for dg in gens:
-            if reducer is None:
-                sb = monomial_basis(n, src.degree - dg)
-                tb = monomial_basis(n, dst.degree - dg)
-                mult = xpoly
-            else:
-                sb = reducer.basis(src.degree - dg)
-                tb = reducer.basis(dst.degree - dg)
-                mult = reducer.reduce(xpoly)
-            p = poly_from_coeffs(sb, vec[off : off + len(sb)])
-            if p:
-                prod = poly_mul(p, mult)
-                for pos2, c in enumerate(poly_to_coeffs(tb, prod)):
-                    if c:
-                        out[dst_off + pos2] += c
-            off += len(sb)
-            dst_off += len(tb)
-    return tuple(out)
-
-
 def _degree_span(
     sheaf: GammaSheaf, space: SectionSpace, d: int
 ) -> Subspace:
-    """Span of t* times the degree-(d-1) basis inside the degree-d piece."""
+    """Span of t* times the degree-(d-1) basis inside the degree-d piece.
+
+    Multiplication by x_var is the degree-d matrix of the map from gens g+1
+    to gens g with x_var on the diagonal, one per layout component and
+    variable; it is applied column by column, skipping zero coordinates.
+    """
     lower = space.bases.get(d - 1, [])
+    dst = space.layouts[d]
     if not lower:
-        return Subspace(space.layouts[d].total, [])
-    src, dst = space.layouts[d - 1], space.layouts[d]
-    vecs = [
-        multiply_section(sheaf, src, dst, v, var)
-        for v in lower
-        for var in range(sheaf.n)
-    ]
+        return Subspace(dst.total, [])
+    src = space.layouts[d - 1]
+    n = sheaf.n
+    cache: dict[tuple, list[list[dict[int, Fraction]]]] = {}
+    blocks = []
+    for pos, (kind, idx) in enumerate(src.components):
+        if kind == "v":
+            gens, ring = sheaf.vertex_modules[idx].gens, None
+        else:
+            em = sheaf.edge_modules[idx]
+            gens, ring = em.module.gens, em.quotient
+        key = (gens, ring)
+        if key not in cache:
+            per_var = []
+            for var in range(n):
+                x: Poly = {tuple(int(i == var) for i in range(n)): Fraction(1)}
+                if ring is not None:
+                    x = ring.reduce(x)
+                rank = range(len(gens))
+                entries = [[x if i == j else {} for i in rank] for j in rank]
+                shifted = [g + 1 for g in gens]
+                m = degree_matrix(n, entries, shifted, ring, gens, ring, d)
+                per_var.append(m.transpose().rows)
+            cache[key] = per_var
+        blocks.append((src.offsets[pos], dst.offsets[pos], cache[key]))
+    vecs = []
+    for v in lower:
+        for var in range(n):
+            out = [Fraction(0)] * dst.total
+            for src_off, dst_off, per_var in blocks:
+                for c, col in enumerate(per_var[var], src_off):
+                    a = v[c]
+                    if a:
+                        for r, val in col.items():
+                            out[dst_off + r] += a * val
+            vecs.append(out)
     return Subspace(dst.total, vecs)
 
 
@@ -502,7 +501,9 @@ def projective_cover(
     return gen_degrees, lifts
 
 
-def _kl_degree_bound(g: MomentGraph, x: int, top: int) -> int:
+def kl_degree_bound(g: MomentGraph, x: int, top: int) -> int:
+    """The proven internal-degree bound for generators at x on a Schubert
+    graph with top vertex top."""
     return max((g.ranks[top] - g.ranks[x] - 1) // 2, 0)
 
 
@@ -511,7 +512,6 @@ def canonical_sheaf(
     degree_bound: int | None = None,
     algorithm: str = "sections",
     extra_degree_check: bool = False,
-    threads: int = 1,
     path_cap: int = 10_000,
 ) -> GammaSheaf:
     """The canonical sheaf, built from the top vertex downwards.
@@ -543,12 +543,12 @@ def canonical_sheaf(
             quotient = QuotientBasis(LinearForm([Fraction(c) for c in e.direction]))
             sheaf.edge_modules[k] = EdgeModule(upper_module, quotient)
             sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
-        bound = degree_bound if degree_bound is not None else _kl_degree_bound(g, x, top)
+        bound = degree_bound if degree_bound is not None else kl_degree_bound(g, x, top)
         probe = bound + 1 if extra_degree_check else bound
         if algorithm == "sections":
-            image = boundary_image(sheaf, x, probe, threads)
+            image = boundary_image(sheaf, x, probe)
         elif algorithm == "planar":
-            image = planar_image(sheaf, x, probe, threads)
+            image = planar_image(sheaf, x, probe)
         else:
             image = polygon_image(sheaf, x, probe, path_cap)
         gens, lifts = projective_cover(sheaf, image, probe)
@@ -614,10 +614,10 @@ def stalk_table_csv(sheaf: GammaSheaf) -> str:
     return poincare_csv(rows)
 
 
-def global_hilbert(sheaf: GammaSheaf, d_max: int, threads: int = 1) -> list[int]:
+def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     """Dimensions of the global sections modulo t* times sections, i.e. the
     ungraded-coefficient cohomology of the underlying variety."""
-    secs = sections(sheaf, SubgraphSelector.whole(), d_max, threads)
+    secs = sections(sheaf, SubgraphSelector.whole(), d_max)
     out = []
     for d in range(d_max + 1):
         span = _degree_span(sheaf, secs, d)
@@ -644,6 +644,8 @@ def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
 
 
 def _v_allowed_edges(sheaf: GammaSheaf, span: Subspace) -> set[int]:
+    if span.dim == sheaf.graph.dim_t:
+        return set(range(len(sheaf.graph.edges)))
     return {
         k
         for k, e in enumerate(sheaf.graph.edges)
@@ -724,42 +726,15 @@ class VPathTransport:
     truncated: bool
 
     def degree_matrix(self, sheaf: GammaSheaf, d: int) -> QMatrix:
-        return _quotient_module_matrix(
-            sheaf,
-            self.quotient,
-            sheaf.vertex_modules[self.x].gens,
-            sheaf.vertex_modules[self.y].gens,
+        return degree_matrix(
+            sheaf.n,
             self.entries,
+            sheaf.vertex_modules[self.x].gens,
+            self.quotient,
+            sheaf.vertex_modules[self.y].gens,
+            self.quotient,
             d,
         )
-
-
-def _quotient_module_matrix(
-    sheaf: GammaSheaf,
-    quotient: LinearQuotient,
-    src_gens: Sequence[int],
-    dst_gens: Sequence[int],
-    entries: Sequence[Sequence[Poly]],
-    d: int,
-) -> QMatrix:
-    """Degree-d matrix of a polynomial-entry map between free A_V-modules."""
-    cols = []
-    src_dim = sum(quotient.dim(d - g) for g in src_gens)
-    dst_dim = sum(quotient.dim(d - g) for g in dst_gens)
-    for i, dg in enumerate(src_gens):
-        for mono in quotient.basis(d - dg).exponents:
-            col = [Fraction(0)] * dst_dim
-            off = 0
-            for j, eg in enumerate(dst_gens):
-                tgt = quotient.basis(d - eg)
-                p = entries[j][i]
-                if p:
-                    prod = quotient.reduce(poly_mul(p, {mono: Fraction(1)}))
-                    for pos, c in enumerate(poly_to_coeffs(tgt, prod)):
-                        col[off + pos] += c
-                off += len(tgt)
-            cols.append(tuple(col))
-    return QMatrix.from_columns(cols, dst_dim)
 
 
 def vpath_map(
@@ -878,32 +853,28 @@ def polygon_image(
                     mats.append((k, entries))
                 for d in range(d_max + 1):
                     layout = layouts[d]
-                    deg_mats = []
-                    for k, entries in mats:
-                        red = _edge_to_quotient_matrix(sheaf, k, quotient, d)
-                        tr = _quotient_module_matrix(
-                            sheaf,
-                            quotient,
-                            sheaf.vertex_modules[starts[k]].gens,
-                            sheaf.vertex_modules[t].gens,
-                            entries,
-                            d,
+                    # reduce the edge value into A_V, then transport it to t
+                    deg_mats = [
+                        (
+                            layout.slot("e", k)[0],
+                            degree_matrix(
+                                sheaf.n,
+                                entries,
+                                sheaf.edge_modules[k].module.gens,
+                                sheaf.edge_modules[k].quotient,
+                                sheaf.vertex_modules[t].gens,
+                                quotient,
+                                d,
+                            ),
                         )
-                        deg_mats.append((k, _qmat_mul(tr, red)))
-                    first_k, first_m = deg_mats[0]
-                    for other_k, other_m in deg_mats[1:]:
-                        off1, _ = layout.slot("e", first_k)
-                        off2, _ = layout.slot("e", other_k)
+                        for k, entries in mats
+                    ]
+                    off1, first_m = deg_mats[0]
+                    for off2, other_m in deg_mats[1:]:
                         for r in range(first_m.nrows):
-                            row: dict[int, Fraction] = {}
-                            for c, val in first_m.rows[r].items():
-                                row[off1 + c] = row.get(off1 + c, Fraction(0)) + val
-                            for c, val in other_m.rows[r].items():
-                                nv = row.get(off2 + c, Fraction(0)) - val
-                                if nv:
-                                    row[off2 + c] = nv
-                                else:
-                                    row.pop(off2 + c, None)
+                            # two paths may leave x along the same edge
+                            row = {off1 + c: v for c, v in first_m.rows[r].items()}
+                            _row_axpy(row, 1, other_m.rows[r], off2)
                             if row:
                                 rows_by_degree[d].append(row)
 
@@ -916,51 +887,11 @@ def polygon_image(
     return SectionSpace(target, layouts, bases)
 
 
-def _edge_to_quotient_matrix(
-    sheaf: GammaSheaf, k: int, quotient: LinearQuotient, d: int
-) -> QMatrix:
-    """Reduction (M_L)_d -> (M_L / V M_L)_d, identifying the latter with the
-    V-reduction of the upper stalk (same generators)."""
-    em = sheaf.edge_modules[k]
-    gens = em.module.gens
-    src_dim = sheaf.edge_piece_dim(k, d)
-    dst_dim = sum(quotient.dim(d - g) for g in gens)
-    cols = []
-    for j, eg in enumerate(gens):
-        for mono in em.quotient.basis(d - eg).exponents:
-            col = [Fraction(0)] * dst_dim
-            off = sum(quotient.dim(d - g) for g in gens[:j])
-            reduced = quotient.reduce({mono: Fraction(1)})
-            tgt = quotient.basis(d - eg)
-            for pos, c in enumerate(poly_to_coeffs(tgt, reduced)):
-                col[off + pos] += c
-            cols.append(tuple(col))
-    assert len(cols) == src_dim
-    return QMatrix.from_columns(cols, dst_dim)
-
-
-def _qmat_mul(a: QMatrix, b: QMatrix) -> QMatrix:
-    rows: list[dict[int, Fraction]] = []
-    for r in a.rows:
-        row: dict[int, Fraction] = {}
-        for k, val in r.items():
-            for c, bval in b.rows[k].items():
-                nv = row.get(c, Fraction(0)) + val * bval
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-        rows.append(row)
-    return QMatrix(a.nrows, b.ncols, rows)
-
-
 # ---------------------------------------------------------------------------
 # planar algorithm
 
 
-def planar_image(
-    sheaf: GammaSheaf, x: int, d_max: int, threads: int = 1
-) -> SectionSpace:
+def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Intersection over all 2-planes H (with more than one edge above x in
     the H-component) of the pullbacks of the planar boundary images; equals
     the boundary image for graphs of projective origin."""
@@ -972,7 +903,7 @@ def planar_image(
         d: [] for d in range(d_max + 1)
     }
     for plane in family:
-        secs = sections(sheaf, plane.subgraph, d_max, threads)
+        secs = sections(sheaf, plane.subgraph, d_max)
         sub_target = Subgraph((), plane.up_edges)
         for d in range(d_max + 1):
             sub_layout = section_layout(sheaf, sub_target, d)
@@ -985,15 +916,16 @@ def planar_image(
             ann = image.annihilator()
             if ann.dim == 0:
                 continue
-            layout = layouts[d]
+            # the plane's up edges are a subset of U_x: relabel the columns
+            to_full = [
+                layouts[d].slot(kind, k)[0] + inner
+                for (kind, k), size in zip(sub_layout.components, sub_layout.sizes)
+                for inner in range(size)
+            ]
             for functional in ann.rows:
-                row: dict[int, Fraction] = {}
-                for col, val in functional.items():
-                    kind, k, inner = _locate(sub_layout, col)
-                    off, _ = layout.slot(kind, k)
-                    row[off + inner] = row.get(off + inner, Fraction(0)) + val
-                if row:
-                    rows_by_degree[d].append(row)
+                rows_by_degree[d].append(
+                    {to_full[col]: val for col, val in functional.items()}
+                )
     bases = {}
     for d in range(d_max + 1):
         layout = layouts[d]
@@ -1001,14 +933,6 @@ def planar_image(
             QMatrix(len(rows_by_degree[d]), layout.total, rows_by_degree[d])
         )
     return SectionSpace(target, layouts, bases)
-
-
-def _locate(layout: Layout, col: int) -> tuple[str, int, int]:
-    for pos in range(len(layout.components) - 1, -1, -1):
-        if col >= layout.offsets[pos]:
-            kind, idx = layout.components[pos]
-            return kind, idx, col - layout.offsets[pos]
-    raise IndexError(col)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +959,7 @@ class PurityReport:
 
 
 def verify_pure(
-    sheaf: GammaSheaf, degree_bound: int | None = None, threads: int = 1
+    sheaf: GammaSheaf, degree_bound: int | None = None
 ) -> PurityReport:
     """Check the pure-sheaf axioms degreewise: (1) stalk freeness is
     structural in this model, (2) every downward edge carries the quotient
@@ -1048,7 +972,7 @@ def verify_pure(
         if degree_bound is not None:
             bound = degree_bound
         elif g.schubert_origin:
-            bound = _kl_degree_bound(g, x, top)
+            bound = kl_degree_bound(g, x, top)
         else:
             raise ValidationError("generic graphs need an explicit degree bound")
         for k in g.down[x]:
@@ -1076,22 +1000,15 @@ def verify_pure(
                     break
         if not g.up[x]:
             continue
-        image = boundary_image(sheaf, x, bound, threads)
+        image = boundary_image(sheaf, x, bound)
         for d in range(bound + 1):
             layout = image.layouts[d]
-            cols = []
-            for i, dg in enumerate(sheaf.vertex_modules[x].gens):
-                for mono in monomial_basis(sheaf.n, d - dg).exponents:
-                    vec = [Fraction(0)] * layout.total
-                    for k in g.up[x]:
-                        m = rho_degree_matrix(sheaf, x, k, d)
-                        col_idx = _vertex_coord_index(sheaf, x, d, i, mono)
-                        off, _ = layout.slot("e", k)
-                        for r in range(m.nrows):
-                            c = m.rows[r].get(col_idx)
-                            if c:
-                                vec[off + r] += c
-                    cols.append(tuple(vec))
+            rows: list[dict[int, Fraction]] = [{} for _ in range(layout.total)]
+            for k in g.up[x]:
+                off, size = layout.slot("e", k)
+                rows[off : off + size] = rho_degree_matrix(sheaf, x, k, d).rows
+            stacked = QMatrix(layout.total, sheaf.vertex_piece_dim(x, d), rows)
+            cols = (stacked.column(j) for j in range(stacked.ncols))
             stalk_image = Subspace(layout.total, cols)
             section_image = image.subspace(d)
             if stalk_image != section_image:
@@ -1104,19 +1021,6 @@ def verify_pure(
                 )
                 break
     return PurityReport(not violations, g.n_vertices, violations)
-
-
-def _vertex_coord_index(
-    sheaf: GammaSheaf, v: int, d: int, gen: int, mono: tuple[int, ...]
-) -> int:
-    off = 0
-    gens = sheaf.vertex_modules[v].gens
-    for i, dg in enumerate(gens):
-        basis = monomial_basis(sheaf.n, d - dg)
-        if i == gen:
-            return off + basis.index(mono)
-        off += len(basis)
-    raise IndexError(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -1180,13 +1084,10 @@ def rigidity_check(sheaf: GammaSheaf) -> bool:
                     for mono in entry_monomials(kind, idx, jj, ii):
                         u = index[(kind, idx, jj, ii, mono)]
                         term = em.quotient.reduce(poly_mul(p, {mono: Fraction(1)}))
+                        # each unknown occurs once per entry equation, so
+                        # its coefficients are stored, never accumulated
                         for m2, c in term.items():
-                            sym.setdefault(m2, {})
-                            nc = sym[m2].get(u, Fraction(0)) + sign * c
-                            if nc:
-                                sym[m2][u] = nc
-                            else:
-                                sym[m2].pop(u, None)
+                            sym.setdefault(m2, {})[u] = sign * c
 
                 for t in range(nv):
                     if rho.entries[j][t]:
@@ -1194,10 +1095,7 @@ def rigidity_check(sheaf: GammaSheaf) -> bool:
                 for s in range(ne):
                     if rho.entries[s][i]:
                         accumulate(rho.entries[s][i], "e", k, j, s, -1)
-                for mono in sorted(sym):
-                    row = {u: c for u, c in sym[mono].items() if c}
-                    if row:
-                        rows.append(row)
+                rows.extend(sym[mono] for mono in sorted(sym))
 
     m = QMatrix(len(rows), len(unknowns), rows)
     return len(kernel_basis(m)) == 0

@@ -259,8 +259,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
     for path in (a, b):
         codes.append(
             cli_main(
-                ["verify", "--type", "A3", "--word", "longest",
-                 "--threads", "4", "--out", str(path)]
+                ["verify", "--type", "A3", "--word", "longest", "--out", str(path)]
             )
         )
     capsys.readouterr()

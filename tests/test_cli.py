@@ -89,8 +89,7 @@ def test_verify_artifacts_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):
         code, _, _ = run_cli(
-            ["verify", "--type", "B2", "--word", "longest",
-             "--threads", "4", "--out", str(path)],
+            ["verify", "--type", "B2", "--word", "longest", "--out", str(path)],
             capsys,
         )
         assert code == 0
@@ -122,6 +121,32 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         capsys,
     )
     assert code == 0
+    # a --max-degree below the proven bound would truncate P_{e,2132} = 1+q
+    code, out, err = run_cli(
+        ["kl", "--type", "A3", "--word", "2132", "--max-degree", "0"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "proven degree bound 1" in err
+    code, out, _ = run_cli(
+        ["kl", "--type", "A3", "--word", "2132", "--max-degree", "1"], capsys
+    )
+    assert code == 0
+    assert "e,2132,1+q" in out
+    # validation: negative degree bound
+    code, _, err = run_cli(["kl", "--type", "A2", "--max-degree", "-1"], capsys)
+    assert code == 2
+    assert "nonnegative" in err
+    # validation: parabolic index out of range, with and without a word
+    for word in ("longest", "2132"):
+        code, _, err = run_cli(
+            ["kl", "--type", "A3", "--word", word, "--parabolic", "9"], capsys
+        )
+        assert code == 2
+        assert "parabolic index 9" in err
+    # the retired thread option is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["kl", "--type", "A2", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_parse_args_type_with_separate_rank():

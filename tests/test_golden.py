@@ -1,0 +1,96 @@
+"""Golden digests: the artifacts of a fixed battery, pinned byte for byte.
+
+The determinism tests compare two runs of the same code, and the oracle
+checks only stalk degrees.  These digests pin the rho matrices, the global
+sections and the serialized graphs themselves, so a refactor of the matrix
+builders or the order code must reproduce every byte.  A digest changes only
+when an artifact is meant to change; the new value then goes in with the
+change that explains it.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from momentsheaf.cli import main
+from momentsheaf.coxeter import weyl_group
+from momentsheaf.moment_graph import load_graph, save_graph, schubert_moment_graph
+from momentsheaf.sheaf import canonical_sheaf, sheaf_dump
+
+GOLDEN = {
+    "sheaf-A3": "b6f0d933f93b88933690316be6ca0c51422099f9a3644fa837fc015cec75f7da",
+    "sheaf-G2": "5e0209995d7f9ba46037e0664033e93bff4dfca38ae649826b72451dd0488df6",
+    "sheaf-B3-J1": "845e82b22df1862f78257a16b31e53d264e8c73fc8fb0a3876c4b08cafef4b3c",
+    "sheaf-A3-2132-polygon": "ed2012184e000783ca3858aef8e6be479d98ebfe1a3bab89a10640a7014ca8a4",
+    "sheaf-generic-A3-bound2": "231fc734703918f980f6a894d8d02b0db68f782000212ba7a68e250c69a66b30",
+    "hilbert-A3": "7028b015d6d7f470de4200560fa511211a7bc099a9f7bfa3dda32daa90879d42",
+    "verify-A3": "663e818ab06add59c5912ebc95e90a4f5dc663baa77f7e46a1d181a13ffd3a15",
+    "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
+    "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
+}
+
+
+def _dump(sheaf) -> str:
+    return json.dumps(sheaf_dump(sheaf), indent=2, sort_keys=True) + "\n"
+
+
+def _generic_a3_doc() -> dict:
+    """The A3 Schubert poset with fixed non-GKM edge directions."""
+    W = weyl_group("A", 3)
+    doc = save_graph(schubert_moment_graph(W, W.longest))
+    for k, edge in enumerate(doc["edges"]):
+        edge["direction"] = [str((k * a) % 7 - 3) for a in (1, 3, 5)]
+    return doc
+
+
+def _cli(args, tmp_path, *names):
+    paths = [tmp_path / name for name in names]
+    argv = list(args)
+    for flag, path in zip(("--out", "--dot"), paths):
+        argv += [flag, str(path)]
+    assert main(argv) == 0
+    return [path.read_text(encoding="utf-8") for path in paths]
+
+
+def _sheaf(lab, family, rank, word="longest", J=(), **kwargs):
+    return _dump(canonical_sheaf(lab.graph(family, rank, word, J), **kwargs))
+
+
+ARTIFACTS = {
+    "sheaf-A3": lambda lab, tmp: [_sheaf(lab, "A", 3)],
+    "sheaf-G2": lambda lab, tmp: [_sheaf(lab, "G", 2)],
+    "sheaf-B3-J1": lambda lab, tmp: [_sheaf(lab, "B", 3, J=(1,))],
+    "sheaf-A3-2132-polygon": lambda lab, tmp: [
+        _sheaf(lab, "A", 3, "2132", algorithm="polygon")
+    ],
+    "sheaf-generic-A3-bound2": lambda lab, tmp: [
+        _dump(canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2))
+    ],
+    "hilbert-A3": lambda lab, tmp: _cli(["hilbert", "--type", "A3"], tmp, "h.csv"),
+    "verify-A3": lambda lab, tmp: _cli(["verify", "--type", "A3"], tmp, "v.txt"),
+    "graph-B4": lambda lab, tmp: _cli(
+        ["graph", "--type", "B4"], tmp, "g.json", "g.dot"
+    ),
+}
+
+
+def digests(lab, tmp_path) -> dict[str, str]:
+    """sha256 of every artifact, keyed like GOLDEN."""
+    out = {}
+    for name, make in ARTIFACTS.items():
+        texts = make(lab, tmp_path)
+        keys = [name] if len(texts) == 1 else [f"{name}-json", f"{name}-dot"]
+        for key, text in zip(keys, texts):
+            out[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def computed(lab, tmp_path_factory):
+    return digests(lab, tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(computed, name):
+    assert computed[name] == GOLDEN[name]

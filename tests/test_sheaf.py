@@ -165,13 +165,6 @@ def test_canonical_extra_degree_check_clean(lab):
         assert sheaf_dump(sh) == sheaf_dump(lab.sheaf(family, rank, word))
 
 
-def test_canonical_unaffected_by_threads(lab):
-    g = lab.graph("A", 3, "2132")
-    assert sheaf_dump(canonical_sheaf(g, threads=4)) == sheaf_dump(
-        lab.sheaf("A", 3, "2132")
-    )
-
-
 def test_deterministic_rebuild(lab):
     g = lab.graph("B", 2)
     assert sheaf_dump(canonical_sheaf(g)) == sheaf_dump(canonical_sheaf(g))
@@ -297,7 +290,7 @@ def test_polygon_contains_boundary_image(lab):
         bi = boundary_image(sh, x, 2)
         po = polygon_image(sh, x, 2)
         for d in range(3):
-            assert bi.subspace(d) <= po.subspace(d)
+            assert all(po.subspace(d).contains(v) for v in bi.bases[d])
 
 
 def test_polygon_exact_on_grassmannian(lab):
