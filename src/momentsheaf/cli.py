@@ -340,7 +340,19 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         record("monotonicity (transport surjective)", mono_ok)
         record("monotonicity (KL coefficientwise)", ineq_ok)
 
-    purity = verify_pure(sheaf, degree_bound=config.max_degree)
+    # the direct solver's boundary image at every vertex with up edges, to
+    # the planar check's bound; the purity check reads a prefix of it
+    top_vertex = g.unique_maximal()
+    images = {}
+    for x in range(g.n_vertices):
+        if g.up[x]:
+            if config.max_degree is not None:
+                bound = config.max_degree
+            else:
+                bound = kl_degree_bound(g, x, top_vertex) + 1
+            images[x] = boundary_image(sheaf, x, bound)
+
+    purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images)
     detail = ""
     if not purity.ok:
         v = purity.first_violation
@@ -348,15 +360,8 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
     record("purity", purity.ok, detail)
 
     planar_ok = True
-    top_vertex = g.unique_maximal()
-    for x in range(g.n_vertices):
-        if not g.up[x]:
-            continue
-        if config.max_degree is not None:
-            bound = config.max_degree
-        else:
-            bound = kl_degree_bound(g, x, top_vertex) + 1
-        bi = boundary_image(sheaf, x, bound)
+    for x, bi in images.items():
+        bound = max(bi.bases)
         pl = planar_image(sheaf, x, bound)
         for d in range(bound + 1):
             if bi.subspace(d) != pl.subspace(d):

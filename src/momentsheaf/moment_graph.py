@@ -464,60 +464,99 @@ def save_graph(g: MomentGraph) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_schema(doc) -> None:
+    """The shape of a graph document, checked before anything reads it."""
+
+    def fail(msg: str) -> None:
+        raise ValidationError(f"malformed graph document: {msg}")
+
+    if not isinstance(doc, dict):
+        fail("the document must be an object")
+    for key in ("dim_t", "vertices", "order", "edges"):
+        if key not in doc:
+            fail(f"missing {key!r}")
+    if not _is_int(doc["dim_t"]):
+        fail("dim_t must be an integer")
+    order = doc["order"]
+    if not isinstance(order, dict) or not isinstance(order.get("covers"), list):
+        fail("order must be an object with a covers list")
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        fail("vertices and edges must be lists")
+    for vd in doc["vertices"]:
+        if not isinstance(vd, dict) or "id" not in vd:
+            fail(f"vertex {vd!r} is not an object with an id")
+        if vd.get("rank") is not None and not _is_int(vd["rank"]):
+            fail(f"vertex {vd['id']!r} has a rank that is not an integer")
+    for pair in order["covers"]:
+        if not isinstance(pair, list) or len(pair) != 2:
+            fail(f"cover {pair!r} is not a pair of vertex ids")
+    for ed in doc["edges"]:
+        if not isinstance(ed, dict) or not {"lower", "upper", "direction"} <= ed.keys():
+            fail(f"edge {ed!r} is not an object with lower, upper and direction")
+        if not isinstance(ed["direction"], list):
+            fail(f"edge {ed['lower']}--{ed['upper']} direction is not a list")
+
+
+def _rational(value, where: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{where}: {value!r} is not a rational number") from exc
+
+
 def load_graph(doc: dict) -> MomentGraph:
     """Parse and validate a graph document (inverse of save_graph)."""
-    try:
-        dim_t = int(doc["dim_t"])
-        vertex_docs = list(doc["vertices"])
-        cover_docs = list(doc["order"]["covers"])
-        edge_docs = list(doc["edges"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed graph document: missing {exc}") from exc
+    _check_schema(doc)
+    dim_t = doc["dim_t"]
     if dim_t <= 0:
         raise ValidationError("dim_t must be positive")
-    labels = []
-    ranks_in = []
-    for vd in vertex_docs:
-        labels.append(str(vd["id"]))
-        ranks_in.append(vd.get("rank"))
+    labels = [str(vd["id"]) for vd in doc["vertices"]]
+    ranks_in = [vd.get("rank") for vd in doc["vertices"]]
     if len(set(labels)) != len(labels):
         raise ValidationError("duplicate vertex ids")
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
 
-    adj = [0] * n  # strict covers as bitmask
-    for lo, hi in cover_docs:
+    covers_up: list[set[int]] = [set() for _ in range(n)]
+    covers_down: list[set[int]] = [set() for _ in range(n)]
+    for lo, hi in doc["order"]["covers"]:
+        lo, hi = str(lo), str(hi)
         if lo not in index or hi not in index:
             raise ValidationError(f"cover [{lo}, {hi}] references unknown vertices")
-        adj[index[lo]] |= 1 << index[hi]
+        covers_up[index[lo]].add(index[hi])
+        covers_down[index[hi]].add(index[lo])
 
-    # reflexive-transitive closure with cycle detection
+    # reflexive-transitive closure, a vertex once all its upper covers are
+    # closed; vertices never reached lie on a cycle
     leq_bits = [0] * n
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-
-    def close(i: int) -> None:
-        state[i] = 1
-        acc = 1 << i
-        for j in range(n):
-            if (adj[i] >> j) & 1:
-                if state[j] == 1:
-                    raise ValidationError("order has a cycle")
-                if state[j] == 0:
-                    close(j)
-                acc |= leq_bits[j]
-        leq_bits[i] = acc
-        state[i] = 2
-
-    for i in range(n):
-        if state[i] == 0:
-            close(i)
+    waiting = [len(up) for up in covers_up]
+    ready = [i for i in range(n) if not waiting[i]]
+    closed = 0
+    while ready:
+        j = ready.pop()
+        acc = 1 << j
+        for k in covers_up[j]:
+            acc |= leq_bits[k]
+        leq_bits[j] = acc
+        closed += 1
+        for i in covers_down[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                ready.append(i)
+    if closed < n:
+        raise ValidationError("order has a cycle")
 
     edges = []
-    for ed in edge_docs:
+    for ed in doc["edges"]:
         lo, hi = str(ed["lower"]), str(ed["upper"])
         if lo not in index or hi not in index:
             raise ValidationError(f"edge {lo}--{hi} references unknown vertices")
-        direction = tuple(Fraction(str(c)) for c in ed["direction"])
+        where = f"edge {lo}--{hi} direction"
+        direction = tuple(_rational(c, where) for c in ed["direction"])
         if len(direction) != dim_t:
             raise ValidationError(f"edge {lo}--{hi} has a direction of wrong length")
         if all(c == 0 for c in direction):
@@ -532,7 +571,7 @@ def load_graph(doc: dict) -> MomentGraph:
     if any(r is None for r in ranks_in):
         ranks = poset_ranks(leq_bits, n)
     else:
-        ranks = tuple(int(r) for r in ranks_in)
+        ranks = tuple(ranks_in)
     return MomentGraph(
         dim_t=dim_t,
         labels=tuple(labels),

@@ -6,12 +6,21 @@ restriction map rho for each incidence.  Sections over a subgraph are tuples
 compatible under all restrictions; everything is computed degreewise by
 exact linear algebra.
 
-The canonical sheaf is built from the unique maximal vertex downwards: at
-each vertex the boundary image (sections just above, restricted to the
-upward edges) is computed, and the vertex module is its projective cover.
-Generator lifts are the reduced-echelon coset representatives of the image
-modulo the span of (degree-one) times (image one degree lower), which makes
-two runs produce identical generator degrees and identical rho matrices.
+The canonical sheaf is built in one sweep from the unique maximal vertex
+downwards.  The sweep carries a generating set of the sections over the
+upper set J of vertices already built.  At each vertex x the boundary image
+(sections above x restricted to the upward edges) is the span of
+t* . (image one degree lower) and the boundaries of the generators, because
+the canonical sheaf is flabby on upper sets; the vertex module is the
+projective cover of that image.  One elimination per degree then lifts
+every generator to x and adds the generators of ker rho_x.  Generator lifts
+are the reduced-echelon coset representatives of the image modulo the span
+of (degree-one) times (image one degree lower), which makes two runs
+produce identical generator degrees and identical rho matrices.
+
+boundary_image solves the sections over the punctured upper set of a vertex
+directly.  It is the independent checker: verify_pure compares every stalk
+image with it, and the planar check and global_hilbert use the same solver.
 
 Degree bounds: on graphs of Schubert origin, new generators can only appear
 in internal degrees d with 2d <= rank(top) - rank(x) - 1, so the builder
@@ -108,6 +117,9 @@ class GammaSheaf:
     rho: dict[tuple[int, int], RhoMap] = field(default_factory=dict)
     canonical: bool = False
     _rho_matrix_cache: dict[tuple[int, int, int], QMatrix] = field(
+        default_factory=dict, repr=False
+    )
+    _span_matrix_cache: dict[tuple, list[list[dict[int, Fraction]]]] = field(
         default_factory=dict, repr=False
     )
 
@@ -252,6 +264,18 @@ def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
     return m
 
 
+def _vertex_value(sheaf: GammaSheaf, v: int, d: int, vec: Vector) -> tuple[Poly, ...]:
+    """Split a coefficient vector of (M_v)_d into one polynomial per stalk
+    generator."""
+    out = []
+    off = 0
+    for g in sheaf.vertex_modules[v].gens:
+        basis = monomial_basis(sheaf.n, d - g)
+        out.append(poly_from_coeffs(basis, vec[off : off + len(basis)]))
+        off += len(basis)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # sections
 
@@ -339,18 +363,12 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
     for d, vecs in space.bases.items():
         layout = space.layouts[d]
         for vec in vecs:
-            values: dict[tuple[str, int], list[Poly]] = {}
+            values: dict[tuple[str, int], Sequence[Poly]] = {}
             for pos, (kind, idx) in enumerate(layout.components):
                 off = layout.offsets[pos]
                 if kind == "v":
-                    gens = sheaf.vertex_modules[idx].gens
-                    polys = []
-                    for dg in gens:
-                        basis = monomial_basis(sheaf.n, d - dg)
-                        polys.append(
-                            poly_from_coeffs(basis, vec[off : off + len(basis)])
-                        )
-                        off += len(basis)
+                    size = layout.sizes[pos]
+                    polys = _vertex_value(sheaf, idx, d, vec[off : off + size])
                 else:
                     em = sheaf.edge_modules[idx]
                     polys = []
@@ -426,8 +444,9 @@ def _degree_span(
     """Span of t* times the degree-(d-1) basis inside the degree-d piece.
 
     Multiplication by x_var is the degree-d matrix of the map from gens g+1
-    to gens g with x_var on the diagonal, one per layout component and
-    variable; it is applied column by column, skipping zero coordinates.
+    to gens g with x_var on the diagonal, one per module type, variable and
+    degree, cached on the sheaf; it is applied column by column, skipping
+    zero coordinates.
     """
     lower = space.bases.get(d - 1, [])
     dst = space.layouts[d]
@@ -435,7 +454,7 @@ def _degree_span(
         return Subspace(dst.total, [])
     src = space.layouts[d - 1]
     n = sheaf.n
-    cache: dict[tuple, list[list[dict[int, Fraction]]]] = {}
+    cache = sheaf._span_matrix_cache
     blocks = []
     for pos, (kind, idx) in enumerate(src.components):
         if kind == "v":
@@ -443,7 +462,8 @@ def _degree_span(
         else:
             em = sheaf.edge_modules[idx]
             gens, ring = em.module.gens, em.quotient
-        key = (gens, ring)
+        # edge rings with the same direction are the same ring
+        key = (gens, None if ring is None else ring.alpha, d)
         if key not in cache:
             per_var = []
             for var in range(n):
@@ -507,6 +527,130 @@ def kl_degree_bound(g: MomentGraph, x: int, top: int) -> int:
     return max((g.ranks[top] - g.ranks[x] - 1) // 2, 0)
 
 
+def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
+    """rho_x in one degree: the up-edge restriction matrices of x stacked at
+    their slots of the up-edge layout, from (M_x)_d to M(U_x)_d."""
+    d = layout.degree
+    rows: list[dict[int, Fraction]] = [{} for _ in range(layout.total)]
+    for k in sheaf.graph.up[x]:
+        off, size = layout.slot("e", k)
+        rows[off : off + size] = rho_degree_matrix(sheaf, x, k, d).rows
+    return QMatrix(layout.total, sheaf.vertex_piece_dim(x, d), rows)
+
+
+class _SectionSweep:
+    """Generators of Gamma(J), J the upper set of vertices built so far,
+    carried down the canonical construction.
+
+    A generator is (degree, {vertex: one polynomial per stalk generator});
+    a vertex left out carries zero.  Only degrees up to d_max are kept, and
+    a vertex's values are forgotten once every vertex below it along an
+    edge is built, since no later boundary reads them.
+
+    The canonical sheaf is flabby on upper sets, so Gamma(J) maps onto the
+    sections over {>x} and the boundary image at x is the A-span of the
+    boundaries of the generators.  Gamma(J + x) is generated by one lift of
+    each old generator together with the generators of ker rho_x.
+    """
+
+    def __init__(self, sheaf: GammaSheaf, top: int, d_max: int):
+        g = sheaf.graph
+        self.sheaf = sheaf
+        self.d_max = d_max
+        self.gens: list[tuple[int, dict[int, tuple[Poly, ...]]]] = [
+            (0, {top: (poly_const(g.dim_t, 1),)})
+        ]
+        self.pending = [len(g.down[v]) for v in range(g.n_vertices)]
+        self._layouts: list[Layout] = []
+        self._boundaries: list[list[Vector]] = []
+
+    def _boundary(self, layout: Layout, values: dict[int, tuple[Poly, ...]]) -> Vector:
+        """A section's values at the upper ends of the up edges, reduced
+        into the edge rings, in the up-edge layout."""
+        vec = [Fraction(0)] * layout.total
+        for (_, k), off in zip(layout.components, layout.offsets):
+            value = values.get(self.sheaf.graph.edges[k].upper)
+            if value is None:
+                continue
+            em = self.sheaf.edge_modules[k]
+            for p, eg in zip(value, em.module.gens):
+                basis = em.quotient.basis(layout.degree - eg)
+                if p:
+                    vec[off : off + len(basis)] = poly_to_coeffs(
+                        basis, em.quotient.reduce(p)
+                    )
+                off += len(basis)
+        return tuple(vec)
+
+    def image(self, x: int, probe: int) -> SectionSpace:
+        """The boundary image at x in degrees up to probe: image_d is the
+        span of t* . image_{d-1} and the degree-d generator boundaries."""
+        target = select(self.sheaf.graph, SubgraphSelector.up_edges(x))
+        self._layouts = [
+            section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)
+        ]
+        self._boundaries = [
+            [self._boundary(layout, values) for dg, values in self.gens if dg == d]
+            for d, layout in enumerate(self._layouts)
+        ]
+        image = SectionSpace(target, {}, {})
+        for d in range(probe + 1):
+            layout = image.layouts[d] = self._layouts[d]
+            span = _degree_span(self.sheaf, image, d)
+            vecs = span.basis_vectors() + self._boundaries[d]
+            image.bases[d] = Subspace(layout.total, vecs).basis_vectors()
+        return image
+
+    def extend(self, x: int) -> None:
+        """Extend the generators from J to J + x once M_x and rho_x exist;
+        it reuses the layouts and boundaries of the last image(x).
+
+        One elimination per degree on [R_x | -B], R_x the stacked rho_x and
+        B the generator boundaries: each B column is free, and its kernel
+        vector carries the generator's value at x; the free R_x columns give
+        ker rho_x.  A B column that is a pivot means rho_x misses part of
+        the boundary image, which the construction rules out.
+        """
+        sheaf, g = self.sheaf, self.sheaf.graph
+        kernel_bases: dict[int, list[Vector]] = {}
+        for d, (layout, boundaries) in enumerate(zip(self._layouts, self._boundaries)):
+            r_x = stacked_rho(sheaf, x, layout)
+            ncx = r_x.ncols
+            rows = [dict(row) for row in r_x.rows]
+            for j, b in enumerate(boundaries):
+                for i, c in enumerate(b):
+                    if c:
+                        rows[i][ncx + j] = -c
+            kernel = kernel_basis(QMatrix(layout.total, ncx + len(boundaries), rows))
+            lifts = [v[:ncx] for v in kernel if any(v[ncx:])]
+            if len(lifts) != len(boundaries):
+                raise ConsistencyError(
+                    f"the stalk at {g.labels[x]} does not reach the boundary "
+                    f"image of the sections above it in degree {d}"
+                )
+            kernel_bases[d] = [v[:ncx] for v in kernel if not any(v[ncx:])]
+            lifted = (values for dg, values in self.gens if dg == d)
+            for values, m in zip(lifted, lifts):
+                if any(m):
+                    values[x] = _vertex_value(sheaf, x, d, m)
+        point = Subgraph((x,), ())
+        ker_rho = SectionSpace(
+            point,
+            {d: section_layout(sheaf, point, d) for d in kernel_bases},
+            kernel_bases,
+        )
+        for d, vec in projective_cover(sheaf, ker_rho, self.d_max)[1]:
+            self.gens.append((d, {x: _vertex_value(sheaf, x, d, vec)}))
+        uppers = [g.edges[k].upper for k in g.up[x]]
+        for y in uppers:
+            self.pending[y] -= 1
+        done = [v for v in [x, *uppers] if not self.pending[v]]
+        for _, values in self.gens:
+            for v in done:
+                values.pop(v, None)
+        self.gens = [gen for gen in self.gens if gen[1]]
+
+
 def canonical_sheaf(
     g: MomentGraph,
     degree_bound: int | None = None,
@@ -517,10 +661,15 @@ def canonical_sheaf(
     """The canonical sheaf, built from the top vertex downwards.
 
     algorithm chooses how the boundary image at each vertex is computed:
-    'sections' solves the section space above the vertex (always exact),
+    'sections' reads it off a generating set of the sections over the
+    vertices already built, carried down the sweep (always exact),
     'planar' intersects the planar images (exact for graphs of projective
     origin), 'polygon' keeps only the path-transport relations (an upper
     approximation unless the finite-two-orbit criterion holds).
+
+    extra_degree_check computes one degree past the proven bound of a
+    Schubert graph and raises ConsistencyError if a generator shows up
+    there; loaded graphs carry no proven bound, so it changes nothing there.
     """
     if algorithm not in ("sections", "planar", "polygon"):
         raise ValidationError(f"unknown image algorithm {algorithm!r}")
@@ -536,6 +685,14 @@ def canonical_sheaf(
         (v for v in range(g.n_vertices) if v != top),
         key=lambda v: (-g.ranks[v], g.labels[v]),
     )
+    extra = int(extra_degree_check and g.schubert_origin)
+
+    def bound_at(x: int) -> int:
+        return degree_bound if degree_bound is not None else kl_degree_bound(g, x, top)
+
+    if algorithm == "sections":
+        d_max = max((bound_at(x) for x in order), default=0) + extra
+        sweep = _SectionSweep(sheaf, top, d_max)
     for x in order:
         for k in g.up[x]:
             e = g.edges[k]
@@ -543,26 +700,23 @@ def canonical_sheaf(
             quotient = QuotientBasis(LinearForm([Fraction(c) for c in e.direction]))
             sheaf.edge_modules[k] = EdgeModule(upper_module, quotient)
             sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
-        bound = degree_bound if degree_bound is not None else kl_degree_bound(g, x, top)
-        probe = bound + 1 if extra_degree_check else bound
+        bound = bound_at(x)
+        probe = bound + extra
         if algorithm == "sections":
-            image = boundary_image(sheaf, x, probe)
+            image = sweep.image(x, probe)
         elif algorithm == "planar":
             image = planar_image(sheaf, x, probe)
         else:
             image = polygon_image(sheaf, x, probe, path_cap)
         gens, lifts = projective_cover(sheaf, image, probe)
-        if extra_degree_check and g.schubert_origin and any(
-            d == bound + 1 for d in gens
-        ):
+        if extra and any(d == probe for d in gens):
             raise ConsistencyError(
                 f"generator beyond the KL degree bound at vertex {g.labels[x]}"
             )
-        if extra_degree_check:
-            gens = [d for d in gens if d <= bound]
-            lifts = [(d, v) for d, v in lifts if d <= bound]
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
         _install_lift_rho(sheaf, x, lifts)
+        if algorithm == "sections":
+            sweep.extend(x)
     if g.schubert_origin:
         for v in range(g.n_vertices):
             if sum(1 for d in sheaf.vertex_modules[v].gens if d == 0) != 1:
@@ -959,12 +1113,18 @@ class PurityReport:
 
 
 def verify_pure(
-    sheaf: GammaSheaf, degree_bound: int | None = None
+    sheaf: GammaSheaf,
+    degree_bound: int | None = None,
+    images: dict[int, SectionSpace] | None = None,
 ) -> PurityReport:
     """Check the pure-sheaf axioms degreewise: (1) stalk freeness is
     structural in this model, (2) every downward edge carries the quotient
     of its upper stalk, (3) the stalk restriction and the sections above
-    have the same image in M(U_x)."""
+    have the same image in M(U_x).
+
+    Axiom 3 reads the sections image from the direct solver; images maps
+    each vertex with up edges to its boundary_image, solved to at least
+    the bound, when the caller has solved it already."""
     g = sheaf.graph
     top = g.unique_maximal()
     violations: list[PurityViolation] = []
@@ -1000,14 +1160,10 @@ def verify_pure(
                     break
         if not g.up[x]:
             continue
-        image = boundary_image(sheaf, x, bound)
+        image = images[x] if images is not None else boundary_image(sheaf, x, bound)
         for d in range(bound + 1):
             layout = image.layouts[d]
-            rows: list[dict[int, Fraction]] = [{} for _ in range(layout.total)]
-            for k in g.up[x]:
-                off, size = layout.slot("e", k)
-                rows[off : off + size] = rho_degree_matrix(sheaf, x, k, d).rows
-            stacked = QMatrix(layout.total, sheaf.vertex_piece_dim(x, d), rows)
+            stacked = stacked_rho(sheaf, x, layout)
             cols = (stacked.column(j) for j in range(stacked.ncols))
             stalk_image = Subspace(layout.total, cols)
             section_image = image.subspace(d)

@@ -147,6 +147,37 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["kl", "--type", "A2", "--threads", "2"])
     assert exc.value.code == 2
+    # malformed graph documents are refused with a message, never a traceback
+    chain = [f"v{i}" for i in range(2000)]
+    for mutate, message in [
+        (lambda doc: doc["edges"][0].pop("direction"), "direction"),
+        (lambda doc: doc["edges"][0].update(direction=["a"]), "not a rational"),
+        (lambda doc: doc["edges"][0].update(direction=["1/0"]), "not a rational"),
+        (lambda doc: doc["edges"][0].update(direction="1"), "not a list"),
+        (lambda doc: doc["vertices"].append("t"), "'t' is not an object"),
+        (lambda doc: doc["order"]["covers"].append(["e", "s", "e"]), "not a pair"),
+        (lambda doc: doc.update(dim_t="1"), "dim_t must be an integer"),
+        (lambda doc: doc["vertices"][0].update(rank=0.5), "not an integer"),
+        (lambda doc: doc.update(
+            vertices=[{"id": v} for v in chain],
+            order={"covers": [list(p) for p in zip(chain, chain[1:] + chain[:1])]},
+            edges=[],
+        ), "cycle"),
+    ]:
+        doc = {
+            "dim_t": 1,
+            "vertices": [{"id": "e"}, {"id": "s"}],
+            "order": {"covers": [["e", "s"]]},
+            "edges": [{"lower": "e", "upper": "s", "direction": ["1"]}],
+        }
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["kl", "--graph", str(path), "--max-degree", "1"], capsys
+        )
+        assert code == 2
+        assert message in err
 
 
 def test_parse_args_type_with_separate_rank():

@@ -22,6 +22,9 @@ GOLDEN = {
     "sheaf-A3": "b6f0d933f93b88933690316be6ca0c51422099f9a3644fa837fc015cec75f7da",
     "sheaf-G2": "5e0209995d7f9ba46037e0664033e93bff4dfca38ae649826b72451dd0488df6",
     "sheaf-B3-J1": "845e82b22df1862f78257a16b31e53d264e8c73fc8fb0a3876c4b08cafef4b3c",
+    "sheaf-B3": "b320b0549d6f52f5aed499baaf1acddd4f0ab4e41e275e55b53b9f38df8bc285",
+    "sheaf-C3": "7439fd543175024c8f7ea185ce016018ffecd9fcda5d0bd77670d0d690a4a003",
+    "sheaf-A4-J13": "a2177268c667dad52ab7ba24e73d005838c3a4512520e09ea4720c554c17789d",
     "sheaf-A3-2132-polygon": "ed2012184e000783ca3858aef8e6be479d98ebfe1a3bab89a10640a7014ca8a4",
     "sheaf-generic-A3-bound2": "231fc734703918f980f6a894d8d02b0db68f782000212ba7a68e250c69a66b30",
     "hilbert-A3": "7028b015d6d7f470de4200560fa511211a7bc099a9f7bfa3dda32daa90879d42",
@@ -61,6 +64,9 @@ ARTIFACTS = {
     "sheaf-A3": lambda lab, tmp: [_sheaf(lab, "A", 3)],
     "sheaf-G2": lambda lab, tmp: [_sheaf(lab, "G", 2)],
     "sheaf-B3-J1": lambda lab, tmp: [_sheaf(lab, "B", 3, J=(1,))],
+    "sheaf-B3": lambda lab, tmp: [_sheaf(lab, "B", 3)],
+    "sheaf-C3": lambda lab, tmp: [_sheaf(lab, "C", 3)],
+    "sheaf-A4-J13": lambda lab, tmp: [_sheaf(lab, "A", 4, J=(1, 3))],
     "sheaf-A3-2132-polygon": lambda lab, tmp: [
         _sheaf(lab, "A", 3, "2132", algorithm="polygon")
     ],

@@ -151,6 +151,20 @@ def test_load_rejects_zero_direction_and_cycles():
         load_graph(cyclic)
 
 
+def test_load_closes_a_chain_deeper_than_the_recursion_limit():
+    n = 1100
+    labels = [f"v{i}" for i in range(n)]
+    doc = {
+        "dim_t": 1,
+        "vertices": [{"id": lab, "rank": i} for i, lab in enumerate(labels)],
+        "order": {"covers": [[a, b] for a, b in zip(labels, labels[1:])]},
+        "edges": [],
+    }
+    g = load_graph(doc)
+    assert g.leq(0, n - 1) and not g.leq(n - 1, 0)
+    assert g.leq_bits[0] == (1 << n) - 1
+
+
 def test_multiple_maximal_allowed_in_model():
     doc = {
         "dim_t": 1,
