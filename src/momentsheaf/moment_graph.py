@@ -2,6 +2,12 @@
 line in t* for each edge, plus builders from Bruhat intervals, subgraph
 selectors, and JSON/DOT serialization.
 
+The order is always the closure of a generating relation, taken by
+`order_closure`: the reflection edges of a Schubert graph (they generate the
+Bruhat order on W^J) or the cover pairs of a graph document.
+`MomentGraph.__post_init__` is the one validator of the order, the ranks and
+the edges, and the one place edge directions are normalized.
+
 A graph built from a Weyl group interval carries `schubert_origin=True`;
 only for those does the sheaf layer derive Kazhdan-Lusztig degree bounds
 automatically.  Generic loaded graphs are fully supported but require an
@@ -14,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .coxeter import WeylElement, WeylGroup, bruhat_leq, is_minimal_rep, mat_vec, minimal_coset_reps
@@ -96,37 +103,39 @@ class MomentGraph:
             raise ValidationError("duplicate vertex ids")
         if len(self.leq_bits) != n or len(self.ranks) != n:
             raise ValidationError("order/rank tables have the wrong size")
-        for i in range(n):
-            if not (self.leq_bits[i] >> i) & 1:
+        # at_most[r]: the vertices of rank <= r.  A vertex above i other than
+        # i itself must have a larger rank; that also rules out cycles.
+        by_rank: dict[int, int] = {}
+        for i, r in enumerate(self.ranks):
+            by_rank[r] = by_rank.get(r, 0) | 1 << i
+        at_most, acc = {}, 0
+        for r in sorted(by_rank):
+            acc = at_most[r] = acc | by_rank[r]
+        for i, bits in enumerate(self.leq_bits):
+            if not (bits >> i) & 1:
                 raise ValidationError("order is not reflexive")
-            for j in range(n):
-                if i != j and self.comparable(i, j) and self.leq(i, j) and self.leq(j, i):
-                    raise ValidationError("order has a cycle")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq(i, j) and self.ranks[i] >= self.ranks[j]:
-                    raise ValidationError(
-                        "vertex ranks must strictly increase along the order "
-                        f"({self.labels[i]} vs {self.labels[j]})"
-                    )
+            bad = bits & at_most[self.ranks[i]] & ~(1 << i)
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                raise ValidationError(
+                    "vertex ranks must strictly increase along the order "
+                    f"({self.labels[i]} vs {self.labels[j]})"
+                )
         seen_pairs = set()
         normalized = []
-        for k, e in enumerate(self.edges):
-            if e.lower == e.upper:
-                raise ValidationError(f"edge {k} is a loop")
-            if not self.leq(e.lower, e.upper) or self.leq(e.upper, e.lower):
+        for e in self.edges:
+            name = f"edge {self.labels[e.lower]}--{self.labels[e.upper]}"
+            if e.lower == e.upper or not self.leq(e.lower, e.upper):
                 raise ValidationError(
-                    f"edge {self.labels[e.lower]}--{self.labels[e.upper]} joins "
-                    "order-incomparable or misordered vertices"
+                    f"{name} joins order-incomparable or misordered vertices"
                 )
-            pair = (e.lower, e.upper)
-            if pair in seen_pairs:
-                raise ValidationError(f"duplicate edge {pair}")
-            seen_pairs.add(pair)
-            if all(c == 0 for c in e.direction):
-                raise ValidationError(f"edge {pair} has zero direction")
+            if (e.lower, e.upper) in seen_pairs:
+                raise ValidationError(f"duplicate {name}")
+            seen_pairs.add((e.lower, e.upper))
             if len(e.direction) != self.dim_t:
-                raise ValidationError(f"edge {pair} direction has wrong dimension")
+                raise ValidationError(f"{name} has a direction of wrong length")
+            if all(c == 0 for c in e.direction):
+                raise ValidationError(f"{name} has zero direction")
             normalized.append(Edge(e.lower, e.upper, primitive_integer(e.direction)))
         self.edges = tuple(normalized)
         self.up = [[] for _ in range(n)]
@@ -147,9 +156,6 @@ class MomentGraph:
     def less(self, i: int, j: int) -> bool:
         return i != j and self.leq(i, j)
 
-    def comparable(self, i: int, j: int) -> bool:
-        return self.leq(i, j) or self.leq(j, i)
-
     def vertex(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -157,12 +163,7 @@ class MomentGraph:
             raise ValidationError(f"unknown vertex {label!r}") from exc
 
     def maximal_vertices(self) -> list[int]:
-        n = self.n_vertices
-        return [
-            i
-            for i in range(n)
-            if all(not self.less(i, j) for j in range(n))
-        ]
+        return [i for i, bits in enumerate(self.leq_bits) if bits == 1 << i]
 
     def unique_maximal(self) -> int:
         tops = self.maximal_vertices()
@@ -192,22 +193,42 @@ class MomentGraph:
         return out
 
 
-def poset_ranks(leq_bits: Sequence[int], n: int) -> tuple[int, ...]:
-    """Longest-chain rank; strictly monotone along the order."""
-    sizes = sorted(range(n), key=lambda i: bin(_downset(leq_bits, n, i)).count("1"))
-    rank = [0] * n
-    for i in sizes:
-        below = [j for j in range(n) if j != i and (leq_bits[j] >> i) & 1]
-        rank[i] = 1 + max((rank[j] for j in below), default=-1)
-    return tuple(rank)
+def order_closure(
+    n: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """The order generated by the relations lo <= hi over vertices 0..n-1.
 
-
-def _downset(leq_bits: Sequence[int], n: int, i: int) -> int:
-    out = 0
-    for j in range(n):
-        if (leq_bits[j] >> i) & 1:
-            out |= 1 << j
-    return out
+    Returns the reflexive-transitive closure as bitmasks (bit j of
+    leq_bits[i] set iff i <= j) and each vertex's longest-chain rank, the
+    length of the longest path of pairs that ends at it.  Vertices are taken
+    bottom up once all their lower pairs are done; those never taken lie on
+    a cycle.
+    """
+    ups: list[list[int]] = [[] for _ in range(n)]
+    waiting = [0] * n
+    for lo, hi in pairs:
+        ups[lo].append(hi)
+        waiting[hi] += 1
+    ranks = [0] * n
+    ready = [i for i in range(n) if not waiting[i]]
+    done = []
+    while ready:
+        i = ready.pop()
+        done.append(i)
+        for j in ups[i]:
+            ranks[j] = max(ranks[j], ranks[i] + 1)
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    if len(done) < n:
+        raise ValidationError("order has a cycle")
+    leq_bits = [0] * n
+    for i in reversed(done):
+        acc = 1 << i
+        for j in ups[i]:
+            acc |= leq_bits[j]
+        leq_bits[i] = acc
+    return leq_bits, ranks
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +256,14 @@ def schubert_moment_graph(
     for i in range(1, n + 1):
         if i not in J:
             v = [a + b for a, b in zip(v, W.cartan.fundamental_weights[i - 1])]
+    # a positive multiple of v has the same stabilizer and directions
+    scale = lcm(*(c.denominator for c in v))
+    v = [int(c * scale) for c in v]
     reps = [y for y in reps if bruhat_leq(W, y, w)]
     points = [mat_vec(y.matrix, v) for y in reps]
     point_index = {p: i for i, p in enumerate(points)}
     if len(point_index) != len(reps):
         raise ValidationError("orbit points are not distinct; J-stabilizer mismatch")
-
-    labels = tuple(y.word_str() for y in reps)
-    ranks = tuple(y.length for y in reps)
-    nv = len(reps)
-    leq_bits = [0] * nv
-    for i in range(nv):
-        for j in range(nv):
-            if bruhat_leq(W, reps[i], reps[j]):
-                leq_bits[i] |= 1 << j
 
     edges = []
     seen = set()
@@ -265,16 +280,17 @@ def schubert_moment_graph(
                 continue
             seen.add(pair)
             lo, hi = (i, j) if reps[i].length < reps[j].length else (j, i)
-            direction = primitive_integer([a - b for a, b in zip(p, q)])
-            edges.append(Edge(lo, hi, direction))
+            edges.append(Edge(lo, hi, tuple(a - b for a, b in zip(p, q))))
     edges.sort(key=lambda e: (e.lower, e.upper))
+    # the reflection edges generate the Bruhat order on W^J (Deodhar)
+    leq_bits, _ = order_closure(len(reps), [(e.lower, e.upper) for e in edges])
 
     g = MomentGraph(
         dim_t=n,
-        labels=labels,
+        labels=tuple(y.word_str() for y in reps),
         edges=tuple(edges),
         leq_bits=tuple(leq_bits),
-        ranks=ranks,
+        ranks=tuple(y.length for y in reps),
         schubert_origin=True,
     )
     if g.unique_maximal() != reps.index(w):
@@ -514,41 +530,15 @@ def load_graph(doc: dict) -> MomentGraph:
     dim_t = doc["dim_t"]
     if dim_t <= 0:
         raise ValidationError("dim_t must be positive")
-    labels = [str(vd["id"]) for vd in doc["vertices"]]
-    ranks_in = [vd.get("rank") for vd in doc["vertices"]]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("duplicate vertex ids")
+    labels = tuple(str(vd["id"]) for vd in doc["vertices"])
     index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-
-    covers_up: list[set[int]] = [set() for _ in range(n)]
-    covers_down: list[set[int]] = [set() for _ in range(n)]
+    covers = []
     for lo, hi in doc["order"]["covers"]:
         lo, hi = str(lo), str(hi)
         if lo not in index or hi not in index:
             raise ValidationError(f"cover [{lo}, {hi}] references unknown vertices")
-        covers_up[index[lo]].add(index[hi])
-        covers_down[index[hi]].add(index[lo])
-
-    # reflexive-transitive closure, a vertex once all its upper covers are
-    # closed; vertices never reached lie on a cycle
-    leq_bits = [0] * n
-    waiting = [len(up) for up in covers_up]
-    ready = [i for i in range(n) if not waiting[i]]
-    closed = 0
-    while ready:
-        j = ready.pop()
-        acc = 1 << j
-        for k in covers_up[j]:
-            acc |= leq_bits[k]
-        leq_bits[j] = acc
-        closed += 1
-        for i in covers_down[j]:
-            waiting[i] -= 1
-            if not waiting[i]:
-                ready.append(i)
-    if closed < n:
-        raise ValidationError("order has a cycle")
+        covers.append((index[lo], index[hi]))
+    leq_bits, chain_ranks = order_closure(len(labels), covers)
 
     edges = []
     for ed in doc["edges"]:
@@ -557,27 +547,15 @@ def load_graph(doc: dict) -> MomentGraph:
             raise ValidationError(f"edge {lo}--{hi} references unknown vertices")
         where = f"edge {lo}--{hi} direction"
         direction = tuple(_rational(c, where) for c in ed["direction"])
-        if len(direction) != dim_t:
-            raise ValidationError(f"edge {lo}--{hi} has a direction of wrong length")
-        if all(c == 0 for c in direction):
-            raise ValidationError(f"edge {lo}--{hi} has zero direction")
-        i, j = index[lo], index[hi]
-        if not ((leq_bits[i] >> j) & 1) or i == j:
-            raise ValidationError(
-                f"edge {lo}--{hi} joins order-incomparable or misordered vertices"
-            )
-        edges.append(Edge(i, j, primitive_integer(direction)))
+        edges.append(Edge(index[lo], index[hi], direction))
 
-    if any(r is None for r in ranks_in):
-        ranks = poset_ranks(leq_bits, n)
-    else:
-        ranks = tuple(ranks_in)
+    ranks = [vd.get("rank") for vd in doc["vertices"]]
     return MomentGraph(
         dim_t=dim_t,
-        labels=tuple(labels),
+        labels=labels,
         edges=tuple(edges),
         leq_bits=tuple(leq_bits),
-        ranks=ranks,
+        ranks=tuple(chain_ranks if None in ranks else ranks),
         schubert_origin=False,
     )
 

@@ -496,26 +496,29 @@ def projective_cover(
 ) -> tuple[list[int], list[tuple[int, Vector]]]:
     """Minimal generators of an image module, with their canonical lifts.
 
-    In each degree the new generators are the reduced-echelon coset
-    representatives of image_d modulo t* . image_{d-1}.
+    image.bases[d] need only span image_d modulo t* . image_{d-1}.  In each
+    degree the new generators are the reduced-echelon coset representatives
+    of image_d modulo t* . image_{d-1}, and the span of t* . image_{d-1}
+    together with them is image_d, from which the next degree's span is
+    built.
     """
+    full = SectionSpace(image.subgraph, image.layouts, {})
     gen_degrees: list[int] = []
     lifts: list[tuple[int, Vector]] = []
     for d in range(d_max + 1):
-        basis = image.bases[d]
-        if not basis:
-            continue
-        old = _degree_span(sheaf, image, d)
+        total = image.layouts[d].total
+        old = _degree_span(sheaf, full, d)
         residues = []
-        for v in basis:
+        for v in image.bases[d]:
             r = old.reduce(v)
             if r:
-                dense = [Fraction(0)] * image.layouts[d].total
+                dense = [Fraction(0)] * total
                 for j, c in r.items():
                     dense[j] = c
                 residues.append(tuple(dense))
-        reps = Subspace(image.layouts[d].total, residues)
-        for rep in reps.basis_vectors():
+        reps = Subspace(total, residues).basis_vectors()
+        full.bases[d] = old.basis_vectors() + reps
+        for rep in reps:
             gen_degrees.append(d)
             lifts.append((d, rep))
     return gen_degrees, lifts
@@ -583,8 +586,9 @@ class _SectionSweep:
         return tuple(vec)
 
     def image(self, x: int, probe: int) -> SectionSpace:
-        """The boundary image at x in degrees up to probe: image_d is the
-        span of t* . image_{d-1} and the degree-d generator boundaries."""
+        """The boundary image at x in degrees up to probe, given in each
+        degree d by the boundaries of the degree-d generators, which span
+        image_d modulo t* . image_{d-1} (what projective_cover reads)."""
         target = select(self.sheaf.graph, SubgraphSelector.up_edges(x))
         self._layouts = [
             section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)
@@ -593,13 +597,12 @@ class _SectionSweep:
             [self._boundary(layout, values) for dg, values in self.gens if dg == d]
             for d, layout in enumerate(self._layouts)
         ]
-        image = SectionSpace(target, {}, {})
-        for d in range(probe + 1):
-            layout = image.layouts[d] = self._layouts[d]
-            span = _degree_span(self.sheaf, image, d)
-            vecs = span.basis_vectors() + self._boundaries[d]
-            image.bases[d] = Subspace(layout.total, vecs).basis_vectors()
-        return image
+        degrees = range(probe + 1)
+        return SectionSpace(
+            target,
+            {d: self._layouts[d] for d in degrees},
+            {d: self._boundaries[d] for d in degrees},
+        )
 
     def extend(self, x: int) -> None:
         """Extend the generators from J to J + x once M_x and rho_x exist;
@@ -714,7 +717,7 @@ def canonical_sheaf(
                 f"generator beyond the KL degree bound at vertex {g.labels[x]}"
             )
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
-        _install_lift_rho(sheaf, x, lifts)
+        _install_lift_rho(sheaf, x, lifts, image.layouts)
         if algorithm == "sections":
             sweep.extend(x)
     if g.schubert_origin:
@@ -727,19 +730,20 @@ def canonical_sheaf(
 
 
 def _install_lift_rho(
-    sheaf: GammaSheaf, x: int, lifts: list[tuple[int, Vector]]
+    sheaf: GammaSheaf,
+    x: int,
+    lifts: list[tuple[int, Vector]],
+    layouts: dict[int, Layout],
 ) -> None:
-    """Split each generator lift into per-edge polynomial columns."""
+    """Split each generator lift, given in the up-edge layouts of x, into
+    per-edge polynomial columns."""
     g = sheaf.graph
     for k in g.up[x]:
         em = sheaf.edge_modules[k]
         egens = em.module.gens
         entries = [[{} for _ in lifts] for _ in egens]
         for i, (dg, vec) in enumerate(lifts):
-            layout = section_layout(
-                sheaf, select(g, SubgraphSelector.up_edges(x)), dg
-            )
-            off, _ = layout.slot("e", k)
+            off, _ = layouts[dg].slot("e", k)
             for j, eg in enumerate(egens):
                 basis = em.quotient.basis(dg - eg)
                 entries[j][i] = poly_from_coeffs(basis, vec[off : off + len(basis)])

@@ -1,8 +1,14 @@
 """Tests for the command-line driver: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentsheaf.cli import main, parse_args
 from momentsheaf.errors import ValidationError
@@ -238,3 +244,86 @@ def test_graph_command_warns_on_multiple_maxima(tmp_path, capsys):
     code, out, err = run_cli(["graph", "--graph", str(path)], capsys)
     assert code == 0
     assert "2 maximal vertices" in err
+
+
+# small JSON values, for replacing one node of a graph document
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4)
+    | st.sampled_from(["1", "a", "1/0", "-1/2", "v0"]),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["id", "rank", "lower", "upper", "direction", "covers"]),
+        kids, max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, path=()):
+    """The key path of every node of a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def graph_documents(draw):
+    """At most six vertices ordered along their index, an edge with a small
+    direction on each cover, on request a unique top (so that the sheaf
+    code runs), and in half the draws one node replaced by a random value."""
+    n = draw(st.integers(1, 6))
+    dim_t = draw(st.integers(1, 3))
+    labels = [f"v{i}" for i in range(n)]
+    covers = [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    if draw(st.booleans()):
+        lowers = {i for i, _ in covers}
+        covers += [(i, n - 1) for i in range(n - 1) if i not in lowers]
+    direction = st.lists(st.integers(-2, 2), min_size=dim_t, max_size=dim_t)
+    with_ranks = draw(st.booleans())
+    doc = {
+        "dim_t": dim_t,
+        "vertices": [{"id": lab, "rank": i} if with_ranks else {"id": lab}
+                     for i, lab in enumerate(labels)],
+        "order": {"covers": [[labels[i], labels[j]] for i, j in covers]},
+        "edges": [{"lower": labels[i], "upper": labels[j],
+                   "direction": [str(c) for c in draw(direction)]} for i, j in covers],
+    }
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_node_paths(doc))))
+        value = draw(_JSON)
+        if not path:
+            return value
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph_documents(), st.sampled_from([None, 0, 1, 2]))
+def test_fuzzed_graph_documents_never_crash(doc, max_degree):
+    """Every command answers or refuses with exit 2 or 3.  verify may also
+    exit 1, but only for the planar check, which holds on graphs of
+    projective origin and need not hold on a drawn graph."""
+    degree = [] if max_degree is None else ["--max-degree", str(max_degree)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in ("graph", "kl", "sheaf", "hilbert", "verify"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, "--graph", path, *degree])
+            if code == 1 and command == "verify":
+                failed = [line for line in out.getvalue().splitlines() if ": FAIL" in line]
+                assert failed and all(
+                    line.startswith("planar image equals sections image") for line in failed
+                )
+            else:
+                assert code in (0, 2, 3)

@@ -1,15 +1,20 @@
 """Tests for moment-graph construction, selection, and serialization."""
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ValidationError
 from momentsheaf.moment_graph import (
+    Edge,
+    MomentGraph,
     SubgraphSelector,
     finite_two_orbit_test,
     load_graph,
+    order_closure,
     planar_family,
     save_graph,
     save_graph_json,
@@ -277,3 +282,121 @@ def test_random_document_roundtrip():
         g = load_graph(doc)
         doc2 = save_graph(g)
         assert save_graph(load_graph(doc2)) == doc2
+
+
+def _bruhat_bits(W, reps):
+    """The order as the Schubert builder once took it: a bruhat_leq call for
+    every pair of vertices."""
+    return tuple(
+        sum(1 << j for j, z in enumerate(reps) if bruhat_leq(W, y, z)) for y in reps
+    )
+
+
+@pytest.mark.parametrize(
+    "family, rank, sampled",
+    [("A", 1, None), ("A", 2, None), ("B", 2, None), ("G", 2, None),
+     ("A", 3, None), ("B", 3, None), ("C", 3, None),
+     ("B", 4, 3), ("D", 4, 3), ("F", 4, 2)],
+)
+def test_reflection_edges_close_to_the_bruhat_order(family, rank, sampled):
+    """Every proper J, with every w in W^J or a seeded sample of them."""
+    W = weyl_group(family, rank)
+    rng = random.Random(f"{family}{rank}")
+    for k in range(rank):
+        for J in combinations(range(1, rank + 1), k):
+            reps = minimal_coset_reps(W, J)
+            ws = reps
+            if sampled is not None:
+                # short enough that the pairwise reference stays cheap
+                ws = rng.sample([y for y in reps if y.length <= 12], sampled)
+            for w in ws:
+                g = schubert_moment_graph(W, w, J)
+                below = [y for y in reps if bruhat_leq(W, y, w)]
+                assert g.labels == tuple(y.word_str() for y in below)
+                assert g.leq_bits == _bruhat_bits(W, below)
+
+
+def _poset_ranks(leq_bits, n):
+    """Longest-chain ranks by the formula order_closure replaced: each vertex
+    after all vertices with smaller down-sets, one above the highest rank
+    strictly below it."""
+
+    def downset_size(i):
+        return sum(1 for j in range(n) if (leq_bits[j] >> i) & 1)
+
+    rank = [0] * n
+    for i in sorted(range(n), key=downset_size):
+        below = [j for j in range(n) if j != i and (leq_bits[j] >> i) & 1]
+        rank[i] = 1 + max((rank[j] for j in below), default=-1)
+    return rank
+
+
+def test_order_closure_on_random_posets():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)  # so that index order is not a linear extension
+        pairs = [(perm[i], perm[j]) for i, j in combinations(range(n), 2) if rng.random() < 0.3]
+        leq_bits, ranks = order_closure(n, pairs)
+        reach = [[i == j for j in range(n)] for i in range(n)]
+        for lo, hi in pairs:
+            reach[lo][hi] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
+        assert leq_bits == [sum(1 << j for j in range(n) if reach[i][j]) for i in range(n)]
+        assert ranks == _poset_ranks(leq_bits, n)
+    for pairs in ([(0, 0)], [(0, 1), (1, 2), (2, 0)]):
+        with pytest.raises(ValidationError, match="cycle"):
+            order_closure(3, pairs)
+
+
+@pytest.mark.parametrize(
+    "leq_bits, ranks, message",
+    [
+        ((0b10, 0b10), (0, 1), "order is not reflexive"),
+        ((0b11, 0b11), (0, 1), r"strictly increase along the order \(b vs a\)"),
+        ((0b11, 0b10), (1, 0), r"strictly increase along the order \(a vs b\)"),
+        ((0b11, 0b10), (0, 0), r"strictly increase along the order \(a vs b\)"),
+    ],
+)
+def test_constructor_validates_the_order(leq_bits, ranks, message):
+    with pytest.raises(ValidationError, match=message):
+        MomentGraph(dim_t=1, labels=("a", "b"), edges=(), leq_bits=leq_bits, ranks=ranks)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([Edge(0, 0, (1,))], "edge a--a joins order-incomparable or misordered"),
+        ([Edge(1, 0, (1,))], "edge b--a joins order-incomparable or misordered"),
+        ([Edge(0, 1, (1,)), Edge(0, 1, (2,))], "duplicate edge a--b"),
+        ([Edge(0, 1, (1, 0))], "edge a--b has a direction of wrong length"),
+        ([Edge(0, 1, (0,))], "edge a--b has zero direction"),
+    ],
+)
+def test_constructor_validates_the_edges(edges, message):
+    with pytest.raises(ValidationError, match=message):
+        MomentGraph(dim_t=1, labels=("a", "b"), edges=tuple(edges),
+                    leq_bits=(0b11, 0b10), ranks=(0, 1))
+
+
+@pytest.mark.parametrize("with_ranks", [True, False])
+def test_load_a_2000_vertex_chain(with_ranks):
+    n = 2000
+    labels = [f"v{i}" for i in range(n)]
+    doc = {
+        "dim_t": 1,
+        "vertices": [{"id": lab, "rank": i} if with_ranks else {"id": lab}
+                     for i, lab in enumerate(labels)],
+        "order": {"covers": [[a, b] for a, b in zip(labels, labels[1:])]},
+        "edges": [{"lower": a, "upper": b, "direction": ["-2"]}
+                  for a, b in zip(labels, labels[1:])],
+    }
+    g = load_graph(doc)
+    assert g.ranks == tuple(range(n))
+    assert g.leq_bits == tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
+    assert g.maximal_vertices() == [n - 1]
+    assert {e.direction for e in g.edges} == {(1,)}
