@@ -474,17 +474,22 @@ def _int_row(row: Row) -> dict[int, int]:
     )
 
 
-def rref(rows: Iterable[Row], ncols: int) -> tuple[list[int], list[Row]]:
-    """Reduced row echelon form of a sparse row list.
+def forward_eliminate(
+    rows: Iterable[Row], ncols: int
+) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
+    """The forward phase of rref over the columns below ncols.
+
+    Returns the pivot columns, the echelon rows (integer, not yet reduced
+    above their pivots) and the rows left over, which have no entry left in
+    any column below ncols.  Columns at or past ncols are carried along but
+    never chosen as pivots, so the leftover rows span the part of the row
+    space that vanishes on the first ncols columns.
 
     Columns are processed left to right; among candidate pivot rows the
     sparsest (Markowitz-style, ties by insertion order) is eliminated first.
-    RREF is unique, so this choice affects fill-in only, not results.
-
     Elimination runs on integer rows by cross-multiplication with gcd
-    content reduction (fraction arithmetic only appears in the final
-    normalization), which keeps entry growth and per-step cost down on the
-    larger graded pieces.
+    content reduction, which keeps entry growth and per-step cost down on
+    the larger graded pieces.
     """
     work: list[dict[int, int] | None] = [r for r in (map(_int_row, rows)) if r]
     pivots: list[int] = []
@@ -524,7 +529,18 @@ def rref(rows: Iterable[Row], ncols: int) -> tuple[list[int], list[Row]]:
                     live -= 1
         pivots.append(col)
         echelon.append(piv)
-    # single deferred back-substitution pass, last pivot first
+    return pivots, echelon, [r for r in work if r is not None]
+
+
+def rref(rows: Iterable[Row], ncols: int) -> tuple[list[int], list[Row]]:
+    """Reduced row echelon form of a sparse row list.
+
+    The forward phase (forward_eliminate over every column) is followed by
+    one deferred back-substitution pass, last pivot first, and a final
+    normalization to Fractions.  RREF is unique, so the pivot-row choice of
+    the forward phase affects fill-in only, not results.
+    """
+    pivots, echelon, _ = forward_eliminate(rows, ncols)
     for j in range(len(echelon) - 1, -1, -1):
         r = echelon[j]
         for jj in range(j + 1, len(echelon)):
@@ -565,6 +581,20 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
                 vec[p] = -c
         basis.append(tuple(vec))
     return basis
+
+
+def kernel_echelon_basis(rows: Sequence[Row], ncols: int) -> list[Vector]:
+    """RREF basis of {x : r . x = 0 for every row r}, from one elimination.
+
+    With the columns reversed, each canonical kernel vector has its 1 at its
+    own free column and its other entries at pivot columns to the left of
+    it.  Reversed back, every vector leads with a 1 at a free column and is
+    zero at every other free column: that is the reduced echelon basis.
+    """
+    last = ncols - 1
+    flipped = [{last - c: v for c, v in r.items()} for r in rows]
+    basis = kernel_basis(QMatrix(len(flipped), ncols, flipped))
+    return [vec[::-1] for vec in reversed(basis)]
 
 
 def image_basis(m: QMatrix) -> list[Vector]:

@@ -18,9 +18,16 @@ are the reduced-echelon coset representatives of the image modulo the span
 of (degree-one) times (image one degree lower), which makes two runs
 produce identical generator degrees and identical rho matrices.
 
+On a Schubert graph, global_hilbert reads the global sections off the same
+sweep: Gamma is free, so its Hilbert series modulo t* counts the generator
+degrees of every ker rho_x, replayed over the finished sheaf.
+
 boundary_image solves the sections over the punctured upper set of a vertex
-directly.  It is the independent checker: verify_pure compares every stalk
-image with it, and the planar check and global_hilbert use the same solver.
+directly, eliminating only the vertex unknowns.  It is the independent
+checker: verify_pure compares every stalk image with it, and planar_image
+reads each plane's relations from the same elimination.  direct_hilbert,
+the whole-graph solve, gives global_hilbert on loaded graphs and is the
+reference the tests compare the sweep against.
 
 Degree bounds: on graphs of Schubert origin, new generators can only appear
 in internal degrees d with 2d <= rank(top) - rank(x) - 1, so the builder
@@ -44,9 +51,10 @@ from .exactalg import (
     Subspace,
     Vector,
     _row_axpy,
+    forward_eliminate,
     graded_dim,
-    image_basis,
     kernel_basis,
+    kernel_echelon_basis,
     matrix_rank,
     monomial_basis,
     poly_add,
@@ -55,6 +63,7 @@ from .exactalg import (
     poly_mul,
     poly_str,
     poly_to_coeffs,
+    rref,
 )
 from .klpoly import KLPolynomial, poincare_csv
 from .moment_graph import MomentGraph, Subgraph, SubgraphSelector, planar_family, select
@@ -109,7 +118,10 @@ def _identity_rho(rank: int, n: int) -> RhoMap:
 
 @dataclass
 class GammaSheaf:
-    """A sheaf on a moment graph; may be partially defined mid-construction."""
+    """A sheaf on a moment graph; may be partially defined mid-construction.
+
+    canonical marks the canonical sheaf itself, built by an exact image
+    algorithm; the polygon approximation leaves it unset."""
 
     graph: MomentGraph
     vertex_modules: dict[int, GradedFreeModule] = field(default_factory=dict)
@@ -413,28 +425,37 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
 # boundary image and the canonical construction
 
 
-def _project_to_dangling(layout: Layout, vec: Vector) -> Vector:
-    voff = 0
-    for (kind, _), size in zip(layout.components, layout.sizes):
-        if kind == "e":
-            break
-        voff += size
-    return vec[voff:]
+def _boundary_relations(
+    sheaf: GammaSheaf, sub: Subgraph, d: int
+) -> list[dict[int, int]]:
+    """Linear relations that cut the boundary image of the sections over sub
+    out of its dangling-edge coordinates in degree d.
+
+    The vertex blocks come first in the section layout.  The forward phase
+    of the elimination over the vertex columns leaves rows that involve only
+    edge columns; they span every relation the section system imposes on
+    the dangling edges, so the boundary image is their kernel.  The rows are
+    shifted to start at the first edge column.
+    """
+    layout = section_layout(sheaf, sub, d)
+    nv = sum(size for (kind, _), size in zip(layout.components, layout.sizes) if kind == "v")
+    _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, layout), nv)
+    return [{c - nv: v for c, v in r.items()} for r in rest]
 
 
 def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Image of the restriction from sections above x (with its upward
-    edges) to the product of the upward edge modules, degree by degree."""
-    secs = sections(sheaf, SubgraphSelector.above_punctured(x), d_max)
-    target = select(sheaf.graph, SubgraphSelector.up_edges(x))
+    edges) to the product of the upward edge modules, degree by degree,
+    solved directly from the incidence equations over {>x}."""
+    g = sheaf.graph
+    above = select(g, SubgraphSelector.above_punctured(x))
+    target = select(g, SubgraphSelector.up_edges(x))
     layouts = {}
     bases = {}
-    for d in sorted(secs.bases):
-        layout = section_layout(sheaf, target, d)
-        layouts[d] = layout
-        projected = [_project_to_dangling(secs.layouts[d], v) for v in secs.bases[d]]
-        m = QMatrix.from_columns(projected, layout.total)
-        bases[d] = image_basis(m)
+    for d in range(d_max + 1):
+        layout = layouts[d] = section_layout(sheaf, target, d)
+        relations = _boundary_relations(sheaf, above, d)
+        bases[d] = kernel_echelon_basis(relations, layout.total)
     return SectionSpace(target, layouts, bases)
 
 
@@ -541,6 +562,15 @@ def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
     return QMatrix(layout.total, sheaf.vertex_piece_dim(x, d), rows)
 
 
+def sweep_order(g: MomentGraph, top: int) -> list[int]:
+    """The vertices below top in the order the sweep builds them: rank
+    downwards, ties by label."""
+    return sorted(
+        (v for v in range(g.n_vertices) if v != top),
+        key=lambda v: (-g.ranks[v], g.labels[v]),
+    )
+
+
 class _SectionSweep:
     """Generators of Gamma(J), J the upper set of vertices built so far,
     carried down the canonical construction.
@@ -564,6 +594,8 @@ class _SectionSweep:
             (0, {top: (poly_const(g.dim_t, 1),)})
         ]
         self.pending = [len(g.down[v]) for v in range(g.n_vertices)]
+        self._at = -1
+        self._target = Subgraph((), ())
         self._layouts: list[Layout] = []
         self._boundaries: list[list[Vector]] = []
 
@@ -585,11 +617,12 @@ class _SectionSweep:
                 off += len(basis)
         return tuple(vec)
 
-    def image(self, x: int, probe: int) -> SectionSpace:
-        """The boundary image at x in degrees up to probe, given in each
-        degree d by the boundaries of the degree-d generators, which span
-        image_d modulo t* . image_{d-1} (what projective_cover reads)."""
+    def _load(self, x: int) -> None:
+        """The up-edge layouts of x and the generator boundaries in every
+        degree up to d_max, read by both image(x) and extend(x)."""
         target = select(self.sheaf.graph, SubgraphSelector.up_edges(x))
+        self._at = x
+        self._target = target
         self._layouts = [
             section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)
         ]
@@ -597,16 +630,22 @@ class _SectionSweep:
             [self._boundary(layout, values) for dg, values in self.gens if dg == d]
             for d, layout in enumerate(self._layouts)
         ]
+
+    def image(self, x: int, probe: int) -> SectionSpace:
+        """The boundary image at x in degrees up to probe, given in each
+        degree d by the boundaries of the degree-d generators, which span
+        image_d modulo t* . image_{d-1} (what projective_cover reads)."""
+        self._load(x)
         degrees = range(probe + 1)
         return SectionSpace(
-            target,
+            self._target,
             {d: self._layouts[d] for d in degrees},
             {d: self._boundaries[d] for d in degrees},
         )
 
-    def extend(self, x: int) -> None:
-        """Extend the generators from J to J + x once M_x and rho_x exist;
-        it reuses the layouts and boundaries of the last image(x).
+    def extend(self, x: int) -> list[int]:
+        """Extend the generators from J to J + x once M_x and rho_x exist,
+        and return the degrees of the generators of ker rho_x it adds.
 
         One elimination per degree on [R_x | -B], R_x the stacked rho_x and
         B the generator boundaries: each B column is free, and its kernel
@@ -614,6 +653,8 @@ class _SectionSweep:
         ker rho_x.  A B column that is a pivot means rho_x misses part of
         the boundary image, which the construction rules out.
         """
+        if self._at != x:
+            self._load(x)
         sheaf, g = self.sheaf, self.sheaf.graph
         kernel_bases: dict[int, list[Vector]] = {}
         for d, (layout, boundaries) in enumerate(zip(self._layouts, self._boundaries)):
@@ -642,7 +683,8 @@ class _SectionSweep:
             {d: section_layout(sheaf, point, d) for d in kernel_bases},
             kernel_bases,
         )
-        for d, vec in projective_cover(sheaf, ker_rho, self.d_max)[1]:
+        ker_degrees, ker_gens = projective_cover(sheaf, ker_rho, self.d_max)
+        for d, vec in ker_gens:
             self.gens.append((d, {x: _vertex_value(sheaf, x, d, vec)}))
         uppers = [g.edges[k].upper for k in g.up[x]]
         for y in uppers:
@@ -652,6 +694,7 @@ class _SectionSweep:
             for v in done:
                 values.pop(v, None)
         self.gens = [gen for gen in self.gens if gen[1]]
+        return ker_degrees
 
 
 def canonical_sheaf(
@@ -682,12 +725,9 @@ def canonical_sheaf(
             "generic graphs need an explicit degree bound; only Schubert "
             "graphs carry a proven one"
         )
-    sheaf = GammaSheaf(graph=g, canonical=True)
+    sheaf = GammaSheaf(graph=g, canonical=algorithm != "polygon")
     sheaf.vertex_modules[top] = GradedFreeModule((0,))
-    order = sorted(
-        (v for v in range(g.n_vertices) if v != top),
-        key=lambda v: (-g.ranks[v], g.labels[v]),
-    )
+    order = sweep_order(g, top)
     extra = int(extra_degree_check and g.schubert_origin)
 
     def bound_at(x: int) -> int:
@@ -774,7 +814,30 @@ def stalk_table_csv(sheaf: GammaSheaf) -> str:
 
 def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     """Dimensions of the global sections modulo t* times sections, i.e. the
-    ungraded-coefficient cohomology of the underlying variety."""
+    ungraded-coefficient cohomology of the underlying variety.
+
+    For the canonical sheaf on a graph of Schubert origin, Gamma is free
+    and flabby on upper sets, so each step 0 -> ker rho_x -> Gamma(J + x)
+    -> Gamma(J) -> 0 of the sweep splits, and the answer counts generator
+    degrees: the top's degree 0 and those of every ker rho_x, replayed over
+    the finished sheaf.  Any other sheaf, a loaded graph's canonical sheaf
+    included, need not have a free Gamma, so it takes direct_hilbert.
+    """
+    g = sheaf.graph
+    if not (sheaf.canonical and g.schubert_origin):
+        return direct_hilbert(sheaf, d_max)
+    top = g.unique_maximal()
+    dims = [1] + [0] * d_max
+    sweep = _SectionSweep(sheaf, top, d_max)
+    for x in sweep_order(g, top):
+        for d in sweep.extend(x):
+            dims[d] += 1
+    return dims
+
+
+def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
+    """global_hilbert by solving the sections over the whole graph and
+    dividing out the t*-span degree by degree; any sheaf, any graph."""
     secs = sections(sheaf, SubgraphSelector.whole(), d_max)
     out = []
     for d in range(d_max + 1):
@@ -1061,18 +1124,15 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
         d: [] for d in range(d_max + 1)
     }
     for plane in family:
-        secs = sections(sheaf, plane.subgraph, d_max)
         sub_target = Subgraph((), plane.up_edges)
         for d in range(d_max + 1):
             sub_layout = section_layout(sheaf, sub_target, d)
             if sub_layout.total == 0:
                 continue
-            projected = [
-                _project_to_dangling(secs.layouts[d], v) for v in secs.bases[d]
-            ]
-            image = Subspace(sub_layout.total, projected)
-            ann = image.annihilator()
-            if ann.dim == 0:
+            # the annihilator of the plane's image is the row space of the
+            # relations that cut it out
+            _, ann = rref(_boundary_relations(sheaf, plane.subgraph, d), sub_layout.total)
+            if not ann:
                 continue
             # the plane's up edges are a subset of U_x: relabel the columns
             to_full = [
@@ -1080,7 +1140,7 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
                 for (kind, k), size in zip(sub_layout.components, sub_layout.sizes)
                 for inner in range(size)
             ]
-            for functional in ann.rows:
+            for functional in ann:
                 rows_by_degree[d].append(
                     {to_full[col]: val for col, val in functional.items()}
                 )

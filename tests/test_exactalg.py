@@ -11,9 +11,11 @@ from momentsheaf.exactalg import (
     QMatrix,
     QuotientBasis,
     Subspace,
+    forward_eliminate,
     graded_dim,
     image_basis,
     kernel_basis,
+    kernel_echelon_basis,
     matrix_rank,
     monomial_basis,
     multiply_map,
@@ -81,6 +83,31 @@ def test_kernel_vectors_annihilated():
     m = rand_matrix(rng, 8, 12)
     for v in kernel_basis(m):
         assert all(c == 0 for c in m.apply(v))
+
+
+def test_kernel_echelon_basis_is_the_rref_of_the_kernel():
+    rng = random.Random(11)
+    for _ in range(40):
+        nr, nc = rng.randint(0, 6), rng.randint(1, 8)
+        m = rand_matrix(rng, nr, nc, density=rng.choice([0.2, 0.5]))
+        expected = Subspace(nc, kernel_basis(m)).basis_vectors()
+        assert kernel_echelon_basis(m.rows, nc) == expected
+
+
+def test_forward_eliminate_leaves_rows_past_the_split():
+    def dense(rows, nc):
+        return [[Q(r.get(j, 0)) for j in range(nc)] for r in rows]
+
+    rng = random.Random(12)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 7), rng.randint(2, 8)
+        m = rand_matrix(rng, nr, nc, density=0.4)
+        split = rng.randint(0, nc)
+        pivots, echelon, rest = forward_eliminate(m.rows, split)
+        assert all(p < split for p in pivots) and len(echelon) == len(pivots)
+        assert all(min(r) >= split for r in rest)
+        # the echelon rows and the leftover rows together span the row space
+        assert Subspace(nc, dense(echelon + rest, nc)) == Subspace(nc, dense(m.rows, nc))
 
 
 def test_image_of_product_in_image():

@@ -28,6 +28,12 @@ GOLDEN = {
     "sheaf-A3-2132-polygon": "ed2012184e000783ca3858aef8e6be479d98ebfe1a3bab89a10640a7014ca8a4",
     "sheaf-generic-A3-bound2": "231fc734703918f980f6a894d8d02b0db68f782000212ba7a68e250c69a66b30",
     "hilbert-A3": "7028b015d6d7f470de4200560fa511211a7bc099a9f7bfa3dda32daa90879d42",
+    "hilbert-G2": "22933a7630b37f5b333f4ba93ec01359284c8aef2e44f3e9cfc7b95346dbe80b",
+    "hilbert-A3-J2": "56b50e6b3bb4ed63ae9fcf30e3f7632cc4fff129d4367b77477b211fafa4a5b2",
+    "hilbert-A3-deg3": "d133e33daa9f065925ea863fa92aace5df8311a14e02a77199c635706c57d7a8",
+    "hilbert-A3-deg8": "dfdefed7b52a97024d224381d4ba6184e57f2f3288391d317cd2bc9bb30641e2",
+    "hilbert-generic-A3-deg2": "15cc37073d6f041a67c3d4e8667babad40f34a7664b045d17135f439feb21ce7",
+    "hilbert-B3-J1": "4fa572e17efc340e032884c95cd3b14fcf6c65157050c82c3a392439345350ef",
     "verify-A3": "663e818ab06add59c5912ebc95e90a4f5dc663baa77f7e46a1d181a13ffd3a15",
     "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
     "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
@@ -45,6 +51,11 @@ def _generic_a3_doc() -> dict:
     for k, edge in enumerate(doc["edges"]):
         edge["direction"] = [str((k * a) % 7 - 3) for a in (1, 3, 5)]
     return doc
+
+
+def _write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def _cli(args, tmp_path, *names):
@@ -74,6 +85,26 @@ ARTIFACTS = {
         _dump(canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2))
     ],
     "hilbert-A3": lambda lab, tmp: _cli(["hilbert", "--type", "A3"], tmp, "h.csv"),
+    "hilbert-G2": lambda lab, tmp: _cli(["hilbert", "--type", "G2"], tmp, "h.csv"),
+    "hilbert-A3-J2": lambda lab, tmp: _cli(
+        ["hilbert", "--type", "A3", "--parabolic", "2"], tmp, "h.csv"
+    ),
+    # below the graph's dimension the table is cut; above it, zero-padded
+    "hilbert-A3-deg3": lambda lab, tmp: _cli(
+        ["hilbert", "--type", "A3", "--max-degree", "3"], tmp, "h.csv"
+    ),
+    "hilbert-A3-deg8": lambda lab, tmp: _cli(
+        ["hilbert", "--type", "A3", "--max-degree", "8"], tmp, "h.csv"
+    ),
+    # a loaded graph takes the direct whole-graph solve
+    "hilbert-generic-A3-deg2": lambda lab, tmp: _cli(
+        ["hilbert", "--graph", _write_json(tmp / "generic.json", _generic_a3_doc()),
+         "--max-degree", "2"],
+        tmp, "h.csv",
+    ),
+    "hilbert-B3-J1": lambda lab, tmp: _cli(
+        ["hilbert", "--type", "B3", "--parabolic", "1"], tmp, "h.csv"
+    ),
     "verify-A3": lambda lab, tmp: _cli(["verify", "--type", "A3"], tmp, "v.txt"),
     "graph-B4": lambda lab, tmp: _cli(
         ["graph", "--type", "B4"], tmp, "g.json", "g.dot"

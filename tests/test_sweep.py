@@ -1,4 +1,5 @@
-"""Property tests of the section sweep behind canonical_sheaf.
+"""Property tests of the section sweep behind canonical_sheaf, and of the
+direct solver that checks it.
 
 The sweep reads each boundary image off a generating set of the sections
 over the vertices already built.  verify_pure compares every stalk's image
@@ -6,6 +7,11 @@ with boundary_image, the direct solver over the punctured upper set, so a
 passing report checks the sweep against an independent route.  The random
 graphs keep a Schubert poset but draw their edge directions, so most of
 them are not GKM and nothing about them is known in advance.
+
+global_hilbert reads a Schubert sheaf's global sections off the sweep too;
+it is compared with direct_hilbert, the whole-graph solve, and with the
+Hecke oracle.  boundary_image eliminates only the vertex unknowns; it is
+compared with the kernel-then-project route kept here.
 """
 
 import json
@@ -15,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentsheaf.coxeter import weyl_group
+from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ConsistencyError
+from momentsheaf.exactalg import Subspace
+from momentsheaf.hecke_oracle import parabolic_kl
 from momentsheaf.moment_graph import (
     SubgraphSelector,
     load_graph,
@@ -24,8 +32,12 @@ from momentsheaf.moment_graph import (
     schubert_moment_graph,
 )
 from momentsheaf.sheaf import (
+    boundary_image,
     canonical_sheaf,
     check_sections,
+    direct_hilbert,
+    global_hilbert,
+    kl_degree_bound,
     sections,
     sheaf_dump,
     verify_pure,
@@ -51,12 +63,40 @@ def generic_graphs(draw):
     return load_graph(doc), draw(st.integers(1, 2))
 
 
+def _kernel_then_project(sheaf, x, d_max):
+    """boundary_image the long way: one kernel vector per section over {>x},
+    cut down to the up-edge coordinates, and the RREF basis of their span."""
+    secs = sections(sheaf, SubgraphSelector.above_punctured(x), d_max)
+    bases = {}
+    for d, layout in secs.layouts.items():
+        nv = sum(
+            size for (kind, _), size in zip(layout.components, layout.sizes) if kind == "v"
+        )
+        projected = [vec[nv:] for vec in secs.bases[d]]
+        bases[d] = Subspace(layout.total - nv, projected).basis_vectors()
+    return bases
+
+
+def _boundary_images_checked(sheaf, bound_at):
+    """boundary_image at every vertex with up edges, each asserted equal to
+    the kernel-then-project route."""
+    g = sheaf.graph
+    images = {}
+    for x in range(g.n_vertices):
+        if g.up[x]:
+            bound = bound_at(x)
+            images[x] = boundary_image(sheaf, x, bound)
+            assert images[x].bases == _kernel_then_project(sheaf, x, bound)
+    return images
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(generic_graphs())
 def test_sweep_agrees_with_direct_solver(case):
     g, bound = case
     sheaf = canonical_sheaf(g, degree_bound=bound)
-    assert verify_pure(sheaf, degree_bound=bound).ok
+    images = _boundary_images_checked(sheaf, lambda x: bound)
+    assert verify_pure(sheaf, degree_bound=bound, images=images).ok
     assert check_sections(sheaf, sections(sheaf, SubgraphSelector.whole(), bound))
 
 
@@ -77,3 +117,41 @@ def test_sweep_refuses_a_stalk_below_its_boundary_image():
     g.schubert_origin = True
     with pytest.raises(ConsistencyError, match="does not reach the boundary image"):
         canonical_sheaf(g)
+
+
+@pytest.mark.parametrize(
+    "family,rank,word,J",
+    [
+        ("A", 2, "longest", ()),
+        ("B", 2, "longest", ()),
+        ("G", 2, "longest", ()),
+        ("A", 3, "longest", ()),
+        ("A", 3, "2132", ()),
+        ("A", 3, "longest", (2,)),
+    ],
+)
+def test_sweep_hilbert_equals_direct_solve(lab, family, rank, word, J):
+    sheaf = lab.sheaf(family, rank, word, J)
+    d_max = max(sheaf.graph.ranks)
+    assert global_hilbert(sheaf, d_max) == direct_hilbert(sheaf, d_max)
+
+
+def test_sweep_hilbert_equals_oracle_sum_on_b3_parabolic(lab):
+    # sum over x <= w in W^J of q^l(x) P^J_{x,w}; the direct solve takes
+    # about a minute here
+    J = (1,)
+    W = lab.group("B", 3)
+    reps = minimal_coset_reps(W, J)
+    w = max(reps, key=lambda r: r.length)
+    expected = [0] * (w.length + 1)
+    for x in reps:
+        if bruhat_leq(W, x, w):
+            for i, c in enumerate(parabolic_kl(W, J, x, w).coeffs):
+                expected[x.length + i] += c
+    assert global_hilbert(lab.sheaf("B", 3, J=J), w.length) == expected
+
+
+def test_boundary_image_equals_kernel_then_project_on_b3(lab):
+    sheaf = lab.sheaf("B", 3, "213213")
+    top = sheaf.graph.unique_maximal()
+    _boundary_images_checked(sheaf, lambda x: kl_degree_bound(sheaf.graph, x, top) + 1)
