@@ -241,7 +241,13 @@ def cmd_graph(config: RunConfig, resolved: ResolvedInput) -> int:
 
 
 def _build_sheaf(config: RunConfig, resolved: ResolvedInput) -> GammaSheaf:
+    """The canonical sheaf.  On a Schubert graph no generator lies above the
+    proven bound, so the exact algorithms build to it and --max-degree only
+    sets the degrees hilbert and verify read; the polygon approximation can
+    gain generators past the proven bound, so it builds to --max-degree."""
     bound = _require_degree_bound(config, resolved.graph)
+    if resolved.graph.schubert_origin and config.algorithm != "polygon":
+        bound = None
     return canonical_sheaf(
         resolved.graph, degree_bound=bound, algorithm=config.algorithm
     )

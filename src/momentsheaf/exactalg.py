@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
 from typing import Iterable, Sequence
 
@@ -329,6 +330,7 @@ class LinearQuotient:
                     sub[tuple(e)] = -c
             self._subst[p] = sub
         self._subst_powers: dict[tuple[int, int], Poly] = {}
+        self._monomials: dict[tuple[int, ...], Poly] = {}
 
     @property
     def codim(self) -> int:
@@ -377,6 +379,15 @@ class LinearQuotient:
             p = out
         return p
 
+    def reduce_monomial(self, mono: tuple[int, ...]) -> Poly:
+        """Normal form of one monomial, memoized on the quotient.  The
+        returned polynomial is shared between callers, who must not mutate
+        it."""
+        p = self._monomials.get(mono)
+        if p is None:
+            p = self._monomials[mono] = self.reduce({mono: Fraction(1)})
+        return p
+
 
 class QuotientBasis(LinearQuotient):
     """The edge ring A_L = A/(alpha): the one-form case of LinearQuotient."""
@@ -390,6 +401,14 @@ class QuotientBasis(LinearQuotient):
     @property
     def pivot(self) -> int:
         return self.pivots[0]
+
+
+@lru_cache(maxsize=None)
+def edge_ring(direction: tuple[int, ...]) -> QuotientBasis:
+    """The edge ring A/(alpha) of one (normalized) edge direction, built once
+    per process: every edge along that direction, in every sheaf, shares
+    it and its memoized monomial reductions."""
+    return QuotientBasis(LinearForm([Fraction(c) for c in direction]))
 
 
 def quotient_reduce(q: LinearQuotient, coeffs: Sequence[Fraction], d: int) -> Vector:
@@ -470,7 +489,7 @@ def _int_row(row: Row) -> dict[int, int]:
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
     return _content_reduce(
-        {c: int(v * denom) for c, v in row.items() if v}
+        {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
     )
 
 
@@ -485,48 +504,55 @@ def forward_eliminate(
     never chosen as pivots, so the leftover rows span the part of the row
     space that vanishes on the first ncols columns.
 
-    Columns are processed left to right; among candidate pivot rows the
-    sparsest (Markowitz-style, ties by insertion order) is eliminated first.
-    Elimination runs on integer rows by cross-multiplication with gcd
-    content reduction, which keeps entry growth and per-step cost down on
-    the larger graded pieces.
+    Rows wait in buckets by leading column (their smallest, if below ncols);
+    a heap holds the columns with waiting rows.  Columns are popped in
+    increasing order, and only that column's bucket is touched: among its
+    rows the sparsest (Markowitz-style, ties by insertion order) becomes the
+    pivot, and every other row is eliminated against it and filed under its
+    new, larger leading column.  Elimination runs on integer rows by
+    cross-multiplication with gcd content reduction, which keeps entry
+    growth and per-step cost down on the larger graded pieces.  Leftover
+    rows keep their insertion order.
     """
-    work: list[dict[int, int] | None] = [r for r in (map(_int_row, rows)) if r]
+    work: list[dict[int, int] | None] = [r for r in map(_int_row, rows) if r]
+    buckets: dict[int, list[int]] = {}
+    for i, r in enumerate(work):
+        lead = min(r)
+        if lead < ncols:
+            buckets.setdefault(lead, []).append(i)
+    waiting = list(buckets)
+    heapify(waiting)
     pivots: list[int] = []
     echelon: list[dict[int, int]] = []
-    live = len(work)
-    for col in range(ncols):
-        if live == 0:
-            break
-        best = -1
-        best_size = -1
-        for i, r in enumerate(work):
-            if r is not None and col in r:
-                if best < 0 or len(r) < best_size:
-                    best, best_size = i, len(r)
-        if best < 0:
-            continue
+    while waiting:
+        col = heappop(waiting)
+        bucket = buckets.pop(col)
+        best = min(bucket, key=lambda i: (len(work[i]), i))
         piv = work[best]
         work[best] = None
-        live -= 1
         pv = piv[col]
-        for i, r in enumerate(work):
-            if r is not None and col in r:
-                rc = r[col]
-                new = {}
-                for c, v in r.items():
-                    new[c] = v * pv
-                for c, v in piv.items():
-                    nv = new.get(c, 0) - rc * v
-                    if nv:
-                        new[c] = nv
-                    else:
-                        new.pop(c, None)
-                if new:
-                    work[i] = _content_reduce(new)
+        for i in bucket:
+            if i == best:
+                continue
+            r = work[i]
+            rc = r[col]
+            new = {c: v * pv for c, v in r.items()}
+            for c, v in piv.items():
+                nv = new.get(c, 0) - rc * v
+                if nv:
+                    new[c] = nv
                 else:
-                    work[i] = None
-                    live -= 1
+                    new.pop(c, None)
+            if not new:
+                work[i] = None
+                continue
+            work[i] = new = _content_reduce(new)
+            lead = min(new)
+            if lead < ncols:
+                if lead not in buckets:
+                    buckets[lead] = []
+                    heappush(waiting, lead)
+                buckets[lead].append(i)
         pivots.append(col)
         echelon.append(piv)
     return pivots, echelon, [r for r in work if r is not None]

@@ -350,11 +350,17 @@ def select(g: MomentGraph, sel: SubgraphSelector) -> Subgraph:
 
 
 def _h_edges(g: MomentGraph, h: Subspace) -> list[int]:
-    return [
-        k
-        for k, e in enumerate(g.edges)
-        if h.contains([Fraction(c) for c in e.direction])
-    ]
+    """The edges whose direction lies in h.  Directions are normalized, so
+    each distinct one is tested against h once."""
+    inside: dict[Direction, bool] = {}
+    out = []
+    for k, e in enumerate(g.edges):
+        hit = inside.get(e.direction)
+        if hit is None:
+            hit = inside[e.direction] = h.contains([Fraction(c) for c in e.direction])
+        if hit:
+            out.append(k)
+    return out
 
 
 def _component(g: MomentGraph, x: int, edge_ids: Iterable[int]) -> set[int]:

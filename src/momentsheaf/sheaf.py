@@ -51,6 +51,7 @@ from .exactalg import (
     Subspace,
     Vector,
     _row_axpy,
+    edge_ring,
     forward_eliminate,
     graded_dim,
     kernel_basis,
@@ -121,7 +122,10 @@ class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
     canonical marks the canonical sheaf itself, built by an exact image
-    algorithm; the polygon approximation leaves it unset."""
+    algorithm; the polygon approximation leaves it unset.  The degree-d
+    rho matrices are cached per sheaf; the edge rings (edge_ring) and the
+    t*-span matrices of _degree_span depend on no sheaf and are shared by
+    every sheaf in the process."""
 
     graph: MomentGraph
     vertex_modules: dict[int, GradedFreeModule] = field(default_factory=dict)
@@ -129,9 +133,6 @@ class GammaSheaf:
     rho: dict[tuple[int, int], RhoMap] = field(default_factory=dict)
     canonical: bool = False
     _rho_matrix_cache: dict[tuple[int, int, int], QMatrix] = field(
-        default_factory=dict, repr=False
-    )
-    _span_matrix_cache: dict[tuple, list[list[dict[int, Fraction]]]] = field(
         default_factory=dict, repr=False
     )
 
@@ -155,8 +156,7 @@ def structure_sheaf(g: MomentGraph) -> GammaSheaf:
     for v in range(g.n_vertices):
         sheaf.vertex_modules[v] = unit
     for k, e in enumerate(g.edges):
-        quotient = QuotientBasis(LinearForm([Fraction(c) for c in e.direction]))
-        sheaf.edge_modules[k] = EdgeModule(unit, quotient)
+        sheaf.edge_modules[k] = EdgeModule(unit, edge_ring(e.direction))
         sheaf.rho[(e.lower, k)] = _identity_rho(1, g.dim_t)
         sheaf.rho[(e.upper, k)] = _identity_rho(1, g.dim_t)
     return sheaf
@@ -232,8 +232,10 @@ def degree_matrix(
     src_ring and dst_ring; None means A) whose (j, i) entry is entries[j][i].
 
     Entries must already be in dst_ring normal form.  Each source basis
-    monomial is reduced into dst_ring and multiplied by the entry; the
-    product of two normal forms is again one, so no second reduction runs.
+    monomial is reduced into dst_ring (reduce_monomial, memoized on the
+    ring, so an edge ring reduces each monomial once per process) and
+    multiplied by the entry; the product of two normal forms is again one,
+    so no second reduction runs.
     """
     dst_bases = [_ring_basis(n, dst_ring, d - g) for g in dst_gens]
     nrows = sum(len(b) for b in dst_bases)
@@ -241,9 +243,10 @@ def degree_matrix(
     col = 0
     for i, dg in enumerate(src_gens):
         for mono in _ring_basis(n, src_ring, d - dg).exponents:
-            reduced: Poly = {mono: Fraction(1)}
-            if dst_ring is not None:
-                reduced = dst_ring.reduce(reduced)
+            if dst_ring is None:
+                reduced: Poly = {mono: Fraction(1)}
+            else:
+                reduced = dst_ring.reduce_monomial(mono)
             roff = 0
             for j, tgt in enumerate(dst_bases):
                 entry = entries[j][i]
@@ -431,13 +434,18 @@ def _boundary_relations(
     """Linear relations that cut the boundary image of the sections over sub
     out of its dangling-edge coordinates in degree d.
 
-    The vertex blocks come first in the section layout.  The forward phase
-    of the elimination over the vertex columns leaves rows that involve only
-    edge columns; they span every relation the section system imposes on
-    the dangling edges, so the boundary image is their kernel.  The rows are
-    shifted to start at the first edge column.
+    The vertex blocks come first in the section layout, here ordered by
+    rank, highest first (ties by index), so the elimination works down from
+    the top as the sweep does.  The forward phase of the elimination over
+    the vertex columns leaves rows that involve only edge columns; they span
+    every relation the section system imposes on the dangling edges, so the
+    boundary image is their kernel.  That span does not depend on the order
+    of the vertex columns, and neither do the RREF bases read off it.  The
+    rows are shifted to start at the first edge column.
     """
-    layout = section_layout(sheaf, sub, d)
+    ranks = sheaf.graph.ranks
+    top_down = sorted(sub.vertices, key=lambda v: (-ranks[v], v))
+    layout = section_layout(sheaf, Subgraph(tuple(top_down), sub.edges), d)
     nv = sum(size for (kind, _), size in zip(layout.components, layout.sizes) if kind == "v")
     _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, layout), nv)
     return [{c - nv: v for c, v in r.items()} for r in rest]
@@ -459,6 +467,11 @@ def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     return SectionSpace(target, layouts, bases)
 
 
+# (dim_t, generator degrees, edge form or None for A, degree) -> per
+# variable, the columns of multiplication by that variable
+_SPAN_MATRICES: dict[tuple, list[list[dict[int, Fraction]]]] = {}
+
+
 def _degree_span(
     sheaf: GammaSheaf, space: SectionSpace, d: int
 ) -> Subspace:
@@ -466,8 +479,9 @@ def _degree_span(
 
     Multiplication by x_var is the degree-d matrix of the map from gens g+1
     to gens g with x_var on the diagonal, one per module type, variable and
-    degree, cached on the sheaf; it is applied column by column, skipping
-    zero coordinates.
+    degree.  It depends on no sheaf, so it is cached for the process in
+    _SPAN_MATRICES; the key carries dim_t, since a vertex block names no
+    direction.  It is applied column by column, skipping zero coordinates.
     """
     lower = space.bases.get(d - 1, [])
     dst = space.layouts[d]
@@ -475,7 +489,6 @@ def _degree_span(
         return Subspace(dst.total, [])
     src = space.layouts[d - 1]
     n = sheaf.n
-    cache = sheaf._span_matrix_cache
     blocks = []
     for pos, (kind, idx) in enumerate(src.components):
         if kind == "v":
@@ -483,21 +496,19 @@ def _degree_span(
         else:
             em = sheaf.edge_modules[idx]
             gens, ring = em.module.gens, em.quotient
-        # edge rings with the same direction are the same ring
-        key = (gens, None if ring is None else ring.alpha, d)
-        if key not in cache:
+        key = (n, gens, None if ring is None else ring.alpha, d)
+        if key not in _SPAN_MATRICES:
             per_var = []
             for var in range(n):
-                x: Poly = {tuple(int(i == var) for i in range(n)): Fraction(1)}
-                if ring is not None:
-                    x = ring.reduce(x)
+                mono = tuple(int(i == var) for i in range(n))
+                x: Poly = {mono: Fraction(1)} if ring is None else ring.reduce_monomial(mono)
                 rank = range(len(gens))
                 entries = [[x if i == j else {} for i in rank] for j in rank]
                 shifted = [g + 1 for g in gens]
                 m = degree_matrix(n, entries, shifted, ring, gens, ring, d)
                 per_var.append(m.transpose().rows)
-            cache[key] = per_var
-        blocks.append((src.offsets[pos], dst.offsets[pos], cache[key]))
+            _SPAN_MATRICES[key] = per_var
+        blocks.append((src.offsets[pos], dst.offsets[pos], _SPAN_MATRICES[key]))
     vecs = []
     for v in lower:
         for var in range(n):
@@ -740,8 +751,7 @@ def canonical_sheaf(
         for k in g.up[x]:
             e = g.edges[k]
             upper_module = sheaf.vertex_modules[e.upper]
-            quotient = QuotientBasis(LinearForm([Fraction(c) for c in e.direction]))
-            sheaf.edge_modules[k] = EdgeModule(upper_module, quotient)
+            sheaf.edge_modules[k] = EdgeModule(upper_module, edge_ring(e.direction))
             sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
         bound = bound_at(x)
         probe = bound + extra

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentsheaf.cli as cli
 from momentsheaf.cli import main, parse_args
 from momentsheaf.errors import ValidationError
 
@@ -67,6 +68,37 @@ def test_sheaf_dump_command(capsys):
     doc = json.loads(out)
     by_id = {v["id"]: v["generator_degrees"] for v in doc["vertices"]}
     assert by_id["e"] == [0, 1]
+
+
+@pytest.mark.parametrize("algorithm", ["sections", "planar"])
+def test_max_degree_is_not_the_build_bound_on_schubert_graphs(algorithm, capsys, monkeypatch):
+    bounds = []
+    build = cli.canonical_sheaf
+
+    def spy(g, degree_bound=None, **kwargs):
+        bounds.append(degree_bound)
+        return build(g, degree_bound=degree_bound, **kwargs)
+
+    monkeypatch.setattr(cli, "canonical_sheaf", spy)
+    args = ["sheaf", "--type", "A3", "--algorithm", algorithm]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    code, out6, _ = run_cli(args + ["--max-degree", "6"], capsys)
+    assert code == 0 and out6 == out
+    assert bounds == [None, None]
+
+
+def test_max_degree_is_the_build_bound_for_polygon(capsys, monkeypatch):
+    bounds = []
+
+    def spy(g, degree_bound=None, **kwargs):
+        bounds.append(degree_bound)
+
+    monkeypatch.setattr(cli, "canonical_sheaf", spy)
+    monkeypatch.setattr(cli, "sheaf_dump", lambda sheaf: {})
+    args = ["sheaf", "--type", "A2", "--algorithm", "polygon", "--allow-approximation"]
+    assert run_cli(args + ["--max-degree", "3"], capsys)[0] == 0
+    assert bounds == [3]
 
 
 def test_hilbert_command(capsys):

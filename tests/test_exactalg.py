@@ -110,6 +110,59 @@ def test_forward_eliminate_leaves_rows_past_the_split():
         assert Subspace(nc, dense(echelon + rest, nc)) == Subspace(nc, dense(m.rows, nc))
 
 
+def _column_scan_forward_eliminate(rows, ncols):
+    """The forward phase as a plain column scan: every live row is checked
+    for every column.  The reference the bucketed kernel must reproduce."""
+    from momentsheaf.exactalg import _content_reduce, _int_row
+
+    work = [r for r in map(_int_row, rows) if r]
+    pivots, echelon = [], []
+    for col in range(ncols):
+        best, best_size = -1, -1
+        for i, r in enumerate(work):
+            if r is not None and col in r and (best < 0 or len(r) < best_size):
+                best, best_size = i, len(r)
+        if best < 0:
+            continue
+        piv = work[best]
+        work[best] = None
+        pv = piv[col]
+        for i, r in enumerate(work):
+            if r is not None and col in r:
+                rc = r[col]
+                new = {c: v * pv for c, v in r.items()}
+                for c, v in piv.items():
+                    nv = new.get(c, 0) - rc * v
+                    if nv:
+                        new[c] = nv
+                    else:
+                        new.pop(c, None)
+                work[i] = _content_reduce(new) if new else None
+        pivots.append(col)
+        echelon.append(piv)
+    return pivots, echelon, [r for r in work if r is not None]
+
+
+def test_forward_eliminate_matches_the_column_scan():
+    rng = random.Random(13)
+    cases = [([], 3), ([{}, {}], 4), ([{0: Q(2)}, {}, {0: Q(-4)}], 1)]
+    for _ in range(60):
+        nr, nc = rng.randint(0, 9), rng.randint(1, 9)
+        m = rand_matrix(rng, nr, nc, density=rng.choice([0.15, 0.4, 0.8]))
+        rows = list(m.rows)
+        if rows and rng.random() < 0.5:
+            # repeated and proportional rows eliminate to zero
+            rows.append({c: v * Q(-3, 7) for c, v in rng.choice(rows).items()})
+            rows.insert(rng.randint(0, len(rows)), {})
+        cases.append((rows, nc))
+    for rows, nc in cases:
+        for split in range(nc + 1):
+            got = forward_eliminate(rows, split)
+            assert got == _column_scan_forward_eliminate(rows, split)
+            # the same rows, in the same order, with integer entries
+            assert all(type(v) is int for r in got[1] + got[2] for v in r.values())
+
+
 def test_image_of_product_in_image():
     rng = random.Random(99)
     for _ in range(4):

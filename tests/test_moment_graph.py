@@ -400,3 +400,49 @@ def test_load_a_2000_vertex_chain(with_ranks):
     assert g.leq_bits == tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
     assert g.maximal_vertices() == [n - 1]
     assert {e.direction for e in g.edges} == {(1,)}
+
+
+def _per_edge_h_edges(g, h):
+    """The H-edges with one membership test per edge: the reference for the
+    per-direction test in moment_graph._h_edges."""
+    from fractions import Fraction
+
+    return [
+        k for k, e in enumerate(g.edges) if h.contains([Fraction(c) for c in e.direction])
+    ]
+
+
+def _planar_family_graphs():
+    import random
+
+    W3 = weyl_group("A", 3)
+    a3 = schubert_moment_graph(W3, W3.longest)
+    G2 = weyl_group("G", 2)
+    B3 = weyl_group("B", 3)
+    top_j1 = max(minimal_coset_reps(B3, (1,)), key=lambda r: r.length)
+    # A3 poset with directions drawn from a small pool, so lines repeat and
+    # the graph is not GKM
+    rng = random.Random(20261018)
+    pool = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(5)]
+    pool = [p for p in pool if any(p)] or [[1, 0, 0]]
+    doc = save_graph(a3)
+    for edge in doc["edges"]:
+        edge["direction"] = [str(c) for c in rng.choice(pool)]
+    return {
+        "A3": a3,
+        "G2": schubert_moment_graph(G2, G2.longest),
+        "B3/J1": schubert_moment_graph(B3, top_j1, (1,)),
+        "B3/213213": schubert_moment_graph(B3, B3.element_of_word([2, 1, 3, 2, 1, 3])),
+        "generic-A3": load_graph(doc),
+    }
+
+
+def test_planar_family_matches_per_edge_reference(monkeypatch):
+    import momentsheaf.moment_graph as mg
+
+    for name, g in _planar_family_graphs().items():
+        got = [planar_family(g, x) for x in range(g.n_vertices)]
+        with monkeypatch.context() as m:
+            m.setattr(mg, "_h_edges", _per_edge_h_edges)
+            expected = [planar_family(g, x) for x in range(g.n_vertices)]
+        assert got == expected, name

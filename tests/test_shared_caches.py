@@ -1,0 +1,128 @@
+"""The process-level caches of the sheaf engine, and guards on the work they
+save.
+
+Edge rings (`edge_ring`), their memoized monomial reductions and the
+t*-span matrices of `_degree_span` outlive any one sheaf.  These tests build
+sheaves of different `dim_t` in one process and check the artifacts against
+the golden digests, and they count, without timing anything, the work a
+`verify` run does on B3/J={1}.
+"""
+
+import hashlib
+from collections import Counter
+
+import momentsheaf.moment_graph as moment_graph
+import momentsheaf.sheaf as sheaf_mod
+from momentsheaf.cli import main
+from momentsheaf.exactalg import LinearQuotient, QuotientBasis, Subspace, edge_ring
+from momentsheaf.moment_graph import load_graph
+from momentsheaf.sheaf import canonical_sheaf
+from test_golden import GOLDEN, _dump, _generic_a3_doc
+
+
+def _clear_shared_caches():
+    edge_ring.cache_clear()
+    sheaf_mod._SPAN_MATRICES.clear()
+
+
+def _snapshot(sheaves):
+    """Every memoized monomial reduction of the sheaves' edge rings, copied."""
+    rings = {id(em.quotient): em.quotient for sh in sheaves for em in sh.edge_modules.values()}
+    return {
+        key: (ring, {mono: dict(p) for mono, p in ring._monomials.items()})
+        for key, ring in rings.items()
+    }
+
+
+def test_interleaved_dim_t_builds_match_the_golden_digests(lab):
+    builds = [
+        ("sheaf-G2", lambda: canonical_sheaf(lab.graph("G", 2))),
+        ("sheaf-A3", lambda: canonical_sheaf(lab.graph("A", 3))),
+        ("sheaf-A4-J13", lambda: canonical_sheaf(lab.graph("A", 4, J=(1, 3)))),
+        ("sheaf-B3-J1", lambda: canonical_sheaf(lab.graph("B", 3, J=(1,)))),
+        ("sheaf-generic-A3-bound2",
+         lambda: canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2)),
+        ("sheaf-A3-2132-polygon",
+         lambda: canonical_sheaf(lab.graph("A", 3, "2132"), algorithm="polygon")),
+    ]
+    _clear_shared_caches()
+    built = []
+    # twice through, the second pass on warm caches in a different order
+    for name, build in builds + builds[::-1]:
+        sh = build()
+        assert hashlib.sha256(_dump(sh).encode()).hexdigest() == GOLDEN[name], name
+        for k, e in enumerate(sh.graph.edges):
+            assert sh.edge_modules[k].quotient is edge_ring(e.direction)
+        built.append(sh)
+        if len(built) == len(builds):
+            before = _snapshot(built)
+    assert edge_ring((1, -1, 0)) is edge_ring((1, -1, 0))
+    assert edge_ring((1, -1, 0)) is not edge_ring((1, -1))
+    # no caller mutated a shared reduction, nor replaced one
+    for ring, memo in before.values():
+        for mono, p in memo.items():
+            assert ring._monomials[mono] == p
+
+
+def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
+    """verify --type B3 --parabolic 1, with counters on the shared caches."""
+    _clear_shared_caches()
+    rings = Counter()
+    init = QuotientBasis.__init__
+
+    def counted_init(self, alpha):
+        rings[alpha.coeffs] += 1
+        init(self, alpha)
+
+    contains_calls = [0]
+    contains = Subspace.contains
+
+    def counted_contains(self, vec):
+        contains_calls[0] += 1
+        return contains(self, vec)
+
+    over_budget = []
+    h_edges = moment_graph._h_edges
+
+    def counted_h_edges(g, h):
+        start = contains_calls[0]
+        out = h_edges(g, h)
+        tests = contains_calls[0] - start
+        if tests > len({e.direction for e in g.edges}):
+            over_budget.append(tests)
+        return out
+
+    depth = [0]
+    reduce_calls = [0]
+    pairs = set()
+    reduce = LinearQuotient.reduce
+    degree_matrix = sheaf_mod.degree_matrix
+
+    def counted_reduce(self, p):
+        if depth[0]:
+            reduce_calls[0] += 1
+            pairs.add((getattr(self, "alpha", id(self)), tuple(p)))
+        return reduce(self, p)
+
+    def counted_degree_matrix(*args):
+        depth[0] += 1
+        try:
+            return degree_matrix(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(QuotientBasis, "__init__", counted_init)
+    monkeypatch.setattr(Subspace, "contains", counted_contains)
+    monkeypatch.setattr(moment_graph, "_h_edges", counted_h_edges)
+    monkeypatch.setattr(LinearQuotient, "reduce", counted_reduce)
+    monkeypatch.setattr(sheaf_mod, "degree_matrix", counted_degree_matrix)
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--type", "B3", "--parabolic", "1", "--out", str(out)]) == 0
+    assert "FAIL" not in out.read_text(encoding="utf-8")
+
+    # one edge ring per direction
+    assert rings and max(rings.values()) == 1
+    # one membership test per distinct direction per plane
+    assert contains_calls[0] > 0 and over_budget == []
+    # one reduction per distinct (direction, monomial) pair
+    assert 0 < reduce_calls[0] <= len(pairs)
