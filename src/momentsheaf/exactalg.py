@@ -1,11 +1,18 @@
 """Exact rational linear algebra and degreewise models of graded polynomial rings.
 
-Everything here works over Q with `fractions.Fraction`; there is no floating
-point anywhere in this module.  The graded ring is A = Q[x1..xn] with every
-variable in internal degree 1, and quotients A/(l1,..,lk) by independent
-linear forms are modelled by substituting pivot variables away, so that each
-graded piece is a plain finite-dimensional Q-vector space with a fixed
-monomial basis.
+Everything here works over Q, exactly, with one scalar convention: a
+polynomial coefficient, matrix entry or vector coordinate is a plain int when
+it is integral and a `fractions.Fraction` only otherwise, never a float
+(`exact` puts a scalar in that form).  On Schubert graphs every scalar is
+integral, so the engine runs on ints there.  The elimination kernel is
+fraction-free and rref divides only in its final normalization, by the
+pivot; the one other division, normalizing the defining forms of a
+LinearQuotient, is taken in Fractions.
+
+The graded ring is A = Q[x1..xn] with every variable in internal degree 1,
+and quotients A/(l1,..,lk) by independent linear forms are modelled by
+substituting pivot variables away, so that each graded piece is a plain
+finite-dimensional Q-vector space with a fixed monomial basis.
 
 Determinism contract: monomial bases use graded-lex order, Gaussian
 elimination processes columns left to right (the reduced row echelon form is
@@ -20,38 +27,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-Q = Fraction
-
 # Dense vector over Q.
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 # Multivariate polynomial: exponent tuple -> nonzero coefficient.
-Poly = dict[tuple[int, ...], Fraction]
+Poly = dict[tuple[int, ...], int | Fraction]
 
 # Sparse row: column index -> nonzero coefficient.
-Row = dict[int, Fraction]
+Row = dict[int, int | Fraction]
+
+
+def exact(v: int | Fraction) -> int | Fraction:
+    """v as an int when it is integral, else as the Fraction it is."""
+    return v.numerator if v.denominator == 1 else v
 
 
 # ---------------------------------------------------------------------------
 # integer vectors and normalization
 
 
-def primitive_integer(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
+def primitive_integer(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero > 0.
 
     This is the canonical form used for moment-graph edge directions; it is
     idempotent and erases any rational multiple.
     """
-    fracs = [Fraction(v) for v in vec]
-    if all(v == 0 for v in fracs):
+    if all(v == 0 for v in vec):
         raise ValueError("cannot normalize the zero vector")
-    denom_lcm = 1
-    for v in fracs:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in fracs]
+    denom_lcm = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (denom_lcm // v.denominator) for v in vec]
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -133,8 +140,8 @@ def graded_dim(n: int, d: int) -> int:
 # polynomials as exponent dicts
 
 
-def poly_const(n: int, c: Fraction | int) -> Poly:
-    c = Fraction(c)
+def poly_const(n: int, c: int | Fraction) -> Poly:
+    c = exact(c)
     return {tuple([0] * n): c} if c else {}
 
 
@@ -149,8 +156,8 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_scale(p: Poly, c: Fraction | int) -> Poly:
-    c = Fraction(c)
+def poly_scale(p: Poly, c: int | Fraction) -> Poly:
+    c = exact(c)
     if not c:
         return {}
     return {e: v * c for e, v in p.items()}
@@ -169,12 +176,12 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_from_coeffs(basis: MonomialBasis, coeffs: Sequence[Fraction]) -> Poly:
-    return {e: Fraction(c) for e, c in zip(basis.exponents, coeffs) if c}
+def poly_from_coeffs(basis: MonomialBasis, coeffs: Sequence[int | Fraction]) -> Poly:
+    return {e: exact(c) for e, c in zip(basis.exponents, coeffs) if c}
 
 
 def poly_to_coeffs(basis: MonomialBasis, p: Poly) -> Vector:
-    vec = [Fraction(0)] * len(basis)
+    vec = [0] * len(basis)
     idx = _basis_index(basis.n, basis.d, basis.skip)
     for e, c in p.items():
         vec[idx[e]] = c
@@ -245,7 +252,7 @@ def poly_parse(text: str, n: int) -> Poly:
         e = tuple(exp)
         v = out.get(e, 0) + coeff
         if v:
-            out[e] = v
+            out[e] = exact(v)
         else:
             out.pop(e, None)
     return out
@@ -262,7 +269,7 @@ class LinearForm:
     coeffs: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
 
     @property
     def n(self) -> int:
@@ -295,9 +302,9 @@ class LinearQuotient:
         if not forms:
             raise ValueError("need at least one linear form")
         self.n = forms[0].n
-        rows: list[list[Fraction]] = [list(f.coeffs) for f in forms]
+        rows = [list(f.coeffs) for f in forms]
         pivots: list[int] = []
-        reduced: list[list[Fraction]] = []
+        reduced: list[list[int | Fraction]] = []
         for row in rows:
             row = list(row)
             for p, r in zip(pivots, reduced):
@@ -307,7 +314,7 @@ class LinearQuotient:
             piv = max((i for i in range(self.n) if row[i] != 0), default=-1)
             if piv < 0:
                 raise ValueError("linear forms are dependent")
-            inv = 1 / row[piv]
+            inv = 1 / Fraction(row[piv])
             row = [a * inv for a in row]
             for r in reduced:
                 if r[piv]:
@@ -327,7 +334,7 @@ class LinearQuotient:
                 if j != p and c:
                     e = [0] * self.n
                     e[j] = 1
-                    sub[tuple(e)] = -c
+                    sub[tuple(e)] = exact(-c)
             self._subst[p] = sub
         self._subst_powers: dict[tuple[int, int], Poly] = {}
         self._monomials: dict[tuple[int, ...], Poly] = {}
@@ -385,7 +392,7 @@ class LinearQuotient:
         it."""
         p = self._monomials.get(mono)
         if p is None:
-            p = self._monomials[mono] = self.reduce({mono: Fraction(1)})
+            p = self._monomials[mono] = self.reduce({mono: 1})
         return p
 
 
@@ -408,10 +415,10 @@ def edge_ring(direction: tuple[int, ...]) -> QuotientBasis:
     """The edge ring A/(alpha) of one (normalized) edge direction, built once
     per process: every edge along that direction, in every sheaf, shares
     it and its memoized monomial reductions."""
-    return QuotientBasis(LinearForm([Fraction(c) for c in direction]))
+    return QuotientBasis(LinearForm(direction))
 
 
-def quotient_reduce(q: LinearQuotient, coeffs: Sequence[Fraction], d: int) -> Vector:
+def quotient_reduce(q: LinearQuotient, coeffs: Sequence[int | Fraction], d: int) -> Vector:
     """Reduce a degree-d coefficient vector of A into the quotient's basis."""
     p = poly_from_coeffs(monomial_basis(q.n, d), coeffs)
     return poly_to_coeffs(q.basis(d), q.reduce(p))
@@ -430,29 +437,29 @@ class QMatrix:
     rows: list[Row]
 
     @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[Fraction | int]]) -> "QMatrix":
+    def from_dense(cls, dense: Sequence[Sequence[int | Fraction]]) -> "QMatrix":
         rows = [
-            {j: Fraction(v) for j, v in enumerate(r) if v != 0} for r in dense
+            {j: exact(v) for j, v in enumerate(r) if v != 0} for r in dense
         ]
         ncols = len(dense[0]) if dense else 0
         return cls(len(rows), ncols, rows)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Fraction]], nrows: int) -> "QMatrix":
+    def from_columns(cls, cols: Sequence[Sequence[int | Fraction]], nrows: int) -> "QMatrix":
         rows: list[Row] = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
             for i, v in enumerate(col):
                 if v:
-                    rows[i][j] = Fraction(v)
+                    rows[i][j] = exact(v)
         return cls(nrows, len(cols), rows)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.rows[i].get(j, Fraction(0)) for i in range(self.nrows))
+        return tuple(self.rows[i].get(j, 0) for i in range(self.nrows))
 
-    def apply(self, vec: Sequence[Fraction]) -> Vector:
+    def apply(self, vec: Sequence[int | Fraction]) -> Vector:
         out = []
         for r in self.rows:
-            out.append(sum((v * vec[j] for j, v in r.items()), Fraction(0)))
+            out.append(sum(v * vec[j] for j, v in r.items()))
         return tuple(out)
 
     def transpose(self) -> "QMatrix":
@@ -463,7 +470,7 @@ class QMatrix:
         return QMatrix(self.ncols, self.nrows, rows)
 
 
-def _row_axpy(target: Row, factor: Fraction, source: Row, offset: int = 0) -> None:
+def _row_axpy(target: Row, factor: int | Fraction, source: Row, offset: int = 0) -> None:
     """target -= factor * source, with source's columns shifted by offset,
     dropping created zeros."""
     for c, v in source.items():
@@ -563,8 +570,9 @@ def rref(rows: Iterable[Row], ncols: int) -> tuple[list[int], list[Row]]:
 
     The forward phase (forward_eliminate over every column) is followed by
     one deferred back-substitution pass, last pivot first, and a final
-    normalization to Fractions.  RREF is unique, so the pivot-row choice of
-    the forward phase affects fill-in only, not results.
+    normalization that divides each row by its pivot: an entry the pivot
+    divides becomes an int, any other a Fraction.  RREF is unique, so the
+    pivot-row choice of the forward phase affects fill-in only, not results.
     """
     pivots, echelon, _ = forward_eliminate(rows, ncols)
     for j in range(len(echelon) - 1, -1, -1):
@@ -587,7 +595,7 @@ def rref(rows: Iterable[Row], ncols: int) -> tuple[list[int], list[Row]]:
     final: list[Row] = []
     for col, r in zip(pivots, echelon):
         pv = r[col]
-        final.append({c: Fraction(v, pv) for c, v in r.items()})
+        final.append({c: Fraction(v, pv) if v % pv else v // pv for c, v in r.items()})
     return pivots, final
 
 
@@ -599,8 +607,8 @@ def kernel_basis(m: QMatrix) -> list[Vector]:
     for free in range(m.ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * m.ncols
-        vec[free] = Fraction(1)
+        vec = [0] * m.ncols
+        vec[free] = 1
         for p, r in zip(pivots, rows):
             c = r.get(free)
             if c:
@@ -628,7 +636,7 @@ def image_basis(m: QMatrix) -> list[Vector]:
     pivots, rows = rref(m.transpose().rows, m.nrows)
     out = []
     for r in rows:
-        vec = [Fraction(0)] * m.nrows
+        vec = [0] * m.nrows
         for j, v in r.items():
             vec[j] = v
         out.append(tuple(vec))
@@ -648,11 +656,9 @@ class Subspace:
     """A subspace of Q^N held in RREF; supports exact membership,
     intersection, and annihilators."""
 
-    def __init__(self, ambient: int, vectors: Iterable[Sequence[Fraction]] = ()):
+    def __init__(self, ambient: int, vectors: Iterable[Sequence[int | Fraction]] = ()):
         self.ambient = ambient
-        rows = [
-            {j: Fraction(v) for j, v in enumerate(vec) if v != 0} for vec in vectors
-        ]
+        rows = [{j: v for j, v in enumerate(vec) if v} for vec in vectors]
         self.pivots, self.rows = rref(rows, ambient)
 
     @property
@@ -662,21 +668,21 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         out = []
         for r in self.rows:
-            vec = [Fraction(0)] * self.ambient
+            vec = [0] * self.ambient
             for j, v in r.items():
                 vec[j] = v
             out.append(tuple(vec))
         return out
 
-    def reduce(self, vec: Sequence[Fraction]) -> Row:
+    def reduce(self, vec: Sequence[int | Fraction]) -> Row:
         """Residue of vec after eliminating all pivot coordinates."""
-        residue: Row = {j: Fraction(v) for j, v in enumerate(vec) if v != 0}
+        residue: Row = {j: v for j, v in enumerate(vec) if v}
         for p, r in zip(self.pivots, self.rows):
             if p in residue:
                 _row_axpy(residue, residue[p], r)
         return residue
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def contains(self, vec: Sequence[int | Fraction]) -> bool:
         return not self.reduce(vec)
 
     def __eq__(self, other: object) -> bool:
@@ -718,6 +724,6 @@ def multiply_map(f: LinearForm, n: int, d: int) -> QMatrix:
                 continue
             e2 = list(e)
             e2[i] += 1
-            rows[idx[tuple(e2)]][j] = rows[idx[tuple(e2)]].get(j, Fraction(0)) + c
+            rows[idx[tuple(e2)]][j] = rows[idx[tuple(e2)]].get(j, 0) + c
     rows = [{j: v for j, v in r.items() if v} for r in rows]
     return QMatrix(len(dst), len(src), rows)

@@ -12,9 +12,11 @@ Conventions.  For ws < w, v = ws, and c = 1 if xs < x (else 0):
               - sum over { z : x <= z <= v, zs < z } of
                     mu(z,v) q^((l(w)-l(z))/2) P_{x,z}
 
-where mu(z,v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}.
-R-polynomials follow the matching recursion R_{x,w} = R_{xs,v} when xs < x,
-and (q-1) R_{x,v} + q R_{xs,v} otherwise.
+where mu(z,v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}.  The
+sum runs over a memoized list of the z < v with mu(z,v) != 0, not over all
+of W (du Cloux, Exp. Math. 2002).  R-polynomials follow the matching
+recursion R_{x,w} = R_{xs,v} when xs < x, and (q-1) R_{x,v} + q R_{xs,v}
+otherwise.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ class KLTable:
     def __init__(self, W: WeylGroup):
         self.W = W
         self._p: dict[tuple[int, int], IntPoly] = {}
+        self._mu: dict[int, list[tuple[int, int]]] = {}
         self._r: dict[tuple[int, int], IntPoly] = {}
 
     # -- P ---------------------------------------------------------------
@@ -93,17 +96,23 @@ class KLTable:
         else:
             out = _padd(_pshift(self.p(xs, v), 1), self.p(x, v))
         lw = W.length(w)
-        for z in range(len(W)):
+        for z, m in self.mu_list(v):
             if W.length(W.rmult(z, s)) > W.length(z):
                 continue
-            if not (bruhat_leq(W, x, z) and bruhat_leq(W, z, v)):
+            if not bruhat_leq(W, x, z):
                 continue
-            m = self.mu(z, v)
-            if m:
-                term = _pshift(_pmul((m,), self.p(x, z)), (lw - W.length(z)) // 2)
-                out = _psub(out, term)
+            term = _pshift(_pmul((m,), self.p(x, z)), (lw - W.length(z)) // 2)
+            out = _psub(out, term)
         self._p[key] = out
         return out
+
+    def mu_list(self, v: int) -> list[tuple[int, int]]:
+        """The pairs (z, mu(z, v)) with z < v and mu(z, v) != 0, by index."""
+        hit = self._mu.get(v)
+        if hit is None:
+            pairs = ((z, self.mu(z, v)) for z in range(len(self.W)))
+            hit = self._mu[v] = [(z, m) for z, m in pairs if m]
+        return hit
 
     def mu(self, z: int, v: int) -> int:
         """Coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}; 0 unless defined."""

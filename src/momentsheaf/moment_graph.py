@@ -357,7 +357,7 @@ def _h_edges(g: MomentGraph, h: Subspace) -> list[int]:
     for k, e in enumerate(g.edges):
         hit = inside.get(e.direction)
         if hit is None:
-            hit = inside[e.direction] = h.contains([Fraction(c) for c in e.direction])
+            hit = inside[e.direction] = h.contains(e.direction)
         if hit:
             out.append(k)
     return out
@@ -426,7 +426,7 @@ def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
                 dirs.append(e.direction)
     planes: dict[tuple, Subspace] = {}
     for d1, d2 in combinations(dirs, 2):
-        h = Subspace(g.dim_t, [[Fraction(c) for c in d1], [Fraction(c) for c in d2]])
+        h = Subspace(g.dim_t, [d1, d2])
         if h.dim != 2:
             continue
         key = tuple(primitive_integer(v) for v in h.basis_vectors())
@@ -453,7 +453,7 @@ def finite_two_orbit_test(g: MomentGraph, x: int) -> bool:
     if len(dirs) <= 2:
         return True
     for triple in combinations(dirs, 3):
-        span = Subspace(g.dim_t, [[Fraction(c) for c in d] for d in triple])
+        span = Subspace(g.dim_t, triple)
         if span.dim != 3:
             return False
     return True

@@ -48,6 +48,7 @@ from .exactalg import (
     Poly,
     QMatrix,
     QuotientBasis,
+    Row,
     Subspace,
     Vector,
     _row_axpy,
@@ -68,8 +69,6 @@ from .exactalg import (
 )
 from .klpoly import KLPolynomial, poincare_csv
 from .moment_graph import MomentGraph, Subgraph, SubgraphSelector, planar_family, select
-
-Q = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +238,12 @@ def degree_matrix(
     """
     dst_bases = [_ring_basis(n, dst_ring, d - g) for g in dst_gens]
     nrows = sum(len(b) for b in dst_bases)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    rows: list[Row] = [{} for _ in range(nrows)]
     col = 0
     for i, dg in enumerate(src_gens):
         for mono in _ring_basis(n, src_ring, d - dg).exponents:
             if dst_ring is None:
-                reduced: Poly = {mono: Fraction(1)}
+                reduced: Poly = {mono: 1}
             else:
                 reduced = dst_ring.reduce_monomial(mono)
             roff = 0
@@ -317,7 +316,7 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
     g = sheaf.graph
     vset = set(sub.vertices)
     d = layout.degree
-    rows: list[dict[int, Fraction]] = []
+    rows: list[Row] = []
     for k in sub.edges:
         e = g.edges[k]
         erows = sheaf.edge_piece_dim(k, d)
@@ -343,7 +342,7 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
                 a = rho_degree_matrix(sheaf, v, k, d)
                 v_off, _ = layout.slot("v", v)
                 for r in range(erows):
-                    row = {e_off + r: Fraction(-1)}
+                    row = {e_off + r: -1}
                     row.update((v_off + c, val) for c, val in a.rows[r].items())
                     rows.append(row)
     return rows
@@ -469,7 +468,7 @@ def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
 
 # (dim_t, generator degrees, edge form or None for A, degree) -> per
 # variable, the columns of multiplication by that variable
-_SPAN_MATRICES: dict[tuple, list[list[dict[int, Fraction]]]] = {}
+_SPAN_MATRICES: dict[tuple, list[list[Row]]] = {}
 
 
 def _degree_span(
@@ -501,7 +500,7 @@ def _degree_span(
             per_var = []
             for var in range(n):
                 mono = tuple(int(i == var) for i in range(n))
-                x: Poly = {mono: Fraction(1)} if ring is None else ring.reduce_monomial(mono)
+                x: Poly = {mono: 1} if ring is None else ring.reduce_monomial(mono)
                 rank = range(len(gens))
                 entries = [[x if i == j else {} for i in rank] for j in rank]
                 shifted = [g + 1 for g in gens]
@@ -512,7 +511,7 @@ def _degree_span(
     vecs = []
     for v in lower:
         for var in range(n):
-            out = [Fraction(0)] * dst.total
+            out = [0] * dst.total
             for src_off, dst_off, per_var in blocks:
                 for c, col in enumerate(per_var[var], src_off):
                     a = v[c]
@@ -544,7 +543,7 @@ def projective_cover(
         for v in image.bases[d]:
             r = old.reduce(v)
             if r:
-                dense = [Fraction(0)] * total
+                dense = [0] * total
                 for j, c in r.items():
                     dense[j] = c
                 residues.append(tuple(dense))
@@ -566,7 +565,7 @@ def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
     """rho_x in one degree: the up-edge restriction matrices of x stacked at
     their slots of the up-edge layout, from (M_x)_d to M(U_x)_d."""
     d = layout.degree
-    rows: list[dict[int, Fraction]] = [{} for _ in range(layout.total)]
+    rows: list[Row] = [{} for _ in range(layout.total)]
     for k in sheaf.graph.up[x]:
         off, size = layout.slot("e", k)
         rows[off : off + size] = rho_degree_matrix(sheaf, x, k, d).rows
@@ -613,7 +612,7 @@ class _SectionSweep:
     def _boundary(self, layout: Layout, values: dict[int, tuple[Poly, ...]]) -> Vector:
         """A section's values at the upper ends of the up edges, reduced
         into the edge rings, in the up-edge layout."""
-        vec = [Fraction(0)] * layout.total
+        vec = [0] * layout.total
         for (_, k), off in zip(layout.components, layout.offsets):
             value = values.get(self.sheaf.graph.edges[k].upper)
             if value is None:
@@ -880,7 +879,7 @@ def _v_allowed_edges(sheaf: GammaSheaf, span: Subspace) -> set[int]:
     return {
         k
         for k, e in enumerate(sheaf.graph.edges)
-        if span.contains([Fraction(c) for c in e.direction])
+        if span.contains(e.direction)
     }
 
 
@@ -972,13 +971,13 @@ def vpath_map(
     sheaf: GammaSheaf,
     x: int,
     y: int,
-    v_span: Sequence[Sequence[Fraction]],
+    v_span: Sequence[Sequence[int | Fraction]],
     path_cap: int = 10_000,
 ) -> VPathTransport:
     """Transport (M_x)_V -> (M_y)_V along V-paths (all edge directions in V),
     checking independence of the chosen path up to path_cap paths."""
     g = sheaf.graph
-    span = Subspace(g.dim_t, [[Fraction(c) for c in w] for w in v_span])
+    span = Subspace(g.dim_t, v_span)
     if span.dim == 0:
         raise ValidationError("V must be a nonzero subspace")
     quotient = LinearQuotient(
@@ -1005,7 +1004,7 @@ def monotonicity_check(
     if not g.leq(x, y):
         raise ValidationError("monotonicity_check requires x <= y")
     basis = [
-        [Fraction(int(i == j)) for j in range(g.dim_t)] for i in range(g.dim_t)
+        [int(i == j) for j in range(g.dim_t)] for i in range(g.dim_t)
     ]
     transport = vpath_map(sheaf, x, y, basis, path_cap=path_cap)
     src = sheaf.vertex_modules[x].gens
@@ -1016,7 +1015,7 @@ def monotonicity_check(
         cols = [i for i, dg in enumerate(src) if dg == d]
         block = [
             [
-                transport.entries[j][i].get(tuple([0] * sheaf.n), Fraction(0))
+                transport.entries[j][i].get(tuple([0] * sheaf.n), 0)
                 for i in cols
             ]
             for j in rows
@@ -1044,14 +1043,12 @@ def polygon_image(
     target = select(g, SubgraphSelector.up_edges(x))
     up = dangling_edges(g, target)
     layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
-    rows_by_degree: dict[int, list[dict[int, Fraction]]] = {d: [] for d in range(d_max + 1)}
+    rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
 
     for a in range(len(up)):
         for b in range(a + 1, len(up)):
             k1, k2 = up[a], up[b]
-            d1 = [Fraction(c) for c in g.edges[k1].direction]
-            d2 = [Fraction(c) for c in g.edges[k2].direction]
-            span = Subspace(g.dim_t, [d1, d2])
+            span = Subspace(g.dim_t, [g.edges[k1].direction, g.edges[k2].direction])
             quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
             allowed = _v_allowed_edges(sheaf, span)
             starts = {
@@ -1130,9 +1127,7 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     target = select(g, SubgraphSelector.up_edges(x))
     layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
     family = planar_family(g, x)
-    rows_by_degree: dict[int, list[dict[int, Fraction]]] = {
-        d: [] for d in range(d_max + 1)
-    }
+    rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
     for plane in family:
         sub_target = Subgraph((), plane.up_edges)
         for d in range(d_max + 1):
@@ -1296,7 +1291,7 @@ def rigidity_check(sheaf: GammaSheaf) -> bool:
     for k in range(len(g.edges)):
         add_unknowns("e", k, sheaf.edge_modules[k].module.rank)
 
-    rows: list[dict[int, Fraction]] = []
+    rows: list[Row] = []
     for (v, k), rho in sorted(sheaf.rho.items()):
         em = sheaf.edge_modules[k]
         nv = sheaf.vertex_modules[v].rank
@@ -1305,7 +1300,7 @@ def rigidity_check(sheaf: GammaSheaf) -> bool:
         #                              - sum_s phi_e[j][s] rho[s][i] = 0
         for j in range(ne):
             for i in range(nv):
-                sym: dict[tuple[int, ...], dict[int, Fraction]] = {}
+                sym: dict[tuple[int, ...], Row] = {}
 
                 def accumulate(p: Poly, kind: str, idx: int, jj: int, ii: int,
                                sign: int) -> None:
@@ -1313,7 +1308,7 @@ def rigidity_check(sheaf: GammaSheaf) -> bool:
                         return  # pinned to zero
                     for mono in entry_monomials(kind, idx, jj, ii):
                         u = index[(kind, idx, jj, ii, mono)]
-                        term = em.quotient.reduce(poly_mul(p, {mono: Fraction(1)}))
+                        term = em.quotient.reduce(poly_mul(p, {mono: 1}))
                         # each unknown occurs once per entry equation, so
                         # its coefficients are stored, never accumulated
                         for m2, c in term.items():

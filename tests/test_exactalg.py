@@ -26,7 +26,11 @@ from momentsheaf.exactalg import (
     poly_to_coeffs,
     primitive_integer,
     quotient_reduce,
+    rref,
 )
+from momentsheaf.moment_graph import load_graph
+from momentsheaf.sheaf import boundary_image, canonical_sheaf, rho_degree_matrix
+from test_golden import _generic_a3_doc
 
 
 def rand_matrix(rng, nrows, ncols, density=0.3):
@@ -287,3 +291,121 @@ def test_poly_mul_agrees_with_multiply_map():
     for j, e in enumerate(basis_d.exponents):
         prod = poly_mul({e: Q(1)}, f.as_poly())
         assert poly_to_coeffs(basis_d1, prod) == m.column(j)
+
+
+# ---------------------------------------------------------------------------
+# the scalar convention: an int when integral, else a Fraction, never a float
+
+
+def _rational(values):
+    """Assert every scalar is an int or a Fraction."""
+    for v in values:
+        assert type(v) in (int, Q), repr(v)
+
+
+def _exact(values):
+    """Assert every scalar is an int exactly when it is integral."""
+    for v in values:
+        assert type(v) is int or (type(v) is Q and v.denominator != 1), repr(v)
+
+
+def _mixed_matrix(rng, nrows, ncols):
+    """Entries mix ints, integral Fractions and true quotients."""
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.4:
+                v = rng.choice(
+                    [rng.randint(-4, 4), Q(rng.randint(-6, 6), rng.randint(1, 3))]
+                )
+                if v:
+                    row[j] = v
+        rows.append(row)
+    return QMatrix(nrows, ncols, rows)
+
+
+def test_elimination_outputs_follow_the_scalar_convention():
+    rng = random.Random(2026)
+    for _ in range(60):
+        nr, nc = rng.randint(0, 7), rng.randint(1, 9)
+        m = _mixed_matrix(rng, nr, nc)
+        pivots, rows = rref(m.rows, nc)
+        for r in rows:
+            _exact(r.values())
+        for vec in kernel_basis(m) + image_basis(m) + kernel_echelon_basis(m.rows, nc):
+            _exact(vec)
+        space = Subspace(nc, [[r.get(j, 0) for j in range(nc)] for r in m.rows])
+        for r in space.rows:
+            _exact(r.values())
+        for vec in space.basis_vectors():
+            _exact(vec)
+        residue = space.reduce([rng.randint(-3, 3) for _ in range(nc)])
+        _rational(residue.values())
+    # an integral system stays on ints end to end
+    pivots, rows = rref([{0: 2, 1: 4}, {1: 3, 2: 6}], 3)
+    assert rows == [{0: 1, 2: -4}, {1: 1, 2: 2}]
+    assert all(type(v) is int for r in rows for v in r.values())
+    # a true quotient stays a Fraction
+    assert rref([{0: 2, 1: 1}], 2)[1] == [{0: 1, 1: Q(1, 2)}]
+
+
+def test_linear_quotient_reduce_is_rational():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        forms = [
+            LinearForm([rng.randint(-3, 3) for _ in range(n)])
+            for _ in range(rng.randint(1, n))
+        ]
+        try:
+            quo = LinearQuotient(forms)
+        except ValueError:
+            continue  # dependent or zero forms
+        for sub in quo._subst.values():
+            _exact(sub.values())
+        p = {}
+        for _ in range(5):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            p[e] = rng.choice(
+                [rng.randint(-5, 5), Q(rng.randint(-5, 5), rng.randint(1, 4))]
+            )
+        p = {e: c for e, c in p.items() if c}
+        _rational(quo.reduce(p).values())
+        for mono in monomial_basis(n, 2).exponents:
+            _rational(quo.reduce_monomial(mono).values())
+
+
+SHEAVES = {
+    "A3": lambda lab: lab.sheaf("A", 3),
+    "G2": lambda lab: lab.sheaf("G", 2),
+    "B3-J1": lambda lab: lab.sheaf("B", 3, J=(1,)),
+    "generic-A3": lambda lab: canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHEAVES))
+def test_sheaf_scalars_follow_the_convention(lab, name):
+    sheaf = SHEAVES[name](lab)
+    g = sheaf.graph
+    coeffs = [
+        c for rho in sheaf.rho.values() for row in rho.entries for p in row for c in p.values()
+    ]
+    _exact(coeffs)
+    if g.schubert_origin:
+        # integer root directions give integer restriction maps
+        assert all(type(c) is int for c in coeffs)
+    else:
+        assert any(type(c) is Q for c in coeffs)
+    for v, k in sheaf.rho:
+        for d in range(3):
+            m = rho_degree_matrix(sheaf, v, k, d)
+            _rational(c for r in m.rows for c in r.values())
+    for em in sheaf.edge_modules.values():
+        for mono in monomial_basis(sheaf.n, 2).exponents:
+            _rational(em.quotient.reduce_monomial(mono).values())
+    for x in range(g.n_vertices):
+        if g.up[x]:
+            for vecs in boundary_image(sheaf, x, 1).bases.values():
+                for vec in vecs:
+                    _exact(vec)

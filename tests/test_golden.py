@@ -27,14 +27,20 @@ GOLDEN = {
     "sheaf-A4-J13": "a2177268c667dad52ab7ba24e73d005838c3a4512520e09ea4720c554c17789d",
     "sheaf-A3-2132-polygon": "ed2012184e000783ca3858aef8e6be479d98ebfe1a3bab89a10640a7014ca8a4",
     "sheaf-generic-A3-bound2": "231fc734703918f980f6a894d8d02b0db68f782000212ba7a68e250c69a66b30",
+    "sheaf-generic-B2-bound2": "f9af0300cfe6eca628c3e5e1c8487c22160d405214dd82f6aa11b7d8a73fe51f",
+    "sheaf-generic-G2-bound2": "8dbd6141a88aa4d5178c1e24734673db8a6d4835492fd2003bdb3cd9655eab77",
     "hilbert-A3": "7028b015d6d7f470de4200560fa511211a7bc099a9f7bfa3dda32daa90879d42",
     "hilbert-G2": "22933a7630b37f5b333f4ba93ec01359284c8aef2e44f3e9cfc7b95346dbe80b",
     "hilbert-A3-J2": "56b50e6b3bb4ed63ae9fcf30e3f7632cc4fff129d4367b77477b211fafa4a5b2",
     "hilbert-A3-deg3": "d133e33daa9f065925ea863fa92aace5df8311a14e02a77199c635706c57d7a8",
     "hilbert-A3-deg8": "dfdefed7b52a97024d224381d4ba6184e57f2f3288391d317cd2bc9bb30641e2",
     "hilbert-generic-A3-deg2": "15cc37073d6f041a67c3d4e8667babad40f34a7664b045d17135f439feb21ce7",
+    "hilbert-generic-B2-deg2": "e0cf91116bfcfcdeb583210f917cfb7199872fc71880b11586cdf3d58a61d634",
+    "hilbert-generic-G2-deg2": "6ea61c6f70ffedbfeb163a34eb21d27fe985dec479acfa850119001edc26507b",
     "hilbert-B3-J1": "4fa572e17efc340e032884c95cd3b14fcf6c65157050c82c3a392439345350ef",
     "verify-A3": "663e818ab06add59c5912ebc95e90a4f5dc663baa77f7e46a1d181a13ffd3a15",
+    "verify-G2": "68680d971fc0da362ddcbc2d7426067caaff8d73bd09654d755ccc116c4d6e89",
+    "verify-B3-213213": "89c5d9ea50aeb8c82717ef1d8a0fa614edd2b58ed0fad1b9b99418ad8a4d6cab",
     "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
     "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
 }
@@ -44,13 +50,19 @@ def _dump(sheaf) -> str:
     return json.dumps(sheaf_dump(sheaf), indent=2, sort_keys=True) + "\n"
 
 
-def _generic_a3_doc() -> dict:
-    """The A3 Schubert poset with fixed non-GKM edge directions."""
-    W = weyl_group("A", 3)
+def _generic_doc(family: str, rank: int) -> dict:
+    """The Schubert poset of the longest element with fixed non-GKM edge
+    directions; the sheaves on these graphs have non-integral rho entries."""
+    W = weyl_group(family, rank)
     doc = save_graph(schubert_moment_graph(W, W.longest))
     for k, edge in enumerate(doc["edges"]):
-        edge["direction"] = [str((k * a) % 7 - 3) for a in (1, 3, 5)]
+        edge["direction"] = [str((k * a) % 7 - 3) for a in (1, 3, 5)[:rank]]
     return doc
+
+
+def _generic_a3_doc() -> dict:
+    """The A3 Schubert poset with fixed non-GKM edge directions."""
+    return _generic_doc("A", 3)
 
 
 def _write_json(path, doc) -> str:
@@ -84,6 +96,12 @@ ARTIFACTS = {
     "sheaf-generic-A3-bound2": lambda lab, tmp: [
         _dump(canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2))
     ],
+    "sheaf-generic-B2-bound2": lambda lab, tmp: [
+        _dump(canonical_sheaf(load_graph(_generic_doc("B", 2)), degree_bound=2))
+    ],
+    "sheaf-generic-G2-bound2": lambda lab, tmp: [
+        _dump(canonical_sheaf(load_graph(_generic_doc("G", 2)), degree_bound=2))
+    ],
     "hilbert-A3": lambda lab, tmp: _cli(["hilbert", "--type", "A3"], tmp, "h.csv"),
     "hilbert-G2": lambda lab, tmp: _cli(["hilbert", "--type", "G2"], tmp, "h.csv"),
     "hilbert-A3-J2": lambda lab, tmp: _cli(
@@ -102,10 +120,24 @@ ARTIFACTS = {
          "--max-degree", "2"],
         tmp, "h.csv",
     ),
+    "hilbert-generic-B2-deg2": lambda lab, tmp: _cli(
+        ["hilbert", "--graph", _write_json(tmp / "generic.json", _generic_doc("B", 2)),
+         "--max-degree", "2"],
+        tmp, "h.csv",
+    ),
+    "hilbert-generic-G2-deg2": lambda lab, tmp: _cli(
+        ["hilbert", "--graph", _write_json(tmp / "generic.json", _generic_doc("G", 2)),
+         "--max-degree", "2"],
+        tmp, "h.csv",
+    ),
     "hilbert-B3-J1": lambda lab, tmp: _cli(
         ["hilbert", "--type", "B3", "--parabolic", "1"], tmp, "h.csv"
     ),
     "verify-A3": lambda lab, tmp: _cli(["verify", "--type", "A3"], tmp, "v.txt"),
+    "verify-G2": lambda lab, tmp: _cli(["verify", "--type", "G2"], tmp, "v.txt"),
+    "verify-B3-213213": lambda lab, tmp: _cli(
+        ["verify", "--type", "B3", "--word", "213213"], tmp, "v.txt"
+    ),
     "graph-B4": lambda lab, tmp: _cli(
         ["graph", "--type", "B4"], tmp, "g.json", "g.dot"
     ),

@@ -6,6 +6,7 @@ import pytest
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ValidationError
 from momentsheaf.hecke_oracle import (
+    KLTable,
     _padd,
     _pmul,
     _pshift,
@@ -169,3 +170,69 @@ def test_intpoly_helpers():
     assert _psub((1,), (1,)) == ()
     assert _pmul((-1, 1), (-1, 1)) == (1, -2, 1)
     assert _pshift((1, 1), 2) == (0, 0, 1, 1)
+
+
+def _full_scan_p(W):
+    """P_{x,w} by the recursion of the module docstring, with the mu sum
+    scanning all of W and two Bruhat tests per z: the reference for the
+    mu-list of KLTable."""
+    memo = {}
+
+    def mu(z, v):
+        gap = W.length(v) - W.length(z)
+        if gap <= 0 or gap % 2 == 0:
+            return 0
+        c = p(z, v)
+        i = (gap - 1) // 2
+        return c[i] if i < len(c) else 0
+
+    def p(x, w):
+        if x == w:
+            return (1,)
+        if W.length(x) >= W.length(w) or not bruhat_leq(W, x, w):
+            return ()
+        if (x, w) in memo:
+            return memo[(x, w)]
+        s = W.right_descents(w)[0]
+        v = W.rmult(w, s)
+        xs = W.rmult(x, s)
+        if W.length(xs) < W.length(x):
+            out = _padd(p(xs, v), _pshift(p(x, v), 1))
+        else:
+            out = _padd(_pshift(p(xs, v), 1), p(x, v))
+        for z in range(len(W)):
+            if W.length(W.rmult(z, s)) > W.length(z):
+                continue
+            if not (bruhat_leq(W, x, z) and bruhat_leq(W, z, v)):
+                continue
+            m = mu(z, v)
+            if m:
+                shift = (W.length(w) - W.length(z)) // 2
+                out = _psub(out, _pshift(_pmul((m,), p(x, z)), shift))
+        memo[(x, w)] = out
+        return out
+
+    return p
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("A", 4)])
+def test_mu_list_matches_the_full_scan(family, rank):
+    W = weyl_group(family, rank)
+    table = KLTable(W)
+    reference = _full_scan_p(W)
+    pairs = 0
+    for w in range(len(W)):
+        for x in range(len(W)):
+            if bruhat_leq(W, x, w):
+                assert table.p(x, w) == reference(x, w)
+                pairs += 1
+    assert pairs > len(W)
+
+
+def test_mu_list_holds_exactly_the_nonzero_mu():
+    W = weyl_group("B", 3)
+    table = KLTable(W)
+    for v in range(len(W)):
+        expected = [(z, table.mu(z, v)) for z in range(len(W)) if table.mu(z, v)]
+        assert table.mu_list(v) == expected
+        assert all(bruhat_leq(W, z, v) and z != v for z, _ in expected)
