@@ -8,6 +8,13 @@ radicals (in particular G2).  The invariant bilinear form is carried
 explicitly as the symmetrized Cartan matrix, so Cartan integers can be
 recovered from coordinates.
 
+Products and reflections are formed on integer root data, not by matrix
+products.  Right multiplication by s_i is a column update, (w s_i)[k][j] =
+w[k][j] - C[j][i] w[k][i], which leaves the rows with w[k][i] = 0 alone.  The
+roots close under s_i(b) = b - (sum_j b_j C[j][i]) a_i.  Each positive root b
+has an integer coroot c_b[j] = 2(a_j, b)/(b, b); s_b(l) = l - (c_b . l) b, and
+its matrix I - b c_b^T is looked up in the group.
+
 Element identity is exact matrix equality; the canonical word of an element
 is its ShortLex-minimal reduced word (BFS in ShortLex order guarantees the
 first word found for a matrix is minimal).
@@ -18,12 +25,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
-from .errors import ResourceCapError, ValidationError
-
-Q = Fraction
+from .errors import ConsistencyError, ResourceCapError, ValidationError
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -33,16 +38,23 @@ DEFAULT_GROUP_CAP = 50_000
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
-def _family_rank_range(family: str) -> tuple[int, int]:
-    return {
-        "A": (1, 99),
-        "B": (2, 99),
-        "C": (2, 99),
-        "D": (3, 99),
-        "E": (6, 8),
-        "F": (4, 4),
-        "G": (2, 2),
-    }[family]
+_RANK_RANGE = {
+    "A": (1, 99),
+    "B": (2, 99),
+    "C": (2, 99),
+    "D": (3, 99),
+    "E": (6, 8),
+    "F": (4, 4),
+    "G": (2, 2),
+}
+
+
+def _check_family_rank(family: str, rank: int) -> None:
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}")
+    lo, hi = _RANK_RANGE[family]
+    if not lo <= rank <= hi:
+        raise ValidationError(f"family {family} does not have rank {rank}")
 
 
 def weyl_order(family: str, rank: int) -> int:
@@ -64,11 +76,7 @@ def weyl_order(family: str, rank: int) -> int:
 
 def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan integers C[i][j] = 2(a_i, a_j)/(a_j, a_j), Bourbaki numbering."""
-    if family not in FAMILIES:
-        raise ValidationError(f"unknown family {family!r}")
-    lo, hi = _family_rank_range(family)
-    if not lo <= rank <= hi:
-        raise ValidationError(f"family {family} does not have rank {rank}")
+    _check_family_rank(family, rank)
     n = rank
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -163,40 +171,41 @@ class CartanDatum:
             raise ValidationError("wrong number of simple roots")
         if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
             raise ValidationError("bilinear form is not symmetric")
+        simple, pair = self.simple_roots, self.pairing
         for i in range(n):
             for j in range(n):
-                derived = 2 * self._pair(self.simple_roots[i], self.simple_roots[j])
-                derived /= self._pair(self.simple_roots[j], self.simple_roots[j])
-                if derived != self.cartan[i][j]:
+                norm = pair(simple[j], simple[j])
+                if 2 * pair(simple[i], simple[j]) / norm != self.cartan[i][j]:
                     raise ValidationError("Cartan integers do not match the family")
-        for i in range(n):
-            for j in range(n):
-                pairing = 2 * self._pair(self.fundamental_weights[i], self.simple_roots[j])
-                pairing /= self._pair(self.simple_roots[j], self.simple_roots[j])
-                if pairing != (1 if i == j else 0):
+                if 2 * pair(self.fundamental_weights[i], simple[j]) / norm != int(i == j):
                     raise ValidationError("fundamental weights are wrong")
 
-    def _pair(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    def pairing(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+        """The W-invariant bilinear form on t*."""
         return sum(
             x[i] * self.gram[i][j] * y[j]
             for i in range(self.rank)
             for j in range(self.rank)
         )
 
-    def pairing(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        """The W-invariant bilinear form on t*."""
-        return self._pair(x, y)
-
     def simple_reflection_matrix(self, i: int) -> Matrix:
         """Matrix of s_i (1-based) on t* in root coordinates."""
-        n = self.rank
-        rows = []
-        for k in range(n):
-            if k != i - 1:
-                rows.append(tuple(int(k == j) for j in range(n)))
-            else:
-                rows.append(tuple(int(k == j) - self.cartan[j][i - 1] for j in range(n)))
-        return tuple(rows)
+        n, c = self.rank, self.cartan
+        return tuple(
+            tuple(int(k == j) - (k == i - 1) * c[j][i - 1] for j in range(n))
+            for k in range(n)
+        )
+
+
+def _column_update(row: tuple[int, ...], i: int, update) -> tuple[int, ...]:
+    """One row of w s_i from the same row of w; update lists (j, C[j][i] != 0)."""
+    a = row[i]
+    if not a:
+        return row
+    out = list(row)
+    for j, cji in update:
+        out[j] -= cji * a
+    return tuple(out)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -232,6 +241,7 @@ class WeylElement:
 class Reflection:
     element: WeylElement
     positive_root: tuple[int, ...]  # integer root coordinates
+    coroot: tuple[int, ...]  # c[j] = 2(a_j, b)/(b, b); s_b(l) = l - (c . l) b
 
 
 class WeylGroup:
@@ -239,36 +249,32 @@ class WeylGroup:
 
     def __init__(self, cartan: CartanDatum, cap: int | None = None):
         self.cartan = cartan
-        order = weyl_order(cartan.family, cartan.rank)
-        cap = cap if cap is not None else _group_cap()
-        if order > cap:
-            raise ResourceCapError(
-                f"group {cartan.family}{cartan.rank} has order {order}, "
-                f"exceeding the cap of {cap}"
-            )
-        self._build_elements()
+        self._build_elements(check_group_cap(cartan.family, cartan.rank, cap))
         self._build_roots()
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
 
     # -- enumeration --------------------------------------------------------
 
-    def _build_elements(self) -> None:
+    def _build_elements(self, order: int) -> None:
         n = self.cartan.rank
+        c = self.cartan.cartan
         self.simple_matrices = [
             self.cartan.simple_reflection_matrix(i) for i in range(1, n + 1)
         ]
+        # (w s_i)[k][j] = w[k][j] - C[j][i] w[k][i]: a column update
+        updates = [(i, [(j, c[j][i]) for j in range(n) if c[j][i]]) for i in range(n)]
         ident = identity_matrix(n)
         elements: list[WeylElement] = [WeylElement(0, ident, 0, ())]
         index_of: dict[Matrix, int] = {ident: 0}
         rmul: list[list[int]] = []
         level = [0]
-        while level:
+        while level and len(elements) <= order:
             nxt: list[int] = []
             for i in level:
                 w = elements[i]
                 row = []
                 for s in range(1, n + 1):
-                    m = mat_mul(w.matrix, self.simple_matrices[s - 1])
+                    m = tuple(_column_update(r, *updates[s - 1]) for r in w.matrix)
                     j = index_of.get(m)
                     if j is None:
                         j = len(elements)
@@ -280,53 +286,45 @@ class WeylGroup:
                     row.append(j)
                 rmul.append(row)
             level = nxt
+        if len(elements) != order:
+            raise ConsistencyError(f"enumerated {len(elements)} elements, not |W| = {order}")
         self.elements = elements
         self.index_of = index_of
         self._rmul = rmul
 
     def _build_roots(self) -> None:
         n = self.cartan.rank
-        roots: set[tuple[Fraction, ...]] = set()
-        frontier = [tuple(r) for r in self.cartan.simple_roots]
-        while frontier:
-            new = []
-            for r in frontier:
-                if r in roots:
-                    continue
+        c = self.cartan.cartan
+        roots: set[tuple[int, ...]] = set()
+        todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        while todo:
+            r = todo.pop()
+            if r not in roots:
                 roots.add(r)
-                for s in self.simple_matrices:
-                    new.append(mat_vec(s, r))
-            frontier = new
-        positive = sorted(
-            (tuple(int(c) for c in r) for r in roots if all(c >= 0 for c in r)),
-            key=lambda r: (sum(r), r),
-        )
+                for i in range(n):  # s_i(r) = r - <r, a_i^v> a_i
+                    k = sum(r[j] * c[j][i] for j in range(n))
+                    todo.append(r[:i] + (r[i] - k,) + r[i + 1:])
+        positive = sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
+        # the invariant form scaled to integers
+        gram = self.cartan.gram
+        scale = lcm(*(v.denominator for row in gram for v in row))
+        form = [[int(v * scale) for v in row] for row in gram]
         self.positive_roots: list[tuple[int, ...]] = positive
         self.reflections: list[Reflection] = []
         for beta in positive:
-            m = self._reflection_matrix(beta)
+            pair = [sum(f * b for f, b in zip(row, beta)) for row in form]
+            norm = sum(p * b for p, b in zip(pair, beta))
+            if any(2 * p % norm for p in pair):
+                raise ValidationError("reflection matrix is not integral")
+            coroot = tuple(2 * p // norm for p in pair)
+            m = tuple(
+                tuple(int(k == j) - b * cj for j, cj in enumerate(coroot))
+                for k, b in enumerate(beta)
+            )
             idx = self.index_of.get(m)
             if idx is None:
                 raise ValidationError("reflection does not lie in the group")
-            self.reflections.append(Reflection(self.elements[idx], beta))
-
-    def _reflection_matrix(self, beta: Sequence[int]) -> Matrix:
-        n = self.cartan.rank
-        bvec = [Fraction(b) for b in beta]
-        norm = self.cartan.pairing(bvec, bvec)
-        rows: list[list[Fraction]] = [
-            [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-        ]
-        for j in range(n):
-            coef = 2 * self.cartan.pairing(self.cartan.simple_roots[j], bvec) / norm
-            for k in range(n):
-                rows[k][j] -= coef * bvec[k]
-        out = []
-        for row in rows:
-            if any(v.denominator != 1 for v in row):
-                raise ValidationError("reflection matrix is not integral")
-            out.append(tuple(int(v) for v in row))
-        return tuple(out)
+            self.reflections.append(Reflection(self.elements[idx], beta, coroot))
 
     # -- basic queries -------------------------------------------------------
 
@@ -363,32 +361,33 @@ class WeylGroup:
         return self.elements[idx]
 
     def right_descents(self, i: int) -> list[int]:
-        li = self.elements[i].length
-        return [
-            s
-            for s in range(1, self.cartan.rank + 1)
-            if self.elements[self.rmult(i, s)].length < li
-        ]
+        li, row = self.elements[i].length, self._rmul[i]
+        return [s for s in range(1, len(row) + 1) if self.elements[row[s - 1]].length < li]
 
     def inversions(self, i: int) -> int:
         """Number of positive roots sent to negative roots by element i."""
         m = self.elements[i].matrix
-        count = 0
-        for beta in self.positive_roots:
-            img = mat_vec(m, [Fraction(b) for b in beta])
-            if all(c <= 0 for c in img):
-                count += 1
-        return count
+        return sum(all(c <= 0 for c in mat_vec(m, b)) for b in self.positive_roots)
 
 
-def _group_cap() -> int:
-    raw = os.environ.get("MOMENTSHEAF_CAP")
-    if raw is None:
-        return DEFAULT_GROUP_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"MOMENTSHEAF_CAP must be an integer, got {raw!r}") from exc
+def check_group_cap(family: str, rank: int, cap: int | None = None) -> int:
+    """|W| for a valid family and rank, or ResourceCapError above the cap
+    (MOMENTSHEAF_CAP, default 50,000).  It builds no root datum, so it runs
+    before CartanDatum.build, whose cost grows like rank^4."""
+    family = family.upper()
+    _check_family_rank(family, rank)
+    if cap is None:
+        raw = os.environ.get("MOMENTSHEAF_CAP", str(DEFAULT_GROUP_CAP))
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise ValidationError(f"MOMENTSHEAF_CAP must be an integer, got {raw!r}") from exc
+    order = weyl_order(family, rank)
+    if order > cap:
+        raise ResourceCapError(
+            f"group {family}{rank} has order {order}, exceeding the cap of {cap}"
+        )
+    return order
 
 
 def build_weyl_group(cartan: CartanDatum, cap: int | None = None) -> WeylGroup:
@@ -398,6 +397,7 @@ def build_weyl_group(cartan: CartanDatum, cap: int | None = None) -> WeylGroup:
 
 def weyl_group(family: str, rank: int, cap: int | None = None) -> WeylGroup:
     """Convenience builder from a family letter and rank."""
+    check_group_cap(family, rank, cap)
     return build_weyl_group(CartanDatum.build(family, rank), cap=cap)
 
 

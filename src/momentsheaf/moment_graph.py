@@ -267,11 +267,14 @@ def schubert_moment_graph(
 
     edges = []
     seen = set()
+    roots = [(r.coroot, r.positive_root) for r in W.reflections]
     for i, p in enumerate(points):
-        for refl in W.reflections:
-            q = mat_vec(refl.element.matrix, p)
-            if q == p:
+        for coroot, beta in roots:
+            # s_beta(p) = p - <p, beta^v> beta
+            k = sum(c * a for c, a in zip(coroot, p))
+            if not k:
                 continue
+            q = tuple(a - k * b for a, b in zip(p, beta))
             j = point_index.get(q)
             if j is None:
                 continue
@@ -479,7 +482,7 @@ def save_graph(g: MomentGraph) -> dict:
             {
                 "lower": g.labels[e.lower],
                 "upper": g.labels[e.upper],
-                "direction": [str(Fraction(c)) for c in e.direction],
+                "direction": [str(c) for c in e.direction],
             }
             for e in g.edges
         ],

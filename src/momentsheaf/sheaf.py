@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ConsistencyError, ResourceCapError, ValidationError
@@ -976,13 +977,31 @@ def vpath_map(
 ) -> VPathTransport:
     """Transport (M_x)_V -> (M_y)_V along V-paths (all edge directions in V),
     checking independence of the chosen path up to path_cap paths."""
-    g = sheaf.graph
-    span = Subspace(g.dim_t, v_span)
+    span = Subspace(sheaf.graph.dim_t, v_span)
     if span.dim == 0:
         raise ValidationError("V must be a nonzero subspace")
-    quotient = LinearQuotient(
-        [LinearForm(w) for w in span.basis_vectors()]
-    )
+    quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
+    return _vpath_transport(sheaf, x, y, span, quotient, path_cap)
+
+
+@lru_cache(maxsize=None)
+def _whole_space(dim_t: int) -> tuple[Subspace, LinearQuotient]:
+    """V = t* and A_V = A/(all coordinate forms), built once per dim_t for
+    the process: every monotonicity check transports over them."""
+    basis = [[int(i == j) for j in range(dim_t)] for i in range(dim_t)]
+    span = Subspace(dim_t, basis)
+    return span, LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
+
+
+def _vpath_transport(
+    sheaf: GammaSheaf,
+    x: int,
+    y: int,
+    span: Subspace,
+    quotient: LinearQuotient,
+    path_cap: int,
+) -> VPathTransport:
+    g = sheaf.graph
     allowed = _v_allowed_edges(sheaf, span)
     paths, truncated = _increasing_paths(g, x, y, allowed, path_cap)
     if not paths:
@@ -1003,10 +1022,8 @@ def monotonicity_check(
     g = sheaf.graph
     if not g.leq(x, y):
         raise ValidationError("monotonicity_check requires x <= y")
-    basis = [
-        [int(i == j) for j in range(g.dim_t)] for i in range(g.dim_t)
-    ]
-    transport = vpath_map(sheaf, x, y, basis, path_cap=path_cap)
+    span, quotient = _whole_space(g.dim_t)
+    transport = _vpath_transport(sheaf, x, y, span, quotient, path_cap)
     src = sheaf.vertex_modules[x].gens
     dst = sheaf.vertex_modules[y].gens
     out: dict[int, bool] = {}

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,12 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 3
     assert "order 6" in err
     monkeypatch.delenv("MOMENTSHEAF_CAP")
+    # the cap is checked before the root datum, which takes seconds at rank 24
+    start = time.perf_counter()
+    code, out, err = run_cli(["graph", "--type", "A24", "--word", "longest"], capsys)
+    assert (code, out) == (3, "")
+    assert "exceeding the cap of 50000" in err
+    assert time.perf_counter() - start < 1.0
     # polygon needs the acknowledgment flag
     code, _, err = run_cli(["kl", "--type", "A2", "--algorithm", "polygon"], capsys)
     assert code == 2

@@ -1,5 +1,6 @@
 """Tests for Weyl group enumeration, lengths, Bruhat order, and quotients."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,8 +9,10 @@ from momentsheaf.coxeter import (
     CartanDatum,
     bruhat_leq,
     build_weyl_group,
+    identity_matrix,
     longest_element,
     mat_mul,
+    mat_vec,
     minimal_coset_reps,
     parabolic_subgroup,
     weyl_group,
@@ -30,21 +33,21 @@ def subword_leq(W, x, y):
     return x.index in reachable
 
 
-@pytest.mark.parametrize(
-    "family,rank,order,n_refl,max_len",
-    [
-        ("A", 1, 2, 1, 1),
-        ("A", 2, 6, 3, 3),
-        ("A", 3, 24, 6, 6),
-        ("B", 2, 8, 4, 4),
-        ("B", 3, 48, 9, 9),
-        ("G", 2, 12, 6, 6),
-        ("D", 4, 192, 12, 12),
-        ("C", 3, 48, 9, 9),
-        ("D", 3, 24, 6, 6),
-        ("F", 4, 1152, 24, 24),
-    ],
-)
+INVENTORY = [
+    ("A", 1, 2, 1, 1),
+    ("A", 2, 6, 3, 3),
+    ("A", 3, 24, 6, 6),
+    ("B", 2, 8, 4, 4),
+    ("B", 3, 48, 9, 9),
+    ("G", 2, 12, 6, 6),
+    ("D", 4, 192, 12, 12),
+    ("C", 3, 48, 9, 9),
+    ("D", 3, 24, 6, 6),
+    ("F", 4, 1152, 24, 24),
+]
+
+
+@pytest.mark.parametrize("family,rank,order,n_refl,max_len", INVENTORY)
 def test_group_inventory(family, rank, order, n_refl, max_len):
     W = weyl_group(family, rank)
     assert len(W) == order
@@ -196,3 +199,76 @@ def test_longest_element_of_parabolic():
     w0 = W.elements[longest_element(W, sub)]
     assert w0.length == 2
     assert w0.word in ((1, 3), (3, 1))
+
+
+def reference_enumeration(W):
+    """The group by a ShortLex BFS over full matrix products w * s_i: the
+    elements as (matrix, length, word) in index order, and the rmul table."""
+    ident = identity_matrix(W.cartan.rank)
+    elements = [(ident, 0, ())]
+    index_of = {ident: 0}
+    rmul = []
+    level = [0]
+    while level:
+        nxt = []
+        for i in level:
+            m, length, word = elements[i]
+            row = []
+            for s, sm in enumerate(W.simple_matrices, 1):
+                p = mat_mul(m, sm)
+                if p not in index_of:
+                    index_of[p] = len(elements)
+                    elements.append((p, length + 1, word + (s,)))
+                    nxt.append(index_of[p])
+                row.append(index_of[p])
+            rmul.append(row)
+        level = nxt
+    return elements, rmul
+
+
+def reference_reflection_matrix(cartan, beta):
+    """I - 2(., beta)/(beta, beta) beta in root coordinates, over Fraction."""
+    n = cartan.rank
+    b = [Fraction(v) for v in beta]
+    norm = cartan.pairing(b, b)
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for j in range(n):
+        coef = 2 * cartan.pairing(cartan.simple_roots[j], b) / norm
+        for k in range(n):
+            rows[k][j] -= coef * b[k]
+    assert all(v.denominator == 1 for row in rows for v in row)
+    return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+GROUPS = [(f, r) for f, r, *_ in INVENTORY] + [("B", 4)]
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_enumeration_matches_matrix_product_bfs(family, rank):
+    W = weyl_group(family, rank)
+    elements, rmul = reference_enumeration(W)
+    assert [(w.index, w.matrix, w.length, w.word) for w in W.elements] == [
+        (i, m, length, word) for i, (m, length, word) in enumerate(elements)
+    ]
+    assert W._rmul == rmul
+    assert W.index_of == {m: i for i, (m, _, _) in enumerate(elements)}
+
+
+@pytest.mark.parametrize("family,rank", GROUPS)
+def test_reflections_match_the_rational_formula(family, rank):
+    W = weyl_group(family, rank)
+    # the positive roots, closed under the simple reflection matrices
+    roots, todo = set(), list(W.cartan.simple_roots)
+    while todo:
+        r = tuple(todo.pop())
+        if r not in roots:
+            roots.add(r)
+            todo.extend(mat_vec(sm, r) for sm in W.simple_matrices)
+    positive = {tuple(int(v) for v in r) for r in roots if all(v >= 0 for v in r)}
+    assert set(W.positive_roots) == positive
+    assert len(W.positive_roots) == len(positive)
+    for refl in W.reflections:
+        beta = refl.positive_root
+        assert refl.element.matrix == reference_reflection_matrix(W.cartan, beta)
+        assert sum(c * b for c, b in zip(refl.coroot, beta)) == 2
+        assert all(isinstance(c, int) for c in refl.coroot)

@@ -43,6 +43,16 @@ GOLDEN = {
     "verify-B3-213213": "89c5d9ea50aeb8c82717ef1d8a0fa614edd2b58ed0fad1b9b99418ad8a4d6cab",
     "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
     "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
+    "graph-D4-json": "afc5796cd0fd4d55caca70473aa49d083c2f083319d5d003c093fc6bd37d7fe3",
+    "graph-D4-dot": "25f0b566800509acf7b847ff5baf5ce1dc39e82db9f3a3cdab09e816252e1ae2",
+    "graph-F4-321323432132-json": "603565b575ad97aa35b797fcab3dfbeffeed1037cb7c71c8782af3d52c520e9b",
+    "graph-F4-321323432132-dot": "5724d44cd24cf338725d99a9a215ec0afa5cfa21df89ff315294fa12a7a0010c",
+    "graph-F4-121343213234-json": "e8783279310715a9690533fc0c0ed28188d70a4ba191fb9a1935f047246824a2",
+    "graph-F4-121343213234-dot": "29300f6941b67f0b46d88b8d16167993827dcba480a34ba9cf5d6b1598a743d0",
+    "graph-B3-J1-json": "87d423560f0328b1e42420027dbc7bef4cf4548f782cf9c02e59596f75020b3f",
+    "graph-B3-J1-dot": "6c5f92379bbbc474eedbb5169d2e07cbb9843012deca752bad502c322ed99be6",
+    "graph-G2-json": "ddbbe05f90c7fa9b93034e2f29bbce9c38a5cc268ba6cf311de042a4769e3206",
+    "graph-G2-dot": "95c0b03f89841ee405b2ac0ab5f57ca86a43bb7c9169f2b252b2cdd425bdf13b",
 }
 
 
@@ -140,6 +150,22 @@ ARTIFACTS = {
     ),
     "graph-B4": lambda lab, tmp: _cli(
         ["graph", "--type", "B4"], tmp, "g.json", "g.dot"
+    ),
+    "graph-D4": lambda lab, tmp: _cli(
+        ["graph", "--type", "D4"], tmp, "g.json", "g.dot"
+    ),
+    # two F4 elements of length 12 with 300-vertex intervals
+    "graph-F4-321323432132": lambda lab, tmp: _cli(
+        ["graph", "--type", "F4", "--word", "321323432132"], tmp, "g.json", "g.dot"
+    ),
+    "graph-F4-121343213234": lambda lab, tmp: _cli(
+        ["graph", "--type", "F4", "--word", "121343213234"], tmp, "g.json", "g.dot"
+    ),
+    "graph-B3-J1": lambda lab, tmp: _cli(
+        ["graph", "--type", "B3", "--parabolic", "1"], tmp, "g.json", "g.dot"
+    ),
+    "graph-G2": lambda lab, tmp: _cli(
+        ["graph", "--type", "G2"], tmp, "g.json", "g.dot"
     ),
 }
 

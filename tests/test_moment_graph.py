@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
+from momentsheaf.coxeter import bruhat_leq, mat_vec, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ValidationError
+from momentsheaf.exactalg import primitive_integer
 from momentsheaf.moment_graph import (
     Edge,
     MomentGraph,
@@ -292,6 +293,27 @@ def _bruhat_bits(W, reps):
     )
 
 
+def _matrix_edges(W, w, J):
+    """The reflection edges as (lower, upper, direction), by applying the
+    matrix of every reflection to every orbit point of the sum of the
+    fundamental weights off J."""
+    reps = [y for y in minimal_coset_reps(W, J) if bruhat_leq(W, y, w)]
+    weights = W.cartan.fundamental_weights
+    v = [sum(col) for col in zip(*(weights[i - 1] for i in range(1, len(weights) + 1)
+                                   if i not in J))]
+    points = [mat_vec(y.matrix, v) for y in reps]
+    index = {p: i for i, p in enumerate(points)}
+    edges = set()
+    for i, p in enumerate(points):
+        for refl in W.reflections:
+            q = mat_vec(refl.element.matrix, p)
+            j = index.get(q)
+            if q != p and j is not None:
+                lo, hi = sorted((i, j), key=lambda t: reps[t].length)
+                edges.add((lo, hi, primitive_integer([a - b for a, b in zip(p, q)])))
+    return sorted(edges)
+
+
 @pytest.mark.parametrize(
     "family, rank, sampled",
     [("A", 1, None), ("A", 2, None), ("B", 2, None), ("G", 2, None),
@@ -299,7 +321,9 @@ def _bruhat_bits(W, reps):
      ("B", 4, 3), ("D", 4, 3), ("F", 4, 2)],
 )
 def test_reflection_edges_close_to_the_bruhat_order(family, rank, sampled):
-    """Every proper J, with every w in W^J or a seeded sample of them."""
+    """Every proper J, with every w in W^J or a seeded sample of them: the
+    order is the Bruhat order, and the edges are those of the reflection
+    matrices."""
     W = weyl_group(family, rank)
     rng = random.Random(f"{family}{rank}")
     for k in range(rank):
@@ -314,6 +338,8 @@ def test_reflection_edges_close_to_the_bruhat_order(family, rank, sampled):
                 below = [y for y in reps if bruhat_leq(W, y, w)]
                 assert g.labels == tuple(y.word_str() for y in below)
                 assert g.leq_bits == _bruhat_bits(W, below)
+                assert [(e.lower, e.upper, e.direction) for e in g.edges] \
+                    == _matrix_edges(W, w, J)
 
 
 def _poset_ranks(leq_bits, n):

@@ -1,8 +1,9 @@
 """The process-level caches of the sheaf engine, and guards on the work they
 save.
 
-Edge rings (`edge_ring`), their memoized monomial reductions and the
-t*-span matrices of `_degree_span` outlive any one sheaf.  These tests build
+Edge rings (`edge_ring`), their memoized monomial reductions, the
+t*-span matrices of `_degree_span` and the whole-t* quotient of the
+monotonicity checks (`_whole_space`) outlive any one sheaf.  These tests build
 sheaves of different `dim_t` in one process and check the artifacts against
 the golden digests, and they count, without timing anything, the work a
 `verify` run does on B3/J={1}.
@@ -23,6 +24,7 @@ from test_golden import GOLDEN, _dump, _generic_a3_doc
 def _clear_shared_caches():
     edge_ring.cache_clear()
     sheaf_mod._SPAN_MATRICES.clear()
+    sheaf_mod._whole_space.cache_clear()
 
 
 def _snapshot(sheaves):
@@ -74,6 +76,14 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
         rings[alpha.coeffs] += 1
         init(self, alpha)
 
+    whole_quotients = [0]
+    quotient_init = LinearQuotient.__init__
+
+    def counted_quotient_init(self, forms):
+        if len(forms) == forms[0].n:
+            whole_quotients[0] += 1
+        quotient_init(self, forms)
+
     contains_calls = [0]
     contains = Subspace.contains
 
@@ -112,6 +122,7 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(QuotientBasis, "__init__", counted_init)
+    monkeypatch.setattr(LinearQuotient, "__init__", counted_quotient_init)
     monkeypatch.setattr(Subspace, "contains", counted_contains)
     monkeypatch.setattr(moment_graph, "_h_edges", counted_h_edges)
     monkeypatch.setattr(LinearQuotient, "reduce", counted_reduce)
@@ -120,6 +131,8 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     assert main(["verify", "--type", "B3", "--parabolic", "1", "--out", str(out)]) == 0
     assert "FAIL" not in out.read_text(encoding="utf-8")
 
+    # one quotient by all of t* for every monotonicity pair
+    assert whole_quotients[0] == 1
     # one edge ring per direction
     assert rings and max(rings.values()) == 1
     # one membership test per distinct direction per plane
