@@ -22,14 +22,19 @@ from .hecke_oracle import KLTable, kl_polynomial, parabolic_kl, r_polynomial
 from .klpoly import KLPolynomial
 from .moment_graph import (
     MomentGraph,
-    SubgraphSelector,
+    Subgraph,
+    above,
+    above_punctured,
     finite_two_orbit_test,
+    interval,
     load_graph,
     planar_family,
+    planar_slice,
     save_graph,
     schubert_moment_graph,
-    select,
     to_dot,
+    up_edges,
+    whole,
 )
 from .sheaf import (
     GammaSheaf,
@@ -64,16 +69,19 @@ __all__ = [
     "ResourceCapError",
     "RhoMap",
     "SectionSpace",
-    "SubgraphSelector",
+    "Subgraph",
     "ValidationError",
     "WeylElement",
     "WeylGroup",
+    "above",
+    "above_punctured",
     "boundary_image",
     "bruhat_leq",
     "build_weyl_group",
     "canonical_sheaf",
     "finite_two_orbit_test",
     "global_hilbert",
+    "interval",
     "kl_polynomial",
     "load_graph",
     "minimal_coset_reps",
@@ -81,21 +89,23 @@ __all__ = [
     "parabolic_kl",
     "planar_family",
     "planar_image",
+    "planar_slice",
     "polygon_image",
     "r_polynomial",
     "rigidity_check",
     "save_graph",
     "schubert_moment_graph",
     "sections",
-    "select",
     "sheaf_dump",
     "stalk_poincare",
     "stalk_table_csv",
     "structure_sheaf",
     "to_dot",
+    "up_edges",
     "verify_pure",
     "vpath_map",
     "weyl_group",
+    "whole",
 ]
 
 __version__ = "0.1.0"

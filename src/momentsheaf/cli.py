@@ -34,8 +34,8 @@ from .sheaf import (
     GammaSheaf,
     boundary_image,
     canonical_sheaf,
+    degree_bounds,
     global_hilbert,
-    kl_degree_bound,
     monotonicity_check,
     planar_image,
     sheaf_dump,
@@ -202,8 +202,7 @@ def _require_degree_bound(config: RunConfig, g: MomentGraph) -> int | None:
     """Schubert graphs carry their own bound, and a --max-degree below it
     would silently truncate the stalks; loaded graphs need --max-degree."""
     if g.schubert_origin:
-        top = g.unique_maximal()
-        proven = max(kl_degree_bound(g, x, top) for x in range(g.n_vertices))
+        proven = max(degree_bounds(g))
         if config.max_degree is not None and config.max_degree < proven:
             raise ValidationError(
                 f"--max-degree {config.max_degree} is below the proven degree "
@@ -348,15 +347,12 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
     # the degree purity reads; without --max-degree (a Schubert graph) one
     # degree more, which the planar check reads.  That check is proven only
     # for graphs of projective origin, so a loaded graph skips it.
-    top_vertex = g.unique_maximal()
-    images = {}
-    for x in range(g.n_vertices):
-        if g.up[x]:
-            if config.max_degree is not None:
-                bound = config.max_degree
-            else:
-                bound = kl_degree_bound(g, x, top_vertex) + 1
-            images[x] = boundary_image(sheaf, x, bound)
+    extra = int(config.max_degree is None)
+    images = {
+        x: boundary_image(sheaf, x, bound + extra)
+        for x, bound in enumerate(degree_bounds(g, config.max_degree))
+        if g.up[x]
+    }
 
     purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images)
     detail = ""

@@ -291,51 +291,33 @@ class LinearForm:
 class LinearQuotient:
     """Normal-form model of A/(l1,..,lk) for independent linear forms l_i.
 
-    Pivot variables are chosen greedily from the *largest* index down, so the
-    quotient is the polynomial ring in the surviving low-index variables;
-    reduce() substitutes each pivot by minus the rest of its (normalized)
-    form.  reduce is idempotent and its kernel on A_d is exactly
-    (l1,..,lk)*A_{d-1}.
+    The pivot variables are those of the reduced echelon form of the forms
+    with the variables in reverse order, so they are taken from the *largest*
+    index down and the quotient is the polynomial ring in the surviving
+    low-index variables; reduce() substitutes each pivot by minus the rest of
+    its (normalized) form.  reduce is idempotent and its kernel on A_d is
+    exactly (l1,..,lk)*A_{d-1}.
     """
 
     def __init__(self, forms: Sequence[LinearForm]):
         if not forms:
             raise ValueError("need at least one linear form")
-        self.n = forms[0].n
-        rows = [list(f.coeffs) for f in forms]
-        pivots: list[int] = []
-        reduced: list[list[int | Fraction]] = []
-        for row in rows:
-            row = list(row)
-            for p, r in zip(pivots, reduced):
-                if row[p]:
-                    f = row[p]
-                    row = [a - f * b for a, b in zip(row, r)]
-            piv = max((i for i in range(self.n) if row[i] != 0), default=-1)
-            if piv < 0:
-                raise ValueError("linear forms are dependent")
-            inv = 1 / Fraction(row[piv])
-            row = [a * inv for a in row]
-            for r in reduced:
-                if r[piv]:
-                    f = r[piv]
-                    for i in range(self.n):
-                        r[i] -= f * row[i]
-            pivots.append(piv)
-            reduced.append(row)
-        order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-        self.pivots: tuple[int, ...] = tuple(pivots[i] for i in order)
-        # substitution x_p -> -(rest of the normalized form), pivot-free
+        self.n = n = forms[0].n
+        flipped = [{n - 1 - j: c for j, c in enumerate(f.coeffs) if c} for f in forms]
+        pivots, reduced = rref(flipped, n)
+        if len(pivots) < len(forms):
+            raise ValueError("linear forms are dependent")
+        # substitution x_p -> -(rest of the normalized form), pivot-free;
+        # reversed back, the last echelon row has the smallest pivot
+        self.pivots: tuple[int, ...] = tuple(n - 1 - p for p in reversed(pivots))
         self._subst: dict[int, Poly] = {}
-        for i in order:
-            p, row = pivots[i], reduced[i]
-            sub: Poly = {}
-            for j, c in enumerate(row):
-                if j != p and c:
-                    e = [0] * self.n
-                    e[j] = 1
-                    sub[tuple(e)] = exact(-c)
-            self._subst[p] = sub
+        for p, flipped_row in zip(self.pivots, reversed(reduced)):
+            row = {n - 1 - c: v for c, v in flipped_row.items()}
+            self._subst[p] = {
+                tuple(int(i == j) for i in range(n)): exact(-row[j])
+                for j in sorted(row)
+                if j != p
+            }
         self._subst_powers: dict[tuple[int, int], Poly] = {}
         self._monomials: dict[tuple[int, ...], Poly] = {}
 

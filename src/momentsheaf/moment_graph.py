@@ -1,6 +1,6 @@
 """Moment graphs: a finite graph with a vertex partial order and a direction
 line in t* for each edge, plus builders from Bruhat intervals, subgraph
-selectors, and JSON/DOT serialization.
+constructors, and JSON/DOT serialization.
 
 The order is always the closure of a generating relation, taken by
 `order_closure`: the reflection edges of a Schubert graph (they generate the
@@ -12,6 +12,12 @@ A graph built from a Weyl group interval carries `schubert_origin=True`;
 only for those does the sheaf layer derive Kazhdan-Lusztig degree bounds
 automatically.  Generic loaded graphs are fully supported but require an
 explicit degree bound downstream.
+
+The sheaf layer works on a few fixed pieces of a graph, each a `Subgraph`
+from one constructor: `whole`, `above` (the vertices strictly above x),
+`above_punctured` (the same with the up edges of x dangling), `up_edges`
+(the star U_x alone), `interval` and `planar_slice` (the part above x of
+the x-component of the edges with direction in a 2-plane, with its up edges).
 """
 
 from __future__ import annotations
@@ -21,13 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .coxeter import WeylElement, WeylGroup, bruhat_leq, is_minimal_rep, mat_vec, minimal_coset_reps
 from .errors import ValidationError
 from .exactalg import Subspace, primitive_integer
-
-Q = Fraction
 
 Direction = tuple[int, ...]
 
@@ -43,45 +47,6 @@ class Subgraph(NamedTuple):
 
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubgraphSelector:
-    """Names one of the subgraphs the sheaf layer needs.
-
-    kinds: whole | above(x) | above_punctured(x) | up_edges(x) |
-    interval(x,y) | planar(x,H with two spanning vectors).
-    """
-
-    kind: str
-    x: int | None = None
-    y: int | None = None
-    h: tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None = None
-
-    @staticmethod
-    def whole() -> "SubgraphSelector":
-        return SubgraphSelector("whole")
-
-    @staticmethod
-    def above(x: int) -> "SubgraphSelector":
-        return SubgraphSelector("above", x=x)
-
-    @staticmethod
-    def above_punctured(x: int) -> "SubgraphSelector":
-        return SubgraphSelector("above_punctured", x=x)
-
-    @staticmethod
-    def up_edges(x: int) -> "SubgraphSelector":
-        return SubgraphSelector("up_edges", x=x)
-
-    @staticmethod
-    def interval(x: int, y: int) -> "SubgraphSelector":
-        return SubgraphSelector("interval", x=x, y=y)
-
-    @staticmethod
-    def planar(x: int, h: Sequence[Sequence[Fraction]]) -> "SubgraphSelector":
-        v1, v2 = (tuple(Fraction(c) for c in v) for v in h)
-        return SubgraphSelector("planar", x=x, h=(v1, v2))
 
 
 @dataclass
@@ -302,54 +267,52 @@ def schubert_moment_graph(
 
 
 # ---------------------------------------------------------------------------
-# subgraph selection
+# subgraphs
 
 
-def select(g: MomentGraph, sel: SubgraphSelector) -> Subgraph:
-    """Exact vertex and edge subsets for a selector."""
-    n = g.n_vertices
+def _check_vertex(g: MomentGraph, x: int) -> int:
+    if not 0 <= x < g.n_vertices:
+        raise ValidationError(f"unknown vertex index {x}")
+    return x
 
-    def check_vertex(x: int | None) -> int:
-        if x is None or not 0 <= x < n:
-            raise ValidationError(f"unknown vertex index {x}")
-        return x
 
-    if sel.kind == "whole":
-        return Subgraph(tuple(range(n)), tuple(range(len(g.edges))))
-    if sel.kind == "above":
-        x = check_vertex(sel.x)
-        verts = tuple(j for j in range(n) if g.less(x, j))
-        vset = set(verts)
-        return Subgraph(
-            verts,
-            tuple(k for k, e in enumerate(g.edges) if e.lower in vset and e.upper in vset),
-        )
-    if sel.kind == "above_punctured":
-        x = check_vertex(sel.x)
-        base = select(g, SubgraphSelector.above(x))
-        extra = tuple(sorted(set(base.edges) | set(g.up[x])))
-        return Subgraph(base.vertices, extra)
-    if sel.kind == "up_edges":
-        x = check_vertex(sel.x)
-        return Subgraph((), tuple(g.up[x]))
-    if sel.kind == "interval":
-        x = check_vertex(sel.x)
-        y = check_vertex(sel.y)
-        verts = tuple(j for j in range(n) if g.leq(x, j) and g.leq(j, y))
-        vset = set(verts)
-        return Subgraph(
-            verts,
-            tuple(k for k, e in enumerate(g.edges) if e.lower in vset and e.upper in vset),
-        )
-    if sel.kind == "planar":
-        x = check_vertex(sel.x)
-        if sel.h is None:
-            raise ValidationError("planar selector needs a 2-plane")
-        h = Subspace(g.dim_t, [sel.h[0], sel.h[1]])
-        if h.dim != 2:
-            raise ValidationError("planar selector needs two independent vectors")
-        return _planar_slice(g, x, h)
-    raise ValidationError(f"unknown selector kind {sel.kind!r}")
+def _induced(g: MomentGraph, verts: list[int]) -> Subgraph:
+    """verts with every edge that has both endpoints among them."""
+    vset = set(verts)
+    return Subgraph(
+        tuple(verts),
+        tuple(k for k, e in enumerate(g.edges) if e.lower in vset and e.upper in vset),
+    )
+
+
+def whole(g: MomentGraph) -> Subgraph:
+    return Subgraph(tuple(range(g.n_vertices)), tuple(range(len(g.edges))))
+
+
+def above(g: MomentGraph, x: int) -> Subgraph:
+    """The vertices strictly above x and the edges among them."""
+    _check_vertex(g, x)
+    return _induced(g, [j for j in range(g.n_vertices) if g.less(x, j)])
+
+
+def above_punctured(g: MomentGraph, x: int) -> Subgraph:
+    """above(g, x) with the up edges of x dangling."""
+    base = above(g, x)
+    return Subgraph(base.vertices, tuple(sorted(set(base.edges) | set(g.up[x]))))
+
+
+def up_edges(g: MomentGraph, x: int) -> Subgraph:
+    """The up-edge star U_x: no vertices, every edge dangling."""
+    return Subgraph((), tuple(g.up[_check_vertex(g, x)]))
+
+
+def interval(g: MomentGraph, x: int, y: int) -> Subgraph:
+    """The Bruhat interval [x, y] and the edges inside it."""
+    _check_vertex(g, x)
+    _check_vertex(g, y)
+    return _induced(
+        g, [j for j in range(g.n_vertices) if g.leq(x, j) and g.leq(j, y)]
+    )
 
 
 def _h_edges(g: MomentGraph, h: Subspace) -> list[int]:
@@ -383,18 +346,23 @@ def _component(g: MomentGraph, x: int, edge_ids: Iterable[int]) -> set[int]:
     return seen
 
 
-def _planar_slice(g: MomentGraph, x: int, h: Subspace) -> Subgraph:
+def planar_slice(g: MomentGraph, x: int, h: Subspace) -> Subgraph:
     """The subgraph above x of the x-component of the H-direction graph,
     together with its U_x edges (dangling)."""
+    _check_vertex(g, x)
+    if h.ambient != g.dim_t or h.dim != 2:
+        raise ValidationError("a planar slice needs a 2-plane of t*")
     h_edges = _h_edges(g, h)
     comp = _component(g, x, h_edges)
     verts = tuple(sorted(j for j in comp if g.less(x, j)))
     vset = set(verts)
-    edges = [
-        k for k in h_edges if g.edges[k].lower in vset and g.edges[k].upper in vset
-    ]
-    edges += [k for k in h_edges if k in set(g.up[x])]
-    return Subgraph(verts, tuple(sorted(set(edges))))
+    up = set(g.up[x])
+    edges = {
+        k
+        for k in h_edges
+        if k in up or (g.edges[k].lower in vset and g.edges[k].upper in vset)
+    }
+    return Subgraph(verts, tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)
@@ -417,8 +385,7 @@ def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
     family can close into a triangle over x, which has only one edge
     strictly above x but still constrains the two upward edge values.
     """
-    if not 0 <= x < g.n_vertices:
-        raise ValidationError(f"unknown vertex index {x}")
+    _check_vertex(g, x)
     closure = {j for j in range(g.n_vertices) if g.leq(x, j)}
     dirs = []
     seen_lines = set()
@@ -436,12 +403,12 @@ def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
         planes.setdefault(key, h)
 
     out = []
+    up_x = set(g.up[x])
     for key in sorted(planes):
-        h = planes[key]
-        sub = _planar_slice(g, x, h)
+        sub = planar_slice(g, x, planes[key])
         if len(sub.edges) <= 1:
             continue
-        up = tuple(k for k in sub.edges if k in set(g.up[x]))
+        up = tuple(k for k in sub.edges if k in up_x)
         out.append(PlanarSlice(key, sub, up, len(sub.edges)))
     return out
 
@@ -450,9 +417,7 @@ def finite_two_orbit_test(g: MomentGraph, x: int) -> bool:
     """True iff every three distinct edges at x going up span a
     3-dimensional space of directions (then polygon relations cut out the
     boundary image exactly)."""
-    if not 0 <= x < g.n_vertices:
-        raise ValidationError(f"unknown vertex index {x}")
-    dirs = [g.edges[k].direction for k in g.up[x]]
+    dirs = [g.edges[k].direction for k in g.up[_check_vertex(g, x)]]
     if len(dirs) <= 2:
         return True
     for triple in combinations(dirs, 3):

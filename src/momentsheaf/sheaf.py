@@ -29,10 +29,17 @@ reads each plane's relations from the same elimination.  direct_hilbert,
 the whole-graph solve, gives global_hilbert on loaded graphs and is the
 reference the tests compare the sweep against.
 
+Every vertex or edge carries one piece, (generator degrees, ring), the ring
+None for A or the edge ring; GammaSheaf.piece is the one place that choice
+is made.  In degree d a piece has block coordinates: one monomial basis of
+degree d - g of its ring per generator degree g, laid end to end (blocks),
+and split cuts a coordinate vector back into one polynomial per generator.
+
 Degree bounds: on graphs of Schubert origin, new generators can only appear
 in internal degrees d with 2d <= rank(top) - rank(x) - 1, so the builder
 computes exactly that far (cohomological degree is twice the internal one).
 Loaded graphs carry no such guarantee and require an explicit bound.
+degree_bounds is the one place that rule is applied.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .exactalg import (
     LinearForm,
     LinearQuotient,
+    MonomialBasis,
     Poly,
     QMatrix,
     QuotientBasis,
@@ -69,7 +77,17 @@ from .exactalg import (
     rref,
 )
 from .klpoly import KLPolynomial, poincare_csv
-from .moment_graph import MomentGraph, Subgraph, SubgraphSelector, planar_family, select
+from .moment_graph import (
+    MomentGraph,
+    Subgraph,
+    above_punctured,
+    planar_family,
+    up_edges,
+    whole,
+)
+
+# the cap on increasing paths enumerated between two vertices
+PATH_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +135,10 @@ def _identity_rho(rank: int, n: int) -> RhoMap:
     )
 
 
+# (generator degrees, ring): ring None means A
+Piece = tuple[tuple[int, ...], LinearQuotient | None]
+
+
 @dataclass
 class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
@@ -140,12 +162,40 @@ class GammaSheaf:
     def n(self) -> int:
         return self.graph.dim_t
 
-    def vertex_piece_dim(self, v: int, d: int) -> int:
-        return sum(graded_dim(self.n, d - g) for g in self.vertex_modules[v].gens)
+    def piece(self, kind: str, idx: int) -> Piece:
+        """Generator degrees and ring of the module at vertex idx (kind "v",
+        over A: ring None) or at edge idx (kind "e", over its edge ring)."""
+        if kind == "v":
+            return self.vertex_modules[idx].gens, None
+        em = self.edge_modules[idx]
+        return em.module.gens, em.quotient
 
-    def edge_piece_dim(self, e: int, d: int) -> int:
-        em = self.edge_modules[e]
-        return sum(em.quotient.dim(d - g) for g in em.module.gens)
+    def blocks(self, kind: str, idx: int, d: int) -> list[MonomialBasis]:
+        """The block coordinates of a piece in degree d."""
+        return _blocks(self.n, self.piece(kind, idx), d)
+
+    def piece_dim(self, kind: str, idx: int, d: int) -> int:
+        gens, ring = self.piece(kind, idx)
+        m = self.n if ring is None else self.n - ring.codim
+        return sum(graded_dim(m, d - g) for g in gens)
+
+
+def _blocks(n: int, piece: Piece, d: int) -> list[MonomialBasis]:
+    gens, ring = piece
+    if ring is None:
+        return [monomial_basis(n, d - g) for g in gens]
+    return [ring.basis(d - g) for g in gens]
+
+
+def split(blocks: Sequence[MonomialBasis], vec: Sequence) -> tuple[Poly, ...]:
+    """A coordinate vector in block coordinates, as one polynomial per
+    generator."""
+    out = []
+    off = 0
+    for basis in blocks:
+        out.append(poly_from_coeffs(basis, vec[off : off + len(basis)]))
+        off += len(basis)
+    return tuple(out)
 
 
 def structure_sheaf(g: MomentGraph) -> GammaSheaf:
@@ -201,12 +251,7 @@ def dangling_edges(g: MomentGraph, sub: Subgraph) -> list[int]:
 def section_layout(sheaf: GammaSheaf, sub: Subgraph, d: int) -> Layout:
     comps: list[tuple[str, int]] = [("v", v) for v in sub.vertices]
     comps += [("e", k) for k in dangling_edges(sheaf.graph, sub)]
-    sizes = []
-    for kind, idx in comps:
-        if kind == "v":
-            sizes.append(sheaf.vertex_piece_dim(idx, d))
-        else:
-            sizes.append(sheaf.edge_piece_dim(idx, d))
+    sizes = [sheaf.piece_dim(kind, idx, d) for kind, idx in comps]
     offsets = []
     acc = 0
     for s in sizes:
@@ -215,21 +260,11 @@ def section_layout(sheaf: GammaSheaf, sub: Subgraph, d: int) -> Layout:
     return Layout(d, tuple(comps), tuple(offsets), tuple(sizes), acc)
 
 
-def _ring_basis(n: int, ring: LinearQuotient | None, d: int):
-    return monomial_basis(n, d) if ring is None else ring.basis(d)
-
-
 def degree_matrix(
-    n: int,
-    entries: Sequence[Sequence[Poly]],
-    src_gens: Sequence[int],
-    src_ring: LinearQuotient | None,
-    dst_gens: Sequence[int],
-    dst_ring: LinearQuotient | None,
-    d: int,
+    n: int, entries: Sequence[Sequence[Poly]], src: Piece, dst: Piece, d: int
 ) -> QMatrix:
-    """Degree-d matrix of the map between free graded modules (over
-    src_ring and dst_ring; None means A) whose (j, i) entry is entries[j][i].
+    """Degree-d matrix, in block coordinates, of the map between the free
+    graded modules src and dst whose (j, i) entry is entries[j][i].
 
     Entries must already be in dst_ring normal form.  Each source basis
     monomial is reduced into dst_ring (reduce_monomial, memoized on the
@@ -237,12 +272,13 @@ def degree_matrix(
     multiplied by the entry; the product of two normal forms is again one,
     so no second reduction runs.
     """
-    dst_bases = [_ring_basis(n, dst_ring, d - g) for g in dst_gens]
+    dst_ring = dst[1]
+    dst_bases = _blocks(n, dst, d)
     nrows = sum(len(b) for b in dst_bases)
     rows: list[Row] = [{} for _ in range(nrows)]
     col = 0
-    for i, dg in enumerate(src_gens):
-        for mono in _ring_basis(n, src_ring, d - dg).exponents:
+    for i, src_basis in enumerate(_blocks(n, src, d)):
+        for mono in src_basis.exponents:
             if dst_ring is None:
                 reduced: Poly = {mono: 1}
             else:
@@ -265,30 +301,11 @@ def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
     key = (v, e, d)
     m = sheaf._rho_matrix_cache.get(key)
     if m is None:
-        em = sheaf.edge_modules[e]
         m = degree_matrix(
-            sheaf.n,
-            sheaf.rho[(v, e)].entries,
-            sheaf.vertex_modules[v].gens,
-            None,
-            em.module.gens,
-            em.quotient,
-            d,
+            sheaf.n, sheaf.rho[(v, e)].entries, sheaf.piece("v", v), sheaf.piece("e", e), d
         )
         sheaf._rho_matrix_cache[key] = m
     return m
-
-
-def _vertex_value(sheaf: GammaSheaf, v: int, d: int, vec: Vector) -> tuple[Poly, ...]:
-    """Split a coefficient vector of (M_v)_d into one polynomial per stalk
-    generator."""
-    out = []
-    off = 0
-    for g in sheaf.vertex_modules[v].gens:
-        basis = monomial_basis(sheaf.n, d - g)
-        out.append(poly_from_coeffs(basis, vec[off : off + len(basis)]))
-        off += len(basis)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +337,7 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
     rows: list[Row] = []
     for k in sub.edges:
         e = g.edges[k]
-        erows = sheaf.edge_piece_dim(k, d)
+        erows = sheaf.piece_dim("e", k, d)
         if erows == 0:
             continue
         lo_in, hi_in = e.lower in vset, e.upper in vset
@@ -349,9 +366,7 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
     return rows
 
 
-def sections(
-    sheaf: GammaSheaf, z: Subgraph | SubgraphSelector, d_max: int
-) -> SectionSpace:
+def sections(sheaf: GammaSheaf, sub: Subgraph, d_max: int) -> SectionSpace:
     """Exact bases of the section space in every degree up to d_max.
 
     Edge values are eliminated when both endpoints are present (they are
@@ -359,7 +374,6 @@ def sections(
     their own unknown block, so e.g. sections over the bare edge set U_x give
     the full product of the edge modules.
     """
-    sub = select(sheaf.graph, z) if isinstance(z, SubgraphSelector) else z
     layouts = {}
     bases = {}
     for d in range(d_max + 1):
@@ -378,22 +392,10 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
     for d, vecs in space.bases.items():
         layout = space.layouts[d]
         for vec in vecs:
-            values: dict[tuple[str, int], Sequence[Poly]] = {}
-            for pos, (kind, idx) in enumerate(layout.components):
-                off = layout.offsets[pos]
-                if kind == "v":
-                    size = layout.sizes[pos]
-                    polys = _vertex_value(sheaf, idx, d, vec[off : off + size])
-                else:
-                    em = sheaf.edge_modules[idx]
-                    polys = []
-                    for dg in em.module.gens:
-                        basis = em.quotient.basis(d - dg)
-                        polys.append(
-                            poly_from_coeffs(basis, vec[off : off + len(basis)])
-                        )
-                        off += len(basis)
-                values[(kind, idx)] = polys
+            values = {
+                comp: split(sheaf.blocks(*comp, d), vec[off : off + size])
+                for comp, off, size in zip(layout.components, layout.offsets, layout.sizes)
+            }
             for k in sub.edges:
                 e = g.edges[k]
                 em = sheaf.edge_modules[k]
@@ -415,7 +417,7 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
                                     poly_mul(rho.entries[j][i], em.quotient.reduce(p)),
                                 )
                         out.append(acc)
-                    sides.append(out)
+                    sides.append(tuple(out))
                 if expected is not None:
                     sides.append(expected)
                 for other in sides[1:]:
@@ -455,14 +457,13 @@ def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Image of the restriction from sections above x (with its upward
     edges) to the product of the upward edge modules, degree by degree,
     solved directly from the incidence equations over {>x}."""
-    g = sheaf.graph
-    above = select(g, SubgraphSelector.above_punctured(x))
-    target = select(g, SubgraphSelector.up_edges(x))
+    sub = above_punctured(sheaf.graph, x)
+    target = up_edges(sheaf.graph, x)
     layouts = {}
     bases = {}
     for d in range(d_max + 1):
         layout = layouts[d] = section_layout(sheaf, target, d)
-        relations = _boundary_relations(sheaf, above, d)
+        relations = _boundary_relations(sheaf, sub, d)
         bases[d] = kernel_echelon_basis(relations, layout.total)
     return SectionSpace(target, layouts, bases)
 
@@ -490,12 +491,8 @@ def _degree_span(
     src = space.layouts[d - 1]
     n = sheaf.n
     blocks = []
-    for pos, (kind, idx) in enumerate(src.components):
-        if kind == "v":
-            gens, ring = sheaf.vertex_modules[idx].gens, None
-        else:
-            em = sheaf.edge_modules[idx]
-            gens, ring = em.module.gens, em.quotient
+    for pos, comp in enumerate(src.components):
+        gens, ring = sheaf.piece(*comp)
         key = (n, gens, None if ring is None else ring.alpha, d)
         if key not in _SPAN_MATRICES:
             per_var = []
@@ -505,7 +502,7 @@ def _degree_span(
                 rank = range(len(gens))
                 entries = [[x if i == j else {} for i in rank] for j in rank]
                 shifted = [g + 1 for g in gens]
-                m = degree_matrix(n, entries, shifted, ring, gens, ring, d)
+                m = degree_matrix(n, entries, (shifted, ring), (gens, ring), d)
                 per_var.append(m.transpose().rows)
             _SPAN_MATRICES[key] = per_var
         blocks.append((src.offsets[pos], dst.offsets[pos], _SPAN_MATRICES[key]))
@@ -562,6 +559,20 @@ def kl_degree_bound(g: MomentGraph, x: int, top: int) -> int:
     return max((g.ranks[top] - g.ranks[x] - 1) // 2, 0)
 
 
+def degree_bounds(g: MomentGraph, degree_bound: int | None = None) -> list[int]:
+    """Per vertex, the internal degree up to which stalks are computed: the
+    explicit bound, else the proven KL bound of a Schubert graph."""
+    if degree_bound is not None:
+        return [degree_bound] * g.n_vertices
+    if not g.schubert_origin:
+        raise ValidationError(
+            "generic graphs need an explicit degree bound; only Schubert "
+            "graphs carry a proven one"
+        )
+    top = g.unique_maximal()
+    return [kl_degree_bound(g, x, top) for x in range(g.n_vertices)]
+
+
 def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
     """rho_x in one degree: the up-edge restriction matrices of x stacked at
     their slots of the up-edge layout, from (M_x)_d to M(U_x)_d."""
@@ -570,7 +581,7 @@ def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
     for k in sheaf.graph.up[x]:
         off, size = layout.slot("e", k)
         rows[off : off + size] = rho_degree_matrix(sheaf, x, k, d).rows
-    return QMatrix(layout.total, sheaf.vertex_piece_dim(x, d), rows)
+    return QMatrix(layout.total, sheaf.piece_dim("v", x, d), rows)
 
 
 def sweep_order(g: MomentGraph, top: int) -> list[int]:
@@ -613,25 +624,23 @@ class _SectionSweep:
     def _boundary(self, layout: Layout, values: dict[int, tuple[Poly, ...]]) -> Vector:
         """A section's values at the upper ends of the up edges, reduced
         into the edge rings, in the up-edge layout."""
+        sheaf = self.sheaf
         vec = [0] * layout.total
         for (_, k), off in zip(layout.components, layout.offsets):
-            value = values.get(self.sheaf.graph.edges[k].upper)
+            value = values.get(sheaf.graph.edges[k].upper)
             if value is None:
                 continue
-            em = self.sheaf.edge_modules[k]
-            for p, eg in zip(value, em.module.gens):
-                basis = em.quotient.basis(layout.degree - eg)
+            ring = sheaf.edge_modules[k].quotient
+            for p, basis in zip(value, sheaf.blocks("e", k, layout.degree)):
                 if p:
-                    vec[off : off + len(basis)] = poly_to_coeffs(
-                        basis, em.quotient.reduce(p)
-                    )
+                    vec[off : off + len(basis)] = poly_to_coeffs(basis, ring.reduce(p))
                 off += len(basis)
         return tuple(vec)
 
     def _load(self, x: int) -> None:
         """The up-edge layouts of x and the generator boundaries in every
         degree up to d_max, read by both image(x) and extend(x)."""
-        target = select(self.sheaf.graph, SubgraphSelector.up_edges(x))
+        target = up_edges(self.sheaf.graph, x)
         self._at = x
         self._target = target
         self._layouts = [
@@ -685,9 +694,10 @@ class _SectionSweep:
                 )
             kernel_bases[d] = [v[:ncx] for v in kernel if not any(v[ncx:])]
             lifted = (values for dg, values in self.gens if dg == d)
+            blocks = sheaf.blocks("v", x, d)
             for values, m in zip(lifted, lifts):
                 if any(m):
-                    values[x] = _vertex_value(sheaf, x, d, m)
+                    values[x] = split(blocks, m)
         point = Subgraph((x,), ())
         ker_rho = SectionSpace(
             point,
@@ -696,7 +706,7 @@ class _SectionSweep:
         )
         ker_degrees, ker_gens = projective_cover(sheaf, ker_rho, self.d_max)
         for d, vec in ker_gens:
-            self.gens.append((d, {x: _vertex_value(sheaf, x, d, vec)}))
+            self.gens.append((d, {x: split(sheaf.blocks("v", x, d), vec)}))
         uppers = [g.edges[k].upper for k in g.up[x]]
         for y in uppers:
             self.pending[y] -= 1
@@ -713,7 +723,6 @@ def canonical_sheaf(
     degree_bound: int | None = None,
     algorithm: str = "sections",
     extra_degree_check: bool = False,
-    path_cap: int = 10_000,
 ) -> GammaSheaf:
     """The canonical sheaf, built from the top vertex downwards.
 
@@ -731,21 +740,13 @@ def canonical_sheaf(
     if algorithm not in ("sections", "planar", "polygon"):
         raise ValidationError(f"unknown image algorithm {algorithm!r}")
     top = g.unique_maximal()
-    if degree_bound is None and not g.schubert_origin:
-        raise ValidationError(
-            "generic graphs need an explicit degree bound; only Schubert "
-            "graphs carry a proven one"
-        )
+    bounds = degree_bounds(g, degree_bound)
     sheaf = GammaSheaf(graph=g, canonical=algorithm != "polygon")
     sheaf.vertex_modules[top] = GradedFreeModule((0,))
     order = sweep_order(g, top)
     extra = int(extra_degree_check and g.schubert_origin)
-
-    def bound_at(x: int) -> int:
-        return degree_bound if degree_bound is not None else kl_degree_bound(g, x, top)
-
     if algorithm == "sections":
-        d_max = max((bound_at(x) for x in order), default=0) + extra
+        d_max = max((bounds[x] for x in order), default=0) + extra
         sweep = _SectionSweep(sheaf, top, d_max)
     for x in order:
         for k in g.up[x]:
@@ -753,14 +754,13 @@ def canonical_sheaf(
             upper_module = sheaf.vertex_modules[e.upper]
             sheaf.edge_modules[k] = EdgeModule(upper_module, edge_ring(e.direction))
             sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
-        bound = bound_at(x)
-        probe = bound + extra
+        probe = bounds[x] + extra
         if algorithm == "sections":
             image = sweep.image(x, probe)
         elif algorithm == "planar":
             image = planar_image(sheaf, x, probe)
         else:
-            image = polygon_image(sheaf, x, probe, path_cap)
+            image = polygon_image(sheaf, x, probe)
         gens, lifts = projective_cover(sheaf, image, probe)
         if extra and any(d == probe for d in gens):
             raise ConsistencyError(
@@ -787,18 +787,13 @@ def _install_lift_rho(
 ) -> None:
     """Split each generator lift, given in the up-edge layouts of x, into
     per-edge polynomial columns."""
-    g = sheaf.graph
-    for k in g.up[x]:
-        em = sheaf.edge_modules[k]
-        egens = em.module.gens
-        entries = [[{} for _ in lifts] for _ in egens]
-        for i, (dg, vec) in enumerate(lifts):
-            off, _ = layouts[dg].slot("e", k)
-            for j, eg in enumerate(egens):
-                basis = em.quotient.basis(dg - eg)
-                entries[j][i] = poly_from_coeffs(basis, vec[off : off + len(basis)])
-                off += len(basis)
-        sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    for k in sheaf.graph.up[x]:
+        columns = []
+        for dg, vec in lifts:
+            off, size = layouts[dg].slot("e", k)
+            columns.append(split(sheaf.blocks("e", k, dg), vec[off : off + size]))
+        rank = sheaf.edge_modules[k].module.rank
+        sheaf.rho[(x, k)] = RhoMap(tuple(tuple(c[j] for c in columns) for j in range(rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +843,7 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     """global_hilbert by solving the sections over the whole graph and
     dividing out the t*-span degree by degree; any sheaf, any graph."""
-    secs = sections(sheaf, SubgraphSelector.whole(), d_max)
+    secs = sections(sheaf, whole(sheaf.graph), d_max)
     out = []
     for d in range(d_max + 1):
         span = _degree_span(sheaf, secs, d)
@@ -957,15 +952,9 @@ class VPathTransport:
     truncated: bool
 
     def degree_matrix(self, sheaf: GammaSheaf, d: int) -> QMatrix:
-        return degree_matrix(
-            sheaf.n,
-            self.entries,
-            sheaf.vertex_modules[self.x].gens,
-            self.quotient,
-            sheaf.vertex_modules[self.y].gens,
-            self.quotient,
-            d,
-        )
+        src = (sheaf.vertex_modules[self.x].gens, self.quotient)
+        dst = (sheaf.vertex_modules[self.y].gens, self.quotient)
+        return degree_matrix(sheaf.n, self.entries, src, dst, d)
 
 
 def vpath_map(
@@ -973,15 +962,14 @@ def vpath_map(
     x: int,
     y: int,
     v_span: Sequence[Sequence[int | Fraction]],
-    path_cap: int = 10_000,
 ) -> VPathTransport:
     """Transport (M_x)_V -> (M_y)_V along V-paths (all edge directions in V),
-    checking independence of the chosen path up to path_cap paths."""
+    checking independence of the chosen path up to PATH_CAP paths."""
     span = Subspace(sheaf.graph.dim_t, v_span)
     if span.dim == 0:
         raise ValidationError("V must be a nonzero subspace")
     quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
-    return _vpath_transport(sheaf, x, y, span, quotient, path_cap)
+    return _vpath_transport(sheaf, x, y, span, quotient, PATH_CAP)
 
 
 @lru_cache(maxsize=None)
@@ -999,11 +987,11 @@ def _vpath_transport(
     y: int,
     span: Subspace,
     quotient: LinearQuotient,
-    path_cap: int,
+    cap: int,
 ) -> VPathTransport:
     g = sheaf.graph
     allowed = _v_allowed_edges(sheaf, span)
-    paths, truncated = _increasing_paths(g, x, y, allowed, path_cap)
+    paths, truncated = _increasing_paths(g, x, y, allowed, cap)
     if not paths:
         raise ValidationError(
             f"no V-path from {g.labels[x]} to {g.labels[y]} inside the subspace"
@@ -1013,9 +1001,7 @@ def _vpath_transport(
     return VPathTransport(x, y, quotient, transports[0], independent, truncated)
 
 
-def monotonicity_check(
-    sheaf: GammaSheaf, x: int, y: int, path_cap: int = 1
-) -> dict[int, bool]:
+def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
     """Surjectivity, degree by degree, of the transport of reduced stalks
     from x up to y (with V the whole of t*).  One path suffices: the
     transport is path-independent, which vpath_map can verify separately."""
@@ -1023,7 +1009,7 @@ def monotonicity_check(
     if not g.leq(x, y):
         raise ValidationError("monotonicity_check requires x <= y")
     span, quotient = _whole_space(g.dim_t)
-    transport = _vpath_transport(sheaf, x, y, span, quotient, path_cap)
+    transport = _vpath_transport(sheaf, x, y, span, quotient, 1)
     src = sheaf.vertex_modules[x].gens
     dst = sheaf.vertex_modules[y].gens
     out: dict[int, bool] = {}
@@ -1046,9 +1032,7 @@ def monotonicity_check(
 # polygon relations (path-transport upper bound for the boundary image)
 
 
-def polygon_image(
-    sheaf: GammaSheaf, x: int, d_max: int, path_cap: int = 10_000
-) -> SectionSpace:
+def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Subspace of M(U_x) cut out by the path-transport relations only: for
     every pair of upward edges, transports into any common upper vertex
     modulo the span of the two directions must agree (over all V-paths).
@@ -1057,7 +1041,7 @@ def polygon_image(
     criterion holds at x.
     """
     g = sheaf.graph
-    target = select(g, SubgraphSelector.up_edges(x))
+    target = up_edges(g, x)
     up = dangling_edges(g, target)
     layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
     rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
@@ -1083,7 +1067,7 @@ def polygon_image(
                     if g.leq(y0, t)
                 ]
                 for t in reach:
-                    paths, trunc = _increasing_paths(g, y0, t, allowed, path_cap)
+                    paths, trunc = _increasing_paths(g, y0, t, allowed, PATH_CAP)
                     truncated = truncated or trunc
                     for p in paths:
                         by_target.setdefault(t, []).append((k, p))
@@ -1105,10 +1089,8 @@ def polygon_image(
                             degree_matrix(
                                 sheaf.n,
                                 entries,
-                                sheaf.edge_modules[k].module.gens,
-                                sheaf.edge_modules[k].quotient,
-                                sheaf.vertex_modules[t].gens,
-                                quotient,
+                                sheaf.piece("e", k),
+                                (sheaf.vertex_modules[t].gens, quotient),
                                 d,
                             ),
                         )
@@ -1141,7 +1123,7 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     the H-component) of the pullbacks of the planar boundary images; equals
     the boundary image for graphs of projective origin."""
     g = sheaf.graph
-    target = select(g, SubgraphSelector.up_edges(x))
+    target = up_edges(g, x)
     layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
     family = planar_family(g, x)
     rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
@@ -1212,15 +1194,10 @@ def verify_pure(
     each vertex with up edges to its boundary_image, solved to at least
     the bound, when the caller has solved it already."""
     g = sheaf.graph
-    top = g.unique_maximal()
+    g.unique_maximal()  # raises unless the graph has one top
+    bounds = degree_bounds(g, degree_bound)
     violations: list[PurityViolation] = []
-    for x in range(g.n_vertices):
-        if degree_bound is not None:
-            bound = degree_bound
-        elif g.schubert_origin:
-            bound = kl_degree_bound(g, x, top)
-        else:
-            raise ValidationError("generic graphs need an explicit degree bound")
+    for x, bound in enumerate(bounds):
         for k in g.down[x]:
             em = sheaf.edge_modules[k]
             if em.module.gens != sheaf.vertex_modules[x].gens:
@@ -1234,7 +1211,7 @@ def verify_pure(
                 continue
             for d in range(bound + 1):
                 m = rho_degree_matrix(sheaf, x, k, d)
-                if matrix_rank(m) != sheaf.edge_piece_dim(k, d):
+                if matrix_rank(m) != sheaf.piece_dim("e", k, d):
                     violations.append(
                         PurityViolation(
                             x, 2, d,
@@ -1285,14 +1262,9 @@ def rigidity_check(sheaf: GammaSheaf) -> bool:
     index: dict[tuple[str, int, int, int, tuple[int, ...]], int] = {}
 
     def entry_monomials(kind: str, idx: int, j: int, i: int) -> tuple[tuple[int, ...], ...]:
-        if kind == "v":
-            gens = sheaf.vertex_modules[idx].gens
-            deg = gens[i] - gens[j]
-            return monomial_basis(sheaf.n, deg).exponents if deg >= 0 else ()
-        em = sheaf.edge_modules[idx]
-        gens = em.module.gens
-        deg = gens[i] - gens[j]
-        return em.quotient.basis(deg).exponents if deg >= 0 else ()
+        # the monomials of degree gens[i] - gens[j]: block j in degree gens[i]
+        gens, _ = sheaf.piece(kind, idx)
+        return sheaf.blocks(kind, idx, gens[i])[j].exponents
 
     def add_unknowns(kind: str, idx: int, rank: int) -> None:
         for j in range(rank):

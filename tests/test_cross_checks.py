@@ -9,8 +9,9 @@ from fractions import Fraction as Q
 
 from momentsheaf import hecke_oracle
 from momentsheaf.coxeter import weyl_group
+from momentsheaf.exactalg import Subspace
 from momentsheaf.hecke_oracle import kl_table_csv
-from momentsheaf.moment_graph import SubgraphSelector, select
+from momentsheaf.moment_graph import interval, planar_slice
 from momentsheaf.sheaf import sections, stalk_table_csv, structure_sheaf
 
 
@@ -42,7 +43,7 @@ def test_stalk_table_diffable_against_oracle_table(lab):
 def test_interval_selector(lab):
     g = lab.graph("A", 3)
     x, y = g.vertex("1"), g.vertex("121")
-    sub = select(g, SubgraphSelector.interval(x, y))
+    sub = interval(g, x, y)
     assert set(sub.vertices) == {g.vertex(l) for l in ("1", "12", "21", "121")}
     for k in sub.edges:
         e = g.edges[k]
@@ -56,8 +57,8 @@ def test_planar_selector_sections(lab):
     g = lab.graph("A", 3)
     sh = structure_sheaf(g)
     e = g.vertex("e")
-    sub = select(
-        g, SubgraphSelector.planar(e, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)]])
+    sub = planar_slice(
+        g, e, Subspace(g.dim_t, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)]])
     )
     assert {g.labels[v] for v in sub.vertices} == {"1", "2", "12", "21", "121"}
     dangling = [k for k in sub.edges if g.edges[k].lower == e]

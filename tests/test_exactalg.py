@@ -11,6 +11,7 @@ from momentsheaf.exactalg import (
     QMatrix,
     QuotientBasis,
     Subspace,
+    exact,
     forward_eliminate,
     graded_dim,
     image_basis,
@@ -374,6 +375,72 @@ def test_linear_quotient_reduce_is_rational():
         _rational(quo.reduce(p).values())
         for mono in monomial_basis(n, 2).exponents:
             _rational(quo.reduce_monomial(mono).values())
+
+
+def _greedy_quotient(forms):
+    """Reference for LinearQuotient: Gauss-Jordan on the forms in order, each
+    taking its largest-index nonzero variable as pivot.  Returns the sorted
+    pivots and the substitutions, or None for zero or dependent forms."""
+    n = forms[0].n
+    pivots, reduced = [], []
+    for f in forms:
+        row = list(f.coeffs)
+        for p, r in zip(pivots, reduced):
+            if row[p]:
+                c = row[p]
+                row = [a - c * b for a, b in zip(row, r)]
+        piv = max((i for i in range(n) if row[i] != 0), default=-1)
+        if piv < 0:
+            return None
+        inv = 1 / Q(row[piv])
+        row = [a * inv for a in row]
+        for r in reduced:
+            if r[piv]:
+                c = r[piv]
+                for i in range(n):
+                    r[i] -= c * row[i]
+        pivots.append(piv)
+        reduced.append(row)
+    subst = {}
+    for p, row in sorted(zip(pivots, reduced)):
+        subst[p] = {
+            tuple(int(i == j) for i in range(n)): exact(-c)
+            for j, c in enumerate(row)
+            if j != p and c
+        }
+    return tuple(sorted(pivots)), subst
+
+
+def test_linear_quotient_matches_greedy_elimination():
+    rng = random.Random(47)
+    compared = 0
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        forms = [
+            LinearForm([
+                rng.choice([0, 0, rng.randint(-4, 4), Q(rng.randint(-4, 4), rng.randint(1, 5))])
+                for _ in range(n)
+            ])
+            for _ in range(rng.randint(1, n))
+        ]
+        if rng.random() < 0.1 and len(forms) > 1:
+            forms[-1] = LinearForm([2 * c for c in forms[0].coeffs])  # dependent
+        expected = _greedy_quotient(forms)
+        if expected is None:
+            with pytest.raises(ValueError):
+                LinearQuotient(forms)
+            continue
+        quo = LinearQuotient(forms)
+        pivots, subst = expected
+        assert quo.pivots == pivots
+        assert quo._subst == subst
+        for p in pivots:
+            assert list(quo._subst[p]) == list(subst[p])
+            assert [type(c) for c in quo._subst[p].values()] == [
+                type(c) for c in subst[p].values()
+            ]
+        compared += 1
+    assert compared > 300
 
 
 SHEAVES = {

@@ -12,7 +12,8 @@ from momentsheaf.exactalg import primitive_integer
 from momentsheaf.moment_graph import (
     Edge,
     MomentGraph,
-    SubgraphSelector,
+    above,
+    above_punctured,
     finite_two_orbit_test,
     load_graph,
     order_closure,
@@ -20,8 +21,9 @@ from momentsheaf.moment_graph import (
     save_graph,
     save_graph_json,
     schubert_moment_graph,
-    select,
     to_dot,
+    up_edges,
+    whole,
 )
 
 
@@ -86,23 +88,23 @@ def test_interval_graph_not_whole_group():
 
 def test_select_whole_and_up_edges():
     W, g = full_flag_graph("A", 2)
-    whole = select(g, SubgraphSelector.whole())
-    assert len(whole.vertices) == 6 and len(whole.edges) == 9
+    everything = whole(g)
+    assert len(everything.vertices) == 6 and len(everything.edges) == 9
     st = g.vertex("12")
-    assert len(select(g, SubgraphSelector.up_edges(st)).edges) == 1
+    assert len(up_edges(g, st).edges) == 1
     s = g.vertex("1")
-    assert len(select(g, SubgraphSelector.up_edges(s)).edges) == 2
+    assert len(up_edges(g, s).edges) == 2
 
 
 def test_select_above_sets():
     W, g = full_flag_graph("A", 2)
     e = g.vertex("e")
-    above = select(g, SubgraphSelector.above(e))
-    assert set(above.vertices) == {i for i in range(6) if i != e}
-    punctured = select(g, SubgraphSelector.above_punctured(e))
-    assert set(punctured.edges) - set(above.edges) == set(g.up[e])
+    strictly_above = above(g, e)
+    assert set(strictly_above.vertices) == {i for i in range(6) if i != e}
+    punctured = above_punctured(g, e)
+    assert set(punctured.edges) - set(strictly_above.edges) == set(g.up[e])
     with pytest.raises(ValidationError):
-        select(g, SubgraphSelector.above(99))
+        above(g, 99)
 
 
 def test_direction_normalization_idempotent():

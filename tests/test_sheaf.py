@@ -12,14 +12,17 @@ from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.coxeter import bruhat_leq
 from momentsheaf.moment_graph import (
     Subgraph,
-    SubgraphSelector,
+    above_punctured,
     load_graph,
     save_graph,
+    up_edges,
+    whole,
 )
 from momentsheaf.sheaf import (
     RhoMap,
     GammaSheaf,
     GradedFreeModule,
+    SectionSpace,
     boundary_image,
     canonical_sheaf,
     check_sections,
@@ -54,7 +57,7 @@ def test_structure_sheaf_a1_inventory(lab):
     sh = structure_sheaf(g)
     assert all(m.gens == (0,) for m in sh.vertex_modules.values())
     assert len(sh.edge_modules) == 1
-    secs = sections(sh, SubgraphSelector.whole(), 1)
+    secs = sections(sh, whole(g), 1)
     # pairs of linear forms congruent mod alpha: automatic in one variable
     assert secs.dims() == [1, 2]
 
@@ -64,7 +67,7 @@ def test_structure_sheaf_a2_section_dims(lab):
     # lengths; degreewise dims follow the free-module Hilbert oracle
     g = lab.graph("A", 2)
     sh = structure_sheaf(g)
-    secs = sections(sh, SubgraphSelector.whole(), 3)
+    secs = sections(sh, whole(g), 3)
     assert secs.dims() == expected_section_dims([0, 1, 1, 2, 2, 3], 2, 3)
     assert secs.dims()[0] == 1  # constants only, the graph is connected
     assert check_sections(sh, secs)
@@ -82,9 +85,28 @@ def test_sections_up_edges_is_full_product(lab):
     g = lab.graph("A", 2)
     sh = structure_sheaf(g)
     e = g.vertex("e")
-    secs = sections(sh, SubgraphSelector.up_edges(e), 2)
+    secs = sections(sh, up_edges(g, e), 2)
     # three edge rings in one variable each
     assert secs.dims() == [3, 3, 3]
+
+
+def test_check_sections_rejects_a_flipped_coordinate(lab):
+    # above e in A2: five vertices, six interior edges and the three up
+    # edges of e dangling, so the checker compares vertex values with each
+    # other and with free edge values
+    g = lab.graph("A", 2)
+    sh = lab.sheaf("A", 2)
+    sub = above_punctured(g, g.vertex("e"))
+    secs = sections(sh, sub, 1)
+    assert check_sections(sh, secs)
+    layout = secs.layouts[1]
+    assert {kind for kind, _ in layout.components} == {"v", "e"}
+    for vec in secs.bases[1]:
+        for c in range(layout.total):
+            bad = list(vec)
+            bad[c] += 1
+            flipped = SectionSpace(sub, secs.layouts, {1: [tuple(bad)]})
+            assert not check_sections(sh, flipped)
 
 
 # -- canonical sheaf ---------------------------------------------------------

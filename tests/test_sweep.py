@@ -26,10 +26,11 @@ from momentsheaf.errors import ConsistencyError
 from momentsheaf.exactalg import Subspace
 from momentsheaf.hecke_oracle import parabolic_kl
 from momentsheaf.moment_graph import (
-    SubgraphSelector,
+    above_punctured,
     load_graph,
     save_graph,
     schubert_moment_graph,
+    whole,
 )
 from momentsheaf.sheaf import (
     boundary_image,
@@ -66,7 +67,7 @@ def generic_graphs(draw):
 def _kernel_then_project(sheaf, x, d_max):
     """boundary_image the long way: one kernel vector per section over {>x},
     cut down to the up-edge coordinates, and the RREF basis of their span."""
-    secs = sections(sheaf, SubgraphSelector.above_punctured(x), d_max)
+    secs = sections(sheaf, above_punctured(sheaf.graph, x), d_max)
     bases = {}
     for d, layout in secs.layouts.items():
         nv = sum(
@@ -97,7 +98,7 @@ def test_sweep_agrees_with_direct_solver(case):
     sheaf = canonical_sheaf(g, degree_bound=bound)
     images = _boundary_images_checked(sheaf, lambda x: bound)
     assert verify_pure(sheaf, degree_bound=bound, images=images).ok
-    assert check_sections(sheaf, sections(sheaf, SubgraphSelector.whole(), bound))
+    assert check_sections(sheaf, sections(sheaf, whole(g), bound))
 
 
 def test_extra_degree_check_is_byte_identical_on_b3(lab):
