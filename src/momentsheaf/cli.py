@@ -58,8 +58,6 @@ class RunConfig:
     parabolic: tuple[int, ...] = ()
     graph_path: str | None = None
     max_degree: int | None = None
-    algorithm: str = "sections"
-    allow_approximation: bool = False
     out_path: str | None = None
     dot_path: str | None = None
 
@@ -69,11 +67,6 @@ class RunConfig:
         if has_group == has_path:
             raise ValidationError(
                 "specify exactly one input: --type (group) or --graph PATH"
-            )
-        if self.algorithm == "polygon" and not self.allow_approximation:
-            raise ValidationError(
-                "--algorithm polygon is an approximation in general; pass "
-                "--allow-approximation to acknowledge"
             )
         if self.max_degree is not None and self.max_degree < 0:
             raise ValidationError("--max-degree must be nonnegative")
@@ -116,9 +109,6 @@ def parse_args(argv: list[str]) -> RunConfig:
                         help="comma-separated simple indices, e.g. '1,3'")
     parser.add_argument("--graph", dest="graph_path", help="path to a graph JSON file")
     parser.add_argument("--max-degree", dest="max_degree", type=int)
-    parser.add_argument("--algorithm", choices=("sections", "planar", "polygon"),
-                        default="sections")
-    parser.add_argument("--allow-approximation", action="store_true")
     parser.add_argument("--out", dest="out_path")
     parser.add_argument("--dot", dest="dot_path")
     ns = parser.parse_args(argv)
@@ -138,8 +128,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         parabolic=_parse_parabolic(ns.parabolic),
         graph_path=ns.graph_path,
         max_degree=ns.max_degree,
-        algorithm=ns.algorithm,
-        allow_approximation=ns.allow_approximation,
         out_path=ns.out_path,
         dot_path=ns.dot_path,
     )
@@ -198,24 +186,6 @@ def resolve_input(config: RunConfig) -> ResolvedInput:
     return ResolvedInput(graph=g, group=W, top_word=w, parabolic=config.parabolic)
 
 
-def _require_degree_bound(config: RunConfig, g: MomentGraph) -> int | None:
-    """Schubert graphs carry their own bound, and a --max-degree below it
-    would silently truncate the stalks; loaded graphs need --max-degree."""
-    if g.schubert_origin:
-        proven = max(degree_bounds(g))
-        if config.max_degree is not None and config.max_degree < proven:
-            raise ValidationError(
-                f"--max-degree {config.max_degree} is below the proven degree "
-                f"bound {proven} of this Schubert graph and would truncate it"
-            )
-        return config.max_degree
-    if config.max_degree is None:
-        raise ValidationError(
-            "a loaded graph carries no proven degree bound; pass --max-degree N"
-        )
-    return config.max_degree
-
-
 def _vertex_element(W: WeylGroup, label: str) -> WeylElement:
     return W.element_of_word([] if label == "e" else [int(c) for c in label])
 
@@ -241,16 +211,25 @@ def cmd_graph(config: RunConfig, resolved: ResolvedInput) -> int:
 
 
 def _build_sheaf(config: RunConfig, resolved: ResolvedInput) -> GammaSheaf:
-    """The canonical sheaf.  On a Schubert graph no generator lies above the
-    proven bound, so the exact algorithms build to it and --max-degree only
-    sets the degrees hilbert and verify read; the polygon approximation can
-    gain generators past the proven bound, so it builds to --max-degree."""
-    bound = _require_degree_bound(config, resolved.graph)
-    if resolved.graph.schubert_origin and config.algorithm != "polygon":
-        bound = None
-    return canonical_sheaf(
-        resolved.graph, degree_bound=bound, algorithm=config.algorithm
-    )
+    """The canonical sheaf.  A Schubert graph carries its own proven bound:
+    no generator lies above it, so the build stops there, and --max-degree
+    only sets the degrees hilbert and verify read; one below it would
+    silently truncate the stalks and is refused.  A loaded graph carries no
+    bound, so it needs --max-degree and is built to it."""
+    g = resolved.graph
+    if g.schubert_origin:
+        proven = max(degree_bounds(g))
+        if config.max_degree is not None and config.max_degree < proven:
+            raise ValidationError(
+                f"--max-degree {config.max_degree} is below the proven degree "
+                f"bound {proven} of this Schubert graph and would truncate it"
+            )
+        return canonical_sheaf(g)
+    if config.max_degree is None:
+        raise ValidationError(
+            "a loaded graph carries no proven degree bound; pass --max-degree N"
+        )
+    return canonical_sheaf(g, degree_bound=config.max_degree)
 
 
 def cmd_sheaf(config: RunConfig, resolved: ResolvedInput) -> int:
@@ -314,7 +293,7 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
                 gz, shz = g, sheaf
             else:
                 gz = schubert_moment_graph(W, z, resolved.parabolic)
-                shz = canonical_sheaf(gz, algorithm=config.algorithm)
+                shz = canonical_sheaf(gz)
             expected_at = [oracle(elements[label], z) for label in gz.labels]
             if z_label == top_label:
                 kl_to_top = expected_at

@@ -247,9 +247,9 @@ class Reflection:
 class WeylGroup:
     """A fully enumerated finite Weyl group with order and reflection data."""
 
-    def __init__(self, cartan: CartanDatum, cap: int | None = None):
+    def __init__(self, cartan: CartanDatum):
         self.cartan = cartan
-        self._build_elements(check_group_cap(cartan.family, cartan.rank, cap))
+        self._build_elements(check_group_cap(cartan.family, cartan.rank))
         self._build_roots()
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
 
@@ -370,18 +370,17 @@ class WeylGroup:
         return sum(all(c <= 0 for c in mat_vec(m, b)) for b in self.positive_roots)
 
 
-def check_group_cap(family: str, rank: int, cap: int | None = None) -> int:
+def check_group_cap(family: str, rank: int) -> int:
     """|W| for a valid family and rank, or ResourceCapError above the cap
     (MOMENTSHEAF_CAP, default 50,000).  It builds no root datum, so it runs
     before CartanDatum.build, whose cost grows like rank^4."""
     family = family.upper()
     _check_family_rank(family, rank)
-    if cap is None:
-        raw = os.environ.get("MOMENTSHEAF_CAP", str(DEFAULT_GROUP_CAP))
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"MOMENTSHEAF_CAP must be an integer, got {raw!r}") from exc
+    raw = os.environ.get("MOMENTSHEAF_CAP", str(DEFAULT_GROUP_CAP))
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"MOMENTSHEAF_CAP must be an integer, got {raw!r}") from exc
     order = weyl_order(family, rank)
     if order > cap:
         raise ResourceCapError(
@@ -390,15 +389,15 @@ def check_group_cap(family: str, rank: int, cap: int | None = None) -> int:
     return order
 
 
-def build_weyl_group(cartan: CartanDatum, cap: int | None = None) -> WeylGroup:
+def build_weyl_group(cartan: CartanDatum) -> WeylGroup:
     """Enumerate the whole group (errors if the family order exceeds the cap)."""
-    return WeylGroup(cartan, cap=cap)
+    return WeylGroup(cartan)
 
 
-def weyl_group(family: str, rank: int, cap: int | None = None) -> WeylGroup:
+def weyl_group(family: str, rank: int) -> WeylGroup:
     """Convenience builder from a family letter and rank."""
-    check_group_cap(family, rank, cap)
-    return build_weyl_group(CartanDatum.build(family, rank), cap=cap)
+    check_group_cap(family, rank)
+    return build_weyl_group(CartanDatum.build(family, rank))
 
 
 def bruhat_leq(W: WeylGroup, x: WeylElement | int, y: WeylElement | int) -> bool:

@@ -188,12 +188,11 @@ def poly_to_coeffs(basis: MonomialBasis, p: Poly) -> Vector:
     return tuple(vec)
 
 
-def poly_str(p: Poly, names: Sequence[str] | None = None) -> str:
+def poly_str(p: Poly) -> str:
     """Canonical polynomial string, e.g. '2*x1^2 - 1/3*x1*x2'."""
     if not p:
         return "0"
-    n = len(next(iter(p)))
-    names = names or [f"x{i + 1}" for i in range(n)]
+    names = [f"x{i + 1}" for i in range(len(next(iter(p))))]
     terms = []
     for e in sorted(p, key=lambda e: (-sum(e), tuple(-k for k in e))):
         c = p[e]
@@ -635,8 +634,8 @@ def matrix_rank(m: QMatrix) -> int:
 
 
 class Subspace:
-    """A subspace of Q^N held in RREF; supports exact membership,
-    intersection, and annihilators."""
+    """A subspace of Q^N held in RREF (pivots and rows); supports exact
+    membership, reduction modulo the subspace and equality."""
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[int | Fraction]] = ()):
         self.ambient = ambient
@@ -675,19 +674,6 @@ class Subspace:
             and self.pivots == other.pivots
             and self.rows == other.rows
         )
-
-    def annihilator(self) -> "Subspace":
-        """{f in (Q^N)* : f(v) = 0 for all v}, via the kernel of the basis."""
-        m = QMatrix(len(self.rows), self.ambient, [dict(r) for r in self.rows])
-        return Subspace(self.ambient, kernel_basis(m))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        ann = [dict(r) for r in self.annihilator().rows]
-        ann += [dict(r) for r in other.annihilator().rows]
-        m = QMatrix(len(ann), self.ambient, ann)
-        return Subspace(self.ambient, kernel_basis(m))
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,11 @@ Piece = tuple[tuple[int, ...], LinearQuotient | None]
 class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
-    canonical marks the canonical sheaf itself, built by an exact image
-    algorithm; the polygon approximation leaves it unset.  The degree-d
-    rho matrices are cached per sheaf; the edge rings (edge_ring) and the
-    t*-span matrices of _degree_span depend on no sheaf and are shared by
-    every sheaf in the process."""
+    canonical marks the canonical sheaf itself, as canonical_sheaf builds
+    it; structure_sheaf leaves it unset.  The degree-d rho matrices are
+    cached per sheaf; the edge rings (edge_ring) and the t*-span matrices of
+    _degree_span depend on no sheaf and are shared by every sheaf in the
+    process."""
 
     graph: MomentGraph
     vertex_modules: dict[int, GradedFreeModule] = field(default_factory=dict)
@@ -721,33 +721,29 @@ class _SectionSweep:
 def canonical_sheaf(
     g: MomentGraph,
     degree_bound: int | None = None,
-    algorithm: str = "sections",
     extra_degree_check: bool = False,
 ) -> GammaSheaf:
     """The canonical sheaf, built from the top vertex downwards.
 
-    algorithm chooses how the boundary image at each vertex is computed:
-    'sections' reads it off a generating set of the sections over the
-    vertices already built, carried down the sweep (always exact),
-    'planar' intersects the planar images (exact for graphs of projective
-    origin), 'polygon' keeps only the path-transport relations (an upper
-    approximation unless the finite-two-orbit criterion holds).
+    The boundary image at each vertex is read off a generating set of the
+    sections over the vertices already built, carried down the sweep, so
+    it is exact on every graph.  The paper's shortcuts to that image are
+    kept as checks, not builders: planar_image is proven equal to it only
+    on graphs of projective origin, polygon_image only under the
+    finite-two-orbit criterion.
 
     extra_degree_check computes one degree past the proven bound of a
     Schubert graph and raises ConsistencyError if a generator shows up
     there; loaded graphs carry no proven bound, so it changes nothing there.
     """
-    if algorithm not in ("sections", "planar", "polygon"):
-        raise ValidationError(f"unknown image algorithm {algorithm!r}")
     top = g.unique_maximal()
     bounds = degree_bounds(g, degree_bound)
-    sheaf = GammaSheaf(graph=g, canonical=algorithm != "polygon")
+    sheaf = GammaSheaf(graph=g, canonical=True)
     sheaf.vertex_modules[top] = GradedFreeModule((0,))
     order = sweep_order(g, top)
     extra = int(extra_degree_check and g.schubert_origin)
-    if algorithm == "sections":
-        d_max = max((bounds[x] for x in order), default=0) + extra
-        sweep = _SectionSweep(sheaf, top, d_max)
+    d_max = max((bounds[x] for x in order), default=0) + extra
+    sweep = _SectionSweep(sheaf, top, d_max)
     for x in order:
         for k in g.up[x]:
             e = g.edges[k]
@@ -755,12 +751,7 @@ def canonical_sheaf(
             sheaf.edge_modules[k] = EdgeModule(upper_module, edge_ring(e.direction))
             sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
         probe = bounds[x] + extra
-        if algorithm == "sections":
-            image = sweep.image(x, probe)
-        elif algorithm == "planar":
-            image = planar_image(sheaf, x, probe)
-        else:
-            image = polygon_image(sheaf, x, probe)
+        image = sweep.image(x, probe)
         gens, lifts = projective_cover(sheaf, image, probe)
         if extra and any(d == probe for d in gens):
             raise ConsistencyError(
@@ -768,8 +759,7 @@ def canonical_sheaf(
             )
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
         _install_lift_rho(sheaf, x, lifts, image.layouts)
-        if algorithm == "sections":
-            sweep.extend(x)
+        sweep.extend(x)
     if g.schubert_origin:
         for v in range(g.n_vertices):
             if sum(1 for d in sheaf.vertex_modules[v].gens if d == 0) != 1:
@@ -1115,7 +1105,7 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
 
 
 # ---------------------------------------------------------------------------
-# planar algorithm
+# planar image
 
 
 def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
@@ -1172,7 +1162,6 @@ class PurityViolation:
 @dataclass
 class PurityReport:
     ok: bool
-    checked_vertices: int
     violations: list[PurityViolation]
 
     @property
@@ -1239,7 +1228,7 @@ def verify_pure(
                     )
                 )
                 break
-    return PurityReport(not violations, g.n_vertices, violations)
+    return PurityReport(not violations, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,7 @@ def test_sheaf_dump_command(capsys):
     assert by_id["e"] == [0, 1]
 
 
-@pytest.mark.parametrize("algorithm", ["sections", "planar"])
-def test_max_degree_is_not_the_build_bound_on_schubert_graphs(algorithm, capsys, monkeypatch):
+def test_max_degree_is_not_the_build_bound_on_schubert_graphs(capsys, monkeypatch):
     bounds = []
     build = cli.canonical_sheaf
 
@@ -81,25 +80,12 @@ def test_max_degree_is_not_the_build_bound_on_schubert_graphs(algorithm, capsys,
         return build(g, degree_bound=degree_bound, **kwargs)
 
     monkeypatch.setattr(cli, "canonical_sheaf", spy)
-    args = ["sheaf", "--type", "A3", "--algorithm", algorithm]
+    args = ["sheaf", "--type", "A3"]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     code, out6, _ = run_cli(args + ["--max-degree", "6"], capsys)
     assert code == 0 and out6 == out
     assert bounds == [None, None]
-
-
-def test_max_degree_is_the_build_bound_for_polygon(capsys, monkeypatch):
-    bounds = []
-
-    def spy(g, degree_bound=None, **kwargs):
-        bounds.append(degree_bound)
-
-    monkeypatch.setattr(cli, "canonical_sheaf", spy)
-    monkeypatch.setattr(cli, "sheaf_dump", lambda sheaf: {})
-    args = ["sheaf", "--type", "A2", "--algorithm", "polygon", "--allow-approximation"]
-    assert run_cli(args + ["--max-degree", "3"], capsys)[0] == 0
-    assert bounds == [3]
 
 
 def test_hilbert_command(capsys):
@@ -157,15 +143,11 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert (code, out) == (3, "")
     assert "exceeding the cap of 50000" in err
     assert time.perf_counter() - start < 1.0
-    # polygon needs the acknowledgment flag
-    code, _, err = run_cli(["kl", "--type", "A2", "--algorithm", "polygon"], capsys)
-    assert code == 2
-    assert "--allow-approximation" in err
-    code, _, _ = run_cli(
-        ["kl", "--type", "A2", "--algorithm", "polygon", "--allow-approximation"],
-        capsys,
-    )
-    assert code == 0
+    # the retired construction options are unknown arguments
+    for retired in (["--algorithm", "planar"], ["--allow-approximation"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["kl", "--type", "A2", *retired])
+        assert exc.value.code == 2
     # a --max-degree below the proven bound would truncate P_{e,2132} = 1+q
     code, out, err = run_cli(
         ["kl", "--type", "A3", "--word", "2132", "--max-degree", "0"], capsys

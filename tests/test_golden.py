@@ -16,7 +16,7 @@ import pytest
 from momentsheaf.cli import main
 from momentsheaf.coxeter import weyl_group
 from momentsheaf.moment_graph import load_graph, save_graph, schubert_moment_graph
-from momentsheaf.sheaf import canonical_sheaf, sheaf_dump
+from momentsheaf.sheaf import canonical_sheaf, kl_degree_bound, polygon_image, sheaf_dump
 
 GOLDEN = {
     "sheaf-A3": "b6f0d933f93b88933690316be6ca0c51422099f9a3644fa837fc015cec75f7da",
@@ -25,10 +25,10 @@ GOLDEN = {
     "sheaf-B3": "b320b0549d6f52f5aed499baaf1acddd4f0ab4e41e275e55b53b9f38df8bc285",
     "sheaf-C3": "7439fd543175024c8f7ea185ce016018ffecd9fcda5d0bd77670d0d690a4a003",
     "sheaf-A4-J13": "a2177268c667dad52ab7ba24e73d005838c3a4512520e09ea4720c554c17789d",
-    "sheaf-A3-2132-polygon": "ed2012184e000783ca3858aef8e6be479d98ebfe1a3bab89a10640a7014ca8a4",
     "sheaf-generic-A3-bound2": "231fc734703918f980f6a894d8d02b0db68f782000212ba7a68e250c69a66b30",
     "sheaf-generic-B2-bound2": "f9af0300cfe6eca628c3e5e1c8487c22160d405214dd82f6aa11b7d8a73fe51f",
     "sheaf-generic-G2-bound2": "8dbd6141a88aa4d5178c1e24734673db8a6d4835492fd2003bdb3cd9655eab77",
+    "polygon-A3-2132": "47eb9149ebb82de3f5c94aae710a18310b2d6164882bd450e6ba17d72829aa34",
     "hilbert-A3": "7028b015d6d7f470de4200560fa511211a7bc099a9f7bfa3dda32daa90879d42",
     "hilbert-G2": "22933a7630b37f5b333f4ba93ec01359284c8aef2e44f3e9cfc7b95346dbe80b",
     "hilbert-A3-J2": "56b50e6b3bb4ed63ae9fcf30e3f7632cc4fff129d4367b77477b211fafa4a5b2",
@@ -60,6 +60,24 @@ def _dump(sheaf) -> str:
     return json.dumps(sheaf_dump(sheaf), indent=2, sort_keys=True) + "\n"
 
 
+def _polygon_images(sheaf) -> str:
+    """The polygon image one degree past the proven bound at every vertex
+    with up edges, in index order, as RREF bases with str scalars."""
+    g = sheaf.graph
+    top = g.unique_maximal()
+    doc = []
+    for x in range(g.n_vertices):
+        if not g.up[x]:
+            continue
+        image = polygon_image(sheaf, x, kl_degree_bound(g, x, top) + 1)
+        bases = [
+            [[str(c) for c in vec] for vec in image.subspace(d).basis_vectors()]
+            for d in sorted(image.bases)
+        ]
+        doc.append({"vertex": g.labels[x], "bases": bases})
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _generic_doc(family: str, rank: int) -> dict:
     """The Schubert poset of the longest element with fixed non-GKM edge
     directions; the sheaves on these graphs have non-integral rho entries."""
@@ -89,8 +107,8 @@ def _cli(args, tmp_path, *names):
     return [path.read_text(encoding="utf-8") for path in paths]
 
 
-def _sheaf(lab, family, rank, word="longest", J=(), **kwargs):
-    return _dump(canonical_sheaf(lab.graph(family, rank, word, J), **kwargs))
+def _sheaf(lab, family, rank, word="longest", J=()):
+    return _dump(canonical_sheaf(lab.graph(family, rank, word, J)))
 
 
 ARTIFACTS = {
@@ -100,9 +118,6 @@ ARTIFACTS = {
     "sheaf-B3": lambda lab, tmp: [_sheaf(lab, "B", 3)],
     "sheaf-C3": lambda lab, tmp: [_sheaf(lab, "C", 3)],
     "sheaf-A4-J13": lambda lab, tmp: [_sheaf(lab, "A", 4, J=(1, 3))],
-    "sheaf-A3-2132-polygon": lambda lab, tmp: [
-        _sheaf(lab, "A", 3, "2132", algorithm="polygon")
-    ],
     "sheaf-generic-A3-bound2": lambda lab, tmp: [
         _dump(canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2))
     ],
@@ -111,6 +126,10 @@ ARTIFACTS = {
     ],
     "sheaf-generic-G2-bound2": lambda lab, tmp: [
         _dump(canonical_sheaf(load_graph(_generic_doc("G", 2)), degree_bound=2))
+    ],
+    # polygon_image is a check, not a builder: pin it on the canonical sheaf
+    "polygon-A3-2132": lambda lab, tmp: [
+        _polygon_images(canonical_sheaf(lab.graph("A", 3, "2132")))
     ],
     "hilbert-A3": lambda lab, tmp: _cli(["hilbert", "--type", "A3"], tmp, "h.csv"),
     "hilbert-G2": lambda lab, tmp: _cli(["hilbert", "--type", "G2"], tmp, "h.csv"),

@@ -1,5 +1,5 @@
 """Tests for section spaces, the canonical construction, transports, the
-alternate image algorithms, purity, and rigidity."""
+planar and polygon images, purity, and rigidity."""
 
 from fractions import Fraction as Q
 
@@ -344,19 +344,6 @@ def test_planar_equals_sections_b2_everywhere(lab):
         pl = planar_image(sh, x, bound)
         for d in range(bound + 1):
             assert bi.subspace(d) == pl.subspace(d)
-
-
-def test_planar_construction_same_sheaf(lab):
-    g = lab.graph("A", 3, "2132")
-    assert sheaf_dump(canonical_sheaf(g, algorithm="planar")) == sheaf_dump(
-        lab.sheaf("A", 3, "2132")
-    )
-
-
-def test_polygon_construction_overcounts_where_two_orbit_fails(lab):
-    g = lab.graph("A", 3, "2132")
-    sh_poly = canonical_sheaf(g, algorithm="polygon")
-    assert stalk_poincare(sh_poly, g.vertex("e")) == KLPolynomial((1, 2))
 
 
 # -- purity ------------------------------------------------------------------

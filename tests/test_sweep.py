@@ -18,7 +18,7 @@ import json
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
@@ -91,7 +91,14 @@ def _boundary_images_checked(sheaf, bound_at):
     return images
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+# no shrink phase: each example builds a sheaf and every boundary image, so
+# shrinking a failure reruns that for minutes before it reports
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    phases=[Phase.explicit, Phase.generate],
+)
 @given(generic_graphs())
 def test_sweep_agrees_with_direct_solver(case):
     g, bound = case
