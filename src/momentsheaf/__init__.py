@@ -18,7 +18,7 @@ from .coxeter import (
     weyl_group,
 )
 from .errors import ConsistencyError, ResourceCapError, ValidationError
-from .hecke_oracle import KLTable, kl_polynomial, parabolic_kl, r_polynomial
+from .hecke_oracle import KLTable, kl_polynomial, parabolic_kl
 from .klpoly import KLPolynomial
 from .moment_graph import (
     MomentGraph,
@@ -43,11 +43,11 @@ from .sheaf import (
     SectionSpace,
     boundary_image,
     canonical_sheaf,
+    check_sections,
     global_hilbert,
     monotonicity_check,
     planar_image,
     polygon_image,
-    rigidity_check,
     sections,
     sheaf_dump,
     stalk_poincare,
@@ -79,6 +79,7 @@ __all__ = [
     "bruhat_leq",
     "build_weyl_group",
     "canonical_sheaf",
+    "check_sections",
     "finite_two_orbit_test",
     "global_hilbert",
     "interval",
@@ -91,8 +92,6 @@ __all__ = [
     "planar_image",
     "planar_slice",
     "polygon_image",
-    "r_polynomial",
-    "rigidity_check",
     "save_graph",
     "schubert_moment_graph",
     "sections",

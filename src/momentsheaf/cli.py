@@ -2,7 +2,8 @@
 tables and dumps, and run the verification suites.
 
 Exit codes: 0 success, 1 verification mismatch (diff printed), 2 input
-validation, 3 resource cap or internal consistency failure.  Identical
+validation or an output path that cannot be written, 3 resource cap or
+internal consistency failure.  Identical
 configurations produce byte-identical artifacts.
 """
 
@@ -72,17 +73,17 @@ class RunConfig:
             raise ValidationError("--max-degree must be nonnegative")
 
 
-def _parse_type(text: str) -> tuple[str, int | None]:
+def _parse_type(text: str) -> tuple[str, int]:
     text = text.strip()
     if not text:
         raise ValidationError("empty --type")
     family = text[0].upper()
-    if len(text) > 1:
-        try:
-            return family, int(text[1:])
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse rank from --type {text!r}") from exc
-    return family, None
+    if len(text) == 1:
+        raise ValidationError(f"--type {text!r} needs a rank, such as {family}4")
+    try:
+        return family, int(text[1:])
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse rank from --type {text!r}") from exc
 
 
 def _parse_parabolic(text: str) -> tuple[int, ...]:
@@ -102,7 +103,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--type", dest="family_spec",
                         help="group family and rank, e.g. A3, B2, G2")
-    parser.add_argument("--rank", type=int, help="rank (with a bare family letter)")
     parser.add_argument("--word", default="longest",
                         help="simple-reflection index string like 2132, or 'longest'")
     parser.add_argument("--parabolic", default="",
@@ -116,10 +116,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     family = rank = None
     if ns.family_spec is not None:
         family, rank = _parse_type(ns.family_spec)
-        if rank is None:
-            rank = ns.rank
-        if rank is None:
-            raise ValidationError(f"--type {ns.family_spec!r} needs --rank")
     config = RunConfig(
         command=ns.command,
         family=family,
@@ -193,9 +189,12 @@ def _vertex_element(W: WeylGroup, label: str) -> WeylElement:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -188,14 +188,6 @@ class CartanDatum:
             for j in range(self.rank)
         )
 
-    def simple_reflection_matrix(self, i: int) -> Matrix:
-        """Matrix of s_i (1-based) on t* in root coordinates."""
-        n, c = self.rank, self.cartan
-        return tuple(
-            tuple(int(k == j) - (k == i - 1) * c[j][i - 1] for j in range(n))
-            for k in range(n)
-        )
-
 
 def _column_update(row: tuple[int, ...], i: int, update) -> tuple[int, ...]:
     """One row of w s_i from the same row of w; update lists (j, C[j][i] != 0)."""
@@ -206,14 +198,6 @@ def _column_update(row: tuple[int, ...], i: int, update) -> tuple[int, ...]:
     for j, cji in update:
         out[j] -= cji * a
     return tuple(out)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
@@ -258,9 +242,6 @@ class WeylGroup:
     def _build_elements(self, order: int) -> None:
         n = self.cartan.rank
         c = self.cartan.cartan
-        self.simple_matrices = [
-            self.cartan.simple_reflection_matrix(i) for i in range(1, n + 1)
-        ]
         # (w s_i)[k][j] = w[k][j] - C[j][i] w[k][i]: a column update
         updates = [(i, [(j, c[j][i]) for j in range(n) if c[j][i]]) for i in range(n)]
         ident = identity_matrix(n)
@@ -332,10 +313,6 @@ class WeylGroup:
         return len(self.elements)
 
     @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
-
-    @property
     def longest(self) -> WeylElement:
         return max(self.elements, key=lambda w: w.length)
 
@@ -354,20 +331,9 @@ class WeylGroup:
             i = self.rmult(i, s)
         return self.elements[i]
 
-    def element_of_matrix(self, m: Matrix) -> WeylElement:
-        idx = self.index_of.get(m)
-        if idx is None:
-            raise ValidationError("matrix does not belong to the group")
-        return self.elements[idx]
-
     def right_descents(self, i: int) -> list[int]:
         li, row = self.elements[i].length, self._rmul[i]
         return [s for s in range(1, len(row) + 1) if self.elements[row[s - 1]].length < li]
-
-    def inversions(self, i: int) -> int:
-        """Number of positive roots sent to negative roots by element i."""
-        m = self.elements[i].matrix
-        return sum(all(c <= 0 for c in mat_vec(m, b)) for b in self.positive_roots)
 
 
 def check_group_cap(family: str, rank: int) -> int:
@@ -460,11 +426,7 @@ def minimal_coset_reps(W: WeylGroup, J: Iterable[int]) -> list[WeylElement]:
     """Minimal-length representatives of the cosets wW_J, in group order."""
     J = sorted(set(J))
     sub = parabolic_subgroup(W, J)  # validates J before rmult uses it
-    reps = [
-        w
-        for w in W.elements
-        if all(W.length(W.rmult(w.index, s)) > w.length for s in J)
-    ]
+    reps = [w for w in W.elements if is_minimal_rep(W, w, J)]
     if len(reps) * len(sub) != len(W):
         raise ValidationError("coset representative count mismatch")
     return reps

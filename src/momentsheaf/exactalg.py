@@ -17,7 +17,8 @@ finite-dimensional Q-vector space with a fixed monomial basis.
 Determinism contract: monomial bases use graded-lex order, Gaussian
 elimination processes columns left to right (the reduced row echelon form is
 unique, so pivot-row selection only affects speed, not results), and every
-basis returned by the kernel/image routines is the canonical RREF basis.
+basis returned by the kernel and subspace routines is the canonical RREF
+basis.
 Identical inputs therefore give bit-identical outputs.
 """
 
@@ -218,45 +219,6 @@ def poly_str(p: Poly) -> str:
     return out
 
 
-def poly_parse(text: str, n: int) -> Poly:
-    """Inverse of poly_str for the canonical format (also accepts '+-' sugar)."""
-    text = text.strip()
-    if text in ("0", ""):
-        return {}
-    text = text.replace("-", "+-")
-    out: Poly = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:].strip()
-        coeff = Fraction(1)
-        exp = [0] * n
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            if factor[0] == "x":
-                if "^" in factor:
-                    var, _, power = factor.partition("^")
-                    exp[int(var[1:]) - 1] += int(power)
-                else:
-                    exp[int(factor[1:]) - 1] += 1
-            else:
-                coeff *= Fraction(factor)
-        if neg:
-            coeff = -coeff
-        e = tuple(exp)
-        v = out.get(e, 0) + coeff
-        if v:
-            out[e] = exact(v)
-        else:
-            out.pop(e, None)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear forms and quotients by spans of linear forms
 
@@ -273,18 +235,6 @@ class LinearForm:
     @property
     def n(self) -> int:
         return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def as_poly(self) -> Poly:
-        p: Poly = {}
-        for i, c in enumerate(self.coeffs):
-            if c:
-                e = [0] * self.n
-                e[i] = 1
-                p[tuple(e)] = c
-        return p
 
 
 class LinearQuotient:
@@ -377,32 +327,12 @@ class LinearQuotient:
         return p
 
 
-class QuotientBasis(LinearQuotient):
-    """The edge ring A_L = A/(alpha): the one-form case of LinearQuotient."""
-
-    def __init__(self, alpha: LinearForm):
-        if alpha.is_zero():
-            raise ValueError("edge form must be nonzero")
-        super().__init__([alpha])
-        self.alpha = alpha
-
-    @property
-    def pivot(self) -> int:
-        return self.pivots[0]
-
-
 @lru_cache(maxsize=None)
-def edge_ring(direction: tuple[int, ...]) -> QuotientBasis:
-    """The edge ring A/(alpha) of one (normalized) edge direction, built once
-    per process: every edge along that direction, in every sheaf, shares
-    it and its memoized monomial reductions."""
-    return QuotientBasis(LinearForm(direction))
-
-
-def quotient_reduce(q: LinearQuotient, coeffs: Sequence[int | Fraction], d: int) -> Vector:
-    """Reduce a degree-d coefficient vector of A into the quotient's basis."""
-    p = poly_from_coeffs(monomial_basis(q.n, d), coeffs)
-    return poly_to_coeffs(q.basis(d), q.reduce(p))
+def edge_ring(direction: tuple[int, ...]) -> LinearQuotient:
+    """The edge ring A_L = A/(alpha) of one (normalized, nonzero) edge
+    direction, built once per process: every edge along that direction, in
+    every sheaf, shares it and its memoized monomial reductions."""
+    return LinearQuotient([LinearForm(direction)])
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +355,8 @@ class QMatrix:
         ncols = len(dense[0]) if dense else 0
         return cls(len(rows), ncols, rows)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[int | Fraction]], nrows: int) -> "QMatrix":
-        rows: list[Row] = [{} for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    rows[i][j] = exact(v)
-        return cls(nrows, len(cols), rows)
-
     def column(self, j: int) -> Vector:
         return tuple(self.rows[i].get(j, 0) for i in range(self.nrows))
-
-    def apply(self, vec: Sequence[int | Fraction]) -> Vector:
-        out = []
-        for r in self.rows:
-            out.append(sum(v * vec[j] for j, v in r.items()))
-        return tuple(out)
 
     def transpose(self) -> "QMatrix":
         rows: list[Row] = [{} for _ in range(self.ncols)]
@@ -449,6 +364,14 @@ class QMatrix:
             for j, v in r.items():
                 rows[j][i] = v
         return QMatrix(self.ncols, self.nrows, rows)
+
+
+def dense(row: Row, n: int) -> Vector:
+    """A sparse row as a vector of length n."""
+    vec = [0] * n
+    for j, v in row.items():
+        vec[j] = v
+    return tuple(vec)
 
 
 def _row_axpy(target: Row, factor: int | Fraction, source: Row, offset: int = 0) -> None:
@@ -470,6 +393,20 @@ def _content_reduce(row: dict[int, int]) -> dict[int, int]:
         if g == 1:
             return row
     return {c: v // g for c, v in row.items()}
+
+
+def _row_step(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
+    """row with its entry at col cleared against piv, whose pivot is at col:
+    piv[col] * row - row[col] * piv, content-reduced; empty when zero."""
+    rc, pv = row[col], piv[col]
+    new = {c: v * pv for c, v in row.items()}
+    for c, v in piv.items():
+        nv = new.get(c, 0) - rc * v
+        if nv:
+            new[c] = nv
+        else:
+            new.pop(c, None)
+    return _content_reduce(new)
 
 
 def _int_row(row: Row) -> dict[int, int]:
@@ -518,23 +455,14 @@ def forward_eliminate(
         best = min(bucket, key=lambda i: (len(work[i]), i))
         piv = work[best]
         work[best] = None
-        pv = piv[col]
         for i in bucket:
             if i == best:
                 continue
-            r = work[i]
-            rc = r[col]
-            new = {c: v * pv for c, v in r.items()}
-            for c, v in piv.items():
-                nv = new.get(c, 0) - rc * v
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
+            new = _row_step(work[i], piv, col)
             if not new:
                 work[i] = None
                 continue
-            work[i] = new = _content_reduce(new)
+            work[i] = new
             lead = min(new)
             if lead < ncols:
                 if lead not in buckets:
@@ -561,17 +489,7 @@ def rref(rows: Iterable[Row], ncols: int) -> tuple[list[int], list[Row]]:
         for jj in range(j + 1, len(echelon)):
             col = pivots[jj]
             if col in r:
-                rc = r[col]
-                piv = echelon[jj]
-                pv = piv[col]
-                new = {c: v * pv for c, v in r.items()}
-                for c, v in piv.items():
-                    nv = new.get(c, 0) - rc * v
-                    if nv:
-                        new[c] = nv
-                    else:
-                        new.pop(c, None)
-                r = _content_reduce(new)
+                r = _row_step(r, echelon[jj], col)
         echelon[j] = r
     final: list[Row] = []
     for col, r in zip(pivots, echelon):
@@ -612,18 +530,6 @@ def kernel_echelon_basis(rows: Sequence[Row], ncols: int) -> list[Vector]:
     return [vec[::-1] for vec in reversed(basis)]
 
 
-def image_basis(m: QMatrix) -> list[Vector]:
-    """RREF basis of the column space, as vectors of length nrows."""
-    pivots, rows = rref(m.transpose().rows, m.nrows)
-    out = []
-    for r in rows:
-        vec = [0] * m.nrows
-        for j, v in r.items():
-            vec[j] = v
-        out.append(tuple(vec))
-    return out
-
-
 def matrix_rank(m: QMatrix) -> int:
     pivots, _ = rref(m.rows, m.ncols)
     return len(pivots)
@@ -647,13 +553,7 @@ class Subspace:
         return len(self.rows)
 
     def basis_vectors(self) -> list[Vector]:
-        out = []
-        for r in self.rows:
-            vec = [0] * self.ambient
-            for j, v in r.items():
-                vec[j] = v
-            out.append(tuple(vec))
-        return out
+        return [dense(r, self.ambient) for r in self.rows]
 
     def reduce(self, vec: Sequence[int | Fraction]) -> Row:
         """Residue of vec after eliminating all pivot coordinates."""
@@ -674,24 +574,3 @@ class Subspace:
             and self.pivots == other.pivots
             and self.rows == other.rows
         )
-
-
-# ---------------------------------------------------------------------------
-# multiplication maps between graded pieces
-
-
-def multiply_map(f: LinearForm, n: int, d: int) -> QMatrix:
-    """Matrix of multiplication by f from A_d to A_{d+1} in monomial bases."""
-    src = monomial_basis(n, d)
-    dst = monomial_basis(n, d + 1)
-    idx = _basis_index(n, d + 1, ())
-    rows: list[Row] = [{} for _ in range(len(dst))]
-    for j, e in enumerate(src.exponents):
-        for i, c in enumerate(f.coeffs):
-            if not c:
-                continue
-            e2 = list(e)
-            e2[i] += 1
-            rows[idx[tuple(e2)]][j] = rows[idx[tuple(e2)]].get(j, 0) + c
-    rows = [{j: v for j, v in r.items() if v} for r in rows]
-    return QMatrix(len(dst), len(src), rows)

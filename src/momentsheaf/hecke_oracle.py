@@ -3,8 +3,7 @@
 This is the independent verification path for the sheaf construction: it
 shares no code with the sheaf engine (it imports only the group layer and
 the polynomial value type), and it computes P_{x,w} by the textbook
-induction on l(w) with mu-coefficient corrections, together with the
-R-polynomials used in the self-consistency identities.
+induction on l(w) with mu-coefficient corrections.
 
 Conventions.  For ws < w, v = ws, and c = 1 if xs < x (else 0):
 
@@ -14,14 +13,12 @@ Conventions.  For ws < w, v = ws, and c = 1 if xs < x (else 0):
 
 where mu(z,v) is the coefficient of q^((l(v)-l(z)-1)/2) in P_{z,v}.  The
 sum runs over a memoized list of the z < v with mu(z,v) != 0, not over all
-of W (du Cloux, Exp. Math. 2002).  R-polynomials follow the matching
-recursion R_{x,w} = R_{xs,v} when xs < x, and (q-1) R_{x,v} + q R_{xs,v}
-otherwise.
+of W (du Cloux, Exp. Math. 2002).
 """
 
 from __future__ import annotations
 
-from .coxeter import WeylElement, WeylGroup, bruhat_leq, longest_element, parabolic_subgroup
+from .coxeter import WeylElement, WeylGroup, bruhat_leq, is_minimal_rep, longest_element, parabolic_subgroup
 from .errors import ValidationError
 from .klpoly import KLPolynomial, poincare_csv
 
@@ -67,15 +64,12 @@ def _pshift(a: IntPoly, k: int) -> IntPoly:
 
 
 class KLTable:
-    """Memoized Kazhdan-Lusztig and R polynomials for one Weyl group."""
+    """Memoized Kazhdan-Lusztig polynomials for one Weyl group."""
 
     def __init__(self, W: WeylGroup):
         self.W = W
         self._p: dict[tuple[int, int], IntPoly] = {}
         self._mu: dict[int, list[tuple[int, int]]] = {}
-        self._r: dict[tuple[int, int], IntPoly] = {}
-
-    # -- P ---------------------------------------------------------------
 
     def p(self, x: int, w: int) -> IntPoly:
         """P_{x,w} as a coefficient tuple (zero if x is not below w)."""
@@ -123,29 +117,6 @@ class KLTable:
         i = (gap - 1) // 2
         return p[i] if i < len(p) else 0
 
-    # -- R ---------------------------------------------------------------
-
-    def r(self, x: int, w: int) -> IntPoly:
-        """R_{x,w} as a coefficient tuple."""
-        if x == w:
-            return _ONE
-        W = self.W
-        if W.length(x) >= W.length(w) or not bruhat_leq(W, x, w):
-            return _ZERO
-        key = (x, w)
-        hit = self._r.get(key)
-        if hit is not None:
-            return hit
-        s = W.right_descents(w)[0]
-        v = W.rmult(w, s)
-        xs = W.rmult(x, s)
-        if W.length(xs) < W.length(x):
-            out = self.r(xs, v)
-        else:
-            out = _padd(_pmul((-1, 1), self.r(x, v)), _pshift(self.r(xs, v), 1))
-        self._r[key] = out
-        return out
-
 
 def _table(W: WeylGroup) -> KLTable:
     table = getattr(W, "_kl_table", None)
@@ -164,13 +135,6 @@ def kl_polynomial(W: WeylGroup, x: WeylElement | int, w: WeylElement | int) -> K
     return KLPolynomial(_table(W).p(i, j))
 
 
-def r_polynomial(W: WeylGroup, x: WeylElement | int, w: WeylElement | int) -> IntPoly:
-    """R_{x,w} (coefficients may be negative, so this stays a raw tuple)."""
-    i = x.index if isinstance(x, WeylElement) else x
-    j = w.index if isinstance(w, WeylElement) else w
-    return _table(W).r(i, j)
-
-
 def parabolic_kl(
     W: WeylGroup,
     J: tuple[int, ...],
@@ -181,9 +145,8 @@ def parabolic_kl(
     i = x.index if isinstance(x, WeylElement) else x
     j = w.index if isinstance(w, WeylElement) else w
     for idx, name in ((i, "x"), (j, "w")):
-        for s in sorted(set(J)):
-            if W.length(W.rmult(idx, s)) < W.length(idx):
-                raise ValidationError(f"{name} is not a minimal coset representative")
+        if not is_minimal_rep(W, idx, J):
+            raise ValidationError(f"{name} is not a minimal coset representative")
     if not bruhat_leq(W, i, j):
         raise ValidationError("parabolic_kl requires x <= w")
     w0j = longest_element(W, parabolic_subgroup(W, J))

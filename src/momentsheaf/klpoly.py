@@ -36,10 +36,6 @@ class KLPolynomial:
         object.__setattr__(self, "coeffs", trimmed)
 
     @classmethod
-    def one(cls) -> "KLPolynomial":
-        return cls((1,))
-
-    @classmethod
     def from_degree_counts(cls, degrees: Sequence[int]) -> "KLPolynomial":
         """Generating polynomial of a multiset of degrees."""
         if not degrees:

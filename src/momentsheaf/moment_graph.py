@@ -316,8 +316,11 @@ def interval(g: MomentGraph, x: int, y: int) -> Subgraph:
 
 
 def _h_edges(g: MomentGraph, h: Subspace) -> list[int]:
-    """The edges whose direction lies in h.  Directions are normalized, so
-    each distinct one is tested against h once."""
+    """The edges whose direction lies in h: all of them when h is the whole
+    of t*.  Directions are normalized, so each distinct one is tested
+    against a smaller h once."""
+    if h.dim == g.dim_t:
+        return list(range(len(g.edges)))
     inside: dict[Direction, bool] = {}
     out = []
     for k, e in enumerate(g.edges):
@@ -372,7 +375,6 @@ class PlanarSlice:
     basis: tuple[Direction, Direction]
     subgraph: Subgraph  # the punctured H-subgraph above x
     up_edges: tuple[int, ...]  # U_x edges with direction in H
-    edge_count: int  # edges of the punctured H-subgraph, up edges included
 
 
 def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
@@ -409,7 +411,7 @@ def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
         if len(sub.edges) <= 1:
             continue
         up = tuple(k for k in sub.edges if k in up_x)
-        out.append(PlanarSlice(key, sub, up, len(sub.edges)))
+        out.append(PlanarSlice(key, sub, up))
     return out
 
 

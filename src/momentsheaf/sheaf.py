@@ -56,11 +56,11 @@ from .exactalg import (
     MonomialBasis,
     Poly,
     QMatrix,
-    QuotientBasis,
     Row,
     Subspace,
     Vector,
     _row_axpy,
+    dense,
     edge_ring,
     forward_eliminate,
     graded_dim,
@@ -80,6 +80,7 @@ from .klpoly import KLPolynomial, poincare_csv
 from .moment_graph import (
     MomentGraph,
     Subgraph,
+    _h_edges,
     above_punctured,
     planar_family,
     up_edges,
@@ -115,7 +116,7 @@ class EdgeModule:
     """Edge data: a free module over the edge ring A_L."""
 
     module: GradedFreeModule
-    quotient: QuotientBasis
+    quotient: LinearQuotient
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,9 @@ class GammaSheaf:
 
     def piece_dim(self, kind: str, idx: int, d: int) -> int:
         gens, ring = self.piece(kind, idx)
-        m = self.n if ring is None else self.n - ring.codim
-        return sum(graded_dim(m, d - g) for g in gens)
+        if ring is None:
+            return sum(graded_dim(self.n, d - g) for g in gens)
+        return sum(ring.dim(d - g) for g in gens)
 
 
 def _blocks(n: int, piece: Piece, d: int) -> list[MonomialBasis]:
@@ -323,9 +325,6 @@ class SectionSpace:
     def dim(self, d: int) -> int:
         return len(self.bases[d])
 
-    def dims(self) -> list[int]:
-        return [len(self.bases[d]) for d in sorted(self.bases)]
-
     def subspace(self, d: int) -> Subspace:
         return Subspace(self.layouts[d].total, self.bases[d])
 
@@ -398,26 +397,14 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
             }
             for k in sub.edges:
                 e = g.edges[k]
-                em = sheaf.edge_modules[k]
-                egens = em.module.gens
+                ring = sheaf.edge_modules[k].quotient
                 expected = values.get(("e", k))
                 sides = []
                 for v in (e.lower, e.upper):
-                    if v not in vset:
-                        continue
-                    rho = sheaf.rho[(v, k)]
-                    vval = values[("v", v)]
-                    out = []
-                    for j in range(len(egens)):
-                        acc: Poly = {}
-                        for i, p in enumerate(vval):
-                            if rho.entries[j][i] and p:
-                                acc = poly_add(
-                                    acc,
-                                    poly_mul(rho.entries[j][i], em.quotient.reduce(p)),
-                                )
-                        out.append(acc)
-                    sides.append(tuple(out))
+                    if v in vset:
+                        reduced = [ring.reduce(p) for p in values[("v", v)]]
+                        rows = sheaf.rho[(v, k)].entries
+                        sides.append(tuple(_poly_dot(row, reduced) for row in rows))
                 if expected is not None:
                     sides.append(expected)
                 for other in sides[1:]:
@@ -468,7 +455,7 @@ def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     return SectionSpace(target, layouts, bases)
 
 
-# (dim_t, generator degrees, edge form or None for A, degree) -> per
+# (dim_t, generator degrees, edge ring or None for A, degree) -> per
 # variable, the columns of multiplication by that variable
 _SPAN_MATRICES: dict[tuple, list[list[Row]]] = {}
 
@@ -493,7 +480,7 @@ def _degree_span(
     blocks = []
     for pos, comp in enumerate(src.components):
         gens, ring = sheaf.piece(*comp)
-        key = (n, gens, None if ring is None else ring.alpha, d)
+        key = (n, gens, ring, d)
         if key not in _SPAN_MATRICES:
             per_var = []
             for var in range(n):
@@ -537,14 +524,7 @@ def projective_cover(
     for d in range(d_max + 1):
         total = image.layouts[d].total
         old = _degree_span(sheaf, full, d)
-        residues = []
-        for v in image.bases[d]:
-            r = old.reduce(v)
-            if r:
-                dense = [0] * total
-                for j, c in r.items():
-                    dense[j] = c
-                residues.append(tuple(dense))
+        residues = [dense(r, total) for r in map(old.reduce, image.bases[d]) if r]
         reps = Subspace(total, residues).basis_vectors()
         full.bases[d] = old.basis_vectors() + reps
         for rep in reps:
@@ -846,27 +826,12 @@ def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 
 
 def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
-    rho = sheaf.rho[(v, k)]
     rank = sheaf.vertex_modules[v].rank
-    one = poly_const(sheaf.n, 1)
-    for j in range(rank):
-        for i in range(rank):
-            expected = one if i == j else {}
-            if rho.entries[j][i] != expected:
-                raise ValidationError(
-                    "transport requires quotient (identity) restriction maps "
-                    "on upper incidences; found a non-identity map"
-                )
-
-
-def _v_allowed_edges(sheaf: GammaSheaf, span: Subspace) -> set[int]:
-    if span.dim == sheaf.graph.dim_t:
-        return set(range(len(sheaf.graph.edges)))
-    return {
-        k
-        for k, e in enumerate(sheaf.graph.edges)
-        if span.contains(e.direction)
-    }
+    if sheaf.rho[(v, k)].entries != _identity_rho(rank, sheaf.n).entries:
+        raise ValidationError(
+            "transport requires quotient (identity) restriction maps "
+            "on upper incidences; found a non-identity map"
+        )
 
 
 def _increasing_paths(
@@ -897,10 +862,7 @@ def _transport_entries(
     """Entries (over A_V) of the composite transport M_start -> M_end along
     an increasing path; inverts the identity upper restrictions."""
     rank = sheaf.vertex_modules[start].rank
-    one = poly_const(sheaf.n, 1)
-    entries: list[list[Poly]] = [
-        [one if i == j else {} for i in range(rank)] for j in range(rank)
-    ]
+    entries = [list(row) for row in _identity_rho(rank, sheaf.n).entries]
     v = start
     for k in path:
         e = sheaf.graph.edges[k]
@@ -941,11 +903,6 @@ class VPathTransport:
     path_independent: bool
     truncated: bool
 
-    def degree_matrix(self, sheaf: GammaSheaf, d: int) -> QMatrix:
-        src = (sheaf.vertex_modules[self.x].gens, self.quotient)
-        dst = (sheaf.vertex_modules[self.y].gens, self.quotient)
-        return degree_matrix(sheaf.n, self.entries, src, dst, d)
-
 
 def vpath_map(
     sheaf: GammaSheaf,
@@ -980,7 +937,7 @@ def _vpath_transport(
     cap: int,
 ) -> VPathTransport:
     g = sheaf.graph
-    allowed = _v_allowed_edges(sheaf, span)
+    allowed = set(_h_edges(g, span))
     paths, truncated = _increasing_paths(g, x, y, allowed, cap)
     if not paths:
         raise ValidationError(
@@ -1041,7 +998,7 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
             k1, k2 = up[a], up[b]
             span = Subspace(g.dim_t, [g.edges[k1].direction, g.edges[k2].direction])
             quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
-            allowed = _v_allowed_edges(sheaf, span)
+            allowed = set(_h_edges(g, span))
             starts = {
                 k1: g.edges[k1].upper,
                 k2: g.edges[k2].upper,
@@ -1094,13 +1051,18 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
                             _row_axpy(row, 1, other_m.rows[r], off2)
                             if row:
                                 rows_by_degree[d].append(row)
+    return _cut_out(target, layouts, rows_by_degree)
 
-    bases = {}
-    for d in range(d_max + 1):
-        layout = layouts[d]
-        bases[d] = kernel_basis(
-            QMatrix(len(rows_by_degree[d]), layout.total, rows_by_degree[d])
-        )
+
+def _cut_out(
+    target: Subgraph, layouts: dict[int, Layout], rows_by_degree: dict[int, list[Row]]
+) -> SectionSpace:
+    """The subspace of the target's product on which, in each degree, every
+    relation row vanishes."""
+    bases = {
+        d: kernel_basis(QMatrix(len(rows), layouts[d].total, rows))
+        for d, rows in rows_by_degree.items()
+    }
     return SectionSpace(target, layouts, bases)
 
 
@@ -1138,13 +1100,7 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
                 rows_by_degree[d].append(
                     {to_full[col]: val for col, val in functional.items()}
                 )
-    bases = {}
-    for d in range(d_max + 1):
-        layout = layouts[d]
-        bases[d] = kernel_basis(
-            QMatrix(len(rows_by_degree[d]), layout.total, rows_by_degree[d])
-        )
-    return SectionSpace(target, layouts, bases)
+    return _cut_out(target, layouts, rows_by_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -1229,79 +1185,6 @@ def verify_pure(
                 )
                 break
     return PurityReport(not violations, violations)
-
-
-# ---------------------------------------------------------------------------
-# rigidity
-
-
-def rigidity_check(sheaf: GammaSheaf) -> bool:
-    """True when the only graded sheaf endomorphism commuting with every
-    restriction and vanishing on the top stalk is zero, i.e. endomorphisms
-    fixing the top stalk are exactly the identity.
-
-    The identity always solves the commutation system, so rigidity is the
-    triviality of the homogeneous solution space with the top block pinned
-    to zero.
-    """
-    g = sheaf.graph
-    top = g.unique_maximal()
-
-    unknowns: list[tuple[str, int, int, int, tuple[int, ...]]] = []
-    index: dict[tuple[str, int, int, int, tuple[int, ...]], int] = {}
-
-    def entry_monomials(kind: str, idx: int, j: int, i: int) -> tuple[tuple[int, ...], ...]:
-        # the monomials of degree gens[i] - gens[j]: block j in degree gens[i]
-        gens, _ = sheaf.piece(kind, idx)
-        return sheaf.blocks(kind, idx, gens[i])[j].exponents
-
-    def add_unknowns(kind: str, idx: int, rank: int) -> None:
-        for j in range(rank):
-            for i in range(rank):
-                for mono in entry_monomials(kind, idx, j, i):
-                    key = (kind, idx, j, i, mono)
-                    index[key] = len(unknowns)
-                    unknowns.append(key)
-
-    for v in range(g.n_vertices):
-        if v != top:
-            add_unknowns("v", v, sheaf.vertex_modules[v].rank)
-    for k in range(len(g.edges)):
-        add_unknowns("e", k, sheaf.edge_modules[k].module.rank)
-
-    rows: list[Row] = []
-    for (v, k), rho in sorted(sheaf.rho.items()):
-        em = sheaf.edge_modules[k]
-        nv = sheaf.vertex_modules[v].rank
-        ne = em.module.rank
-        # commutation row, entry (j, i): sum_t rho[j][t] phi_v[t][i]
-        #                              - sum_s phi_e[j][s] rho[s][i] = 0
-        for j in range(ne):
-            for i in range(nv):
-                sym: dict[tuple[int, ...], Row] = {}
-
-                def accumulate(p: Poly, kind: str, idx: int, jj: int, ii: int,
-                               sign: int) -> None:
-                    if kind == "v" and idx == top:
-                        return  # pinned to zero
-                    for mono in entry_monomials(kind, idx, jj, ii):
-                        u = index[(kind, idx, jj, ii, mono)]
-                        term = em.quotient.reduce(poly_mul(p, {mono: 1}))
-                        # each unknown occurs once per entry equation, so
-                        # its coefficients are stored, never accumulated
-                        for m2, c in term.items():
-                            sym.setdefault(m2, {})[u] = sign * c
-
-                for t in range(nv):
-                    if rho.entries[j][t]:
-                        accumulate(rho.entries[j][t], "v", v, t, i, 1)
-                for s in range(ne):
-                    if rho.entries[s][i]:
-                        accumulate(rho.entries[s][i], "e", k, j, s, -1)
-                rows.extend(sym[mono] for mono in sorted(sym))
-
-    m = QMatrix(len(rows), len(unknowns), rows)
-    return len(kernel_basis(m)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ class SheafLab:
         return self._groups[key]
 
     def element(self, family, rank, word):
+        """The element of a word such as "2132", "e" or "longest"."""
         W = self.group(family, rank)
         if word == "longest":
             return W.longest
-        return W.element_of_word([int(c) for c in word])
+        return W.element_of_word([] if word == "e" else [int(c) for c in word])
 
     def graph(self, family, rank, word="longest", J=()):
         key = (family, rank, word, tuple(J))

@@ -12,7 +12,6 @@ from momentsheaf.cli import main as cli_main
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps
 from momentsheaf.exactalg import graded_dim
 from momentsheaf.hecke_oracle import _padd, _pshift, kl_polynomial, parabolic_kl
-from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.sheaf import (
     GammaSheaf,
     GradedFreeModule,
@@ -27,6 +26,7 @@ from momentsheaf.sheaf import (
     verify_pure,
 )
 from momentsheaf.moment_graph import finite_two_orbit_test
+from helpers import KL_ONE, section_dims
 
 # criterion-3 graph battery: the longest word in each group, plus five fixed
 # non-maximal words (including s2 s1 s3 s2 in A3)
@@ -62,23 +62,17 @@ def oracle_for(lab, family, rank, word, J=()):
     return W, w
 
 
-def vertex_element(lab, family, rank, label):
-    if label == "e":
-        return lab.group(family, rank).identity
-    return lab.element(family, rank, label)
-
-
 def test_criterion_1_sl3_smoke(lab):
     start = time.monotonic()
     g = lab.graph("A", 2)
     sheaf = lab.sheaf("A", 2)
     stalks_trivial = all(
-        stalk_poincare(sheaf, v) == KLPolynomial.one() for v in range(g.n_vertices)
+        stalk_poincare(sheaf, v) == KL_ONE for v in range(g.n_vertices)
     )
     # at s the boundary module is A/(V_L V_L'): its degreewise dimensions
     # are those of a quotient by one degree-2 form, dim A_d - dim A_{d-2}
     expected = [graded_dim(2, d) - graded_dim(2, d - 2) for d in range(3)]
-    dims = boundary_image(sheaf, g.vertex("1"), 2).dims()
+    dims = section_dims(boundary_image(sheaf, g.vertex("1"), 2))
     elapsed = time.monotonic() - start
     verdict(
         1,
@@ -113,7 +107,7 @@ def test_criterion_3_oracle_equivalence(lab):
         g = lab.graph(family, rank, word)
         sheaf = lab.sheaf(family, rank, word)
         for v in range(g.n_vertices):
-            x = vertex_element(lab, family, rank, g.labels[v])
+            x = lab.element(family, rank, g.labels[v])
             checked += 1
             if stalk_poincare(sheaf, v) != kl_polynomial(W, x, w):
                 ok = False
@@ -135,7 +129,7 @@ def test_criterion_4_parabolic(lab):
         sheaf = lab.sheaf("A", 3, "longest", J=J)
         top = max(minimal_coset_reps(W, J), key=lambda r: r.length)
         for v in range(g.n_vertices):
-            x = vertex_element(lab, "A", 3, g.labels[v])
+            x = lab.element("A", 3, g.labels[v])
             if stalk_poincare(sheaf, v) != parabolic_kl(W, J, x, top):
                 ok = False
             if not finite_two_orbit_test(g, v):

@@ -15,7 +15,7 @@ def test_b3_q_squared_interval(lab):
     sheaf = lab.sheaf("B", 3, "321323", extra_degree_check=True)
     assert stalk_poincare(sheaf, g.vertex("e")) == KLPolynomial((1, 0, 1))
     for v in range(g.n_vertices):
-        x = W.identity if g.labels[v] == "e" else lab.element("B", 3, g.labels[v])
+        x = lab.element("B", 3, g.labels[v])
         assert stalk_poincare(sheaf, v) == kl_polynomial(W, x, w)
     assert verify_pure(sheaf).ok
 
@@ -42,7 +42,7 @@ def test_b3_three_term_stalk(lab):
     sheaf = lab.sheaf("B", 3, "2132132")
     assert stalk_poincare(sheaf, g.vertex("e")) == KLPolynomial((1, 1, 1))
     for v in range(g.n_vertices):
-        x = W.identity if g.labels[v] == "e" else lab.element("B", 3, g.labels[v])
+        x = lab.element("B", 3, g.labels[v])
         assert stalk_poincare(sheaf, v) == kl_polynomial(W, x, w)
 
 
@@ -58,5 +58,5 @@ def test_c3_same_kl_different_geometry(lab):
     sheaf = lab.sheaf("C", 3, "321323")
     assert str(stalk_poincare(sheaf, g.vertex("e"))) == "1+q^2"
     for v in range(g.n_vertices):
-        x = W.identity if g.labels[v] == "e" else lab.element("C", 3, g.labels[v])
+        x = lab.element("C", 3, g.labels[v])
         assert stalk_poincare(sheaf, v) == kl_polynomial(W, x, w)

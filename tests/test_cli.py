@@ -207,11 +207,26 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert message in err
 
 
-def test_parse_args_type_with_separate_rank():
-    config = parse_args(["kl", "--type", "D", "--rank", "4"])
+def test_parse_args_bare_family_letter_needs_a_rank(capsys):
+    config = parse_args(["kl", "--type", "D4"])
     assert (config.family, config.rank) == ("D", 4)
     with pytest.raises(ValidationError):
         parse_args(["kl", "--type", "D"])
+    code, out, err = run_cli(["kl", "--type", "D"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --type 'D' needs a rank, such as D4\n"
+    # --type carries the rank; a separate --rank is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["kl", "--type", "A2", "--rank", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,flag", [("sheaf", "--out"), ("graph", "--dot")])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
+    missing = tmp_path / "missing" / "x"
+    code, _, err = run_cli([command, "--type", "A1", flag, str(missing)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}: ") and err.count("\n") == 1
 
 
 def test_verify_detects_mismatch_on_loaded_graph(tmp_path, capsys):

@@ -33,10 +33,7 @@ def test_stalk_table_diffable_against_oracle_table(lab):
         g = lab.graph(family, rank, word)
         sheaf_csv = stalk_table_csv(lab.sheaf(family, rank, word))
         w = lab.element(family, rank, word)
-        vertices = [
-            W.identity if lbl == "e" else lab.element(family, rank, lbl)
-            for lbl in g.labels
-        ]
+        vertices = [lab.element(family, rank, lbl) for lbl in g.labels]
         assert kl_table_csv(W, w, vertices) == sheaf_csv
 
 

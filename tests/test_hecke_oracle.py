@@ -13,15 +13,15 @@ from momentsheaf.hecke_oracle import (
     _psub,
     kl_polynomial,
     parabolic_kl,
-    r_polynomial,
 )
 from momentsheaf.klpoly import KLPolynomial
+from helpers import KL_ONE, identity, r_polynomial
 
 
 def test_kl_diagonal_is_one():
     W = weyl_group("B", 2)
     for w in W.elements:
-        assert kl_polynomial(W, w, w) == KLPolynomial.one()
+        assert kl_polynomial(W, w, w) == KL_ONE
 
 
 def test_kl_requires_comparability():
@@ -37,14 +37,14 @@ def test_a2_all_trivial():
     for x in W.elements:
         for w in W.elements:
             if bruhat_leq(W, x, w):
-                assert kl_polynomial(W, x, w) == KLPolynomial.one()
+                assert kl_polynomial(W, x, w) == KL_ONE
 
 
 def test_a3_known_nontrivial_value():
     W = weyl_group("A", 3)
     w = W.element_of_word([2, 1, 3, 2])
     assert w.length == 4
-    assert kl_polynomial(W, W.identity, w) == KLPolynomial((1, 1))
+    assert kl_polynomial(W, identity(W), w) == KLPolynomial((1, 1))
 
 
 def test_kl_degree_bound_and_constant_term():
@@ -137,16 +137,16 @@ def test_parabolic_kl_basic():
     reps = minimal_coset_reps(W, J)
     top = max(reps, key=lambda r: r.length)
     for x in reps:
-        assert parabolic_kl(W, J, x, x) == KLPolynomial.one()
+        assert parabolic_kl(W, J, x, x) == KL_ONE
         # the full quotient graph is smooth projective (all stalks trivial)
         if bruhat_leq(W, x, top):
-            assert parabolic_kl(W, J, x, top) == KLPolynomial.one()
+            assert parabolic_kl(W, J, x, top) == KL_ONE
 
 
 def test_parabolic_kl_reduces_to_kl_at_empty_j():
     W = weyl_group("A", 3)
     w = W.element_of_word([2, 1, 3, 2])
-    assert parabolic_kl(W, (), W.identity, w) == kl_polynomial(W, W.identity, w)
+    assert parabolic_kl(W, (), identity(W), w) == kl_polynomial(W, identity(W), w)
 
 
 def test_parabolic_kl_singular_grassmannian_point():
@@ -155,7 +155,7 @@ def test_parabolic_kl_singular_grassmannian_point():
     W = weyl_group("A", 3)
     J = (1, 3)
     w = W.element_of_word([1, 3, 2])
-    assert parabolic_kl(W, J, W.identity, w) == KLPolynomial((1, 1))
+    assert parabolic_kl(W, J, identity(W), w) == KLPolynomial((1, 1))
 
 
 def test_parabolic_kl_rejects_non_minimal():

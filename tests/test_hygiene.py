@@ -1,18 +1,20 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no function, class or method of the package goes unreferenced.
+every function, class and method of the package is reachable from what runs
+it, and every name the benchmark imports from the package exists.
 
 No linter is a dependency, so this walks each module's syntax tree with the
 standard library.  A name counts as used when it occurs as a Name node
 anywhere in the module (an attribute chain such as json.dumps roots in one);
 names listed in __all__ are re-exports, and `annotations` is the
-__future__ feature.  A definition counts as referenced when its name occurs
-as a Name, as an attribute, or as a part of a dotted-identifier string in
-the package, the tests or perfbench.
+__future__ feature.  Reachability is a static walk described at
+`unreachable`; the tests are no root of it, so a definition that only tests
+call belongs under tests/.
 """
 
 import ast
-import re
+import importlib.util
 from functools import lru_cache
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -61,73 +63,129 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# -- dead definitions -------------------------------------------------------
+# -- unreachable definitions ---------------------------------------------------
 
-ROOT = SRC.parent.parent
-DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
-
-
-def definitions(source: str) -> list[str]:
-    """Top-level functions and classes, and every non-dunder method of a
-    top-level class as Class.method."""
-    out = []
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            out += [
-                f"{node.name}.{item.name}"
-                for item in node.body
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not (item.name.startswith("__") and item.name.endswith("__"))
-            ]
-    return out
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
-def references(source: str) -> set[str]:
-    """Names read as a Name or an attribute, and the parts of every string
-    constant that is a dotted identifier (tables such as perfbench's SPANS
-    name the functions they patch)."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if DOTTED.fullmatch(node.value):
-                out.update(node.value.split("."))
-    return out
+def unreachable(modules: dict[str, str], entry: str, external: list[str]) -> list[str]:
+    """The definitions of a package, given as {module: source}, that a static
+    walk misses.  A definition is a top-level function or class (module.name)
+    or a non-dunder method (module.Class.method); a class reads its bases,
+    decorators, class-level statements and dunder methods.
 
+    The walk starts at entry, at the names in __all__, at module-level
+    statements (they run on import), and at what the external sources take
+    from the package: the names they import and the attributes they read.
+    String constants are no roots.  A name read in a module resolves to its
+    definition there or, through `from .module import name`, elsewhere; an
+    attribute, whose owner a static walk cannot know, to every definition
+    of that name.
+    """
+    defs, imports, exported = {}, {}, []
+    roots = [(None, ast.parse(s)) for s in external]
+    for mod, source in modules.items():
+        tree = ast.parse(source)
+        exported += [(mod, name) for name in _exported(tree)]
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports.update({(mod, a.asname or a.name): (node.module, a.name) for a in node.names})
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = (mod, [node])
+            elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.decorator_list]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defs[f"{mod}.{node.name}.{item.name}"] = (mod, [item])
+                    else:
+                        own.append(item)
+                defs[f"{mod}.{node.name}"] = (mod, own)
+            else:
+                roots.append((mod, node))
+    by_attr = {}
+    for key in defs:
+        by_attr.setdefault(key.rsplit(".", 1)[1], []).append(key)
 
-def dead_definitions(defining: str, referencing: list[str]) -> list[str]:
-    used = set().union(*map(references, referencing))
-    return [name for name in definitions(defining) if name.split(".")[-1] not in used]
+    def resolve(mod, name):
+        while (mod, name) in imports:
+            mod, name = imports[mod, name]
+        return [f"{mod}.{name}"] if f"{mod}.{name}" in defs else []
 
-
-@lru_cache(maxsize=None)
-def _all_sources() -> tuple[str, ...]:
-    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    return tuple(p.read_text(encoding="utf-8") for p in paths)
+    todo = [entry, *(key for mod, name in exported for key in resolve(mod, name))]
+    seen = set()
+    while todo or roots:
+        if todo:
+            key = todo.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            mod, nodes = defs[key]
+        else:
+            mod, node = roots.pop()
+            nodes = [node]
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Attribute):
+                todo += by_attr.get(node.attr, [])
+            elif isinstance(node, ast.Name) and mod:
+                todo += resolve(mod, node.id)
+            elif isinstance(node, ast.ImportFrom) and not mod:
+                package, _, sub = (node.module or "").partition(".")
+                if package == "momentsheaf":
+                    todo += [k for a in node.names for k in resolve(sub or "__init__", a.name)]
+    return sorted(set(defs) - seen)
 
 
 def test_the_guard_finds_a_dead_definition():
-    defining = (
-        "class Kept:\n"
-        "    def used(self): ...\n"
-        "    def patched(self): ...\n"
-        "    def unused(self): ...\n"
-        "    def __repr__(self): ...\n"
-        "def helper(): ...\n"
-        "def orphan(): ...\n"
+    modules = {
+        "__init__": "from .util import exported\n__all__ = ['exported']\n",
+        "cli": "from .util import helper\ndef main():\n    return helper().used()\n",
+        "util": (
+            "class Kept:\n    def used(self): ...\n    def benched(self): ...\n"
+            "    def tested(self): ...\n    def __repr__(self): ...\n"
+            "def helper():\n    return Kept()\n"
+            "def exported(): ...\ndef imported(): ...\ndef tested_only(): ...\n"
+        ),
+    }
+    bench = (
+        "from momentsheaf.util import imported\nprint(thing.benched)\n"
+        "SPANS = [('util', 'tested_only', 'util.tested_only')]\n"
     )
-    referencing = [
-        "helper(Kept().used)\n",
-        "SPANS = [('mod', 'Kept.patched', 'mod.patched')]\n",
-    ]
-    assert dead_definitions(defining, referencing) == ["Kept.unused", "orphan"]
+    # a test that calls Kept().tested and tested_only is no root
+    assert unreachable(modules, "cli.main", [bench]) == ["util.Kept.tested", "util.tested_only"]
+
+
+@lru_cache(maxsize=None)
+def _unreachable_in_src() -> tuple[str, ...]:
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    return tuple(unreachable(modules, "cli.main", bench))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_dead_definitions(path):
-    assert dead_definitions(path.read_text(encoding="utf-8"), list(_all_sources())) == []
+    assert [k for k in _unreachable_in_src() if k.split(".")[0] == path.stem] == []
+
+
+def test_perfbench_imports_resolve():
+    imported = [
+        (node.module, alias.name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("momentsheaf.")
+        for alias in node.names
+    ]
+    assert imported
+    assert [f"{m}.{n}" for m, n in imported if not hasattr(import_module(m), n)] == []
+
+
+def test_tracer_resolves_its_names():
+    """Every name the tracer patches resolves but the two retired ones."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer("hygiene")
+    t.install()
+    t.uninstall()
+    assert t.errors == ["no sheaf.select to trace", "no sheaf.image_basis to trace"]

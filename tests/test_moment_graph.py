@@ -197,7 +197,7 @@ def test_planar_family_a2_single_plane():
     assert len(fam) == 1
     slice_ = fam[0]
     assert set(slice_.subgraph.vertices) == {i for i in range(6) if g.labels[i] != "e"}
-    assert slice_.edge_count == 9  # six above the bottom vertex plus its three up edges
+    assert len(slice_.subgraph.edges) == 9  # six above the bottom vertex plus its three up edges
 
 
 def test_planar_family_a3_rank2_subsystems():
@@ -216,7 +216,7 @@ def test_planar_family_a3_rank2_subsystems():
         if h.dim == 2:
             keys.add(tuple(primitive_integer(v) for v in h.basis_vectors()))
     assert {s.basis for s in fam} <= keys
-    assert all(s.edge_count > 1 for s in fam)
+    assert all(len(s.subgraph.edges) > 1 for s in fam)
 
 
 def test_finite_two_orbit():
