@@ -35,6 +35,7 @@ from .sheaf import (
     GammaSheaf,
     boundary_image,
     canonical_sheaf,
+    certified_images,
     degree_bounds,
     global_hilbert,
     monotonicity_check,
@@ -321,15 +322,28 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         record("monotonicity (transport surjective)", mono_ok)
         record("monotonicity (KL coefficientwise)", ineq_ok)
 
-    # the direct solver's boundary image at every vertex with up edges, to
-    # the degree purity reads; without --max-degree (a Schubert graph) one
-    # degree more, which the planar check reads.  That check is proven only
-    # for graphs of projective origin, so a loaded graph skips it.
+    # the image T of the sections over {>x} at every vertex with up edges,
+    # to the degree purity reads; without --max-degree (a Schubert graph)
+    # one degree more, which the planar check reads.  On a Schubert graph
+    # the planar image P comes first: with S' the span of the sweep's
+    # witnessed generator boundaries, S' <= T <= P, and certified_images
+    # returns T = S' wherever the dimensions meet.  Every other vertex
+    # falls back to the direct solver, boundary_image.  The planar check is
+    # proven only for graphs of projective origin, and T < P can happen on
+    # a loaded graph, so there no P is computed and every vertex falls back.
     extra = int(config.max_degree is None)
-    images = {
-        x: boundary_image(sheaf, x, bound + extra)
+    probes = {
+        x: bound + extra
         for x, bound in enumerate(degree_bounds(g, config.max_degree))
         if g.up[x]
+    }
+    planar = {}
+    if g.schubert_origin:
+        planar = {x: planar_image(sheaf, x, probe) for x, probe in probes.items()}
+    certified = certified_images(sheaf, planar)
+    images = {
+        x: certified[x] if x in certified else boundary_image(sheaf, x, probe)
+        for x, probe in probes.items()
     }
 
     purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images)
@@ -341,13 +355,11 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
 
     planar_check = "planar image equals sections image"
     if g.schubert_origin:
-        planar_ok = True
-        for x, bi in images.items():
-            bound = max(bi.bases)
-            pl = planar_image(sheaf, x, bound)
-            for d in range(bound + 1):
-                if bi.subspace(d) != pl.subspace(d):
-                    planar_ok = False
+        planar_ok = all(
+            images[x].subspace(d) == pl.subspace(d)
+            for x, pl in planar.items()
+            for d in pl.layouts
+        )
         record(planar_check, planar_ok)
     else:
         report_lines.append(

@@ -45,10 +45,6 @@ class KLPolynomial:
             coeffs[d] += 1
         return cls(tuple(coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 

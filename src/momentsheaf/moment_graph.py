@@ -22,10 +22,10 @@ the x-component of the edges with direction in a 2-plane, with its up edges).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Iterable, NamedTuple
 
@@ -536,8 +536,40 @@ def load_graph(doc: dict) -> MomentGraph:
     )
 
 
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    it out when the array opens on a line indented by pad."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(pad + "  " + item for item in items) + "\n" + pad + "]"
+
+
 def save_graph_json(g: MomentGraph) -> str:
-    return json.dumps(save_graph(g), indent=2, sort_keys=True) + "\n"
+    """save_graph's document, byte for byte as json.dumps(doc, indent=2,
+    sort_keys=True) writes it.  Each element of the fixed schema is laid
+    out inline, and only the string leaves go through json's (C) encoder;
+    a direction has dim_t > 0 entries, so it is never the empty array."""
+    doc = save_graph(g)
+    q = encode_basestring_ascii
+    edges = [
+        '{\n      "direction": [\n        ' + ",\n        ".join(map(q, e["direction"]))
+        + '\n      ],\n      "lower": ' + q(e["lower"])
+        + ',\n      "upper": ' + q(e["upper"]) + "\n    }"
+        for e in doc["edges"]
+    ]
+    covers = [
+        "[\n        " + q(a) + ",\n        " + q(b) + "\n      ]"
+        for a, b in doc["order"]["covers"]
+    ]
+    vertices = [
+        '{\n      "id": ' + q(v["id"]) + ',\n      "rank": ' + str(v["rank"]) + "\n    }"
+        for v in doc["vertices"]
+    ]
+    return (
+        f'{{\n  "dim_t": {doc["dim_t"]},\n  "edges": {_json_array(edges, "  ")},\n'
+        f'  "order": {{\n    "covers": {_json_array(covers, "    ")}\n  }},\n'
+        f'  "vertices": {_json_array(vertices, "  ")}\n}}\n'
+    )
 
 
 def to_dot(g: MomentGraph) -> str:

@@ -22,12 +22,17 @@ On a Schubert graph, global_hilbert reads the global sections off the same
 sweep: Gamma is free, so its Hilbert series modulo t* counts the generator
 degrees of every ker rho_x, replayed over the finished sheaf.
 
-boundary_image solves the sections over the punctured upper set of a vertex
-directly, eliminating only the vertex unknowns.  It is the independent
-checker: verify_pure compares every stalk image with it, and planar_image
-reads each plane's relations from the same elimination.  direct_hilbert,
-the whole-graph solve, gives global_hilbert on loaded graphs and is the
-reference the tests compare the sweep against.
+verify_pure compares every stalk image S with T, the image of the sections
+over the punctured upper set {>x}, and verify reads T without trusting the
+sweep's linear algebra.  certified_images replays the sweep and checks every
+generator on the star of each vertex by substitution (_restrict).  With S'
+the span of the generators' boundaries at x and P the planar image,
+S' <= T <= P; where their dimensions meet, T = S' = P, and verify reads S'.
+boundary_image is the fallback: it solves the sections over {>x} directly,
+eliminating only the vertex unknowns, and planar_image reads each plane's
+relations from the same elimination.  direct_hilbert, the whole-graph
+solve, gives global_hilbert on loaded graphs and is the reference the tests
+compare the sweep against.
 
 Every vertex or edge carries one piece, (generator degrees, ring), the ring
 None for A or the edge ring; GammaSheaf.piece is the one place that choice
@@ -397,20 +402,37 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
             }
             for k in sub.edges:
                 e = g.edges[k]
-                ring = sheaf.edge_modules[k].quotient
-                expected = values.get(("e", k))
-                sides = []
-                for v in (e.lower, e.upper):
-                    if v in vset:
-                        reduced = [ring.reduce(p) for p in values[("v", v)]]
-                        rows = sheaf.rho[(v, k)].entries
-                        sides.append(tuple(_poly_dot(row, reduced) for row in rows))
-                if expected is not None:
-                    sides.append(expected)
-                for other in sides[1:]:
-                    if other != sides[0]:
-                        return False
+                sides = [
+                    _restrict(sheaf, v, k, values[("v", v)])
+                    for v in (e.lower, e.upper)
+                    if v in vset
+                ]
+                if ("e", k) in values:
+                    sides.append(values[("e", k)])
+                if any(other != sides[0] for other in sides[1:]):
+                    return False
     return True
+
+
+def _restrict(sheaf: GammaSheaf, v: int, k: int, value: Sequence[Poly]) -> tuple[Poly, ...]:
+    """rho_{v,k} of a value at v (one polynomial per stalk generator, an
+    empty value being zero), by substitution: each polynomial is reduced
+    into the edge ring monomial by monomial (reduce_monomial, memoized on
+    the ring) and multiplied into the entries, which are normal forms, so
+    the result is one too."""
+    ring = sheaf.edge_modules[k].quotient
+    reduced = []
+    for p in value:
+        acc: Poly = {}
+        for mono, c in p.items():
+            for e, r in ring.reduce_monomial(mono).items():
+                s = acc.get(e, 0) + c * r
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        reduced.append(acc)
+    return tuple(_poly_dot(row, reduced) for row in sheaf.rho[(v, k)].entries)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +601,9 @@ class _SectionSweep:
 
     A generator is (degree, {vertex: one polynomial per stalk generator});
     a vertex left out carries zero.  Only degrees up to d_max are kept, and
-    a vertex's values are forgotten once every vertex below it along an
-    edge is built, since no later boundary reads them.
+    forget(x), called after extend(x), drops a vertex's values once every
+    vertex below it along an edge is built, since no later boundary reads
+    them.
 
     The canonical sheaf is flabby on upper sets, so Gamma(J) maps onto the
     sections over {>x} and the boundary image at x is the A-span of the
@@ -687,6 +710,13 @@ class _SectionSweep:
         ker_degrees, ker_gens = projective_cover(sheaf, ker_rho, self.d_max)
         for d, vec in ker_gens:
             self.gens.append((d, {x: split(sheaf.blocks("v", x, d), vec)}))
+        return ker_degrees
+
+    def forget(self, x: int) -> None:
+        """After extend(x): forget the values at x and at its upper
+        neighbours once every vertex below them along an edge is built, and
+        drop the generators left with no value."""
+        g = self.sheaf.graph
         uppers = [g.edges[k].upper for k in g.up[x]]
         for y in uppers:
             self.pending[y] -= 1
@@ -695,7 +725,6 @@ class _SectionSweep:
             for v in done:
                 values.pop(v, None)
         self.gens = [gen for gen in self.gens if gen[1]]
-        return ker_degrees
 
 
 def canonical_sheaf(
@@ -740,6 +769,7 @@ def canonical_sheaf(
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
         _install_lift_rho(sheaf, x, lifts, image.layouts)
         sweep.extend(x)
+        sweep.forget(x)
     if g.schubert_origin:
         for v in range(g.n_vertices):
             if sum(1 for d in sheaf.vertex_modules[v].gens if d == 0) != 1:
@@ -807,6 +837,7 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     for x in sweep_order(g, top):
         for d in sweep.extend(x):
             dims[d] += 1
+        sweep.forget(x)
     return dims
 
 
@@ -1101,6 +1132,100 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
                     {to_full[col]: val for col, val in functional.items()}
                 )
     return _cut_out(target, layouts, rows_by_degree)
+
+
+# ---------------------------------------------------------------------------
+# certified sections image
+
+
+def certified_images(
+    sheaf: GammaSheaf, planar: dict[int, SectionSpace]
+) -> dict[int, SectionSpace]:
+    """The image T of the sections over {>x} at each vertex x of planar,
+    which maps x to its planar image P in the degrees wanted, wherever a
+    certificate proves it; the vertices left out need boundary_image.
+
+    Right after the replayed sweep's extend(x), every generator is checked
+    on the star of x by substitution: rho_{x,k} of its value at x equals
+    rho_{u,k} of its value at the upper end u, for every up edge k.  Each
+    value is set once, so these checks cover every edge of J, and every
+    generator is a section over J; its restriction to {>x} witnesses that
+    its boundary lies in T.  So S' <= T, and T <= P since each plane slice
+    is a subgraph of {>x} with the same up edges.  Where dim S' = dim P in
+    every degree, S' = T = P.  The planar theorem of Braden-MacPherson makes
+    the dimensions meet on Schubert graphs, so the speed rests on it and
+    soundness never does.  A failed star check, or a ConsistencyError in
+    the replay, ends the certificate there.
+    """
+    if not planar:
+        return {}
+    g = sheaf.graph
+    top = g.unique_maximal()
+    sweep = _SectionSweep(sheaf, top, max(max(p.layouts) for p in planar.values()))
+    out = {}
+    for x in sweep_order(g, top):
+        try:
+            sweep.extend(x)
+        except ConsistencyError:
+            return out
+        ups = dangling_edges(g, up_edges(g, x))
+        boundaries = []
+        for dg, values in sweep.gens:
+            boundary = _section_boundary(sheaf, ups, values)
+            if not _lift_holds(sheaf, x, ups, values, boundary):
+                return out
+            if any(boundary):
+                boundaries.append((dg, boundary))
+        image = _witnessed_image(sheaf, planar[x], boundaries) if x in planar else None
+        if image is not None:
+            out[x] = image
+        sweep.forget(x)
+    return out
+
+
+def _section_boundary(
+    sheaf: GammaSheaf, ups: list[int], values: dict[int, tuple[Poly, ...]]
+) -> tuple[Poly, ...]:
+    """A section's boundary: rho_{u,k} of its value at the upper end u of
+    each up edge k in ups, laid end to end."""
+    ends = (sheaf.graph.edges[k].upper for k in ups)
+    return tuple(
+        p for k, u in zip(ups, ends) for p in _restrict(sheaf, u, k, values.get(u, ()))
+    )
+
+
+def _lift_holds(
+    sheaf: GammaSheaf,
+    x: int,
+    ups: list[int],
+    values: dict[int, tuple[Poly, ...]],
+    boundary: tuple[Poly, ...],
+) -> bool:
+    """Whether rho_{x,k} of the value at x equals the boundary on every up
+    edge k in ups, i.e. every incidence of the star of x holds."""
+    value = values.get(x, ())
+    return tuple(p for k in ups for p in _restrict(sheaf, x, k, value)) == boundary
+
+
+def _witnessed_image(
+    sheaf: GammaSheaf, planar: SectionSpace, boundaries: list[tuple[int, tuple[Poly, ...]]]
+) -> SectionSpace | None:
+    """S', the A-span of the (degree, boundary) pairs, in the degrees of
+    the planar image P, built as t* . S'_{d-1} plus the degree-d
+    boundaries; None unless dim S'_d = dim P_d in every degree."""
+    span = SectionSpace(planar.subgraph, planar.layouts, {})
+    for d, layout in sorted(planar.layouts.items()):
+        blocks = [b for _, k in layout.components for b in sheaf.blocks("e", k, d)]
+        new = [
+            tuple(c for p, basis in zip(boundary, blocks) for c in poly_to_coeffs(basis, p))
+            for dg, boundary in boundaries
+            if dg == d
+        ]
+        image = Subspace(layout.total, _degree_span(sheaf, span, d).basis_vectors() + new)
+        if image.dim != planar.dim(d):
+            return None
+        span.bases[d] = image.basis_vectors()
+    return span
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,11 @@ from momentsheaf.sheaf import GammaSheaf, SectionSpace, VPathTransport, degree_m
 KL_ONE = KLPolynomial((1,))
 
 
+def kl_degree(p: KLPolynomial) -> int:
+    """The degree in q of a KL polynomial (-1 for zero)."""
+    return len(p.coeffs) - 1
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(

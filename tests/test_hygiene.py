@@ -9,6 +9,12 @@ names listed in __all__ are re-exports, and `annotations` is the
 __future__ feature.  Reachability is a static walk described at
 `unreachable`; the tests are no root of it, so a definition that only tests
 call belongs under tests/.
+
+Attribute reads resolve by name, since a static walk cannot know the owner:
+a method that only tests call survives when some other class has a field or
+method of the same name that the program reads.  MomentGraph.vertex is such
+a known survivor: only tests call it, and cli's read of PurityViolation's
+vertex field keeps it.
 """
 
 import ast

@@ -247,6 +247,27 @@ def test_save_graph_json_stable():
     assert save_graph_json(g) == save_graph_json(g)
 
 
+def test_save_graph_json_writes_the_bytes_of_json_dumps():
+    """The schema-specific writer matches json.dumps(indent=2, sort_keys=True)
+    on Schubert graphs, on a graph with no edges and on labels that need
+    escaping."""
+    graphs = [full_flag_graph(f, r)[1] for f, r in (("A", 1), ("A", 3), ("B", 3), ("G", 2))]
+    W = weyl_group("B", 3)
+    top = max(minimal_coset_reps(W, (1,)), key=lambda r: r.length)
+    graphs.append(schubert_moment_graph(W, top, (1,)))
+    graphs.append(load_graph({
+        "dim_t": 2,
+        "vertices": [{"id": 'a"\\\u00e9', "rank": 0}, {"id": "b\n\u2603", "rank": 1}],
+        "order": {"covers": [['a"\\\u00e9', "b\n\u2603"]]},
+        "edges": [{"lower": 'a"\\\u00e9', "upper": "b\n\u2603", "direction": ["1/2", "-3"]}],
+    }))
+    graphs.append(load_graph({
+        "dim_t": 1, "vertices": [{"id": "x"}], "order": {"covers": []}, "edges": [],
+    }))
+    for g in graphs:
+        assert save_graph_json(g) == json.dumps(save_graph(g), indent=2, sort_keys=True) + "\n"
+
+
 def test_random_document_roundtrip():
     import random
     from fractions import Fraction
