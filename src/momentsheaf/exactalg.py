@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 # Dense vector over Q.
@@ -157,18 +158,11 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def poly_scale(p: Poly, c: int | Fraction) -> Poly:
-    c = exact(c)
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             v = out.get(e, 0) + c1 * c2
             if v:
                 out[e] = v
@@ -292,30 +286,17 @@ class LinearQuotient:
         return self._subst_powers[key]
 
     def reduce(self, p: Poly) -> Poly:
-        """Normal form of p modulo the span of the defining linear forms."""
-        for pivot in self.pivots:
-            out: Poly = {}
-            for e, c in p.items():
-                k = e[pivot]
-                if k == 0:
-                    v = out.get(e, 0) + c
-                    if v:
-                        out[e] = v
-                    else:
-                        out.pop(e, None)
-                    continue
-                base = list(e)
-                base[pivot] = 0
-                term = poly_scale(self._power(pivot, k), c)
-                for e2, c2 in term.items():
-                    e3 = tuple(a + b for a, b in zip(base, e2))
-                    v = out.get(e3, 0) + c2
-                    if v:
-                        out[e3] = v
-                    else:
-                        out.pop(e3, None)
-            p = out
-        return p
+        """Normal form of p modulo the span of the defining linear forms: in
+        each monomial every pivot power x_p^k becomes the k-th power of the
+        substitution of x_p, which is pivot-free."""
+        out: Poly = {}
+        for e, c in p.items():
+            term: Poly = {tuple(0 if i in self._subst else k for i, k in enumerate(e)): c}
+            for pivot in self.pivots:
+                if e[pivot]:
+                    term = poly_mul(term, self._power(pivot, e[pivot]))
+            out = poly_add(out, term)
+        return out
 
     def reduce_monomial(self, mono: tuple[int, ...]) -> Poly:
         """Normal form of one monomial, memoized on the quotient.  The
@@ -374,6 +355,11 @@ def dense(row: Row, n: int) -> Vector:
     return tuple(vec)
 
 
+def sparse(vec: Sequence[int | Fraction]) -> Row:
+    """A vector as a sparse row."""
+    return {j: v for j, v in enumerate(vec) if v}
+
+
 def _row_axpy(target: Row, factor: int | Fraction, source: Row, offset: int = 0) -> None:
     """target -= factor * source, with source's columns shifted by offset,
     dropping created zeros."""
@@ -397,9 +383,12 @@ def _content_reduce(row: dict[int, int]) -> dict[int, int]:
 
 def _row_step(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, int]:
     """row with its entry at col cleared against piv, whose pivot is at col:
-    piv[col] * row - row[col] * piv, content-reduced; empty when zero."""
+    (pv/g) * row - (rc/g) * piv for pv = piv[col], rc = row[col] and
+    g = gcd(pv, rc) > 0, content-reduced; empty when zero."""
     rc, pv = row[col], piv[col]
-    new = {c: v * pv for c, v in row.items()}
+    g = gcd(rc, pv)
+    rc, pv = rc // g, pv // g
+    new = dict(row) if pv == 1 else {c: v * pv for c, v in row.items()}
     for c, v in piv.items():
         nv = new.get(c, 0) - rc * v
         if nv:
@@ -435,9 +424,10 @@ def forward_eliminate(
     rows the sparsest (Markowitz-style, ties by insertion order) becomes the
     pivot, and every other row is eliminated against it and filed under its
     new, larger leading column.  Elimination runs on integer rows by
-    cross-multiplication with gcd content reduction, which keeps entry
-    growth and per-step cost down on the larger graded pieces.  Leftover
-    rows keep their insertion order.
+    cross-multiplication scaled by the gcd of the two leading entries (a
+    pivot of 1 costs a plain subtraction) and content reduction, which keeps
+    entry growth and per-step cost down on the larger graded pieces.
+    Leftover rows keep their insertion order.
     """
     work: list[dict[int, int] | None] = [r for r in map(_int_row, rows) if r]
     buckets: dict[int, list[int]] = {}
@@ -545,8 +535,7 @@ class Subspace:
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence[int | Fraction]] = ()):
         self.ambient = ambient
-        rows = [{j: v for j, v in enumerate(vec) if v} for vec in vectors]
-        self.pivots, self.rows = rref(rows, ambient)
+        self.pivots, self.rows = rref(map(sparse, vectors), ambient)
 
     @property
     def dim(self) -> int:
@@ -557,7 +546,7 @@ class Subspace:
 
     def reduce(self, vec: Sequence[int | Fraction]) -> Row:
         """Residue of vec after eliminating all pivot coordinates."""
-        residue: Row = {j: v for j, v in enumerate(vec) if v}
+        residue = sparse(vec)
         for p, r in zip(self.pivots, self.rows):
             if p in residue:
                 _row_axpy(residue, residue[p], r)

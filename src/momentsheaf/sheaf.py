@@ -15,8 +15,9 @@ the canonical sheaf is flabby on upper sets; the vertex module is the
 projective cover of that image.  One elimination per degree then lifts
 every generator to x and adds the generators of ker rho_x.  Generator lifts
 are the reduced-echelon coset representatives of the image modulo the span
-of (degree-one) times (image one degree lower), which makes two runs
-produce identical generator degrees and identical rho matrices.
+of (degree-one) times (image one degree lower), found on integer rows,
+which makes two runs produce identical generator degrees and identical rho
+matrices.
 
 On a Schubert graph, global_hilbert reads the global sections off the same
 sweep: Gamma is free, so its Hilbert series modulo t* counts the generator
@@ -64,7 +65,9 @@ from .exactalg import (
     Row,
     Subspace,
     Vector,
+    _int_row,
     _row_axpy,
+    _row_step,
     dense,
     edge_ring,
     forward_eliminate,
@@ -80,6 +83,7 @@ from .exactalg import (
     poly_str,
     poly_to_coeffs,
     rref,
+    sparse,
 )
 from .klpoly import KLPolynomial, poincare_csv
 from .moment_graph import (
@@ -151,18 +155,18 @@ class GammaSheaf:
 
     canonical marks the canonical sheaf itself, as canonical_sheaf builds
     it; structure_sheaf leaves it unset.  The degree-d rho matrices are
-    cached per sheaf; the edge rings (edge_ring) and the t*-span matrices of
-    _degree_span depend on no sheaf and are shared by every sheaf in the
-    process."""
+    cached per sheaf with what they were built from; the edge rings
+    (edge_ring) and the t*-span matrices of _degree_span depend on no sheaf
+    and are shared by every sheaf in the process."""
 
     graph: MomentGraph
     vertex_modules: dict[int, GradedFreeModule] = field(default_factory=dict)
     edge_modules: dict[int, EdgeModule] = field(default_factory=dict)
     rho: dict[tuple[int, int], RhoMap] = field(default_factory=dict)
     canonical: bool = False
-    _rho_matrix_cache: dict[tuple[int, int, int], QMatrix] = field(
-        default_factory=dict, repr=False
-    )
+    _rho_matrix_cache: dict[
+        tuple[int, int, int], tuple[RhoMap, Piece, Piece, QMatrix]
+    ] = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -280,38 +284,35 @@ def degree_matrix(
     so no second reduction runs.
     """
     dst_ring = dst[1]
-    dst_bases = _blocks(n, dst, d)
-    nrows = sum(len(b) for b in dst_bases)
+    # per target block, the row of each of its monomials
+    where: list[dict[tuple[int, ...], int]] = []
+    nrows = 0
+    for tgt in _blocks(n, dst, d):
+        where.append({e: nrows + pos for pos, e in enumerate(tgt.exponents)})
+        nrows += len(tgt)
     rows: list[Row] = [{} for _ in range(nrows)]
     col = 0
     for i, src_basis in enumerate(_blocks(n, src, d)):
         for mono in src_basis.exponents:
-            if dst_ring is None:
-                reduced: Poly = {mono: 1}
-            else:
-                reduced = dst_ring.reduce_monomial(mono)
-            roff = 0
-            for j, tgt in enumerate(dst_bases):
+            reduced = {mono: 1} if dst_ring is None else dst_ring.reduce_monomial(mono)
+            for j, row_of in enumerate(where):
                 entry = entries[j][i]
                 if entry and reduced:
-                    prod = poly_mul(entry, reduced)
-                    for pos, c in enumerate(poly_to_coeffs(tgt, prod)):
-                        if c:
-                            rows[roff + pos][col] = c
-                roff += len(tgt)
+                    for e, c in poly_mul(entry, reduced).items():
+                        rows[row_of[e]][col] = c
             col += 1
     return QMatrix(nrows, col, rows)
 
 
 def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
-    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases."""
-    key = (v, e, d)
-    m = sheaf._rho_matrix_cache.get(key)
-    if m is None:
-        m = degree_matrix(
-            sheaf.n, sheaf.rho[(v, e)].entries, sheaf.piece("v", v), sheaf.piece("e", e), d
-        )
-        sheaf._rho_matrix_cache[key] = m
+    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases; cached
+    while sheaf.rho[(v, e)] and both pieces are those it was built from."""
+    rho, src, dst = sheaf.rho[(v, e)], sheaf.piece("v", v), sheaf.piece("e", e)
+    hit = sheaf._rho_matrix_cache.get((v, e, d))
+    if hit is not None and hit[0] is rho and hit[1] == src and hit[2] == dst:
+        return hit[3]
+    m = degree_matrix(sheaf.n, rho.entries, src, dst, d)
+    sheaf._rho_matrix_cache[(v, e, d)] = (rho, src, dst, m)
     return m
 
 
@@ -417,22 +418,25 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
 def _restrict(sheaf: GammaSheaf, v: int, k: int, value: Sequence[Poly]) -> tuple[Poly, ...]:
     """rho_{v,k} of a value at v (one polynomial per stalk generator, an
     empty value being zero), by substitution: each polynomial is reduced
-    into the edge ring monomial by monomial (reduce_monomial, memoized on
-    the ring) and multiplied into the entries, which are normal forms, so
-    the result is one too."""
+    into the edge ring (_normal_form) and multiplied into the entries, which
+    are normal forms, so the result is one too."""
     ring = sheaf.edge_modules[k].quotient
-    reduced = []
-    for p in value:
-        acc: Poly = {}
-        for mono, c in p.items():
-            for e, r in ring.reduce_monomial(mono).items():
-                s = acc.get(e, 0) + c * r
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        reduced.append(acc)
+    reduced = [_normal_form(ring, p) for p in value]
     return tuple(_poly_dot(row, reduced) for row in sheaf.rho[(v, k)].entries)
+
+
+def _normal_form(ring: LinearQuotient, p: Poly) -> Poly:
+    """ring.reduce(p), summed from reduce_monomial, which is memoized on the
+    ring."""
+    acc: Poly = {}
+    for mono, c in p.items():
+        for e, r in ring.reduce_monomial(mono).items():
+            s = acc.get(e, 0) + c * r
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -478,28 +482,27 @@ def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
 
 
 # (dim_t, generator degrees, edge ring or None for A, degree) -> per
-# variable, the columns of multiplication by that variable
-_SPAN_MATRICES: dict[tuple, list[list[Row]]] = {}
+# source coordinate, the column of multiplication by each variable
+_SPAN_MATRICES: dict[tuple, list[tuple[Row, ...]]] = {}
 
 
 def _degree_span(
-    sheaf: GammaSheaf, space: SectionSpace, d: int
-) -> Subspace:
-    """Span of t* times the degree-(d-1) basis inside the degree-d piece.
+    sheaf: GammaSheaf, layouts: dict[int, Layout], lower: Sequence[Row], d: int
+) -> list[Row]:
+    """The nonzero rows x_var . v in layouts[d], for every variable and
+    every sparse row v of lower in layouts[d - 1]: they span t* . lower.
 
     Multiplication by x_var is the degree-d matrix of the map from gens g+1
     to gens g with x_var on the diagonal, one per module type, variable and
     degree.  It depends on no sheaf, so it is cached for the process in
     _SPAN_MATRICES; the key carries dim_t, since a vertex block names no
-    direction.  It is applied column by column, skipping zero coordinates.
+    direction.  Integer rows times integer matrices give integer rows.
     """
-    lower = space.bases.get(d - 1, [])
-    dst = space.layouts[d]
     if not lower:
-        return Subspace(dst.total, [])
-    src = space.layouts[d - 1]
+        return []
+    src, dst = layouts[d - 1], layouts[d]
     n = sheaf.n
-    blocks = []
+    columns: list[tuple[int, tuple[Row, ...]]] = []
     for pos, comp in enumerate(src.components):
         gens, ring = sheaf.piece(*comp)
         key = (n, gens, ring, d)
@@ -513,20 +516,17 @@ def _degree_span(
                 shifted = [g + 1 for g in gens]
                 m = degree_matrix(n, entries, (shifted, ring), (gens, ring), d)
                 per_var.append(m.transpose().rows)
-            _SPAN_MATRICES[key] = per_var
-        blocks.append((src.offsets[pos], dst.offsets[pos], _SPAN_MATRICES[key]))
-    vecs = []
+            _SPAN_MATRICES[key] = list(zip(*per_var))
+        columns += ((dst.offsets[pos], cols) for cols in _SPAN_MATRICES[key])
+    out = []
     for v in lower:
-        for var in range(n):
-            out = [0] * dst.total
-            for src_off, dst_off, per_var in blocks:
-                for c, col in enumerate(per_var[var], src_off):
-                    a = v[c]
-                    if a:
-                        for r, val in col.items():
-                            out[dst_off + r] += a * val
-            vecs.append(out)
-    return Subspace(dst.total, vecs)
+        rows: list[Row] = [{} for _ in range(n)]
+        for c, a in v.items():
+            off, cols = columns[c]
+            for row, col in zip(rows, cols):
+                _row_axpy(row, -a, col, off)
+        out += (row for row in rows if row)
+    return out
 
 
 def projective_cover(
@@ -536,22 +536,34 @@ def projective_cover(
 
     image.bases[d] need only span image_d modulo t* . image_{d-1}.  In each
     degree the new generators are the reduced-echelon coset representatives
-    of image_d modulo t* . image_{d-1}, and the span of t* . image_{d-1}
-    together with them is image_d, from which the next degree's span is
-    built.
+    of image_d modulo t* . image_{d-1}.  They are found on integer rows:
+    each vector is reduced fraction-free against the echelon form of the
+    t*-span rows, which leaves a multiple of its residue modulo the RREF of
+    that span, and the RREF of these residues, unique, gives them.  The
+    echelon rows and the representatives span image_d, which is all the
+    next degree reads.
     """
-    full = SectionSpace(image.subgraph, image.layouts, {})
     gen_degrees: list[int] = []
     lifts: list[tuple[int, Vector]] = []
+    lower: list[Row] = []
     for d in range(d_max + 1):
         total = image.layouts[d].total
-        old = _degree_span(sheaf, full, d)
-        residues = [dense(r, total) for r in map(old.reduce, image.bases[d]) if r]
-        reps = Subspace(total, residues).basis_vectors()
-        full.bases[d] = old.basis_vectors() + reps
+        pivots, echelon, _ = forward_eliminate(_degree_span(sheaf, image.layouts, lower, d), total)
+        residues = []
+        for vec in image.bases[d]:
+            r = _int_row(sparse(vec))
+            for col, piv in zip(pivots, echelon):
+                if col in r:
+                    r = _row_step(r, piv, col)
+                    if not r:
+                        break
+            if r:
+                residues.append(r)
+        _, reps = rref(residues, total)
+        lower = echelon + reps
         for rep in reps:
             gen_degrees.append(d)
-            lifts.append((d, rep))
+            lifts.append((d, dense(rep, total)))
     return gen_degrees, lifts
 
 
@@ -622,7 +634,7 @@ class _SectionSweep:
         self._at = -1
         self._target = Subgraph((), ())
         self._layouts: list[Layout] = []
-        self._boundaries: list[list[Vector]] = []
+        self._live: list[list[tuple[dict[int, tuple[Poly, ...]], Vector]]] = []
 
     def _boundary(self, layout: Layout, values: dict[int, tuple[Poly, ...]]) -> Vector:
         """A section's values at the upper ends of the up edges, reduced
@@ -636,34 +648,32 @@ class _SectionSweep:
             ring = sheaf.edge_modules[k].quotient
             for p, basis in zip(value, sheaf.blocks("e", k, layout.degree)):
                 if p:
-                    vec[off : off + len(basis)] = poly_to_coeffs(basis, ring.reduce(p))
+                    vec[off : off + len(basis)] = poly_to_coeffs(basis, _normal_form(ring, p))
                 off += len(basis)
         return tuple(vec)
 
     def _load(self, x: int) -> None:
-        """The up-edge layouts of x and the generator boundaries in every
-        degree up to d_max, read by both image(x) and extend(x)."""
-        target = up_edges(self.sheaf.graph, x)
+        """The up-edge layouts of x and, in every degree up to d_max, the
+        generators whose boundary is not zero, each with its boundary, read
+        by both image(x) and extend(x)."""
         self._at = x
-        self._target = target
-        self._layouts = [
-            section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)
-        ]
-        self._boundaries = [
-            [self._boundary(layout, values) for dg, values in self.gens if dg == d]
-            for d, layout in enumerate(self._layouts)
-        ]
+        self._target = target = up_edges(self.sheaf.graph, x)
+        self._layouts = [section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)]
+        self._live = []
+        for d, layout in enumerate(self._layouts):
+            pairs = [(vals, self._boundary(layout, vals)) for dg, vals in self.gens if dg == d]
+            self._live.append([(vals, b) for vals, b in pairs if any(b)])
 
     def image(self, x: int, probe: int) -> SectionSpace:
         """The boundary image at x in degrees up to probe, given in each
-        degree d by the boundaries of the degree-d generators, which span
-        image_d modulo t* . image_{d-1} (what projective_cover reads)."""
+        degree d by the nonzero boundaries of the degree-d generators, which
+        span image_d modulo t* . image_{d-1} (what projective_cover reads)."""
         self._load(x)
         degrees = range(probe + 1)
         return SectionSpace(
             self._target,
             {d: self._layouts[d] for d in degrees},
-            {d: self._boundaries[d] for d in degrees},
+            {d: [b for _, b in self._live[d]] for d in degrees},
         )
 
     def extend(self, x: int) -> list[int]:
@@ -671,34 +681,35 @@ class _SectionSweep:
         and return the degrees of the generators of ker rho_x it adds.
 
         One elimination per degree on [R_x | -B], R_x the stacked rho_x and
-        B the generator boundaries: each B column is free, and its kernel
-        vector carries the generator's value at x; the free R_x columns give
-        ker rho_x.  A B column that is a pivot means rho_x misses part of
-        the boundary image, which the construction rules out.
+        B the nonzero generator boundaries: each B column is free, and its
+        kernel vector carries the generator's value at x; the free R_x
+        columns give ker rho_x.  A zero boundary would be a zero column,
+        which lifts to zero and changes no other kernel vector.  A B column
+        that is a pivot means rho_x misses part of the boundary image, which
+        the construction rules out.
         """
         if self._at != x:
             self._load(x)
         sheaf, g = self.sheaf, self.sheaf.graph
         kernel_bases: dict[int, list[Vector]] = {}
-        for d, (layout, boundaries) in enumerate(zip(self._layouts, self._boundaries)):
+        for d, (layout, live) in enumerate(zip(self._layouts, self._live)):
             r_x = stacked_rho(sheaf, x, layout)
             ncx = r_x.ncols
             rows = [dict(row) for row in r_x.rows]
-            for j, b in enumerate(boundaries):
+            for j, (_, b) in enumerate(live):
                 for i, c in enumerate(b):
                     if c:
                         rows[i][ncx + j] = -c
-            kernel = kernel_basis(QMatrix(layout.total, ncx + len(boundaries), rows))
+            kernel = kernel_basis(QMatrix(layout.total, ncx + len(live), rows))
             lifts = [v[:ncx] for v in kernel if any(v[ncx:])]
-            if len(lifts) != len(boundaries):
+            if len(lifts) != len(live):
                 raise ConsistencyError(
                     f"the stalk at {g.labels[x]} does not reach the boundary "
                     f"image of the sections above it in degree {d}"
                 )
             kernel_bases[d] = [v[:ncx] for v in kernel if not any(v[ncx:])]
-            lifted = (values for dg, values in self.gens if dg == d)
             blocks = sheaf.blocks("v", x, d)
-            for values, m in zip(lifted, lifts):
+            for (values, _), m in zip(live, lifts):
                 if any(m):
                     values[x] = split(blocks, m)
         point = Subgraph((x,), ())
@@ -842,14 +853,10 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 
 
 def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
-    """global_hilbert by solving the sections over the whole graph and
-    dividing out the t*-span degree by degree; any sheaf, any graph."""
-    secs = sections(sheaf, whole(sheaf.graph), d_max)
-    out = []
-    for d in range(d_max + 1):
-        span = _degree_span(sheaf, secs, d)
-        out.append(len(secs.bases[d]) - span.dim)
-    return out
+    """global_hilbert by solving the sections over the whole graph: the
+    generator degrees of their projective cover; any sheaf, any graph."""
+    gens, _ = projective_cover(sheaf, sections(sheaf, whole(sheaf.graph), d_max), d_max)
+    return [gens.count(d) for d in range(d_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -900,10 +907,7 @@ def _transport_entries(
         if e.lower != v:
             raise ValidationError("path is not increasing from the start vertex")
         _assert_identity_upper(sheaf, e.upper, k)
-        rho = sheaf.rho[(v, k)]
-        step = [
-            [quotient.reduce(p) for p in row] for row in rho.entries
-        ]
+        step = [[_normal_form(quotient, p) for p in row] for row in sheaf.rho[(v, k)].entries]
         entries = [
             [
                 _poly_dot(step_row, [entries[t][i] for t in range(len(entries))])
@@ -1211,20 +1215,21 @@ def _witnessed_image(
     sheaf: GammaSheaf, planar: SectionSpace, boundaries: list[tuple[int, tuple[Poly, ...]]]
 ) -> SectionSpace | None:
     """S', the A-span of the (degree, boundary) pairs, in the degrees of
-    the planar image P, built as t* . S'_{d-1} plus the degree-d
+    the planar image P, built as the RREF of t* . S'_{d-1} plus the degree-d
     boundaries; None unless dim S'_d = dim P_d in every degree."""
     span = SectionSpace(planar.subgraph, planar.layouts, {})
+    lower: list[Row] = []
     for d, layout in sorted(planar.layouts.items()):
         blocks = [b for _, k in layout.components for b in sheaf.blocks("e", k, d)]
         new = [
-            tuple(c for p, basis in zip(boundary, blocks) for c in poly_to_coeffs(basis, p))
+            sparse([c for p, basis in zip(boundary, blocks) for c in poly_to_coeffs(basis, p)])
             for dg, boundary in boundaries
             if dg == d
         ]
-        image = Subspace(layout.total, _degree_span(sheaf, span, d).basis_vectors() + new)
-        if image.dim != planar.dim(d):
+        pivots, lower = rref(_degree_span(sheaf, planar.layouts, lower, d) + new, layout.total)
+        if len(pivots) != planar.dim(d):
             return None
-        span.bases[d] = image.basis_vectors()
+        span.bases[d] = [dense(r, layout.total) for r in lower]
     return span
 
 

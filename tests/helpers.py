@@ -1,7 +1,8 @@
 """Reference helpers that only the tests call: matrix products, simple
 reflections and inversion counts on a Weyl group, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
-as matrices, and small accessors."""
+as matrices, the projective cover by reduction against a Fraction-normalized
+RREF, and small accessors."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from momentsheaf.exactalg import (
     Poly,
     QMatrix,
     Row,
+    Subspace,
     Vector,
     dense,
     exact,
@@ -26,7 +28,13 @@ from momentsheaf.exactalg import (
 )
 from momentsheaf.hecke_oracle import IntPoly, _padd, _pmul, _pshift
 from momentsheaf.klpoly import KLPolynomial
-from momentsheaf.sheaf import GammaSheaf, SectionSpace, VPathTransport, degree_matrix
+from momentsheaf.sheaf import (
+    GammaSheaf,
+    SectionSpace,
+    VPathTransport,
+    _degree_span,
+    degree_matrix,
+)
 
 KL_ONE = KLPolynomial((1,))
 
@@ -120,6 +128,13 @@ def poly_parse(text: str, n: int) -> Poly:
     return out
 
 
+def poly_scale(p: Poly, c: int | Fraction) -> Poly:
+    c = exact(c)
+    if not c:
+        return {}
+    return {e: v * c for e, v in p.items()}
+
+
 def as_poly(f: LinearForm) -> Poly:
     p: Poly = {}
     for i, c in enumerate(f.coeffs):
@@ -181,3 +196,26 @@ def transport_degree_matrix(sheaf: GammaSheaf, t: VPathTransport, d: int) -> QMa
     src = (sheaf.vertex_modules[t.x].gens, t.quotient)
     dst = (sheaf.vertex_modules[t.y].gens, t.quotient)
     return degree_matrix(sheaf.n, t.entries, src, dst, d)
+
+
+def reference_projective_cover(
+    sheaf: GammaSheaf, image: SectionSpace, d_max: int
+) -> tuple[list[int], list[tuple[int, Vector]]]:
+    """sheaf.projective_cover the way it was first written: each degree-d
+    vector is reduced against the Fraction-normalized RREF of
+    t* . image_{d-1} (Subspace.reduce), and the RREF of the nonzero
+    residues gives the coset representatives."""
+    gen_degrees: list[int] = []
+    lifts: list[tuple[int, Vector]] = []
+    lower: list[Row] = []
+    for d in range(d_max + 1):
+        total = image.layouts[d].total
+        span = _degree_span(sheaf, image.layouts, lower, d)
+        old = Subspace(total, [dense(r, total) for r in span])
+        residues = [dense(r, total) for r in map(old.reduce, image.bases[d]) if r]
+        reps = Subspace(total, residues)
+        lower = old.rows + reps.rows
+        for rep in reps.basis_vectors():
+            gen_degrees.append(d)
+            lifts.append((d, rep))
+    return gen_degrees, lifts

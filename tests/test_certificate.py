@@ -16,7 +16,6 @@ import momentsheaf.cli as cli
 import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.cli import main
 from momentsheaf.errors import ConsistencyError
-from momentsheaf.exactalg import poly_scale
 from momentsheaf.sheaf import (
     EdgeModule,
     GradedFreeModule,
@@ -29,6 +28,7 @@ from momentsheaf.sheaf import (
     planar_image,
     sweep_order,
 )
+from helpers import poly_scale
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -101,7 +101,6 @@ def test_a_perturbed_rho_entry_fails_verify(lab, monkeypatch, capsys):
     entries = [list(row) for row in sheaf.rho[(x, k)].entries]
     entries[0][0] = poly_scale(entries[0][0], 2)
     sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
-    sheaf._rho_matrix_cache.clear()
     argv = ["verify", "--type", "A3"]
     code, out, err, _ = _verify(monkeypatch, capsys, argv, sheaf)
     assert code == 1
@@ -124,7 +123,6 @@ def _drop_generator(sheaf, x, i):
         sheaf.rho[(x, k)] = _identity_rho(module.rank, g.dim_t)
         rows = sheaf.rho[(g.edges[k].lower, k)].entries
         sheaf.rho[(g.edges[k].lower, k)] = RhoMap(rows[:i] + rows[i + 1 :])
-    sheaf._rho_matrix_cache.clear()
 
 
 def test_a_dropped_stalk_generator_fails_verify(lab, monkeypatch, capsys):

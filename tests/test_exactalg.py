@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
+import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.exactalg import (
     LinearForm,
     LinearQuotient,
     QMatrix,
     Subspace,
+    _content_reduce,
+    _row_step,
     exact,
     forward_eliminate,
     graded_dim,
@@ -24,8 +28,18 @@ from momentsheaf.exactalg import (
     primitive_integer,
     rref,
 )
-from momentsheaf.moment_graph import load_graph
-from momentsheaf.sheaf import boundary_image, canonical_sheaf, rho_degree_matrix
+from momentsheaf.moment_graph import load_graph, up_edges
+from momentsheaf.sheaf import (
+    _SectionSweep,
+    boundary_image,
+    canonical_sheaf,
+    degree_bounds,
+    rho_degree_matrix,
+    section_layout,
+    split,
+    stacked_rho,
+    sweep_order,
+)
 from helpers import (
     apply,
     as_poly,
@@ -475,3 +489,149 @@ def test_sheaf_scalars_follow_the_convention(lab, name):
             for vecs in boundary_image(sheaf, x, 1).bases.values():
                 for vec in vecs:
                     _exact(vec)
+
+
+# -- the gcd-scaled row step ---------------------------------------------------
+
+
+def _gauss_jordan(rows, ncols):
+    """RREF over Fractions by the textbook column scan: the reference the
+    fraction-free kernel must reproduce."""
+    m = [[Q(r.get(c, 0)) for c in range(ncols)] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        p = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[top], m[p] = m[p], m[top]
+        m[top] = [v / m[top][c] for v in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(c)
+    return pivots, [{c: v for c, v in enumerate(row) if v} for row in m[: len(pivots)]]
+
+
+# the first row of each case is the sparsest with the leading column, so it is
+# the pivot row there: pivots 1, -1, 2, -3 and 6, against rows whose leading
+# entries share a factor with the pivot, are divisible by it, or are coprime
+ROW_STEP_CASES = [
+    [{0: 1, 2: 3}, {0: 5, 1: 2, 2: 1}, {0: -4, 1: 1, 3: 2}, {1: 1, 2: 1, 3: 1}],
+    [{0: -1, 3: 2}, {0: 3, 1: 1, 3: 1}, {0: 2, 1: 5, 2: 1}],
+    [{0: 2, 1: 1}, {0: 4, 1: 1, 2: 1}, {0: 6, 2: 1, 3: 5}, {0: 3, 1: 1, 3: 1}],
+    [{0: -3, 2: 1}, {0: 6, 1: 1, 2: 1}, {0: 9, 1: 2, 3: 1}, {0: 2, 1: 1, 3: 4}],
+    [{0: 6, 1: 1}, {0: 4, 1: 1, 2: 1}, {0: 9, 2: 1, 3: 1}, {0: 12, 1: 1, 3: 1},
+     {0: 5, 1: 1, 2: 1}],
+    [{0: 2, 1: 3}, {0: 4, 1: 6, 2: 1}, {1: -3, 2: 2}, {1: 6, 2: 1, 3: 1}],
+]
+
+
+def _row_step_cases():
+    yield from ((rows, 4) for rows in ROW_STEP_CASES)
+    rng = random.Random(14)
+    for _ in range(80):
+        nc = rng.randint(2, 7)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            lead = rng.randrange(nc)
+            row = {lead: rng.choice([1, -1, 2, -3, 6])}
+            for c in range(lead + 1, nc):
+                if rng.random() < 0.5:
+                    row[c] = rng.choice([1, -1, 2, -2, 3, 4, -6, 9, 12])
+            rows.append({c: v * rng.choice([1, 1, 2, -3]) for c, v in row.items()})
+        yield rows, nc
+
+
+def _primitive(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    return g == 1
+
+
+def test_row_steps_match_gauss_jordan_and_stay_primitive():
+    for rows, nc in _row_step_cases():
+        assert rref(rows, nc) == _gauss_jordan(rows, nc)
+        pivots, echelon, rest = forward_eliminate(rows, nc)
+        assert rest == []
+        for p, r in zip(pivots, echelon):
+            assert min(r) == p and all(type(v) is int for v in r.values())
+            assert _primitive(r)
+
+
+def test_a_row_step_is_the_cross_multiplied_step_divided_by_its_content():
+    rng = random.Random(15)
+    for _ in range(300):
+        piv = {0: rng.choice([1, -1, 2, -3, 6, 4])}
+        if rng.random() < 0.5:
+            row = {0: piv[0] * rng.choice([1, -1, 2, 3])}
+        else:
+            row = {0: rng.choice([-12, -9, -4, -1, 1, 3, 5, 8, 12])}
+        for r in (piv, row):
+            for c in range(1, 5):
+                if rng.random() < 0.6:
+                    r[c] = rng.randint(-9, 9) or 1
+        crossed = {c: piv[0] * row.get(c, 0) - row[0] * piv.get(c, 0) for c in set(row) | set(piv)}
+        crossed = {c: v for c, v in crossed.items() if v}
+        step = _row_step(row, piv, 0)
+        if crossed:
+            assert step == _content_reduce(crossed) and _primitive(step)
+        else:
+            assert step == {}
+
+
+# -- zero boundary columns in the sweep ----------------------------------------
+
+
+def _extend_over_all_columns(sweep, x):
+    """extend(x)'s elimination with a column for every generator, zero
+    boundaries included: per degree, the lifts in generator order, ker rho_x,
+    and the number of zero columns."""
+    sheaf = sweep.sheaf
+    target = up_edges(sheaf.graph, x)
+    lifts, kernels, zeros = {}, {}, 0
+    for d in range(sweep.d_max + 1):
+        layout = section_layout(sheaf, target, d)
+        boundaries = [sweep._boundary(layout, values) for dg, values in sweep.gens if dg == d]
+        zeros += sum(not any(b) for b in boundaries)
+        r_x = stacked_rho(sheaf, x, layout)
+        ncx = r_x.ncols
+        rows = [dict(row) for row in r_x.rows]
+        for j, b in enumerate(boundaries):
+            for i, c in enumerate(b):
+                if c:
+                    rows[i][ncx + j] = -c
+        kernel = kernel_basis(QMatrix(layout.total, ncx + len(boundaries), rows))
+        lifts[d] = [v[:ncx] for v in kernel if any(v[ncx:])]
+        kernels[d] = [v[:ncx] for v in kernel if not any(v[ncx:])]
+    return lifts, kernels, zeros
+
+
+def test_extend_without_zero_columns_matches_the_full_elimination(lab, monkeypatch):
+    sheaf = lab.sheaf("B", 3)
+    g = sheaf.graph
+    top = g.unique_maximal()
+    sweep = _SectionSweep(sheaf, top, max(degree_bounds(g)))
+    covered = []
+    cover = sheaf_mod.projective_cover
+
+    def spy(sh, image, d_max):
+        covered.append(image.bases)
+        return cover(sh, image, d_max)
+
+    monkeypatch.setattr(sheaf_mod, "projective_cover", spy)
+    zeros = 0
+    for x in sweep_order(g, top):
+        lifts, kernels, z = _extend_over_all_columns(sweep, x)
+        zeros += z
+        before = list(sweep.gens)
+        sweep.extend(x)
+        assert covered.pop() == kernels
+        for d, ms in lifts.items():
+            blocks = sheaf.blocks("v", x, d)
+            for (_, values), m in zip([gen for gen in before if gen[0] == d], ms, strict=True):
+                assert values.get(x) == (split(blocks, m) if any(m) else None)
+        sweep.forget(x)
+    assert zeros > 0

@@ -138,3 +138,30 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     assert contains_calls[0] > 0 and over_budget == []
     # one reduction per distinct (direction, monomial) pair
     assert 0 < reduce_calls[0] <= len(pairs)
+
+
+def test_a_b3_build_reduces_each_monomial_once(lab, monkeypatch):
+    """Every LinearQuotient.reduce call of canonical_sheaf(B3) comes from a
+    reduce_monomial miss: no caller reduces a whole polynomial."""
+    _clear_shared_caches()
+    misses, inside, calls, stray = [0], [0], [0], [0]
+    reduce, reduce_monomial = LinearQuotient.reduce, LinearQuotient.reduce_monomial
+
+    def counted_reduce_monomial(self, mono):
+        misses[0] += mono not in self._monomials
+        inside[0] += 1
+        try:
+            return reduce_monomial(self, mono)
+        finally:
+            inside[0] -= 1
+
+    def counted_reduce(self, p):
+        calls[0] += 1
+        stray[0] += not inside[0]
+        return reduce(self, p)
+
+    monkeypatch.setattr(LinearQuotient, "reduce_monomial", counted_reduce_monomial)
+    monkeypatch.setattr(LinearQuotient, "reduce", counted_reduce)
+    canonical_sheaf(lab.graph("B", 3))
+    assert stray[0] == 0
+    assert 0 < calls[0] == misses[0]

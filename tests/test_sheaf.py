@@ -30,6 +30,7 @@ from momentsheaf.sheaf import (
     monotonicity_check,
     planar_image,
     polygon_image,
+    rho_degree_matrix,
     sections,
     sheaf_dump,
     stalk_poincare,
@@ -38,7 +39,7 @@ from momentsheaf.sheaf import (
     verify_pure,
     vpath_map,
 )
-from helpers import KL_ONE, section_dims, transport_degree_matrix
+from helpers import KL_ONE, poly_scale, section_dims, transport_degree_matrix
 
 
 def expected_section_dims(lengths, n, d_max):
@@ -399,6 +400,21 @@ def test_verify_pure_detects_broken_down_edge_quotient(lab):
     report = verify_pure(mutated)
     assert not report.ok
     assert any(v.axiom == 2 and v.vertex == top for v in report.violations)
+
+
+def test_rho_degree_matrix_follows_a_replaced_rho_entry(lab):
+    g = lab.graph("A", 3)
+    sheaf = canonical_sheaf(g)
+    x = next(v for v in range(g.n_vertices) if len(g.up[v]) > 1)
+    k = g.up[x][0]
+    before = rho_degree_matrix(sheaf, x, k, 0)
+    assert rho_degree_matrix(sheaf, x, k, 0) is before  # cached
+    entries = [list(row) for row in sheaf.rho[(x, k)].entries]
+    entries[0][0] = poly_scale(entries[0][0], 2)
+    sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    after = rho_degree_matrix(sheaf, x, k, 0)
+    assert after.rows != before.rows
+    assert after.rows[0][0] == 2 * before.rows[0][0]
 
 
 # -- dump --------------------------------------------------------------------

@@ -12,6 +12,10 @@ global_hilbert reads a Schubert sheaf's global sections off the sweep too;
 it is compared with direct_hilbert, the whole-graph solve, and with the
 Hecke oracle.  boundary_image eliminates only the vertex unknowns; it is
 compared with the kernel-then-project route kept here.
+
+projective_cover reduces on integer echelon rows; it is compared with the
+reduction against a Fraction-normalized RREF (helpers), on drawn image
+bases and at every vertex of canonical builds.
 """
 
 import json
@@ -21,11 +25,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ConsistencyError
-from momentsheaf.exactalg import Subspace
+from momentsheaf.exactalg import Subspace, edge_ring, exact, sparse
 from momentsheaf.hecke_oracle import parabolic_kl
 from momentsheaf.moment_graph import (
+    Subgraph,
     above_punctured,
     load_graph,
     save_graph,
@@ -33,16 +39,25 @@ from momentsheaf.moment_graph import (
     whole,
 )
 from momentsheaf.sheaf import (
+    EdgeModule,
+    GammaSheaf,
+    GradedFreeModule,
+    SectionSpace,
+    _degree_span,
     boundary_image,
     canonical_sheaf,
     check_sections,
     direct_hilbert,
     global_hilbert,
     kl_degree_bound,
+    projective_cover,
+    section_layout,
     sections,
     sheaf_dump,
     verify_pure,
 )
+from helpers import reference_projective_cover
+from test_golden import _generic_a3_doc
 
 
 @lru_cache(maxsize=None)
@@ -163,3 +178,83 @@ def test_boundary_image_equals_kernel_then_project_on_b3(lab):
     sheaf = lab.sheaf("B", 3, "213213")
     top = sheaf.graph.unique_maximal()
     _boundary_images_checked(sheaf, lambda x: kl_degree_bound(sheaf.graph, x, top) + 1)
+
+
+# edge directions of A3 whose pivot (last nonzero) coefficient is 1, -1, 2 or
+# 3, so that the edge rings run on ints or on Fractions
+COVER_DIRECTIONS = [(1, 0, 0), (1, -1, 0), (0, 1, 1), (1, 1, 2), (1, 2, 2), (0, 1, 3), (2, -1, 3)]
+
+
+@lru_cache(maxsize=None)
+def _a3_graph():
+    W = weyl_group("A", 3)
+    return schubert_moment_graph(W, W.longest)
+
+
+@st.composite
+def cover_inputs(draw):
+    """A vertex piece and up to three edge pieces of drawn generator degrees
+    and edge rings on the A3 graph, and image bases of integer or rational
+    vectors, some of them t* times the degree below plus a drawn vector."""
+    g = _a3_graph()
+    gens = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+    sheaf = GammaSheaf(graph=g)
+    ks = draw(st.lists(st.integers(0, len(g.edges) - 1), min_size=1, max_size=3, unique=True))
+    for k in ks:
+        ring = edge_ring(draw(st.sampled_from(COVER_DIRECTIONS)))
+        sheaf.edge_modules[k] = EdgeModule(GradedFreeModule(draw(gens)), ring)
+    vertices = (g.edges[ks[0]].lower,) if draw(st.booleans()) else ()
+    for v in vertices:
+        sheaf.vertex_modules[v] = GradedFreeModule(draw(gens))
+    target = Subgraph(vertices, tuple(ks))
+    d_max = draw(st.integers(0, 3))
+    layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
+    small = st.integers(-3, 3)
+    scalar = (small | st.fractions(-3, 3, max_denominator=3)) if draw(st.booleans()) else small
+    rng = draw(st.randoms(use_true_random=False))
+    bases = {}
+    for d, layout in layouts.items():
+        lower = [sparse(vec) for vec in bases.get(d - 1, [])]
+        span = _degree_span(sheaf, layouts, lower, d)
+        vecs = []
+        for _ in range(draw(st.integers(0, 4))):
+            vec = [draw(scalar) if rng.random() < 0.4 else 0 for _ in range(layout.total)]
+            if span and draw(st.booleans()):
+                row = rng.choice(span)
+                c = draw(scalar)
+                for j, v in row.items():
+                    vec[j] += c * v
+            vecs.append(tuple(map(exact, vec)))
+        bases[d] = vecs
+    return sheaf, SectionSpace(target, layouts, bases), d_max
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cover_inputs())
+def test_integer_cover_matches_the_reference(case):
+    sheaf, image, d_max = case
+    assert projective_cover(sheaf, image, d_max) == reference_projective_cover(sheaf, image, d_max)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "generic-A3"])
+def test_integer_cover_matches_the_reference_at_every_vertex(lab, monkeypatch, name):
+    """Every projective_cover call of a build, the stalks and each ker rho_x,
+    against the reference on the same input."""
+    calls = []
+
+    def checked(sheaf, image, d_max):
+        out = projective_cover(sheaf, image, d_max)
+        assert out == reference_projective_cover(sheaf, image, d_max)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(sheaf_mod, "projective_cover", checked)
+    if name == "generic-A3":
+        g = load_graph(_generic_a3_doc())
+        canonical_sheaf(g, degree_bound=2)
+    else:
+        g = lab.graph(name[0], int(name[1:]))
+        canonical_sheaf(g)
+    # one cover for the stalk and one for ker rho at each vertex below the top
+    assert len(calls) == 2 * (g.n_vertices - 1)
+    assert any(gens for gens, _ in calls)
