@@ -373,11 +373,11 @@ def _row_axpy(target: Row, factor: int | Fraction, source: Row, offset: int = 0)
 
 
 def _content_reduce(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
+    """row divided by the gcd of its entries; row itself when that is 1 or
+    row is empty."""
+    g = gcd(*row.values())
+    if g <= 1:
+        return row
     return {c: v // g for c, v in row.items()}
 
 
@@ -399,6 +399,10 @@ def _row_step(row: dict[int, int], piv: dict[int, int], col: int) -> dict[int, i
 
 
 def _int_row(row: Row) -> dict[int, int]:
+    """row scaled to coprime integers; a row of nonzero ints is only
+    content-reduced, so a primitive one comes back as it is."""
+    if all(type(v) is int and v for v in row.values()):
+        return _content_reduce(row)
     denom = 1
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
@@ -412,22 +416,26 @@ def forward_eliminate(
 ) -> tuple[list[int], list[dict[int, int]], list[dict[int, int]]]:
     """The forward phase of rref over the columns below ncols.
 
-    Returns the pivot columns, the echelon rows (integer, not yet reduced
-    above their pivots) and the rows left over, which have no entry left in
-    any column below ncols.  Columns at or past ncols are carried along but
-    never chosen as pivots, so the leftover rows span the part of the row
-    space that vanishes on the first ncols columns.
+    Returns the pivot columns, the echelon rows (integer, with a positive
+    pivot, not yet reduced above it) and the rows left over, which have no
+    entry left in any column below ncols.  Columns at or past ncols are
+    carried along but never chosen as pivots, so the leftover rows span the
+    part of the row space that vanishes on the first ncols columns.
 
     Rows wait in buckets by leading column (their smallest, if below ncols);
     a heap holds the columns with waiting rows.  Columns are popped in
     increasing order, and only that column's bucket is touched: among its
     rows the sparsest (Markowitz-style, ties by insertion order) becomes the
-    pivot, and every other row is eliminated against it and filed under its
-    new, larger leading column.  Elimination runs on integer rows by
-    cross-multiplication scaled by the gcd of the two leading entries (a
-    pivot of 1 costs a plain subtraction) and content reduction, which keeps
-    entry growth and per-step cost down on the larger graded pieces.
-    Leftover rows keep their insertion order.
+    pivot, negated once if its leading entry is negative, and every other
+    row is eliminated against it and filed under its new, larger leading
+    column.  Elimination runs on integer rows by cross-multiplication scaled
+    by the gcd of the two leading entries (a pivot of 1 costs a plain
+    subtraction) and content reduction, which keeps entry growth and
+    per-step cost down on the larger graded pieces.  Leftover rows keep
+    their insertion order.
+
+    No row passed in is mutated, and the rows returned may be the very
+    objects passed in, so callers must not mutate either.
     """
     work: list[dict[int, int] | None] = [r for r in map(_int_row, rows) if r]
     buckets: dict[int, list[int]] = {}
@@ -444,6 +452,8 @@ def forward_eliminate(
         bucket = buckets.pop(col)
         best = min(bucket, key=lambda i: (len(work[i]), i))
         piv = work[best]
+        if piv[col] < 0:
+            piv = {c: -v for c, v in piv.items()}
         work[best] = None
         for i in bucket:
             if i == best:

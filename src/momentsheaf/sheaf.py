@@ -19,6 +19,14 @@ of (degree-one) times (image one degree lower), found on integer rows,
 which makes two runs produce identical generator degrees and identical rho
 matrices.
 
+Up to the probe degree that lifting elimination keeps only the rows at the
+pivot columns of the cover's echelon basis of the image V_d.  Projecting
+onto those columns is injective on V_d, and every column of the system
+lies in V_d, so the kernel, the lifts and the refusal of a stalk that
+misses part of V_d are those of the full system.  The carried generators
+have integer coefficients: a generator whose lift has denominators is
+scaled by their lcm, which changes no span and so no artifact.
+
 On a Schubert graph, global_hilbert reads the global sections off the same
 sweep: Gamma is free, so its Hilbert series modulo t* counts the generator
 degrees of every ker rho_x, replayed over the finished sheaf.
@@ -53,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import ConsistencyError, ResourceCapError, ValidationError
@@ -531,8 +540,9 @@ def _degree_span(
 
 def projective_cover(
     sheaf: GammaSheaf, image: SectionSpace, d_max: int
-) -> tuple[list[int], list[tuple[int, Vector]]]:
-    """Minimal generators of an image module, with their canonical lifts.
+) -> tuple[list[int], list[tuple[int, Vector]], list[list[int]]]:
+    """Minimal generators of an image module, with their canonical lifts,
+    and per degree the pivot columns of an echelon basis of the image.
 
     image.bases[d] need only span image_d modulo t* . image_{d-1}.  In each
     degree the new generators are the reduced-echelon coset representatives
@@ -542,9 +552,15 @@ def projective_cover(
     that span, and the RREF of these residues, unique, gives them.  The
     echelon rows and the representatives span image_d, which is all the
     next degree reads.
+
+    The residues vanish at every pivot of the echelon rows, so these rows
+    and the representatives lead at distinct columns, dim image_d of them,
+    returned in increasing order: projecting onto those coordinates is
+    injective on image_d.
     """
     gen_degrees: list[int] = []
     lifts: list[tuple[int, Vector]] = []
+    pivot_rows: list[list[int]] = []
     lower: list[Row] = []
     for d in range(d_max + 1):
         total = image.layouts[d].total
@@ -559,12 +575,13 @@ def projective_cover(
                         break
             if r:
                 residues.append(r)
-        _, reps = rref(residues, total)
+        rep_pivots, reps = rref(residues, total)
         lower = echelon + reps
+        pivot_rows.append(sorted(pivots + rep_pivots))
         for rep in reps:
             gen_degrees.append(d)
             lifts.append((d, dense(rep, total)))
-    return gen_degrees, lifts
+    return gen_degrees, lifts, pivot_rows
 
 
 def kl_degree_bound(g: MomentGraph, x: int, top: int) -> int:
@@ -607,6 +624,12 @@ def sweep_order(g: MomentGraph, top: int) -> list[int]:
     )
 
 
+def _integral(vec: Vector) -> tuple[int, list[int]]:
+    """The positive lcm L of the denominators of vec, and L * vec."""
+    scale = lcm(*(c.denominator for c in vec))
+    return scale, [c.numerator * (scale // c.denominator) for c in vec]
+
+
 class _SectionSweep:
     """Generators of Gamma(J), J the upper set of vertices built so far,
     carried down the canonical construction.
@@ -621,6 +644,12 @@ class _SectionSweep:
     sections over {>x} and the boundary image at x is the A-span of the
     boundaries of the generators.  Gamma(J + x) is generated by one lift of
     each old generator together with the generators of ker rho_x.
+
+    Every generator has integer coefficients: a lift with denominators
+    scales its whole generator by their positive lcm, and each ker rho_x
+    generator is scaled the same way.  A nonzero multiple of a generator
+    generates the same module, and everything read off the sweep depends
+    on spans only.
     """
 
     def __init__(self, sheaf: GammaSheaf, top: int, d_max: int):
@@ -635,6 +664,7 @@ class _SectionSweep:
         self._target = Subgraph((), ())
         self._layouts: list[Layout] = []
         self._live: list[list[tuple[dict[int, tuple[Poly, ...]], Vector]]] = []
+        self._pivot_rows: list[list[int]] = []
 
     def _boundary(self, layout: Layout, values: dict[int, tuple[Poly, ...]]) -> Vector:
         """A section's values at the upper ends of the up edges, reduced
@@ -655,7 +685,7 @@ class _SectionSweep:
     def _load(self, x: int) -> None:
         """The up-edge layouts of x and, in every degree up to d_max, the
         generators whose boundary is not zero, each with its boundary, read
-        by both image(x) and extend(x)."""
+        by both cover(x) and extend(x).  No pivot rows are known yet."""
         self._at = x
         self._target = target = up_edges(self.sheaf.graph, x)
         self._layouts = [section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)]
@@ -663,18 +693,25 @@ class _SectionSweep:
         for d, layout in enumerate(self._layouts):
             pairs = [(vals, self._boundary(layout, vals)) for dg, vals in self.gens if dg == d]
             self._live.append([(vals, b) for vals, b in pairs if any(b)])
+        self._pivot_rows = []
 
-    def image(self, x: int, probe: int) -> SectionSpace:
-        """The boundary image at x in degrees up to probe, given in each
-        degree d by the nonzero boundaries of the degree-d generators, which
-        span image_d modulo t* . image_{d-1} (what projective_cover reads)."""
+    def cover(
+        self, x: int, probe: int
+    ) -> tuple[list[int], list[tuple[int, Vector]], dict[int, Layout]]:
+        """The stalk at x: projective_cover of the boundary image in degrees
+        up to probe, returned with the up-edge layouts its lifts are given
+        in.  The image is given in each degree d by the nonzero boundaries
+        of the degree-d generators, which span image_d modulo
+        t* . image_{d-1}.  The cover's pivot rows are kept for extend(x)."""
         self._load(x)
         degrees = range(probe + 1)
-        return SectionSpace(
+        image = SectionSpace(
             self._target,
             {d: self._layouts[d] for d in degrees},
             {d: [b for _, b in self._live[d]] for d in degrees},
         )
+        gens, lifts, self._pivot_rows = projective_cover(self.sheaf, image, probe)
+        return gens, lifts, image.layouts
 
     def extend(self, x: int) -> list[int]:
         """Extend the generators from J to J + x once M_x and rho_x exist,
@@ -687,6 +724,16 @@ class _SectionSweep:
         which lifts to zero and changes no other kernel vector.  A B column
         that is a pivot means rho_x misses part of the boundary image, which
         the construction rules out.
+
+        In the degrees cover(x) read, the elimination keeps only the rows
+        at the cover's pivot columns P.  The image V_d has a basis leading
+        at the distinct columns P, so projecting onto P is injective on
+        V_d.  Every column of R_x lies in V_d, a monomial times a
+        representative, and so does every column of B, a boundary the cover
+        read.  So the rows at P have the same kernel as all rows, hence the
+        same canonical kernel basis, and a boundary outside rho_x(M_x)
+        stays outside on P.  The replays (no cover) and the degrees above
+        the probe eliminate on every row.
         """
         if self._at != x:
             self._load(x)
@@ -695,12 +742,13 @@ class _SectionSweep:
         for d, (layout, live) in enumerate(zip(self._layouts, self._live)):
             r_x = stacked_rho(sheaf, x, layout)
             ncx = r_x.ncols
-            rows = [dict(row) for row in r_x.rows]
+            keep = self._pivot_rows[d] if d < len(self._pivot_rows) else range(layout.total)
+            rows = [dict(r_x.rows[i]) for i in keep]
             for j, (_, b) in enumerate(live):
-                for i, c in enumerate(b):
-                    if c:
-                        rows[i][ncx + j] = -c
-            kernel = kernel_basis(QMatrix(layout.total, ncx + len(live), rows))
+                for row, i in zip(rows, keep):
+                    if b[i]:
+                        row[ncx + j] = -b[i]
+            kernel = kernel_basis(QMatrix(len(rows), ncx + len(live), rows))
             lifts = [v[:ncx] for v in kernel if any(v[ncx:])]
             if len(lifts) != len(live):
                 raise ConsistencyError(
@@ -711,6 +759,10 @@ class _SectionSweep:
             blocks = sheaf.blocks("v", x, d)
             for (values, _), m in zip(live, lifts):
                 if any(m):
+                    scale, m = _integral(m)
+                    if scale > 1:
+                        for v, value in values.items():
+                            values[v] = tuple({e: c * scale for e, c in p.items()} for p in value)
                     values[x] = split(blocks, m)
         point = Subgraph((x,), ())
         ker_rho = SectionSpace(
@@ -718,9 +770,9 @@ class _SectionSweep:
             {d: section_layout(sheaf, point, d) for d in kernel_bases},
             kernel_bases,
         )
-        ker_degrees, ker_gens = projective_cover(sheaf, ker_rho, self.d_max)
+        ker_degrees, ker_gens, _ = projective_cover(sheaf, ker_rho, self.d_max)
         for d, vec in ker_gens:
-            self.gens.append((d, {x: split(sheaf.blocks("v", x, d), vec)}))
+            self.gens.append((d, {x: split(sheaf.blocks("v", x, d), _integral(vec)[1])}))
         return ker_degrees
 
     def forget(self, x: int) -> None:
@@ -771,14 +823,13 @@ def canonical_sheaf(
             sheaf.edge_modules[k] = EdgeModule(upper_module, edge_ring(e.direction))
             sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
         probe = bounds[x] + extra
-        image = sweep.image(x, probe)
-        gens, lifts = projective_cover(sheaf, image, probe)
+        gens, lifts, layouts = sweep.cover(x, probe)
         if extra and any(d == probe for d in gens):
             raise ConsistencyError(
                 f"generator beyond the KL degree bound at vertex {g.labels[x]}"
             )
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
-        _install_lift_rho(sheaf, x, lifts, image.layouts)
+        _install_lift_rho(sheaf, x, lifts, layouts)
         sweep.extend(x)
         sweep.forget(x)
     if g.schubert_origin:
@@ -855,7 +906,7 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     """global_hilbert by solving the sections over the whole graph: the
     generator degrees of their projective cover; any sheaf, any graph."""
-    gens, _ = projective_cover(sheaf, sections(sheaf, whole(sheaf.graph), d_max), d_max)
+    gens = projective_cover(sheaf, sections(sheaf, whole(sheaf.graph), d_max), d_max)[0]
     return [gens.count(d) for d in range(d_max + 1)]
 
 

@@ -135,7 +135,8 @@ def test_forward_eliminate_leaves_rows_past_the_split():
 
 def _column_scan_forward_eliminate(rows, ncols):
     """The forward phase as a plain column scan: every live row is checked
-    for every column.  The reference the bucketed kernel must reproduce."""
+    for every column, and a pivot row that leads with a negative entry is
+    negated.  The reference the bucketed kernel must reproduce."""
     from momentsheaf.exactalg import _content_reduce, _int_row
 
     work = [r for r in map(_int_row, rows) if r]
@@ -148,6 +149,8 @@ def _column_scan_forward_eliminate(rows, ncols):
         if best < 0:
             continue
         piv = work[best]
+        if piv[col] < 0:
+            piv = {c: -v for c, v in piv.items()}
         work[best] = None
         pv = piv[col]
         for i, r in enumerate(work):

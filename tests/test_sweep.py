@@ -16,9 +16,16 @@ compared with the kernel-then-project route kept here.
 projective_cover reduces on integer echelon rows; it is compared with the
 reduction against a Fraction-normalized RREF (helpers), on drawn image
 bases and at every vertex of canonical builds.
+
+In the degrees the cover read, extend(x) solves its lifts on the cover's
+pivot rows only; at every vertex of the kl-battery graphs it is compared
+with a copy of the sweep that eliminates on every row, and a stalk made too
+small is refused there.  The sweep's generators keep integer coefficients.
 """
 
+import copy
 import json
+import re
 from functools import lru_cache
 
 import pytest
@@ -28,7 +35,7 @@ from hypothesis import strategies as st
 import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ConsistencyError
-from momentsheaf.exactalg import Subspace, edge_ring, exact, sparse
+from momentsheaf.exactalg import Subspace, edge_ring, exact, poly_to_coeffs, sparse
 from momentsheaf.hecke_oracle import parabolic_kl
 from momentsheaf.moment_graph import (
     Subgraph,
@@ -42,11 +49,13 @@ from momentsheaf.sheaf import (
     EdgeModule,
     GammaSheaf,
     GradedFreeModule,
+    RhoMap,
     SectionSpace,
     _degree_span,
     boundary_image,
     canonical_sheaf,
     check_sections,
+    degree_bounds,
     direct_hilbert,
     global_hilbert,
     kl_degree_bound,
@@ -54,9 +63,11 @@ from momentsheaf.sheaf import (
     section_layout,
     sections,
     sheaf_dump,
+    stacked_rho,
     verify_pure,
 )
 from helpers import reference_projective_cover
+from test_certificate import _kl_battery_generic_graph
 from test_golden import _generic_a3_doc
 
 
@@ -233,7 +244,7 @@ def cover_inputs(draw):
 @given(cover_inputs())
 def test_integer_cover_matches_the_reference(case):
     sheaf, image, d_max = case
-    assert projective_cover(sheaf, image, d_max) == reference_projective_cover(sheaf, image, d_max)
+    assert projective_cover(sheaf, image, d_max)[:2] == reference_projective_cover(sheaf, image, d_max)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "generic-A3"])
@@ -244,7 +255,7 @@ def test_integer_cover_matches_the_reference_at_every_vertex(lab, monkeypatch, n
 
     def checked(sheaf, image, d_max):
         out = projective_cover(sheaf, image, d_max)
-        assert out == reference_projective_cover(sheaf, image, d_max)
+        assert out[:2] == reference_projective_cover(sheaf, image, d_max)
         calls.append(out)
         return out
 
@@ -257,4 +268,108 @@ def test_integer_cover_matches_the_reference_at_every_vertex(lab, monkeypatch, n
         canonical_sheaf(g)
     # one cover for the stalk and one for ker rho at each vertex below the top
     assert len(calls) == 2 * (g.n_vertices - 1)
-    assert any(gens for gens, _ in calls)
+    assert any(gens for gens, *_ in calls)
+
+
+# -- the lifting elimination on the cover's pivot rows ------------------------
+
+KL_BATTERY = ["A3", "G2", "B3", "C3", "A4/J=13", "generic-A3-seed1"]
+
+
+def _kl_battery_graph(lab, tmp_path, monkeypatch, name):
+    """A kl-battery graph and the degree bound its job passes."""
+    if name == "generic-A3-seed1":
+        path = _kl_battery_generic_graph(tmp_path, monkeypatch)
+        return load_graph(json.loads(path.read_text(encoding="utf-8"))), 2
+    if name == "A4/J=13":
+        return lab.graph("A", 4, J=(1, 3)), None
+    return lab.graph(name[0], int(name[1:])), None
+
+
+@pytest.mark.parametrize("name", KL_BATTERY)
+def test_pivot_rows_solve_as_the_full_elimination(lab, tmp_path, monkeypatch, name):
+    """Each extend(x) of the build runs next to a copy of the sweep that has
+    no cover, so it eliminates on every row: the two give the same ker rho_x
+    degrees and the same generators (the same kernel has the same canonical
+    basis).  Every lift meets its boundary on every row, dropped rows
+    included."""
+    g, bound = _kl_battery_graph(lab, tmp_path, monkeypatch, name)
+    bounds = degree_bounds(g, bound)
+    extend = sheaf_mod._SectionSweep.extend
+    dropped = []
+
+    def both(self, x):
+        assert len(self._pivot_rows) == bounds[x] + 1
+        full = copy.copy(self)
+        full.gens = [(d, dict(values)) for d, values in self.gens]
+        full._at = -1
+        live = self._live
+        ker_degrees = extend(self, x)
+        assert extend(full, x) == ker_degrees
+        assert full.gens == self.gens
+        sheaf = self.sheaf
+        for d, keep in enumerate(self._pivot_rows):
+            layout = self._layouts[d]
+            dropped.append(layout.total - len(keep))
+            r_x = stacked_rho(sheaf, x, layout)
+            blocks = sheaf.blocks("v", x, d)
+            for values, _ in live[d]:
+                m = [c for p, basis in zip(values[x], blocks) for c in poly_to_coeffs(basis, p)]
+                image = [sum(c * m[j] for j, c in row.items()) for row in r_x.rows]
+                assert image == list(self._boundary(layout, values))
+        return ker_degrees
+
+    monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", both)
+    canonical_sheaf(g, degree_bound=bound)
+    assert sum(dropped) > 0
+
+
+def test_the_pivot_rows_refuse_a_stalk_below_its_boundary_image(monkeypatch):
+    """A representative's column of rho_x zeroed after the cover leaves a
+    boundary outside rho_x(M_x); the refusal comes in that generator's
+    degree, which is at or below the probe, so on the pivot rows."""
+    g = load_graph(_generic_a3_doc())
+    install = sheaf_mod._install_lift_rho
+    extend = sheaf_mod._SectionSweep.extend
+    victim = {}
+    pivot_degrees = {}
+
+    def zeroed(sheaf, x, lifts, layouts):
+        install(sheaf, x, lifts, layouts)
+        if victim or not any(d for d, _ in lifts):
+            return
+        i = next(i for i, (d, _) in enumerate(lifts) if d)
+        victim.update(x=x, degree=lifts[i][0])
+        for k in sheaf.graph.up[x]:
+            entries = sheaf.rho[(x, k)].entries
+            sheaf.rho[(x, k)] = RhoMap(tuple(row[:i] + ({},) + row[i + 1 :] for row in entries))
+
+    def spy(self, x):
+        pivot_degrees[x] = len(self._pivot_rows)
+        return extend(self, x)
+
+    monkeypatch.setattr(sheaf_mod, "_install_lift_rho", zeroed)
+    monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", spy)
+    with pytest.raises(ConsistencyError, match="does not reach the boundary image") as err:
+        canonical_sheaf(g, degree_bound=2)
+    x = victim["x"]
+    assert f"the stalk at {g.labels[x]} " in str(err.value)
+    degree = int(re.search(r"in degree (\d+)", str(err.value)).group(1))
+    assert degree == victim["degree"] >= 1
+    assert degree < pivot_degrees[x]
+
+
+@pytest.mark.parametrize("name", KL_BATTERY)
+def test_sweep_generators_stay_integral(lab, tmp_path, monkeypatch, name):
+    g, bound = _kl_battery_graph(lab, tmp_path, monkeypatch, name)
+    extend = sheaf_mod._SectionSweep.extend
+
+    def checked(self, x):
+        ker_degrees = extend(self, x)
+        for _, values in self.gens:
+            for value in values.values():
+                assert all(type(c) is int for p in value for c in p.values())
+        return ker_degrees
+
+    monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", checked)
+    canonical_sheaf(g, degree_bound=bound)
