@@ -531,8 +531,9 @@ def kernel_echelon_basis(rows: Sequence[Row], ncols: int) -> list[Vector]:
 
 
 def matrix_rank(m: QMatrix) -> int:
-    pivots, _ = rref(m.rows, m.ncols)
-    return len(pivots)
+    """The number of pivots of the forward phase; the rank needs no
+    back-substitution."""
+    return len(forward_eliminate(m.rows, m.ncols)[0])
 
 
 # ---------------------------------------------------------------------------

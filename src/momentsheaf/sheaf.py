@@ -27,9 +27,10 @@ misses part of V_d are those of the full system.  The carried generators
 have integer coefficients: a generator whose lift has denominators is
 scaled by their lcm, which changes no span and so no artifact.
 
-On a Schubert graph, global_hilbert reads the global sections off the same
-sweep: Gamma is free, so its Hilbert series modulo t* counts the generator
-degrees of every ker rho_x, replayed over the finished sheaf.
+On a Schubert graph, global_hilbert reads the global sections off the
+finished sheaf: flabbiness makes dim Gamma_d the sum over the vertices of
+dim (M_x)_d - rank rho_{x,d}, and Gamma is free, so (1 - q)^n times that
+series is its Hilbert series modulo t*.
 
 verify_pure compares every stalk image S with T, the image of the sections
 over the punctured upper set {>x}, and verify reads T without trusting the
@@ -713,9 +714,8 @@ class _SectionSweep:
         gens, lifts, self._pivot_rows = projective_cover(self.sheaf, image, probe)
         return gens, lifts, image.layouts
 
-    def extend(self, x: int) -> list[int]:
-        """Extend the generators from J to J + x once M_x and rho_x exist,
-        and return the degrees of the generators of ker rho_x it adds.
+    def extend(self, x: int) -> None:
+        """Extend the generators from J to J + x once M_x and rho_x exist.
 
         One elimination per degree on [R_x | -B], R_x the stacked rho_x and
         B the nonzero generator boundaries: each B column is free, and its
@@ -732,8 +732,8 @@ class _SectionSweep:
         representative, and so does every column of B, a boundary the cover
         read.  So the rows at P have the same kernel as all rows, hence the
         same canonical kernel basis, and a boundary outside rho_x(M_x)
-        stays outside on P.  The replays (no cover) and the degrees above
-        the probe eliminate on every row.
+        stays outside on P.  The certificate's replay (no cover) and the
+        degrees above the probe eliminate on every row.
         """
         if self._at != x:
             self._load(x)
@@ -770,10 +770,8 @@ class _SectionSweep:
             {d: section_layout(sheaf, point, d) for d in kernel_bases},
             kernel_bases,
         )
-        ker_degrees, ker_gens, _ = projective_cover(sheaf, ker_rho, self.d_max)
-        for d, vec in ker_gens:
+        for d, vec in projective_cover(sheaf, ker_rho, self.d_max)[1]:
             self.gens.append((d, {x: split(sheaf.blocks("v", x, d), _integral(vec)[1])}))
-        return ker_degrees
 
     def forget(self, x: int) -> None:
         """After extend(x): forget the values at x and at its upper
@@ -883,23 +881,26 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     """Dimensions of the global sections modulo t* times sections, i.e. the
     ungraded-coefficient cohomology of the underlying variety.
 
-    For the canonical sheaf on a graph of Schubert origin, Gamma is free
-    and flabby on upper sets, so each step 0 -> ker rho_x -> Gamma(J + x)
-    -> Gamma(J) -> 0 of the sweep splits, and the answer counts generator
-    degrees: the top's degree 0 and those of every ker rho_x, replayed over
-    the finished sheaf.  Any other sheaf, a loaded graph's canonical sheaf
-    included, need not have a free Gamma, so it takes direct_hilbert.
+    For the canonical sheaf on a graph of Schubert origin two facts give
+    them from the finished sheaf alone.  The sheaf is flabby on upper sets,
+    so every step 0 -> ker rho_x -> Gamma(J + x) -> Gamma(J) -> 0 of the
+    sweep is exact and dim Gamma_d is the sum over all vertices, the top
+    included, of dim (M_x)_d - rank rho_{x,d}.  Gamma is free, so the answer
+    is that series times (1 - q)^n: n passes of first differences.  Any
+    other sheaf, a loaded graph's canonical sheaf included, need not have a
+    free Gamma, so it takes direct_hilbert.
     """
     g = sheaf.graph
     if not (sheaf.canonical and g.schubert_origin):
         return direct_hilbert(sheaf, d_max)
-    top = g.unique_maximal()
-    dims = [1] + [0] * d_max
-    sweep = _SectionSweep(sheaf, top, d_max)
-    for x in sweep_order(g, top):
-        for d in sweep.extend(x):
-            dims[d] += 1
-        sweep.forget(x)
+    dims = [0] * (d_max + 1)
+    for x in range(g.n_vertices):
+        target = up_edges(g, x)
+        for d in range(d_max + 1):
+            rho = stacked_rho(sheaf, x, section_layout(sheaf, target, d))
+            dims[d] += rho.ncols - matrix_rank(rho)
+    for _ in range(sheaf.n):
+        dims = [a - b for a, b in zip(dims, [0] + dims)]
     return dims
 
 
@@ -1171,21 +1172,18 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
             sub_layout = section_layout(sheaf, sub_target, d)
             if sub_layout.total == 0:
                 continue
-            # the annihilator of the plane's image is the row space of the
-            # relations that cut it out
-            _, ann = rref(_boundary_relations(sheaf, plane.subgraph, d), sub_layout.total)
-            if not ann:
-                continue
-            # the plane's up edges are a subset of U_x: relabel the columns
+            # the plane's image is cut out by its relations, and only their
+            # row span matters to the kernel _cut_out takes; the plane's up
+            # edges are a subset of U_x, so relabel the columns
             to_full = [
                 layouts[d].slot(kind, k)[0] + inner
                 for (kind, k), size in zip(sub_layout.components, sub_layout.sizes)
                 for inner in range(size)
             ]
-            for functional in ann:
-                rows_by_degree[d].append(
-                    {to_full[col]: val for col, val in functional.items()}
-                )
+            rows_by_degree[d] += (
+                {to_full[col]: val for col, val in relation.items()}
+                for relation in _boundary_relations(sheaf, plane.subgraph, d)
+            )
     return _cut_out(target, layouts, rows_by_degree)
 
 

@@ -146,12 +146,11 @@ def _perturb_after_extend(monkeypatch, sheaf, victim):
     upper = g.edges[g.up[victim][0]].upper
 
     def perturbed(self, x):
-        out = extend(self, x)
+        extend(self, x)
         if self.sheaf is sheaf and x == victim:
             degree, values = self.gens[0]
             assert degree == 0 and upper in values
             values[upper] = tuple(poly_scale(p, 2) for p in values[upper])
-        return out
 
     monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", perturbed)
 

@@ -8,10 +8,12 @@ passing report checks the sweep against an independent route.  The random
 graphs keep a Schubert poset but draw their edge directions, so most of
 them are not GKM and nothing about them is known in advance.
 
-global_hilbert reads a Schubert sheaf's global sections off the sweep too;
-it is compared with direct_hilbert, the whole-graph solve, and with the
-Hecke oracle.  boundary_image eliminates only the vertex unknowns; it is
-compared with the kernel-then-project route kept here.
+global_hilbert counts a Schubert sheaf's global sections from the stalk
+dimensions and the ranks of each rho_x, and builds no sweep; it is compared
+with direct_hilbert, the whole-graph solve, and with the Hecke oracle, on
+singular graphs and on edge rings that run on Fraction too.  boundary_image
+eliminates only the vertex unknowns; it is compared with the
+kernel-then-project route kept here.
 
 projective_cover reduces on integer echelon rows; it is compared with the
 reduction against a Fraction-normalized RREF (helpers), on drawn image
@@ -170,19 +172,48 @@ def test_sweep_hilbert_equals_direct_solve(lab, family, rank, word, J):
     assert global_hilbert(sheaf, d_max) == direct_hilbert(sheaf, d_max)
 
 
+# (family, rank, word, J): B3/213213 and B3/321323 are singular, and the
+# edge rings of B3 and G2 run on Fraction
+ORACLE_SUM_INPUTS = [
+    ("B", 3, "longest", (1,)),
+    ("B", 3, "213213", ()),
+    ("B", 3, "321323", ()),
+    ("G", 2, "longest", ()),
+    ("A", 4, "longest", (1, 3)),
+]
+
+
 def test_sweep_hilbert_equals_oracle_sum_on_b3_parabolic(lab):
     # sum over x <= w in W^J of q^l(x) P^J_{x,w}; the direct solve takes
-    # about a minute here
-    J = (1,)
-    W = lab.group("B", 3)
-    reps = minimal_coset_reps(W, J)
-    w = max(reps, key=lambda r: r.length)
-    expected = [0] * (w.length + 1)
-    for x in reps:
-        if bruhat_leq(W, x, w):
-            for i, c in enumerate(parabolic_kl(W, J, x, w).coeffs):
-                expected[x.length + i] += c
-    assert global_hilbert(lab.sheaf("B", 3, J=J), w.length) == expected
+    # about a minute on B3/J={1}
+    for family, rank, word, J in ORACLE_SUM_INPUTS:
+        W = lab.group(family, rank)
+        reps = minimal_coset_reps(W, J)
+        if word == "longest":
+            w = max(reps, key=lambda r: r.length)
+        else:
+            w = lab.element(family, rank, word)
+        expected = [0] * (w.length + 1)
+        for x in reps:
+            if bruhat_leq(W, x, w):
+                for i, c in enumerate(parabolic_kl(W, J, x, w).coeffs):
+                    expected[x.length + i] += c
+        sheaf = lab.sheaf(family, rank, word, J)
+        assert global_hilbert(sheaf, w.length) == expected, (family, rank, word, J)
+
+
+@pytest.mark.parametrize("family,rank,J", [("A", 3, ()), ("B", 3, (1,))])
+def test_global_hilbert_replays_no_sweep(lab, monkeypatch, family, rank, J):
+    """global_hilbert reads the finished sheaf only.  Both varieties are
+    smooth, so the dimensions add up to the number of Schubert cells."""
+    sheaf = lab.sheaf(family, rank, J=J)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("global_hilbert built a _SectionSweep")
+
+    monkeypatch.setattr(sheaf_mod._SectionSweep, "__init__", refused)
+    dims = global_hilbert(sheaf, max(sheaf.graph.ranks))
+    assert sum(dims) == sheaf.graph.n_vertices
 
 
 def test_boundary_image_equals_kernel_then_project_on_b3(lab):
@@ -289,10 +320,10 @@ def _kl_battery_graph(lab, tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", KL_BATTERY)
 def test_pivot_rows_solve_as_the_full_elimination(lab, tmp_path, monkeypatch, name):
     """Each extend(x) of the build runs next to a copy of the sweep that has
-    no cover, so it eliminates on every row: the two give the same ker rho_x
-    degrees and the same generators (the same kernel has the same canonical
-    basis).  Every lift meets its boundary on every row, dropped rows
-    included."""
+    no cover, so it eliminates on every row: the two give the same
+    generators, ker rho_x's included with their degrees (the same kernel has
+    the same canonical basis).  Every lift meets its boundary on every row,
+    dropped rows included."""
     g, bound = _kl_battery_graph(lab, tmp_path, monkeypatch, name)
     bounds = degree_bounds(g, bound)
     extend = sheaf_mod._SectionSweep.extend
@@ -304,8 +335,8 @@ def test_pivot_rows_solve_as_the_full_elimination(lab, tmp_path, monkeypatch, na
         full.gens = [(d, dict(values)) for d, values in self.gens]
         full._at = -1
         live = self._live
-        ker_degrees = extend(self, x)
-        assert extend(full, x) == ker_degrees
+        extend(self, x)
+        extend(full, x)
         assert full.gens == self.gens
         sheaf = self.sheaf
         for d, keep in enumerate(self._pivot_rows):
@@ -317,7 +348,6 @@ def test_pivot_rows_solve_as_the_full_elimination(lab, tmp_path, monkeypatch, na
                 m = [c for p, basis in zip(values[x], blocks) for c in poly_to_coeffs(basis, p)]
                 image = [sum(c * m[j] for j, c in row.items()) for row in r_x.rows]
                 assert image == list(self._boundary(layout, values))
-        return ker_degrees
 
     monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", both)
     canonical_sheaf(g, degree_bound=bound)
@@ -346,7 +376,7 @@ def test_the_pivot_rows_refuse_a_stalk_below_its_boundary_image(monkeypatch):
 
     def spy(self, x):
         pivot_degrees[x] = len(self._pivot_rows)
-        return extend(self, x)
+        extend(self, x)
 
     monkeypatch.setattr(sheaf_mod, "_install_lift_rho", zeroed)
     monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", spy)
@@ -365,11 +395,10 @@ def test_sweep_generators_stay_integral(lab, tmp_path, monkeypatch, name):
     extend = sheaf_mod._SectionSweep.extend
 
     def checked(self, x):
-        ker_degrees = extend(self, x)
+        extend(self, x)
         for _, values in self.gens:
             for value in values.values():
                 assert all(type(c) is int for p in value for c in p.values())
-        return ker_degrees
 
     monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", checked)
     canonical_sheaf(g, degree_bound=bound)
