@@ -33,6 +33,7 @@ from .moment_graph import (
 )
 from .sheaf import (
     GammaSheaf,
+    SheafReads,
     boundary_image,
     canonical_sheaf,
     certified_images,
@@ -105,7 +106,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--type", dest="family_spec",
                         help="group family and rank, e.g. A3, B2, G2")
     parser.add_argument("--word", default="longest",
-                        help="simple-reflection index string like 2132, or 'longest'")
+                        help="simple-reflection index string like 2132, "
+                        "'e' for the identity, or 'longest'")
     parser.add_argument("--parabolic", default="",
                         help="comma-separated simple indices, e.g. '1,3'")
     parser.add_argument("--graph", dest="graph_path", help="path to a graph JSON file")
@@ -148,6 +150,8 @@ def _resolve_word(W: WeylGroup, word: str, J: tuple[int, ...]) -> WeylElement:
     if word == "longest":
         reps = minimal_coset_reps(W, J)
         return max(reps, key=lambda r: r.length)
+    if word == "e":  # the identity, as every table prints it
+        word = ""
     try:
         letters = [int(c) for c in word]
     except ValueError as exc:
@@ -331,6 +335,9 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
     # falls back to the direct solver, boundary_image.  The planar check is
     # proven only for graphs of projective origin, and T < P can happen on
     # a loaded graph, so there no P is computed and every vertex falls back.
+    # These stages and purity reread the top sheaf's rho matrices across
+    # vertices, so they share one SheafReads, dropped when verify returns.
+    reads = SheafReads(sheaf)
     extra = int(config.max_degree is None)
     probes = {
         x: bound + extra
@@ -339,14 +346,14 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
     }
     planar = {}
     if g.schubert_origin:
-        planar = {x: planar_image(sheaf, x, probe) for x, probe in probes.items()}
-    certified = certified_images(sheaf, planar)
+        planar = {x: planar_image(sheaf, x, probe, reads) for x, probe in probes.items()}
+    certified = certified_images(sheaf, planar, reads)
     images = {
-        x: certified[x] if x in certified else boundary_image(sheaf, x, probe)
+        x: certified[x] if x in certified else boundary_image(sheaf, x, probe, reads)
         for x, probe in probes.items()
     }
 
-    purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images)
+    purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images, reads=reads)
     detail = ""
     if not purity.ok:
         v = purity.first_violation

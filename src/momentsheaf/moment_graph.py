@@ -355,7 +355,11 @@ def planar_slice(g: MomentGraph, x: int, h: Subspace) -> Subgraph:
     _check_vertex(g, x)
     if h.ambient != g.dim_t or h.dim != 2:
         raise ValidationError("a planar slice needs a 2-plane of t*")
-    h_edges = _h_edges(g, h)
+    return _slice(g, x, _h_edges(g, h))
+
+
+def _slice(g: MomentGraph, x: int, h_edges: list[int]) -> Subgraph:
+    """planar_slice given the edges whose direction lies in H."""
     comp = _component(g, x, h_edges)
     verts = tuple(sorted(j for j in comp if g.less(x, j)))
     vset = set(verts)
@@ -368,6 +372,32 @@ def planar_slice(g: MomentGraph, x: int, h: Subspace) -> Subgraph:
     return Subgraph(verts, tuple(sorted(edges)))
 
 
+class GraphPlanes:
+    """The 2-planes of t* spanned by pairs of edge directions of one graph,
+    each with the edges whose direction lies in it.  Each pair of directions
+    is spanned once and each plane's edges are listed once, however many
+    vertices planar_family reads them for; nothing is kept on the graph."""
+
+    def __init__(self, g: MomentGraph):
+        self.graph = g
+        self._pairs: dict[tuple[Direction, Direction], tuple | None] = {}
+        self.edges: dict[tuple, list[int]] = {}
+
+    def key(self, d1: Direction, d2: Direction) -> tuple | None:
+        """The plane spanned by d1 and d2, as the primitive integer form of
+        its RREF basis, or None if they are parallel."""
+        pair = (d1, d2) if d1 < d2 else (d2, d1)
+        if pair not in self._pairs:
+            h = Subspace(self.graph.dim_t, pair)
+            key = None
+            if h.dim == 2:
+                key = tuple(primitive_integer(v) for v in h.basis_vectors())
+                if key not in self.edges:
+                    self.edges[key] = _h_edges(self.graph, h)
+            self._pairs[pair] = key
+        return self._pairs[pair]
+
+
 @dataclass(frozen=True)
 class PlanarSlice:
     """One 2-plane H with the subgraphs the planar algorithm consumes."""
@@ -377,9 +407,12 @@ class PlanarSlice:
     up_edges: tuple[int, ...]  # U_x edges with direction in H
 
 
-def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
+def planar_family(
+    g: MomentGraph, x: int, planes: GraphPlanes | None = None
+) -> list[PlanarSlice]:
     """All 2-planes spanned by pairs of edge directions in the closure above
-    x whose punctured subgraph above x has more than one edge.
+    x whose punctured subgraph above x has more than one edge, in the order
+    of their keys; planes, when given, carries the planes of g found so far.
 
     With a single edge (or none) the restriction onto the upward edge
     modules is automatically surjective, so such planes impose nothing.
@@ -388,26 +421,15 @@ def planar_family(g: MomentGraph, x: int) -> list[PlanarSlice]:
     strictly above x but still constrains the two upward edge values.
     """
     _check_vertex(g, x)
+    if planes is None:
+        planes = GraphPlanes(g)
     closure = {j for j in range(g.n_vertices) if g.leq(x, j)}
-    dirs = []
-    seen_lines = set()
-    for e in g.edges:
-        if e.lower in closure and e.upper in closure:
-            if e.direction not in seen_lines:
-                seen_lines.add(e.direction)
-                dirs.append(e.direction)
-    planes: dict[tuple, Subspace] = {}
-    for d1, d2 in combinations(dirs, 2):
-        h = Subspace(g.dim_t, [d1, d2])
-        if h.dim != 2:
-            continue
-        key = tuple(primitive_integer(v) for v in h.basis_vectors())
-        planes.setdefault(key, h)
-
+    dirs = {e.direction for e in g.edges if e.lower in closure and e.upper in closure}
+    keys = {planes.key(d1, d2) for d1, d2 in combinations(dirs, 2)} - {None}
     out = []
     up_x = set(g.up[x])
-    for key in sorted(planes):
-        sub = planar_slice(g, x, planes[key])
+    for key in sorted(keys):
+        sub = _slice(g, x, planes.edges[key])
         if len(sub.edges) <= 1:
             continue
         up = tuple(k for k in sub.edges if k in up_x)

@@ -40,9 +40,11 @@ the span of the generators' boundaries at x and P the planar image,
 S' <= T <= P; where their dimensions meet, T = S' = P, and verify reads S'.
 boundary_image is the fallback: it solves the sections over {>x} directly,
 eliminating only the vertex unknowns, and planar_image reads each plane's
-relations from the same elimination.  direct_hilbert, the whole-graph
-solve, gives global_hilbert on loaded graphs and is the reference the tests
-compare the sweep against.
+relations from the same elimination.  These stages reread the top sheaf's
+rho matrices at many vertices, so verify hands them one SheafReads, which
+builds each matrix once; nothing else keeps a matrix between two reads.
+direct_hilbert, the whole-graph solve, gives global_hilbert on loaded
+graphs and is the reference the tests compare the sweep against.
 
 Every vertex or edge carries one piece, (generator degrees, ring), the ring
 None for A or the edge ring; GammaSheaf.piece is the one place that choice
@@ -97,6 +99,7 @@ from .exactalg import (
 )
 from .klpoly import KLPolynomial, poincare_csv
 from .moment_graph import (
+    GraphPlanes,
     MomentGraph,
     Subgraph,
     _h_edges,
@@ -164,19 +167,17 @@ class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
     canonical marks the canonical sheaf itself, as canonical_sheaf builds
-    it; structure_sheaf leaves it unset.  The degree-d rho matrices are
-    cached per sheaf with what they were built from; the edge rings
-    (edge_ring) and the t*-span matrices of _degree_span depend on no sheaf
-    and are shared by every sheaf in the process."""
+    it; structure_sheaf leaves it unset.  Nothing derived from rho is kept
+    here: rho_degree_matrix builds each degree-d matrix when it is read, and
+    a caller that rereads a finished sheaf keeps a SheafReads for the call.
+    The edge rings (edge_ring) and the t*-span matrices of _degree_span
+    depend on no sheaf and are shared by every sheaf in the process."""
 
     graph: MomentGraph
     vertex_modules: dict[int, GradedFreeModule] = field(default_factory=dict)
     edge_modules: dict[int, EdgeModule] = field(default_factory=dict)
     rho: dict[tuple[int, int], RhoMap] = field(default_factory=dict)
     canonical: bool = False
-    _rho_matrix_cache: dict[
-        tuple[int, int, int], tuple[RhoMap, Piece, Piece, QMatrix]
-    ] = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -315,15 +316,42 @@ def degree_matrix(
 
 
 def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
-    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases; cached
-    while sheaf.rho[(v, e)] and both pieces are those it was built from."""
-    rho, src, dst = sheaf.rho[(v, e)], sheaf.piece("v", v), sheaf.piece("e", e)
-    hit = sheaf._rho_matrix_cache.get((v, e, d))
-    if hit is not None and hit[0] is rho and hit[1] == src and hit[2] == dst:
-        return hit[3]
-    m = degree_matrix(sheaf.n, rho.entries, src, dst, d)
-    sheaf._rho_matrix_cache[(v, e, d)] = (rho, src, dst, m)
-    return m
+    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases, built
+    on every call from sheaf.rho[(v, e)] and both pieces as they are then.
+    The build reads each matrix once; verify, which rereads a finished
+    sheaf, goes through SheafReads.matrix."""
+    return degree_matrix(
+        sheaf.n, sheaf.rho[(v, e)].entries, sheaf.piece("v", v), sheaf.piece("e", e), d
+    )
+
+
+class SheafReads:
+    """What one caller rereads of one finished sheaf, kept for that caller
+    only: the degree-d rho matrices, each built by rho_degree_matrix on its
+    first read, and the 2-planes of the graph.  verify makes one for its top
+    sheaf, passes it to the stages that read the sheaf and drops it when it
+    returns.  It is stale once any rho or piece of the sheaf changes."""
+
+    def __init__(self, sheaf: GammaSheaf):
+        self.sheaf = sheaf
+        self.planes = GraphPlanes(sheaf.graph)
+        self._matrices: dict[tuple[int, int, int], QMatrix] = {}
+
+    def matrix(self, v: int, e: int, d: int) -> QMatrix:
+        m = self._matrices.get((v, e, d))
+        if m is None:
+            m = self._matrices[(v, e, d)] = rho_degree_matrix(self.sheaf, v, e, d)
+        return m
+
+
+def _rho_matrix(
+    sheaf: GammaSheaf, v: int, e: int, d: int, reads: SheafReads | None
+) -> QMatrix:
+    """rho_degree_matrix, through reads when the caller keeps one for this
+    sheaf."""
+    if reads is None or reads.sheaf is not sheaf:
+        return rho_degree_matrix(sheaf, v, e, d)
+    return reads.matrix(v, e, d)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +373,9 @@ class SectionSpace:
         return Subspace(self.layouts[d].total, self.bases[d])
 
 
-def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dict]:
+def _sections_rows(
+    sheaf: GammaSheaf, sub: Subgraph, layout: Layout, reads: SheafReads | None = None
+) -> list[dict]:
     g = sheaf.graph
     vset = set(sub.vertices)
     d = layout.degree
@@ -357,8 +387,8 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
             continue
         lo_in, hi_in = e.lower in vset, e.upper in vset
         if lo_in and hi_in:
-            a = rho_degree_matrix(sheaf, e.lower, k, d)
-            b = rho_degree_matrix(sheaf, e.upper, k, d)
+            a = _rho_matrix(sheaf, e.lower, k, d, reads)
+            b = _rho_matrix(sheaf, e.upper, k, d, reads)
             lo_off, _ = layout.slot("v", e.lower)
             hi_off, _ = layout.slot("v", e.upper)
             for r in range(erows):
@@ -372,7 +402,7 @@ def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dic
             for v in (e.lower, e.upper):
                 if v not in vset:
                     continue
-                a = rho_degree_matrix(sheaf, v, k, d)
+                a = _rho_matrix(sheaf, v, k, d, reads)
                 v_off, _ = layout.slot("v", v)
                 for r in range(erows):
                     row = {e_off + r: -1}
@@ -454,7 +484,7 @@ def _normal_form(ring: LinearQuotient, p: Poly) -> Poly:
 
 
 def _boundary_relations(
-    sheaf: GammaSheaf, sub: Subgraph, d: int
+    sheaf: GammaSheaf, sub: Subgraph, d: int, reads: SheafReads | None = None
 ) -> list[dict[int, int]]:
     """Linear relations that cut the boundary image of the sections over sub
     out of its dangling-edge coordinates in degree d.
@@ -472,11 +502,13 @@ def _boundary_relations(
     top_down = sorted(sub.vertices, key=lambda v: (-ranks[v], v))
     layout = section_layout(sheaf, Subgraph(tuple(top_down), sub.edges), d)
     nv = sum(size for (kind, _), size in zip(layout.components, layout.sizes) if kind == "v")
-    _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, layout), nv)
+    _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, layout, reads), nv)
     return [{c - nv: v for c, v in r.items()} for r in rest]
 
 
-def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
+def boundary_image(
+    sheaf: GammaSheaf, x: int, d_max: int, reads: SheafReads | None = None
+) -> SectionSpace:
     """Image of the restriction from sections above x (with its upward
     edges) to the product of the upward edge modules, degree by degree,
     solved directly from the incidence equations over {>x}."""
@@ -486,7 +518,7 @@ def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     bases = {}
     for d in range(d_max + 1):
         layout = layouts[d] = section_layout(sheaf, target, d)
-        relations = _boundary_relations(sheaf, sub, d)
+        relations = _boundary_relations(sheaf, sub, d, reads)
         bases[d] = kernel_echelon_basis(relations, layout.total)
     return SectionSpace(target, layouts, bases)
 
@@ -605,14 +637,16 @@ def degree_bounds(g: MomentGraph, degree_bound: int | None = None) -> list[int]:
     return [kl_degree_bound(g, x, top) for x in range(g.n_vertices)]
 
 
-def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
+def stacked_rho(
+    sheaf: GammaSheaf, x: int, layout: Layout, reads: SheafReads | None = None
+) -> QMatrix:
     """rho_x in one degree: the up-edge restriction matrices of x stacked at
     their slots of the up-edge layout, from (M_x)_d to M(U_x)_d."""
     d = layout.degree
     rows: list[Row] = [{} for _ in range(layout.total)]
     for k in sheaf.graph.up[x]:
         off, size = layout.slot("e", k)
-        rows[off : off + size] = rho_degree_matrix(sheaf, x, k, d).rows
+        rows[off : off + size] = _rho_matrix(sheaf, x, k, d, reads).rows
     return QMatrix(layout.total, sheaf.piece_dim("v", x, d), rows)
 
 
@@ -653,10 +687,13 @@ class _SectionSweep:
     on spans only.
     """
 
-    def __init__(self, sheaf: GammaSheaf, top: int, d_max: int):
+    def __init__(
+        self, sheaf: GammaSheaf, top: int, d_max: int, reads: SheafReads | None = None
+    ):
         g = sheaf.graph
         self.sheaf = sheaf
         self.d_max = d_max
+        self.reads = reads
         self.gens: list[tuple[int, dict[int, tuple[Poly, ...]]]] = [
             (0, {top: (poly_const(g.dim_t, 1),)})
         ]
@@ -740,7 +777,7 @@ class _SectionSweep:
         sheaf, g = self.sheaf, self.sheaf.graph
         kernel_bases: dict[int, list[Vector]] = {}
         for d, (layout, live) in enumerate(zip(self._layouts, self._live)):
-            r_x = stacked_rho(sheaf, x, layout)
+            r_x = stacked_rho(sheaf, x, layout, self.reads)
             ncx = r_x.ncols
             keep = self._pivot_rows[d] if d < len(self._pivot_rows) else range(layout.total)
             rows = [dict(r_x.rows[i]) for i in keep]
@@ -814,12 +851,18 @@ def canonical_sheaf(
     extra = int(extra_degree_check and g.schubert_origin)
     d_max = max((bounds[x] for x in order), default=0) + extra
     sweep = _SectionSweep(sheaf, top, d_max)
+    # the upper incidences of one stalk rank share one identity map: the
+    # sheaf outlives the build, and a RhoMap is only ever replaced whole
+    identities: dict[int, RhoMap] = {}
     for x in order:
         for k in g.up[x]:
             e = g.edges[k]
             upper_module = sheaf.vertex_modules[e.upper]
             sheaf.edge_modules[k] = EdgeModule(upper_module, edge_ring(e.direction))
-            sheaf.rho[(e.upper, k)] = _identity_rho(upper_module.rank, g.dim_t)
+            rank = upper_module.rank
+            if rank not in identities:
+                identities[rank] = _identity_rho(rank, g.dim_t)
+            sheaf.rho[(e.upper, k)] = identities[rank]
         probe = bounds[x] + extra
         gens, lifts, layouts = sweep.cover(x, probe)
         if extra and any(d == probe for d in gens):
@@ -1157,14 +1200,17 @@ def _cut_out(
 # planar image
 
 
-def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
+def planar_image(
+    sheaf: GammaSheaf, x: int, d_max: int, reads: SheafReads | None = None
+) -> SectionSpace:
     """Intersection over all 2-planes H (with more than one edge above x in
     the H-component) of the pullbacks of the planar boundary images; equals
-    the boundary image for graphs of projective origin."""
+    the boundary image for graphs of projective origin.  With reads, the
+    planes and rho matrices found at one vertex serve the next."""
     g = sheaf.graph
     target = up_edges(g, x)
     layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
-    family = planar_family(g, x)
+    family = planar_family(g, x, reads.planes if reads is not None else None)
     rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
     for plane in family:
         sub_target = Subgraph((), plane.up_edges)
@@ -1182,7 +1228,7 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
             ]
             rows_by_degree[d] += (
                 {to_full[col]: val for col, val in relation.items()}
-                for relation in _boundary_relations(sheaf, plane.subgraph, d)
+                for relation in _boundary_relations(sheaf, plane.subgraph, d, reads)
             )
     return _cut_out(target, layouts, rows_by_degree)
 
@@ -1192,7 +1238,7 @@ def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
 
 
 def certified_images(
-    sheaf: GammaSheaf, planar: dict[int, SectionSpace]
+    sheaf: GammaSheaf, planar: dict[int, SectionSpace], reads: SheafReads | None = None
 ) -> dict[int, SectionSpace]:
     """The image T of the sections over {>x} at each vertex x of planar,
     which maps x to its planar image P in the degrees wanted, wherever a
@@ -1208,13 +1254,14 @@ def certified_images(
     every degree, S' = T = P.  The planar theorem of Braden-MacPherson makes
     the dimensions meet on Schubert graphs, so the speed rests on it and
     soundness never does.  A failed star check, or a ConsistencyError in
-    the replay, ends the certificate there.
+    the replay, ends the certificate there.  The replay reads rho through
+    reads when one is given.
     """
     if not planar:
         return {}
     g = sheaf.graph
     top = g.unique_maximal()
-    sweep = _SectionSweep(sheaf, top, max(max(p.layouts) for p in planar.values()))
+    sweep = _SectionSweep(sheaf, top, max(max(p.layouts) for p in planar.values()), reads)
     out = {}
     for x in sweep_order(g, top):
         try:
@@ -1308,6 +1355,7 @@ def verify_pure(
     sheaf: GammaSheaf,
     degree_bound: int | None = None,
     images: dict[int, SectionSpace] | None = None,
+    reads: SheafReads | None = None,
 ) -> PurityReport:
     """Check the pure-sheaf axioms degreewise: (1) stalk freeness is
     structural in this model, (2) every downward edge carries the quotient
@@ -1334,7 +1382,7 @@ def verify_pure(
                 )
                 continue
             for d in range(bound + 1):
-                m = rho_degree_matrix(sheaf, x, k, d)
+                m = _rho_matrix(sheaf, x, k, d, reads)
                 if matrix_rank(m) != sheaf.piece_dim("e", k, d):
                     violations.append(
                         PurityViolation(
@@ -1347,10 +1395,10 @@ def verify_pure(
                     break
         if not g.up[x]:
             continue
-        image = images[x] if images is not None else boundary_image(sheaf, x, bound)
+        image = images[x] if images is not None else boundary_image(sheaf, x, bound, reads)
         for d in range(bound + 1):
             layout = image.layouts[d]
-            stacked = stacked_rho(sheaf, x, layout)
+            stacked = stacked_rho(sheaf, x, layout, reads)
             cols = (stacked.column(j) for j in range(stacked.ncols))
             stalk_image = Subspace(layout.total, cols)
             section_image = image.subspace(d)

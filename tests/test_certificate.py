@@ -78,16 +78,16 @@ def _verify(monkeypatch, capsys, argv, sheaf=None, certify=True):
     certificate."""
     fallbacks = []
 
-    def spy(sh, x, d):
+    def spy(sh, x, d, reads):
         fallbacks.append(x)
-        return boundary_image(sh, x, d)
+        return boundary_image(sh, x, d, reads)
 
     with monkeypatch.context() as m:
         m.setattr(cli, "boundary_image", spy)
         if sheaf is not None:
             m.setattr(cli, "_build_sheaf", lambda config, resolved: sheaf)
         if not certify:
-            m.setattr(cli, "certified_images", lambda sh, planar: {})
+            m.setattr(cli, "certified_images", lambda sh, planar, reads: {})
         code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err, fallbacks

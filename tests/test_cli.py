@@ -37,6 +37,16 @@ def test_kl_nontrivial_value(capsys):
     assert "e,2132,1+q" in out
 
 
+@pytest.mark.parametrize("command", ["kl", "graph"])
+def test_word_e_is_the_identity(command, capsys):
+    # every table prints the identity as e, so --word e names it
+    code, out, err = run_cli([command, "--type", "A2", "--word", "e"], capsys)
+    assert (code, err) == (0, "")
+    assert run_cli([command, "--type", "A2", "--word="], capsys) == (0, out, "")
+    if command == "kl":
+        assert out == "x,y,P\ne,e,1\n"
+
+
 def test_graph_json_and_dot(tmp_path, capsys):
     out_json = tmp_path / "g.json"
     out_dot = tmp_path / "g.dot"

@@ -10,6 +10,10 @@ change that explains it.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,39 @@ GOLDEN = {
     "graph-G2-json": "ddbbe05f90c7fa9b93034e2f29bbce9c38a5cc268ba6cf311de042a4769e3206",
     "graph-G2-dot": "95c0b03f89841ee405b2ac0ab5f57ca86a43bb7c9169f2b252b2cdd425bdf13b",
 }
+
+
+# kl D4 longest, the one rank-4 longest sheaf pinned; it runs in a fresh
+# process, which also reads its peak memory
+KL_D4_LONGEST = "83610cc6e5178b48197a223063697e4fbb5db4600f3bda04068d0ce1e7085a4f"
+
+# Runs python with the given arguments, its stdout written to a file, and
+# prints its exit code and ru_maxrss.  On Linux a child's ru_maxrss starts at
+# the high-water mark of the process that spawned it, so this small launcher
+# spawns the command, not pytest.
+_LAUNCHER = """
+import os, sys
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+actions = [(os.POSIX_SPAWN_OPEN, 1, sys.argv[1], flags, 0o644)]
+cmd = [sys.executable, *sys.argv[2:]]
+pid = os.posix_spawn(sys.executable, cmd, os.environ, file_actions=actions)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _fresh_cli(args, out: Path) -> tuple[int, bytes, int]:
+    """Exit code, stdout and ru_maxrss (KB on Linux) of one CLI run in a
+    fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(out), "-m", "momentsheaf.cli", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    code, maxrss = map(int, done.stdout.split())
+    return code, out.read_bytes(), maxrss
 
 
 def _dump(sheaf) -> str:
@@ -208,3 +245,16 @@ def computed(lab, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(computed, name):
     assert computed[name] == GOLDEN[name]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_kl_d4_longest_digest_and_memory(tmp_path):
+    """The build keeps no rho matrix between reads, so kl D4 longest peaks
+    within 10 MB of kl A1: about 4.5 MB above it on CPython 3.11, and 24 MB
+    above it with every matrix kept on the sheaf."""
+    code, out, d4 = _fresh_cli(["kl", "--type", "D4", "--word", "longest"], tmp_path / "d4")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == KL_D4_LONGEST
+    code, _, a1 = _fresh_cli(["kl", "--type", "A1", "--word", "longest"], tmp_path / "a1")
+    assert code == 0
+    assert d4 - a1 < 10 * 1024, (d4, a1)

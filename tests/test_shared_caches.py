@@ -9,7 +9,9 @@ the golden digests, and they count, without timing anything, the work a
 `verify` run does on B3/J={1}.
 """
 
+import gc
 import hashlib
+import weakref
 from collections import Counter
 
 import momentsheaf.moment_graph as moment_graph
@@ -92,9 +94,11 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
         return contains(self, vec)
 
     over_budget = []
+    planes = Counter()
     h_edges = moment_graph._h_edges
 
     def counted_h_edges(g, h):
+        planes[tuple(map(tuple, h.basis_vectors()))] += 1
         start = contains_calls[0]
         out = h_edges(g, h)
         tests = contains_calls[0] - start
@@ -121,6 +125,24 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
         finally:
             depth[0] -= 1
 
+    builds = Counter()
+    sheaves = []  # kept alive, so that no two sheaves share an id
+    rho_degree_matrix = sheaf_mod.rho_degree_matrix
+
+    def counted_rho_degree_matrix(sh, v, e, d):
+        sheaves.append(sh)
+        builds[(id(sh), v, e, d)] += 1
+        return rho_degree_matrix(sh, v, e, d)
+
+    memos = []
+    reads_init = sheaf_mod.SheafReads.__init__
+
+    def recorded_reads_init(self, sh):
+        memos.append(weakref.ref(self))
+        reads_init(self, sh)
+
+    monkeypatch.setattr(sheaf_mod, "rho_degree_matrix", counted_rho_degree_matrix)
+    monkeypatch.setattr(sheaf_mod.SheafReads, "__init__", recorded_reads_init)
     monkeypatch.setattr(LinearQuotient, "__init__", counted_quotient_init)
     monkeypatch.setattr(Subspace, "contains", counted_contains)
     monkeypatch.setattr(moment_graph, "_h_edges", counted_h_edges)
@@ -136,8 +158,15 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     assert rings and max(rings.values()) == 1
     # one membership test per distinct direction per plane
     assert contains_calls[0] > 0 and over_budget == []
+    # each plane's edges listed once for the graph, not once per vertex
+    assert planes and max(planes.values()) == 1
     # one reduction per distinct (direction, monomial) pair
     assert 0 < reduce_calls[0] <= len(pairs)
+    # each rho matrix built at most once by a build and once into verify's
+    # one SheafReads, which is gone once verify returns
+    assert builds and max(builds.values()) <= 2
+    gc.collect()
+    assert len(memos) == 1 and memos[0]() is None
 
 
 def test_a_b3_build_reduces_each_monomial_once(lab, monkeypatch):
