@@ -25,7 +25,6 @@ from .moment_graph import (
     Subgraph,
     above,
     above_punctured,
-    finite_two_orbit_test,
     interval,
     load_graph,
     planar_family,
@@ -80,7 +79,6 @@ __all__ = [
     "build_weyl_group",
     "canonical_sheaf",
     "check_sections",
-    "finite_two_orbit_test",
     "global_hilbert",
     "interval",
     "kl_polynomial",

@@ -55,22 +55,21 @@ def primitive_integer(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, first nonzero > 0.
 
     This is the canonical form used for moment-graph edge directions; it is
-    idempotent and erases any rational multiple.
+    idempotent and erases any rational multiple.  An all-int vector (every
+    Schubert-graph direction) skips the denominators and is divided by the
+    gcd of its entries; the zero vector, whose gcd is 0, raises ValueError.
     """
-    if all(v == 0 for v in vec):
+    if all(type(v) is int for v in vec):
+        ints = vec
+    else:
+        denom_lcm = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (denom_lcm // v.denominator) for v in vec]
+    g = gcd(*ints)
+    if not g:
         raise ValueError("cannot normalize the zero vector")
-    denom_lcm = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (denom_lcm // v.denominator) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from math import lcm
+from operator import mul, sub
 from typing import Iterable, NamedTuple
 
 from .coxeter import WeylElement, WeylGroup, bruhat_leq, is_minimal_rep, mat_vec, minimal_coset_reps
@@ -86,28 +87,33 @@ class MomentGraph:
                     "vertex ranks must strictly increase along the order "
                     f"({self.labels[i]} vs {self.labels[j]})"
                 )
+        # the edge's name is formatted only for the message of a failed check
+        leq_bits, dim_t = self.leq_bits, self.dim_t
         seen_pairs = set()
         normalized = []
         for e in self.edges:
-            name = f"edge {self.labels[e.lower]}--{self.labels[e.upper]}"
-            if e.lower == e.upper or not self.leq(e.lower, e.upper):
+            lo, hi, direction = e
+            if lo == hi or not (leq_bits[lo] >> hi) & 1:
                 raise ValidationError(
-                    f"{name} joins order-incomparable or misordered vertices"
+                    f"{self._edge_name(e)} joins order-incomparable or misordered vertices"
                 )
-            if (e.lower, e.upper) in seen_pairs:
-                raise ValidationError(f"duplicate {name}")
-            seen_pairs.add((e.lower, e.upper))
-            if len(e.direction) != self.dim_t:
-                raise ValidationError(f"{name} has a direction of wrong length")
-            if all(c == 0 for c in e.direction):
-                raise ValidationError(f"{name} has zero direction")
-            normalized.append(Edge(e.lower, e.upper, primitive_integer(e.direction)))
+            if (lo, hi) in seen_pairs:
+                raise ValidationError(f"duplicate {self._edge_name(e)}")
+            seen_pairs.add((lo, hi))
+            if len(direction) != dim_t:
+                raise ValidationError(f"{self._edge_name(e)} has a direction of wrong length")
+            if not any(direction):
+                raise ValidationError(f"{self._edge_name(e)} has zero direction")
+            normalized.append(Edge(lo, hi, primitive_integer(direction)))
         self.edges = tuple(normalized)
         self.up = [[] for _ in range(n)]
         self.down = [[] for _ in range(n)]
         for k, e in enumerate(self.edges):
             self.up[e.lower].append(k)
             self.down[e.upper].append(k)
+
+    def _edge_name(self, e: Edge) -> str:
+        return f"edge {self.labels[e.lower]}--{self.labels[e.upper]}"
 
     # -- order queries --------------------------------------------------
 
@@ -143,18 +149,24 @@ class MomentGraph:
         """Cover relations (transitive reduction of the order), sorted.
 
         i < j is a cover iff j lies strictly above i but not strictly above
-        any vertex strictly above i.
+        any vertex strictly above i.  Both sets are walked over their set
+        bits, so the cost is one OR per comparable pair i < k and one
+        append per cover, not n^2 bit tests.
         """
-        n = self.n_vertices
-        above = [self.leq_bits[i] & ~(1 << i) for i in range(n)]
+        above = [bits & ~(1 << i) for i, bits in enumerate(self.leq_bits)]
         out = []
-        for i in range(n):
+        for i, bits in enumerate(above):
             higher = 0
-            for j in range(n):
-                if (above[i] >> j) & 1:
-                    higher |= above[j]
-            minimal = above[i] & ~higher
-            out.extend((i, j) for j in range(n) if (minimal >> j) & 1)
+            rest = bits
+            while rest:
+                low = rest & -rest
+                higher |= above[low.bit_length() - 1]
+                rest ^= low
+            minimal = bits & ~higher
+            while minimal:
+                low = minimal & -minimal
+                out.append((i, low.bit_length() - 1))
+                minimal ^= low
         return out
 
 
@@ -208,7 +220,9 @@ def schubert_moment_graph(
     Vertices are the minimal coset representatives y in W^J with y <= w;
     y and z are joined when z = Ry (as cosets) for a reflection R, with
     direction spanned by the difference of the orbit points y(v), z(v)
-    for v = the sum of the fundamental weights off J.
+    for v = the sum of the fundamental weights off J.  The difference is a
+    multiple of the reflection's root, and each edge is taken from the one
+    end where that root pairs positively with the point.
     """
     J = tuple(sorted(set(J)))
     reps = minimal_coset_reps(W, J)  # validates J first
@@ -231,24 +245,21 @@ def schubert_moment_graph(
         raise ValidationError("orbit points are not distinct; J-stabilizer mismatch")
 
     edges = []
-    seen = set()
     roots = [(r.coroot, r.positive_root) for r in W.reflections]
     for i, p in enumerate(points):
         for coroot, beta in roots:
-            # s_beta(p) = p - <p, beta^v> beta
-            k = sum(c * a for c, a in zip(coroot, p))
-            if not k:
+            # s_beta(p) = p - k beta with k = <p, beta^v>.  At q = s_beta(p)
+            # the pairing is -k, and two positive roots never send p to the
+            # same point, so taking k > 0 finds each edge once.
+            k = sum(map(mul, coroot, p))
+            if k <= 0:
                 continue
-            q = tuple(a - k * b for a, b in zip(p, beta))
-            j = point_index.get(q)
+            j = point_index.get(tuple(map(sub, p, [k * b for b in beta])))
             if j is None:
                 continue
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                continue
-            seen.add(pair)
             lo, hi = (i, j) if reps[i].length < reps[j].length else (j, i)
-            edges.append(Edge(lo, hi, tuple(a - b for a, b in zip(p, q))))
+            # p - s_beta(p) = k beta: beta spans the edge's line
+            edges.append(Edge(lo, hi, beta))
     edges.sort(key=lambda e: (e.lower, e.upper))
     # the reflection edges generate the Bruhat order on W^J (Deodhar)
     leq_bits, _ = order_closure(len(reps), [(e.lower, e.upper) for e in edges])
@@ -435,20 +446,6 @@ def planar_family(
         up = tuple(k for k in sub.edges if k in up_x)
         out.append(PlanarSlice(key, sub, up))
     return out
-
-
-def finite_two_orbit_test(g: MomentGraph, x: int) -> bool:
-    """True iff every three distinct edges at x going up span a
-    3-dimensional space of directions (then polygon relations cut out the
-    boundary image exactly)."""
-    dirs = [g.edges[k].direction for k in g.up[_check_vertex(g, x)]]
-    if len(dirs) <= 2:
-        return True
-    for triple in combinations(dirs, 3):
-        span = Subspace(g.dim_t, triple)
-        if span.dim != 3:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 reflections and inversion counts on a Weyl group, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
 as matrices, the projective cover by reduction against a Fraction-normalized
-RREF, and small accessors."""
+RREF, the finite two-orbit test on a moment graph, and small accessors."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from momentsheaf.coxeter import Matrix, WeylElement, WeylGroup, bruhat_leq, mat_vec
@@ -28,6 +29,7 @@ from momentsheaf.exactalg import (
 )
 from momentsheaf.hecke_oracle import IntPoly, _padd, _pmul, _pshift
 from momentsheaf.klpoly import KLPolynomial
+from momentsheaf.moment_graph import MomentGraph
 from momentsheaf.sheaf import (
     GammaSheaf,
     SectionSpace,
@@ -185,6 +187,20 @@ def image_basis(m: QMatrix) -> list[Vector]:
     """RREF basis of the column space, as vectors of length nrows."""
     _, rows = rref(m.transpose().rows, m.nrows)
     return [dense(r, m.nrows) for r in rows]
+
+
+def finite_two_orbit_test(g: MomentGraph, x: int) -> bool:
+    """True iff every three distinct edges at x going up span a
+    3-dimensional space of directions (then polygon relations cut out the
+    boundary image exactly)."""
+    dirs = [g.edges[k].direction for k in g.up[x]]
+    if len(dirs) <= 2:
+        return True
+    for triple in combinations(dirs, 3):
+        span = Subspace(g.dim_t, triple)
+        if span.dim != 3:
+            return False
+    return True
 
 
 def section_dims(space: SectionSpace) -> list[int]:

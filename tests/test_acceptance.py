@@ -25,8 +25,7 @@ from momentsheaf.sheaf import (
     structure_sheaf,
     verify_pure,
 )
-from momentsheaf.moment_graph import finite_two_orbit_test
-from helpers import KL_ONE, section_dims
+from helpers import KL_ONE, finite_two_orbit_test, section_dims
 
 # criterion-3 graph battery: the longest word in each group, plus five fixed
 # non-maximal words (including s2 s1 s3 s2 in A3)

@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.exactalg import (
@@ -69,6 +71,21 @@ def test_primitive_integer():
     assert primitive_integer(primitive_integer([Q(10), Q(15)])) == (2, 3)
     with pytest.raises(ValueError):
         primitive_integer([Q(0), Q(0)])
+    # all-int vectors
+    assert primitive_integer((4, -6, 10)) == (2, -3, 5)
+    assert primitive_integer((0, -2, 4)) == (0, 1, -2)
+    assert primitive_integer((-3,)) == (1,)
+    assert primitive_integer((1, -1, 0, 2)) == (1, -1, 0, 2)
+    with pytest.raises(ValueError):
+        primitive_integer((0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any))
+def test_primitive_integer_int_path_matches_fractions(vec):
+    out = primitive_integer(vec)
+    assert out == primitive_integer([Q(v) for v in vec])
+    assert all(type(v) is int for v in out)
 
 
 def test_monomial_basis_dims():

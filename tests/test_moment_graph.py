@@ -14,7 +14,6 @@ from momentsheaf.moment_graph import (
     MomentGraph,
     above,
     above_punctured,
-    finite_two_orbit_test,
     load_graph,
     order_closure,
     planar_family,
@@ -25,6 +24,7 @@ from momentsheaf.moment_graph import (
     up_edges,
     whole,
 )
+from helpers import finite_two_orbit_test
 
 
 def full_flag_graph(family, rank):
@@ -397,6 +397,16 @@ def test_order_closure_on_random_posets():
                     reach[i][j] = reach[i][j] or (reach[i][k] and reach[k][j])
         assert leq_bits == [sum(1 << j for j in range(n) if reach[i][j]) for i in range(n)]
         assert ranks == _poset_ranks(leq_bits, n)
+        # covers() against the transitive reduction of the reach table
+        g = MomentGraph(
+            dim_t=1, labels=tuple(map(str, range(n))), edges=(),
+            leq_bits=tuple(leq_bits), ranks=tuple(ranks),
+        )
+        strict = [[i != j and reach[i][j] for j in range(n)] for i in range(n)]
+        assert g.covers() == [
+            (i, j) for i in range(n) for j in range(n)
+            if strict[i][j] and not any(strict[i][k] and strict[k][j] for k in range(n))
+        ]
     for pairs in ([(0, 0)], [(0, 1), (1, 2), (2, 0)]):
         with pytest.raises(ValidationError, match="cycle"):
             order_closure(3, pairs)
