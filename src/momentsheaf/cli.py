@@ -14,6 +14,23 @@ import json
 import sys
 from dataclasses import dataclass
 
+# sheaf first: without a bytecode cache the largest module then compiles
+# before the others are loaded, which lowers every command's peak memory
+from .sheaf import (
+    GammaSheaf,
+    SheafReads,
+    boundary_image,
+    canonical_sheaf,
+    certified_images,
+    degree_bounds,
+    global_hilbert,
+    monotonicity_check,
+    planar_image,
+    sheaf_dump,
+    stalk_poincare,
+    stalk_table_csv,
+    verify_pure,
+)
 from .coxeter import (
     CartanDatum,
     WeylElement,
@@ -30,21 +47,6 @@ from .moment_graph import (
     save_graph_json,
     schubert_moment_graph,
     to_dot,
-)
-from .sheaf import (
-    GammaSheaf,
-    SheafReads,
-    boundary_image,
-    canonical_sheaf,
-    certified_images,
-    degree_bounds,
-    global_hilbert,
-    monotonicity_check,
-    planar_image,
-    sheaf_dump,
-    stalk_poincare,
-    stalk_table_csv,
-    verify_pure,
 )
 
 COMMANDS = ("graph", "sheaf", "kl", "hilbert", "verify")

@@ -93,9 +93,6 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.exponents)
 
-    def index(self, exp: tuple[int, ...]) -> int:
-        return _basis_index(self.n, self.d, self.skip)[exp]
-
 
 @lru_cache(maxsize=None)
 def monomial_basis(n: int, d: int, skip: tuple[int, ...] = ()) -> MonomialBasis:

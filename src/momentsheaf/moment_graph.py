@@ -16,8 +16,9 @@ explicit degree bound downstream.
 The sheaf layer works on a few fixed pieces of a graph, each a `Subgraph`
 from one constructor: `whole`, `above` (the vertices strictly above x),
 `above_punctured` (the same with the up edges of x dangling), `up_edges`
-(the star U_x alone), `interval` and `planar_slice` (the part above x of
-the x-component of the edges with direction in a 2-plane, with its up edges).
+(the star U_x alone) and, through `planar_family`, the planar slices (the
+part above x of the x-component of the edges with direction in a 2-plane,
+with its up edges).
 """
 
 from __future__ import annotations
@@ -126,12 +127,6 @@ class MomentGraph:
 
     def less(self, i: int, j: int) -> bool:
         return i != j and self.leq(i, j)
-
-    def vertex(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError as exc:
-            raise ValidationError(f"unknown vertex {label!r}") from exc
 
     def maximal_vertices(self) -> list[int]:
         return [i for i, bits in enumerate(self.leq_bits) if bits == 1 << i]
@@ -317,15 +312,6 @@ def up_edges(g: MomentGraph, x: int) -> Subgraph:
     return Subgraph((), tuple(g.up[_check_vertex(g, x)]))
 
 
-def interval(g: MomentGraph, x: int, y: int) -> Subgraph:
-    """The Bruhat interval [x, y] and the edges inside it."""
-    _check_vertex(g, x)
-    _check_vertex(g, y)
-    return _induced(
-        g, [j for j in range(g.n_vertices) if g.leq(x, j) and g.leq(j, y)]
-    )
-
-
 def _h_edges(g: MomentGraph, h: Subspace) -> list[int]:
     """The edges whose direction lies in h: all of them when h is the whole
     of t*.  Directions are normalized, so each distinct one is tested
@@ -360,17 +346,10 @@ def _component(g: MomentGraph, x: int, edge_ids: Iterable[int]) -> set[int]:
     return seen
 
 
-def planar_slice(g: MomentGraph, x: int, h: Subspace) -> Subgraph:
-    """The subgraph above x of the x-component of the H-direction graph,
-    together with its U_x edges (dangling)."""
-    _check_vertex(g, x)
-    if h.ambient != g.dim_t or h.dim != 2:
-        raise ValidationError("a planar slice needs a 2-plane of t*")
-    return _slice(g, x, _h_edges(g, h))
-
-
 def _slice(g: MomentGraph, x: int, h_edges: list[int]) -> Subgraph:
-    """planar_slice given the edges whose direction lies in H."""
+    """The planar slice above x: the vertices above x of x's component in
+    the graph of the edges h_edges (those with direction in a 2-plane H),
+    the edges among them, and the up edges of x among h_edges, dangling."""
     comp = _component(g, x, h_edges)
     verts = tuple(sorted(j for j in comp if g.less(x, j)))
     vset = set(verts)

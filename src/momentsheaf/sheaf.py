@@ -46,6 +46,11 @@ builds each matrix once; nothing else keeps a matrix between two reads.
 direct_hilbert, the whole-graph solve, gives global_hilbert on loaded
 graphs and is the reference the tests compare the sweep against.
 
+monotonicity_check transports the stalk at x up to y along one increasing
+path.  The paper's other shortcuts, the polygon relations and the
+transports along every V-path, are cross-checks kept with the tests, as
+are the structure sheaf and the substitution check of a section space.
+
 Every vertex or edge carries one piece, (generator degrees, ring), the ring
 None for A or the edge ring; GammaSheaf.piece is the one place that choice
 is made.  In degree d a piece has block coordinates: one monomial basis of
@@ -67,7 +72,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import ConsistencyError, ResourceCapError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .exactalg import (
     LinearForm,
     LinearQuotient,
@@ -102,16 +107,11 @@ from .moment_graph import (
     GraphPlanes,
     MomentGraph,
     Subgraph,
-    _h_edges,
     above_punctured,
     planar_family,
     up_edges,
     whole,
 )
-
-# the cap on increasing paths enumerated between two vertices
-PATH_CAP = 10_000
-
 
 # ---------------------------------------------------------------------------
 # data model
@@ -167,7 +167,7 @@ class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
     canonical marks the canonical sheaf itself, as canonical_sheaf builds
-    it; structure_sheaf leaves it unset.  Nothing derived from rho is kept
+    it; any other sheaf leaves it unset.  Nothing derived from rho is kept
     here: rho_degree_matrix builds each degree-d matrix when it is read, and
     a caller that rereads a finished sheaf keeps a SheafReads for the call.
     The edge rings (edge_ring) and the t*-span matrices of _degree_span
@@ -218,20 +218,6 @@ def split(blocks: Sequence[MonomialBasis], vec: Sequence) -> tuple[Poly, ...]:
         out.append(poly_from_coeffs(basis, vec[off : off + len(basis)]))
         off += len(basis)
     return tuple(out)
-
-
-def structure_sheaf(g: MomentGraph) -> GammaSheaf:
-    """The sheaf of rings: A at every vertex, A_L at every edge, quotient
-    restrictions; its sections compute equivariant ordinary cohomology."""
-    sheaf = GammaSheaf(graph=g)
-    unit = GradedFreeModule((0,))
-    for v in range(g.n_vertices):
-        sheaf.vertex_modules[v] = unit
-    for k, e in enumerate(g.edges):
-        sheaf.edge_modules[k] = EdgeModule(unit, edge_ring(e.direction))
-        sheaf.rho[(e.lower, k)] = _identity_rho(1, g.dim_t)
-        sheaf.rho[(e.upper, k)] = _identity_rho(1, g.dim_t)
-    return sheaf
 
 
 # ---------------------------------------------------------------------------
@@ -426,33 +412,6 @@ def sections(sheaf: GammaSheaf, sub: Subgraph, d_max: int) -> SectionSpace:
         rows = _sections_rows(sheaf, sub, layout)
         bases[d] = kernel_basis(QMatrix(len(rows), layout.total, rows))
     return SectionSpace(sub, layouts, bases)
-
-
-def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
-    """Re-verify, by direct polynomial substitution, that every stored basis
-    vector satisfies every incidence constraint exactly."""
-    g = sheaf.graph
-    sub = space.subgraph
-    vset = set(sub.vertices)
-    for d, vecs in space.bases.items():
-        layout = space.layouts[d]
-        for vec in vecs:
-            values = {
-                comp: split(sheaf.blocks(*comp, d), vec[off : off + size])
-                for comp, off, size in zip(layout.components, layout.offsets, layout.sizes)
-            }
-            for k in sub.edges:
-                e = g.edges[k]
-                sides = [
-                    _restrict(sheaf, v, k, values[("v", v)])
-                    for v in (e.lower, e.upper)
-                    if v in vset
-                ]
-                if ("e", k) in values:
-                    sides.append(values[("e", k)])
-                if any(other != sides[0] for other in sides[1:]):
-                    return False
-    return True
 
 
 def _restrict(sheaf: GammaSheaf, v: int, k: int, value: Sequence[Poly]) -> tuple[Poly, ...]:
@@ -836,8 +795,9 @@ def canonical_sheaf(
     sections over the vertices already built, carried down the sweep, so
     it is exact on every graph.  The paper's shortcuts to that image are
     kept as checks, not builders: planar_image is proven equal to it only
-    on graphs of projective origin, polygon_image only under the
-    finite-two-orbit criterion.
+    on graphs of projective origin, and verify reads it as an upper bound.
+    The polygon relations, exact only under the finite-two-orbit
+    criterion, and the V-path transports are cross-checks in the tests.
 
     extra_degree_check computes one degree past the proven bound of a
     Schubert graph and raises ConsistencyError if a generator shows up
@@ -967,26 +927,18 @@ def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
         )
 
 
-def _increasing_paths(
-    g: MomentGraph, start: int, goal: int, allowed: set[int], cap: int
-) -> tuple[list[tuple[int, ...]], bool]:
-    """All increasing edge paths start -> goal inside the allowed edge set,
-    up to cap paths; the flag reports truncation."""
-    paths: list[tuple[int, ...]] = []
-    truncated = False
+def _first_path(g: MomentGraph, start: int, goal: int) -> tuple[int, ...] | None:
+    """The first increasing edge path start -> goal of a depth-first walk
+    that takes the up edges of each vertex in reverse order, or None."""
     stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
     while stack:
         v, trail = stack.pop()
         if v == goal:
-            if len(paths) >= cap:
-                truncated = True
-                break
-            paths.append(trail)
-            continue
+            return trail
         for k in g.up[v]:
-            if k in allowed and g.leq(g.edges[k].upper, goal):
+            if g.leq(g.edges[k].upper, goal):
                 stack.append((g.edges[k].upper, trail + (k,)))
-    return paths, truncated
+    return None
 
 
 def _transport_entries(
@@ -1022,71 +974,27 @@ def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
     return acc
 
 
-@dataclass
-class VPathTransport:
-    """The induced map (M_x)_V -> (M_y)_V along V-paths."""
-
-    x: int
-    y: int
-    quotient: LinearQuotient
-    entries: list[list[Poly]]
-    path_independent: bool
-    truncated: bool
-
-
-def vpath_map(
-    sheaf: GammaSheaf,
-    x: int,
-    y: int,
-    v_span: Sequence[Sequence[int | Fraction]],
-) -> VPathTransport:
-    """Transport (M_x)_V -> (M_y)_V along V-paths (all edge directions in V),
-    checking independence of the chosen path up to PATH_CAP paths."""
-    span = Subspace(sheaf.graph.dim_t, v_span)
-    if span.dim == 0:
-        raise ValidationError("V must be a nonzero subspace")
-    quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
-    return _vpath_transport(sheaf, x, y, span, quotient, PATH_CAP)
-
-
 @lru_cache(maxsize=None)
-def _whole_space(dim_t: int) -> tuple[Subspace, LinearQuotient]:
-    """V = t* and A_V = A/(all coordinate forms), built once per dim_t for
-    the process: every monotonicity check transports over them."""
-    basis = [[int(i == j) for j in range(dim_t)] for i in range(dim_t)]
-    span = Subspace(dim_t, basis)
-    return span, LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
-
-
-def _vpath_transport(
-    sheaf: GammaSheaf,
-    x: int,
-    y: int,
-    span: Subspace,
-    quotient: LinearQuotient,
-    cap: int,
-) -> VPathTransport:
-    g = sheaf.graph
-    allowed = set(_h_edges(g, span))
-    paths, truncated = _increasing_paths(g, x, y, allowed, cap)
-    if not paths:
-        raise ValidationError(
-            f"no V-path from {g.labels[x]} to {g.labels[y]} inside the subspace"
-        )
-    transports = [_transport_entries(sheaf, quotient, x, p) for p in paths]
-    independent = all(t == transports[0] for t in transports[1:])
-    return VPathTransport(x, y, quotient, transports[0], independent, truncated)
+def _whole_space(dim_t: int) -> LinearQuotient:
+    """A_V for V = t*, A/(all coordinate forms), built once per dim_t for
+    the process: every monotonicity check transports over it."""
+    return LinearQuotient([LinearForm([int(i == j) for j in range(dim_t)]) for i in range(dim_t)])
 
 
 def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
     """Surjectivity, degree by degree, of the transport of reduced stalks
-    from x up to y (with V the whole of t*).  One path suffices: the
-    transport is path-independent, which vpath_map can verify separately."""
+    from x up to y (with V the whole of t*) along the first increasing path
+    _first_path finds.  One path suffices: the transport is path-independent,
+    which the tests check over every V-path."""
     g = sheaf.graph
     if not g.leq(x, y):
         raise ValidationError("monotonicity_check requires x <= y")
-    span, quotient = _whole_space(g.dim_t)
-    transport = _vpath_transport(sheaf, x, y, span, quotient, 1)
+    path = _first_path(g, x, y)
+    if path is None:
+        raise ValidationError(
+            f"no V-path from {g.labels[x]} to {g.labels[y]} inside the subspace"
+        )
+    entries = _transport_entries(sheaf, _whole_space(g.dim_t), x, path)
     src = sheaf.vertex_modules[x].gens
     dst = sheaf.vertex_modules[y].gens
     out: dict[int, bool] = {}
@@ -1095,7 +1003,7 @@ def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
         cols = [i for i, dg in enumerate(src) if dg == d]
         block = [
             [
-                transport.entries[j][i].get(tuple([0] * sheaf.n), 0)
+                entries[j][i].get(tuple([0] * sheaf.n), 0)
                 for i in cols
             ]
             for j in rows
@@ -1103,97 +1011,6 @@ def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
         m = QMatrix.from_dense(block) if cols else QMatrix(len(rows), 0, [{} for _ in rows])
         out[d] = matrix_rank(m) == len(rows)
     return out
-
-
-# ---------------------------------------------------------------------------
-# polygon relations (path-transport upper bound for the boundary image)
-
-
-def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
-    """Subspace of M(U_x) cut out by the path-transport relations only: for
-    every pair of upward edges, transports into any common upper vertex
-    modulo the span of the two directions must agree (over all V-paths).
-
-    Contains the boundary image always; equals it when the finite-two-orbit
-    criterion holds at x.
-    """
-    g = sheaf.graph
-    target = up_edges(g, x)
-    up = dangling_edges(g, target)
-    layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
-    rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
-
-    for a in range(len(up)):
-        for b in range(a + 1, len(up)):
-            k1, k2 = up[a], up[b]
-            span = Subspace(g.dim_t, [g.edges[k1].direction, g.edges[k2].direction])
-            quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
-            allowed = set(_h_edges(g, span))
-            starts = {
-                k1: g.edges[k1].upper,
-                k2: g.edges[k2].upper,
-            }
-            # enumerate V-paths from x with first edge k1 or k2, grouped by target
-            by_target: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-            truncated = False
-            for k in (k1, k2):
-                y0 = starts[k]
-                reach = [
-                    t
-                    for t in range(g.n_vertices)
-                    if g.leq(y0, t)
-                ]
-                for t in reach:
-                    paths, trunc = _increasing_paths(g, y0, t, allowed, PATH_CAP)
-                    truncated = truncated or trunc
-                    for p in paths:
-                        by_target.setdefault(t, []).append((k, p))
-            if truncated:
-                raise ResourceCapError("polygon path enumeration exceeded cap")
-            for t, tagged in sorted(by_target.items()):
-                if len(tagged) < 2:
-                    continue
-                mats = []
-                for k, p in tagged:
-                    entries = _transport_entries(sheaf, quotient, starts[k], p)
-                    mats.append((k, entries))
-                for d in range(d_max + 1):
-                    layout = layouts[d]
-                    # reduce the edge value into A_V, then transport it to t
-                    deg_mats = [
-                        (
-                            layout.slot("e", k)[0],
-                            degree_matrix(
-                                sheaf.n,
-                                entries,
-                                sheaf.piece("e", k),
-                                (sheaf.vertex_modules[t].gens, quotient),
-                                d,
-                            ),
-                        )
-                        for k, entries in mats
-                    ]
-                    off1, first_m = deg_mats[0]
-                    for off2, other_m in deg_mats[1:]:
-                        for r in range(first_m.nrows):
-                            # two paths may leave x along the same edge
-                            row = {off1 + c: v for c, v in first_m.rows[r].items()}
-                            _row_axpy(row, 1, other_m.rows[r], off2)
-                            if row:
-                                rows_by_degree[d].append(row)
-    return _cut_out(target, layouts, rows_by_degree)
-
-
-def _cut_out(
-    target: Subgraph, layouts: dict[int, Layout], rows_by_degree: dict[int, list[Row]]
-) -> SectionSpace:
-    """The subspace of the target's product on which, in each degree, every
-    relation row vanishes."""
-    bases = {
-        d: kernel_basis(QMatrix(len(rows), layouts[d].total, rows))
-        for d, rows in rows_by_degree.items()
-    }
-    return SectionSpace(target, layouts, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,7 +1036,7 @@ def planar_image(
             if sub_layout.total == 0:
                 continue
             # the plane's image is cut out by its relations, and only their
-            # row span matters to the kernel _cut_out takes; the plane's up
+            # row span matters to the kernel taken below; the plane's up
             # edges are a subset of U_x, so relabel the columns
             to_full = [
                 layouts[d].slot(kind, k)[0] + inner
@@ -1230,7 +1047,11 @@ def planar_image(
                 {to_full[col]: val for col, val in relation.items()}
                 for relation in _boundary_relations(sheaf, plane.subgraph, d, reads)
             )
-    return _cut_out(target, layouts, rows_by_degree)
+    bases = {
+        d: kernel_basis(QMatrix(len(rows), layouts[d].total, rows))
+        for d, rows in rows_by_degree.items()
+    }
+    return SectionSpace(target, layouts, bases)
 
 
 # ---------------------------------------------------------------------------

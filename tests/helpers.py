@@ -2,10 +2,17 @@
 reflections and inversion counts on a Weyl group, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
 as matrices, the projective cover by reduction against a Fraction-normalized
-RREF, the finite two-orbit test on a moment graph, and small accessors."""
+RREF, the finite two-orbit test on a moment graph, and small accessors.
+
+It also holds the paper's cross-checks that no command runs: the Bruhat
+interval and planar slice subgraphs, the structure sheaf, the substitution
+check of a section space, transports along every V-path, and the polygon
+relations, which cut out the boundary image exactly where the finite
+two-orbit test holds."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -20,23 +27,44 @@ from momentsheaf.exactalg import (
     Row,
     Subspace,
     Vector,
+    _row_axpy,
     dense,
+    edge_ring,
     exact,
+    kernel_basis,
     monomial_basis,
     poly_from_coeffs,
     poly_to_coeffs,
     rref,
 )
+from momentsheaf.errors import ResourceCapError, ValidationError
 from momentsheaf.hecke_oracle import IntPoly, _padd, _pmul, _pshift
 from momentsheaf.klpoly import KLPolynomial
-from momentsheaf.moment_graph import MomentGraph
-from momentsheaf.sheaf import (
-    GammaSheaf,
-    SectionSpace,
-    VPathTransport,
-    _degree_span,
-    degree_matrix,
+from momentsheaf.moment_graph import (
+    MomentGraph,
+    Subgraph,
+    _h_edges,
+    _induced,
+    _slice,
+    up_edges,
 )
+from momentsheaf.sheaf import (
+    EdgeModule,
+    GammaSheaf,
+    GradedFreeModule,
+    SectionSpace,
+    _degree_span,
+    _identity_rho,
+    _restrict,
+    _transport_entries,
+    dangling_edges,
+    degree_matrix,
+    section_layout,
+    split,
+)
+
+# the cap on increasing paths enumerated between two vertices
+PATH_CAP = 10_000
 
 KL_ONE = KLPolynomial((1,))
 
@@ -158,7 +186,7 @@ def multiply_map(f: LinearForm, n: int, d: int) -> QMatrix:
                 continue
             e2 = list(e)
             e2[i] += 1
-            row = rows[dst.index(tuple(e2))]
+            row = rows[dst.exponents.index(tuple(e2))]
             row[j] = row.get(j, 0) + c
     rows = [{j: v for j, v in r.items() if v} for r in rows]
     return QMatrix(len(dst), len(src), rows)
@@ -207,11 +235,205 @@ def section_dims(space: SectionSpace) -> list[int]:
     return [len(space.bases[d]) for d in sorted(space.bases)]
 
 
+def vertex(g: MomentGraph, label: str) -> int:
+    """The index of the vertex labelled label."""
+    return g.labels.index(label)
+
+
+# -- subgraphs -----------------------------------------------------------------
+
+
+def interval(g: MomentGraph, x: int, y: int) -> Subgraph:
+    """The Bruhat interval [x, y] and the edges inside it."""
+    return _induced(g, [j for j in range(g.n_vertices) if g.leq(x, j) and g.leq(j, y)])
+
+
+def planar_slice(g: MomentGraph, x: int, h: Subspace) -> Subgraph:
+    """The subgraph above x of the x-component of the graph of the edges
+    with direction in the 2-plane h, together with its U_x edges (dangling)."""
+    return _slice(g, x, _h_edges(g, h))
+
+
+# -- the structure sheaf and a substitution check of sections -----------------
+
+
+def structure_sheaf(g: MomentGraph) -> GammaSheaf:
+    """The sheaf of rings: A at every vertex, A_L at every edge, quotient
+    restrictions; its sections compute equivariant ordinary cohomology."""
+    sheaf = GammaSheaf(graph=g)
+    unit = GradedFreeModule((0,))
+    for v in range(g.n_vertices):
+        sheaf.vertex_modules[v] = unit
+    for k, e in enumerate(g.edges):
+        sheaf.edge_modules[k] = EdgeModule(unit, edge_ring(e.direction))
+        sheaf.rho[(e.lower, k)] = _identity_rho(1, g.dim_t)
+        sheaf.rho[(e.upper, k)] = _identity_rho(1, g.dim_t)
+    return sheaf
+
+
+def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
+    """Re-verify, by direct polynomial substitution, that every stored basis
+    vector satisfies every incidence constraint exactly."""
+    g = sheaf.graph
+    sub = space.subgraph
+    vset = set(sub.vertices)
+    for d, vecs in space.bases.items():
+        layout = space.layouts[d]
+        for vec in vecs:
+            values = {
+                comp: split(sheaf.blocks(*comp, d), vec[off : off + size])
+                for comp, off, size in zip(layout.components, layout.offsets, layout.sizes)
+            }
+            for k in sub.edges:
+                e = g.edges[k]
+                sides = [
+                    _restrict(sheaf, v, k, values[("v", v)])
+                    for v in (e.lower, e.upper)
+                    if v in vset
+                ]
+                if ("e", k) in values:
+                    sides.append(values[("e", k)])
+                if any(other != sides[0] for other in sides[1:]):
+                    return False
+    return True
+
+
+# -- V-paths and transports ----------------------------------------------------
+
+
+def increasing_paths(
+    g: MomentGraph, start: int, goal: int, allowed: set[int], cap: int = PATH_CAP
+) -> tuple[list[tuple[int, ...]], bool]:
+    """All increasing edge paths start -> goal inside the allowed edge set,
+    up to cap paths, in the order of sheaf._first_path's walk; the flag
+    reports truncation."""
+    paths: list[tuple[int, ...]] = []
+    truncated = False
+    stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
+    while stack:
+        v, trail = stack.pop()
+        if v == goal:
+            if len(paths) >= cap:
+                truncated = True
+                break
+            paths.append(trail)
+            continue
+        for k in g.up[v]:
+            if k in allowed and g.leq(g.edges[k].upper, goal):
+                stack.append((g.edges[k].upper, trail + (k,)))
+    return paths, truncated
+
+
+@dataclass
+class VPathTransport:
+    """The induced map (M_x)_V -> (M_y)_V along V-paths."""
+
+    x: int
+    y: int
+    quotient: LinearQuotient
+    entries: list[list[Poly]]
+    path_independent: bool
+    truncated: bool
+
+
+def vpath_map(
+    sheaf: GammaSheaf,
+    x: int,
+    y: int,
+    v_span: Sequence[Sequence[int | Fraction]],
+) -> VPathTransport:
+    """Transport (M_x)_V -> (M_y)_V along V-paths (all edge directions in V),
+    checking independence of the chosen path up to PATH_CAP paths."""
+    g = sheaf.graph
+    span = Subspace(g.dim_t, v_span)
+    if span.dim == 0:
+        raise ValidationError("V must be a nonzero subspace")
+    quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
+    paths, truncated = increasing_paths(g, x, y, set(_h_edges(g, span)))
+    if not paths:
+        raise ValidationError(
+            f"no V-path from {g.labels[x]} to {g.labels[y]} inside the subspace"
+        )
+    transports = [_transport_entries(sheaf, quotient, x, p) for p in paths]
+    independent = all(t == transports[0] for t in transports[1:])
+    return VPathTransport(x, y, quotient, transports[0], independent, truncated)
+
+
 def transport_degree_matrix(sheaf: GammaSheaf, t: VPathTransport, d: int) -> QMatrix:
     """The degree-d matrix of a V-path transport (M_x)_V -> (M_y)_V."""
     src = (sheaf.vertex_modules[t.x].gens, t.quotient)
     dst = (sheaf.vertex_modules[t.y].gens, t.quotient)
     return degree_matrix(sheaf.n, t.entries, src, dst, d)
+
+
+# -- polygon relations (path-transport upper bound for the boundary image) ----
+
+
+def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
+    """Subspace of M(U_x) cut out by the path-transport relations only: for
+    every pair of upward edges, transports into any common upper vertex
+    modulo the span of the two directions must agree (over all V-paths).
+
+    Contains the boundary image always; equals it when the finite-two-orbit
+    criterion holds at x.
+    """
+    g = sheaf.graph
+    target = up_edges(g, x)
+    up = dangling_edges(g, target)
+    layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
+    rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
+
+    for a in range(len(up)):
+        for b in range(a + 1, len(up)):
+            k1, k2 = up[a], up[b]
+            span = Subspace(g.dim_t, [g.edges[k1].direction, g.edges[k2].direction])
+            quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
+            allowed = set(_h_edges(g, span))
+            starts = {k1: g.edges[k1].upper, k2: g.edges[k2].upper}
+            # enumerate V-paths from x with first edge k1 or k2, grouped by target
+            by_target: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+            truncated = False
+            for k, y0 in starts.items():
+                for t in (t for t in range(g.n_vertices) if g.leq(y0, t)):
+                    paths, trunc = increasing_paths(g, y0, t, allowed)
+                    truncated = truncated or trunc
+                    for p in paths:
+                        by_target.setdefault(t, []).append((k, p))
+            if truncated:
+                raise ResourceCapError("polygon path enumeration exceeded cap")
+            for t, tagged in sorted(by_target.items()):
+                if len(tagged) < 2:
+                    continue
+                mats = [(k, _transport_entries(sheaf, quotient, starts[k], p)) for k, p in tagged]
+                for d in range(d_max + 1):
+                    layout = layouts[d]
+                    # reduce the edge value into A_V, then transport it to t
+                    deg_mats = [
+                        (
+                            layout.slot("e", k)[0],
+                            degree_matrix(
+                                sheaf.n,
+                                entries,
+                                sheaf.piece("e", k),
+                                (sheaf.vertex_modules[t].gens, quotient),
+                                d,
+                            ),
+                        )
+                        for k, entries in mats
+                    ]
+                    off1, first_m = deg_mats[0]
+                    for off2, other_m in deg_mats[1:]:
+                        for r in range(first_m.nrows):
+                            # two paths may leave x along the same edge
+                            row = {off1 + c: v for c, v in first_m.rows[r].items()}
+                            _row_axpy(row, 1, other_m.rows[r], off2)
+                            if row:
+                                rows_by_degree[d].append(row)
+    bases = {
+        d: kernel_basis(QMatrix(len(rows), layouts[d].total, rows))
+        for d, rows in rows_by_degree.items()
+    }
+    return SectionSpace(target, layouts, bases)
 
 
 def reference_projective_cover(

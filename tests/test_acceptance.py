@@ -20,12 +20,17 @@ from momentsheaf.sheaf import (
     global_hilbert,
     monotonicity_check,
     planar_image,
-    polygon_image,
     stalk_poincare,
-    structure_sheaf,
     verify_pure,
 )
-from helpers import KL_ONE, finite_two_orbit_test, section_dims
+from helpers import (
+    KL_ONE,
+    finite_two_orbit_test,
+    polygon_image,
+    section_dims,
+    structure_sheaf,
+    vertex,
+)
 
 # criterion-3 graph battery: the longest word in each group, plus five fixed
 # non-maximal words (including s2 s1 s3 s2 in A3)
@@ -71,7 +76,7 @@ def test_criterion_1_sl3_smoke(lab):
     # at s the boundary module is A/(V_L V_L'): its degreewise dimensions
     # are those of a quotient by one degree-2 form, dim A_d - dim A_{d-2}
     expected = [graded_dim(2, d) - graded_dim(2, d - 2) for d in range(3)]
-    dims = section_dims(boundary_image(sheaf, g.vertex("1"), 2))
+    dims = section_dims(boundary_image(sheaf, vertex(g, "1"), 2))
     elapsed = time.monotonic() - start
     verdict(
         1,
@@ -85,7 +90,7 @@ def test_criterion_2_pappus(lab):
     start = time.monotonic()
     g = lab.graph("A", 2)
     sheaf = lab.sheaf("A", 2)
-    e = g.vertex("e")
+    e = vertex(g, "e")
     poly_dim = polygon_image(sheaf, e, 1).dim(1)
     sect_dim = boundary_image(sheaf, e, 1).dim(1)
     elapsed = time.monotonic() - start
@@ -168,7 +173,7 @@ def test_criterion_6_purity(lab):
     # mutation test: dropping a generator must break the image axiom
     g = lab.graph("A", 3, "2132")
     good = lab.sheaf("A", 3, "2132")
-    e = g.vertex("e")
+    e = vertex(g, "e")
     mutated = GammaSheaf(graph=g, canonical=True)
     mutated.vertex_modules = dict(good.vertex_modules)
     mutated.edge_modules = dict(good.edge_modules)

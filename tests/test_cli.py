@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +39,28 @@ def test_kl_nontrivial_value(capsys):
     code, out, _ = run_cli(["kl", "--type", "A3", "--word", "2132"], capsys)
     assert code == 0
     assert "e,2132,1+q" in out
+
+
+def test_the_console_script_runs_in_a_fresh_interpreter():
+    """The [project.scripts] target resolves with nothing but the package
+    on the path, and runs the way an installed console script calls it."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    targets = dict(re.findall(r'^(\S+)\s*=\s*"([^"]*)"', scripts, re.M))
+    assert targets == {"momentsheaf": "momentsheaf.cli:main"}
+    module, func = targets["momentsheaf"].split(":")
+    code = (
+        f"import sys\nfrom {module} import {func}\n"
+        "sys.argv = ['momentsheaf', 'kl', '--type', 'A1']\n"
+        f"sys.exit({func}())\n"
+    )
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "x,y,P\ne,1,1\n1,1,1\n", "")
 
 
 @pytest.mark.parametrize("command", ["kl", "graph"])

@@ -11,8 +11,8 @@ from momentsheaf import hecke_oracle
 from momentsheaf.coxeter import weyl_group
 from momentsheaf.exactalg import Subspace
 from momentsheaf.hecke_oracle import kl_table_csv
-from momentsheaf.moment_graph import interval, planar_slice
-from momentsheaf.sheaf import sections, stalk_table_csv, structure_sheaf
+from momentsheaf.sheaf import sections, stalk_table_csv
+from helpers import check_sections, interval, planar_slice, structure_sheaf, vertex
 
 
 def test_oracle_imports_only_the_group_layer():
@@ -39,9 +39,9 @@ def test_stalk_table_diffable_against_oracle_table(lab):
 
 def test_interval_selector(lab):
     g = lab.graph("A", 3)
-    x, y = g.vertex("1"), g.vertex("121")
+    x, y = vertex(g, "1"), vertex(g, "121")
     sub = interval(g, x, y)
-    assert set(sub.vertices) == {g.vertex(l) for l in ("1", "12", "21", "121")}
+    assert set(sub.vertices) == {vertex(g, l) for l in ("1", "12", "21", "121")}
     for k in sub.edges:
         e = g.edges[k]
         assert e.lower in sub.vertices and e.upper in sub.vertices
@@ -53,7 +53,7 @@ def test_planar_selector_sections(lab):
     # the three dangling edges at e
     g = lab.graph("A", 3)
     sh = structure_sheaf(g)
-    e = g.vertex("e")
+    e = vertex(g, "e")
     sub = planar_slice(
         g, e, Subspace(g.dim_t, [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)]])
     )
@@ -62,8 +62,6 @@ def test_planar_selector_sections(lab):
     assert len(dangling) == 3 and len(sub.edges) == 9
     secs = sections(sh, sub, 1)
     assert secs.dim(0) == 1  # the slice is connected, constants glue
-    from momentsheaf.sheaf import check_sections
-
     assert check_sections(sh, secs)
 
 

@@ -20,7 +20,8 @@ import pytest
 from momentsheaf.cli import main
 from momentsheaf.coxeter import weyl_group
 from momentsheaf.moment_graph import load_graph, save_graph, schubert_moment_graph
-from momentsheaf.sheaf import canonical_sheaf, kl_degree_bound, polygon_image, sheaf_dump
+from momentsheaf.sheaf import canonical_sheaf, kl_degree_bound, sheaf_dump
+from helpers import polygon_image
 
 GOLDEN = {
     "sheaf-A3": "b6f0d933f93b88933690316be6ca0c51422099f9a3644fa837fc015cec75f7da",

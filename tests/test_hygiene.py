@@ -5,16 +5,19 @@ it, and every name the benchmark imports from the package exists.
 No linter is a dependency, so this walks each module's syntax tree with the
 standard library.  A name counts as used when it occurs as a Name node
 anywhere in the module (an attribute chain such as json.dumps roots in one);
-names listed in __all__ are re-exports, and `annotations` is the
-__future__ feature.  Reachability is a static walk described at
-`unreachable`; the tests are no root of it, so a definition that only tests
-call belongs under tests/.
+`annotations` is the __future__ feature, and a name listed only in __all__
+counts as unused, since the package re-exports nothing.  Reachability is a
+static walk described at `unreachable`; its roots are cli.main,
+module-level statements and perfbench, not __all__ and not the tests, so a
+definition that only tests call belongs under tests/.
 
-Attribute reads resolve by name, since a static walk cannot know the owner:
-a method that only tests call survives when some other class has a field or
-method of the same name that the program reads.  MomentGraph.vertex is such
-a known survivor: only tests call it, and cli's read of PurityViolation's
-vertex field keeps it.
+Attribute reads resolve by name, since a static walk cannot know the owner,
+but a call is told from a plain read: x.name(...) reaches every definition
+called name, while a plain x.name, where some class has a field called
+name, reaches all but the methods of that name, so properties still count.
+So cli's read of PurityViolation's vertex field keeps no method called
+vertex alive.  A method that only tests call still survives when the
+program calls some other method of the same name.
 """
 
 import ast
@@ -28,15 +31,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "momentsheaf"
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
@@ -48,7 +42,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    keep = used | _exported(tree) | {"annotations"}
+    keep = used | {"annotations"}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in keep)
 
 
@@ -61,7 +55,8 @@ def test_the_guard_finds_an_unused_import():
         "__all__ = ['loads']\n"
         "print(dumps(osp.sep))\n"
     )
-    assert unused_imports(source) == ["os (line 2)"]
+    # a name listed in __all__ only is a re-export, and src keeps none
+    assert unused_imports(source) == ["loads (line 4)", "os (line 2)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -80,19 +75,22 @@ def unreachable(modules: dict[str, str], entry: str, external: list[str]) -> lis
     or a non-dunder method (module.Class.method); a class reads its bases,
     decorators, class-level statements and dunder methods.
 
-    The walk starts at entry, at the names in __all__, at module-level
-    statements (they run on import), and at what the external sources take
-    from the package: the names they import and the attributes they read.
-    String constants are no roots.  A name read in a module resolves to its
-    definition there or, through `from .module import name`, elsewhere; an
-    attribute, whose owner a static walk cannot know, to every definition
-    of that name.
+    The walk starts at entry, at module-level statements (they run on
+    import), and at what the external sources take from the package: the
+    names they import and the attributes they read.  Neither __all__ nor a
+    string constant is a root.  A name read in a module resolves to its
+    definition there or, through `from .module import name`, elsewhere.  An
+    attribute, whose owner a static walk cannot know, resolves by name: a
+    called one to every definition of that name, a plain read to all but the
+    methods when the name is also a field, that is, annotated in a class
+    body or assigned as an attribute anywhere.
     """
-    defs, imports, exported = {}, {}, []
+    defs, imports, methods, fields = {}, {}, set(), set()
     roots = [(None, ast.parse(s)) for s in external]
     for mod, source in modules.items():
         tree = ast.parse(source)
-        exported += [(mod, name) for name in _exported(tree)]
+        stored = (n for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        fields.update(n.attr for n in stored if isinstance(n.ctx, ast.Store))
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level:
                 imports.update({(mod, a.asname or a.name): (node.module, a.name) for a in node.names})
@@ -105,7 +103,11 @@ def unreachable(modules: dict[str, str], entry: str, external: list[str]) -> lis
                         item.name.startswith("__") and item.name.endswith("__")
                     ):
                         defs[f"{mod}.{node.name}.{item.name}"] = (mod, [item])
+                        if not any("property" in ast.unparse(d) for d in item.decorator_list):
+                            methods.add(f"{mod}.{node.name}.{item.name}")
                     else:
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            fields.add(item.target.id)
                         own.append(item)
                 defs[f"{mod}.{node.name}"] = (mod, own)
             else:
@@ -119,7 +121,7 @@ def unreachable(modules: dict[str, str], entry: str, external: list[str]) -> lis
             mod, name = imports[mod, name]
         return [f"{mod}.{name}"] if f"{mod}.{name}" in defs else []
 
-    todo = [entry, *(key for mod, name in exported for key in resolve(mod, name))]
+    todo = [entry]
     seen = set()
     while todo or roots:
         if todo:
@@ -131,9 +133,13 @@ def unreachable(modules: dict[str, str], entry: str, external: list[str]) -> lis
         else:
             mod, node = roots.pop()
             nodes = [node]
+        called = set()  # ast.walk yields a call before its callee
         for node in (n for top in nodes for n in ast.walk(top)):
-            if isinstance(node, ast.Attribute):
-                todo += by_attr.get(node.attr, [])
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+            elif isinstance(node, ast.Attribute):
+                field_read = id(node) not in called and node.attr in fields
+                todo += [k for k in by_attr.get(node.attr, []) if not (field_read and k in methods)]
             elif isinstance(node, ast.Name) and mod:
                 todo += resolve(mod, node.id)
             elif isinstance(node, ast.ImportFrom) and not mod:
@@ -146,10 +152,16 @@ def unreachable(modules: dict[str, str], entry: str, external: list[str]) -> lis
 def test_the_guard_finds_a_dead_definition():
     modules = {
         "__init__": "from .util import exported\n__all__ = ['exported']\n",
-        "cli": "from .util import helper\ndef main():\n    return helper().used()\n",
+        "cli": (
+            "from .util import Violation, helper\ndef main():\n    h = helper()\n"
+            "    return h.used(), Violation(1).vertex, h.size, h.label\n"
+        ),
         "util": (
             "class Kept:\n    def used(self): ...\n    def benched(self): ...\n"
             "    def tested(self): ...\n    def __repr__(self): ...\n"
+            "    def vertex(self, label): ...\n    @property\n    def size(self): ...\n"
+            "    def label(self): ...\n"
+            "class Violation:\n    vertex: int\n    size: int\n"
             "def helper():\n    return Kept()\n"
             "def exported(): ...\ndef imported(): ...\ndef tested_only(): ...\n"
         ),
@@ -158,8 +170,16 @@ def test_the_guard_finds_a_dead_definition():
         "from momentsheaf.util import imported\nprint(thing.benched)\n"
         "SPANS = [('util', 'tested_only', 'util.tested_only')]\n"
     )
-    # a test that calls Kept().tested and tested_only is no root
-    assert unreachable(modules, "cli.main", [bench]) == ["util.Kept.tested", "util.tested_only"]
+    # a test that calls Kept().tested, Kept().vertex or tested_only is no
+    # root, nor is __all__; a plain read of the Violation field vertex keeps
+    # no method called vertex, but a property named like a field (size) and
+    # a method named like no field (label) stay read
+    assert unreachable(modules, "cli.main", [bench]) == [
+        "util.Kept.tested",
+        "util.Kept.vertex",
+        "util.exported",
+        "util.tested_only",
+    ]
 
 
 @lru_cache(maxsize=None)

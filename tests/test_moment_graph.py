@@ -24,7 +24,7 @@ from momentsheaf.moment_graph import (
     up_edges,
     whole,
 )
-from helpers import finite_two_orbit_test
+from helpers import finite_two_orbit_test, vertex
 
 
 def full_flag_graph(family, rank):
@@ -43,7 +43,7 @@ def test_a2_graph_shape():
     W, g = full_flag_graph("A", 2)
     assert g.n_vertices == 6
     assert len(g.edges) == 9
-    e = g.vertex("e")
+    e = vertex(g, "e")
     assert len(g.up[e]) == 3  # three lines through the bottom vertex
     top = g.unique_maximal()
     assert g.labels[top] == "121"
@@ -75,7 +75,7 @@ def test_parabolic_quotient_graph():
     top = max(reps, key=lambda r: r.length)
     g = schubert_moment_graph(W, top, J=(1, 3))
     assert g.n_vertices == 6
-    assert g.unique_maximal() == g.vertex(top.word_str())
+    assert g.unique_maximal() == vertex(g, top.word_str())
 
 
 def test_interval_graph_not_whole_group():
@@ -90,15 +90,15 @@ def test_select_whole_and_up_edges():
     W, g = full_flag_graph("A", 2)
     everything = whole(g)
     assert len(everything.vertices) == 6 and len(everything.edges) == 9
-    st = g.vertex("12")
+    st = vertex(g, "12")
     assert len(up_edges(g, st).edges) == 1
-    s = g.vertex("1")
+    s = vertex(g, "1")
     assert len(up_edges(g, s).edges) == 2
 
 
 def test_select_above_sets():
     W, g = full_flag_graph("A", 2)
-    e = g.vertex("e")
+    e = vertex(g, "e")
     strictly_above = above(g, e)
     assert set(strictly_above.vertices) == {i for i in range(6) if i != e}
     punctured = above_punctured(g, e)
@@ -188,12 +188,12 @@ def test_multiple_maximal_allowed_in_model():
 
 def test_planar_family_a1_empty():
     W, g = full_flag_graph("A", 1)
-    assert planar_family(g, g.vertex("e")) == []
+    assert planar_family(g, vertex(g, "e")) == []
 
 
 def test_planar_family_a2_single_plane():
     W, g = full_flag_graph("A", 2)
-    fam = planar_family(g, g.vertex("e"))
+    fam = planar_family(g, vertex(g, "e"))
     assert len(fam) == 1
     slice_ = fam[0]
     assert set(slice_.subgraph.vertices) == {i for i in range(6) if g.labels[i] != "e"}
@@ -202,7 +202,7 @@ def test_planar_family_a2_single_plane():
 
 def test_planar_family_a3_rank2_subsystems():
     W, g = full_flag_graph("A", 3)
-    e = g.vertex("e")
+    e = vertex(g, "e")
     fam = planar_family(g, e)
     # spans of pairs of the 6 positive roots of A3, deduplicated
     from itertools import combinations
@@ -221,8 +221,8 @@ def test_planar_family_a3_rank2_subsystems():
 
 def test_finite_two_orbit():
     W, g2 = full_flag_graph("A", 2)
-    assert not finite_two_orbit_test(g2, g2.vertex("e"))
-    st = g2.vertex("12")
+    assert not finite_two_orbit_test(g2, vertex(g2, "e"))
+    st = vertex(g2, "12")
     assert finite_two_orbit_test(g2, st)  # only one up edge
     # Grassmannian-type quotient: true at every vertex
     W3 = weyl_group("A", 3)

@@ -23,23 +23,31 @@ from momentsheaf.sheaf import (
     GammaSheaf,
     GradedFreeModule,
     SectionSpace,
+    _first_path,
     boundary_image,
     canonical_sheaf,
-    check_sections,
     global_hilbert,
     monotonicity_check,
     planar_image,
-    polygon_image,
     rho_degree_matrix,
     sections,
     sheaf_dump,
     stalk_poincare,
     stalk_table_csv,
-    structure_sheaf,
     verify_pure,
+)
+from helpers import (
+    KL_ONE,
+    check_sections,
+    increasing_paths,
+    polygon_image,
+    poly_scale,
+    section_dims,
+    structure_sheaf,
+    transport_degree_matrix,
+    vertex,
     vpath_map,
 )
-from helpers import KL_ONE, poly_scale, section_dims, transport_degree_matrix
 
 
 def expected_section_dims(lengths, n, d_max):
@@ -77,7 +85,7 @@ def test_structure_sheaf_a2_section_dims(lab):
 def test_sections_single_vertex_is_free_module(lab):
     g = lab.graph("A", 2)
     sh = structure_sheaf(g)
-    sub = Subgraph((g.vertex("12"),), ())
+    sub = Subgraph((vertex(g, "12"),), ())
     secs = sections(sh, sub, 3)
     assert section_dims(secs) == [graded_dim(2, d) for d in range(4)]
 
@@ -85,7 +93,7 @@ def test_sections_single_vertex_is_free_module(lab):
 def test_sections_up_edges_is_full_product(lab):
     g = lab.graph("A", 2)
     sh = structure_sheaf(g)
-    e = g.vertex("e")
+    e = vertex(g, "e")
     secs = sections(sh, up_edges(g, e), 2)
     # three edge rings in one variable each
     assert section_dims(secs) == [3, 3, 3]
@@ -97,7 +105,7 @@ def test_check_sections_rejects_a_flipped_coordinate(lab):
     # other and with free edge values
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    sub = above_punctured(g, g.vertex("e"))
+    sub = above_punctured(g, vertex(g, "e"))
     secs = sections(sh, sub, 1)
     assert check_sections(sh, secs)
     layout = secs.layouts[1]
@@ -135,13 +143,13 @@ def test_canonical_a2_boundary_modules(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
     # one up edge at st: boundary module is the full edge ring A_L
-    st = g.vertex("12")
+    st = vertex(g, "12")
     assert section_dims(boundary_image(sh, st, 2)) == [1, 1, 1]
     # two up edges at s: pairs with matching constants, A/(V_L V_L') shape
-    s = g.vertex("1")
+    s = vertex(g, "1")
     assert section_dims(boundary_image(sh, s, 3)) == [1, 2, 2, 2]
     # at the bottom the degree-1 image has dimension 2, not 3
-    e = g.vertex("e")
+    e = vertex(g, "e")
     assert section_dims(boundary_image(sh, e, 1)) == [1, 2]
 
 
@@ -149,7 +157,7 @@ def test_canonical_a3_singular_stalk_matches_oracle(lab):
     W = lab.group("A", 3)
     g = lab.graph("A", 3, "2132")
     sh = lab.sheaf("A", 3, "2132")
-    assert stalk_poincare(sh, g.vertex("e")) == KLPolynomial((1, 1))
+    assert stalk_poincare(sh, vertex(g, "e")) == KLPolynomial((1, 1))
     w = lab.element("A", 3, "2132")
     for v in range(g.n_vertices):
         x = lab.element("A", 3, g.labels[v])
@@ -232,7 +240,7 @@ def _full_basis(n):
 def test_vpath_identity(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    t = vpath_map(sh, g.vertex("1"), g.vertex("1"), _full_basis(2))
+    t = vpath_map(sh, vertex(g, "1"), vertex(g, "1"), _full_basis(2))
     assert t.path_independent
     assert t.entries[0][0] == {(0, 0): Q(1)}
 
@@ -240,7 +248,7 @@ def test_vpath_identity(lab):
 def test_vpath_bottom_to_top_is_identity_in_degree_zero(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    t = vpath_map(sh, g.vertex("e"), g.vertex("121"), _full_basis(2))
+    t = vpath_map(sh, vertex(g, "e"), vertex(g, "121"), _full_basis(2))
     # both reduced stalks are one-dimensional in degree 0
     const = t.entries[0][0].get((0, 0))
     assert const == Q(1)
@@ -262,7 +270,7 @@ def test_vpath_two_dim_subspace(lab):
     g = lab.graph("A", 3)
     sh = lab.sheaf("A", 3)
     v_span = [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)]]
-    t = vpath_map(sh, g.vertex("e"), g.vertex("121"), v_span)
+    t = vpath_map(sh, vertex(g, "e"), vertex(g, "121"), v_span)
     assert t.path_independent
 
 
@@ -271,7 +279,7 @@ def test_vpath_requires_a_path(lab):
     sh = lab.sheaf("A", 2)
     with pytest.raises(ValidationError):
         # no V-path from e in a direction line that is not an edge direction
-        vpath_map(sh, g.vertex("1"), g.vertex("121"), [[Q(5), Q(7)]])
+        vpath_map(sh, vertex(g, "1"), vertex(g, "121"), [[Q(5), Q(7)]])
 
 
 def test_monotonicity_trivial_and_exhaustive(lab):
@@ -283,7 +291,18 @@ def test_monotonicity_trivial_and_exhaustive(lab):
             if g.leq(x, y):
                 assert all(monotonicity_check(sh, x, y).values())
     with pytest.raises(ValidationError):
-        monotonicity_check(sh, g.vertex("121"), g.vertex("1"))
+        monotonicity_check(sh, vertex(g, "121"), vertex(g, "1"))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
+def test_monotonicity_transports_along_the_first_enumerated_path(lab, family, rank):
+    g = lab.graph(family, rank)
+    every = set(range(len(g.edges)))
+    for x in range(g.n_vertices):
+        for y in range(g.n_vertices):
+            if g.leq(x, y):
+                first = increasing_paths(g, x, y, every, cap=1)[0][0]
+                assert _first_path(g, x, y) == first
 
 
 # -- polygon and planar images ----------------------------------------------
@@ -292,7 +311,7 @@ def test_monotonicity_trivial_and_exhaustive(lab):
 def test_polygon_single_edge_is_everything(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    st = g.vertex("12")
+    st = vertex(g, "12")
     poly = polygon_image(sh, st, 2)
     assert section_dims(poly) == [1, 1, 1]  # all of the edge ring
 
@@ -300,7 +319,7 @@ def test_polygon_single_edge_is_everything(lab):
 def test_polygon_pappus_defect(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    e = g.vertex("e")
+    e = vertex(g, "e")
     assert section_dims(polygon_image(sh, e, 1)) == [1, 3]
     assert section_dims(boundary_image(sh, e, 1)) == [1, 2]
 
@@ -309,7 +328,7 @@ def test_polygon_contains_boundary_image(lab):
     g = lab.graph("A", 3, "2132")
     sh = lab.sheaf("A", 3, "2132")
     for label in ("e", "2", "21"):
-        x = g.vertex(label)
+        x = vertex(g, label)
         bi = boundary_image(sh, x, 2)
         po = polygon_image(sh, x, 2)
         for d in range(3):
@@ -331,7 +350,7 @@ def test_polygon_exact_on_grassmannian(lab):
 def test_planar_empty_family_is_everything(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    st = g.vertex("12")
+    st = vertex(g, "12")
     assert section_dims(planar_image(sh, st, 2)) == [1, 1, 1]
 
 
@@ -367,7 +386,7 @@ def test_verify_pure_structure_sheaf_a2(lab):
 def test_verify_pure_detects_dropped_generator(lab):
     g = lab.graph("A", 3, "2132")
     good = lab.sheaf("A", 3, "2132")
-    e = g.vertex("e")
+    e = vertex(g, "e")
     mutated = GammaSheaf(graph=g, canonical=True)
     mutated.vertex_modules = dict(good.vertex_modules)
     mutated.edge_modules = dict(good.edge_modules)
@@ -452,7 +471,7 @@ def test_vpath_independence_line_subspaces(lab):
 def test_vpath_degree_matrix(lab):
     g = lab.graph("A", 2)
     sh = lab.sheaf("A", 2)
-    t = vpath_map(sh, g.vertex("e"), g.vertex("121"), _full_basis(2))
+    t = vpath_map(sh, vertex(g, "e"), vertex(g, "121"), _full_basis(2))
     m = transport_degree_matrix(sh, t, 0)
     assert (m.nrows, m.ncols) == (1, 1)
     assert m.rows[0] == {0: Q(1)}

@@ -56,7 +56,6 @@ from momentsheaf.sheaf import (
     _degree_span,
     boundary_image,
     canonical_sheaf,
-    check_sections,
     degree_bounds,
     direct_hilbert,
     global_hilbert,
@@ -68,7 +67,7 @@ from momentsheaf.sheaf import (
     stacked_rho,
     verify_pure,
 )
-from helpers import reference_projective_cover
+from helpers import check_sections, reference_projective_cover
 from test_certificate import _kl_battery_generic_graph
 from test_golden import _generic_a3_doc
 
