@@ -144,7 +144,6 @@ def parse_args(argv: list[str]) -> RunConfig:
 class ResolvedInput:
     graph: MomentGraph
     group: WeylGroup | None = None
-    top_word: WeylElement | None = None
     parabolic: tuple[int, ...] = ()
 
 
@@ -186,7 +185,7 @@ def resolve_input(config: RunConfig) -> ResolvedInput:
     W = build_weyl_group(CartanDatum.build(config.family, config.rank))
     w = _resolve_word(W, config.word, config.parabolic)
     g = schubert_moment_graph(W, w, config.parabolic)
-    return ResolvedInput(graph=g, group=W, top_word=w, parabolic=config.parabolic)
+    return ResolvedInput(graph=g, group=W, parabolic=config.parabolic)
 
 
 def _vertex_element(W: WeylGroup, label: str) -> WeylElement:

@@ -223,7 +223,6 @@ class WeylElement:
 
 @dataclass(frozen=True)
 class Reflection:
-    element: WeylElement
     positive_root: tuple[int, ...]  # integer root coordinates
     coroot: tuple[int, ...]  # c[j] = 2(a_j, b)/(b, b); s_b(l) = l - (c . l) b
 
@@ -302,10 +301,9 @@ class WeylGroup:
                 tuple(int(k == j) - b * cj for j, cj in enumerate(coroot))
                 for k, b in enumerate(beta)
             )
-            idx = self.index_of.get(m)
-            if idx is None:
+            if m not in self.index_of:
                 raise ValidationError("reflection does not lie in the group")
-            self.reflections.append(Reflection(self.elements[idx], beta, coroot))
+            self.reflections.append(Reflection(beta, coroot))
 
     # -- basic queries -------------------------------------------------------
 

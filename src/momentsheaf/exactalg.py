@@ -324,14 +324,6 @@ class QMatrix:
     ncols: int
     rows: list[Row]
 
-    @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int | Fraction]]) -> "QMatrix":
-        rows = [
-            {j: exact(v) for j, v in enumerate(r) if v != 0} for r in dense
-        ]
-        ncols = len(dense[0]) if dense else 0
-        return cls(len(rows), ncols, rows)
-
     def column(self, j: int) -> Vector:
         return tuple(self.rows[i].get(j, 0) for i in range(self.nrows))
 

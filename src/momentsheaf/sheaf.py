@@ -46,10 +46,12 @@ builds each matrix once; nothing else keeps a matrix between two reads.
 direct_hilbert, the whole-graph solve, gives global_hilbert on loaded
 graphs and is the reference the tests compare the sweep against.
 
-monotonicity_check transports the stalk at x up to y along one increasing
-path.  The paper's other shortcuts, the polygon relations and the
-transports along every V-path, are cross-checks kept with the tests, as
-are the structure sheaf and the substitution check of a section space.
+monotonicity_check transports the fibre M_x / t* M_x up to y along one
+increasing path, as the product of the constant terms of rho; it reduces
+no polynomial.  The paper's other shortcuts, the polygon relations and the
+transports over A_V along every V-path, are cross-checks kept with the
+tests, as are the structure sheaf and the substitution check of a section
+space.
 
 Every vertex or edge carries one piece, (generator degrees, ring), the ring
 None for A or the edge ring; GammaSheaf.piece is the one place that choice
@@ -68,13 +70,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
 from .errors import ConsistencyError, ValidationError
 from .exactalg import (
-    LinearForm,
     LinearQuotient,
     MonomialBasis,
     Poly,
@@ -435,6 +435,14 @@ def _normal_form(ring: LinearQuotient, p: Poly) -> Poly:
                 acc[e] = s
             else:
                 del acc[e]
+    return acc
+
+
+def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
+    acc: Poly = {}
+    for a, b in zip(row, col):
+        if a and b:
+            acc = poly_add(acc, poly_mul(a, b))
     return acc
 
 
@@ -889,22 +897,25 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     so every step 0 -> ker rho_x -> Gamma(J + x) -> Gamma(J) -> 0 of the
     sweep is exact and dim Gamma_d is the sum over all vertices, the top
     included, of dim (M_x)_d - rank rho_{x,d}.  Gamma is free, so the answer
-    is that series times (1 - q)^n: n passes of first differences.  Any
-    other sheaf, a loaded graph's canonical sheaf included, need not have a
-    free Gamma, so it takes direct_hilbert.
+    is that series times (1 - q)^n: n passes of first differences.  The
+    answer is the intersection cohomology of the Schubert variety, zero
+    above its dimension, the top rank, so the sum stops there and the rest
+    is zero.  Any other sheaf, a loaded graph's canonical sheaf included,
+    need not have a free Gamma, so it takes direct_hilbert.
     """
     g = sheaf.graph
     if not (sheaf.canonical and g.schubert_origin):
         return direct_hilbert(sheaf, d_max)
-    dims = [0] * (d_max + 1)
+    top = min(d_max, max(g.ranks))
+    dims = [0] * (top + 1)
     for x in range(g.n_vertices):
         target = up_edges(g, x)
-        for d in range(d_max + 1):
+        for d in range(top + 1):
             rho = stacked_rho(sheaf, x, section_layout(sheaf, target, d))
             dims[d] += rho.ncols - matrix_rank(rho)
     for _ in range(sheaf.n):
         dims = [a - b for a, b in zip(dims, [0] + dims)]
-    return dims
+    return dims + [0] * (d_max - top)
 
 
 def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
@@ -915,7 +926,7 @@ def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# V-paths and transports
+# monotonicity: the transport of the fibres M_x / t* M_x
 
 
 def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
@@ -941,51 +952,14 @@ def _first_path(g: MomentGraph, start: int, goal: int) -> tuple[int, ...] | None
     return None
 
 
-def _transport_entries(
-    sheaf: GammaSheaf, quotient: LinearQuotient, start: int, path: Sequence[int]
-) -> list[list[Poly]]:
-    """Entries (over A_V) of the composite transport M_start -> M_end along
-    an increasing path; inverts the identity upper restrictions."""
-    rank = sheaf.vertex_modules[start].rank
-    entries = [list(row) for row in _identity_rho(rank, sheaf.n).entries]
-    v = start
-    for k in path:
-        e = sheaf.graph.edges[k]
-        if e.lower != v:
-            raise ValidationError("path is not increasing from the start vertex")
-        _assert_identity_upper(sheaf, e.upper, k)
-        step = [[_normal_form(quotient, p) for p in row] for row in sheaf.rho[(v, k)].entries]
-        entries = [
-            [
-                _poly_dot(step_row, [entries[t][i] for t in range(len(entries))])
-                for i in range(rank)
-            ]
-            for step_row in step
-        ]
-        v = e.upper
-    return entries
-
-
-def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
-    acc: Poly = {}
-    for a, b in zip(row, col):
-        if a and b:
-            acc = poly_add(acc, poly_mul(a, b))
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _whole_space(dim_t: int) -> LinearQuotient:
-    """A_V for V = t*, A/(all coordinate forms), built once per dim_t for
-    the process: every monotonicity check transports over it."""
-    return LinearQuotient([LinearForm([int(i == j) for j in range(dim_t)]) for i in range(dim_t)])
-
-
 def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
-    """Surjectivity, degree by degree, of the transport of reduced stalks
-    from x up to y (with V the whole of t*) along the first increasing path
-    _first_path finds.  One path suffices: the transport is path-independent,
-    which the tests check over every V-path."""
+    """Surjectivity, degree by degree, of the transport of the fibres
+    M_x / t* M_x -> M_y / t* M_y along the first increasing path _first_path
+    finds.  On the fibres rho acts by the constant terms of its entries, and
+    every upper incidence must be the identity, so the transport is the
+    product of the constant-term matrices of rho at the lower end of each
+    step.  One path suffices: the transport is path-independent, which the
+    tests check over every V-path."""
     g = sheaf.graph
     if not g.leq(x, y):
         raise ValidationError("monotonicity_check requires x <= y")
@@ -994,22 +968,26 @@ def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
         raise ValidationError(
             f"no V-path from {g.labels[x]} to {g.labels[y]} inside the subspace"
         )
-    entries = _transport_entries(sheaf, _whole_space(g.dim_t), x, path)
+    const = (0,) * sheaf.n
     src = sheaf.vertex_modules[x].gens
+    transport = [[int(i == j) for i in range(len(src))] for j in range(len(src))]
+    v = x
+    for k in path:
+        u = g.edges[k].upper
+        _assert_identity_upper(sheaf, u, k)
+        step = [[p.get(const, 0) for p in row] for row in sheaf.rho[(v, k)].entries]
+        transport = [
+            [sum(a * transport[t][i] for t, a in enumerate(row) if a) for i in range(len(src))]
+            for row in step
+        ]
+        v = u
     dst = sheaf.vertex_modules[y].gens
     out: dict[int, bool] = {}
     for d in sorted(set(dst)):
         rows = [j for j, eg in enumerate(dst) if eg == d]
         cols = [i for i, dg in enumerate(src) if dg == d]
-        block = [
-            [
-                entries[j][i].get(tuple([0] * sheaf.n), 0)
-                for i in cols
-            ]
-            for j in rows
-        ]
-        m = QMatrix.from_dense(block) if cols else QMatrix(len(rows), 0, [{} for _ in rows])
-        out[d] = matrix_rank(m) == len(rows)
+        block = [{c: a for c, i in enumerate(cols) if (a := transport[j][i])} for j in rows]
+        out[d] = matrix_rank(QMatrix(len(rows), len(cols), block)) == len(rows)
     return out
 
 
@@ -1159,7 +1137,6 @@ class PurityViolation:
     vertex: int
     axiom: int
     degree: int | None
-    detail: str
 
 
 @dataclass
@@ -1194,25 +1171,12 @@ def verify_pure(
         for k in g.down[x]:
             em = sheaf.edge_modules[k]
             if em.module.gens != sheaf.vertex_modules[x].gens:
-                violations.append(
-                    PurityViolation(
-                        x, 2, None,
-                        f"edge {k} module differs from the quotient of the "
-                        f"stalk at {g.labels[x]}",
-                    )
-                )
+                violations.append(PurityViolation(x, 2, None))
                 continue
             for d in range(bound + 1):
                 m = _rho_matrix(sheaf, x, k, d, reads)
                 if matrix_rank(m) != sheaf.piece_dim("e", k, d):
-                    violations.append(
-                        PurityViolation(
-                            x, 2, d,
-                            f"edge {k} restriction from {g.labels[x]} is not "
-                            "the quotient map in degree "
-                            f"{d}",
-                        )
-                    )
+                    violations.append(PurityViolation(x, 2, d))
                     break
         if not g.up[x]:
             continue
@@ -1224,13 +1188,7 @@ def verify_pure(
             stalk_image = Subspace(layout.total, cols)
             section_image = image.subspace(d)
             if stalk_image != section_image:
-                violations.append(
-                    PurityViolation(
-                        x, 3, d,
-                        f"images of the stalk at {g.labels[x]} and of the "
-                        f"sections above it differ in degree {d}",
-                    )
-                )
+                violations.append(PurityViolation(x, 3, d))
                 break
     return PurityReport(not violations, violations)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from momentsheaf.coxeter import Matrix, WeylElement, WeylGroup, bruhat_leq, mat_vec
+from momentsheaf.coxeter import Matrix, Reflection, WeylElement, WeylGroup, bruhat_leq, mat_vec
 from momentsheaf.exactalg import (
     LinearForm,
     LinearQuotient,
@@ -52,11 +52,14 @@ from momentsheaf.sheaf import (
     EdgeModule,
     GammaSheaf,
     GradedFreeModule,
+    RhoMap,
     SectionSpace,
+    _assert_identity_upper,
     _degree_span,
     _identity_rho,
+    _normal_form,
+    _poly_dot,
     _restrict,
-    _transport_entries,
     dangling_edges,
     degree_matrix,
     section_layout,
@@ -240,6 +243,24 @@ def vertex(g: MomentGraph, label: str) -> int:
     return g.labels.index(label)
 
 
+def reflection_element(W: WeylGroup, refl: Reflection) -> WeylElement:
+    """The group element of a reflection, s(l) = l - (coroot . l) beta,
+    looked up by its matrix."""
+    m = tuple(
+        tuple(int(k == j) - b * c for j, c in enumerate(refl.coroot))
+        for k, b in enumerate(refl.positive_root)
+    )
+    return W.elements[W.index_of[m]]
+
+
+def zero_rho_corner(sheaf: GammaSheaf, x: int) -> None:
+    """Set the (0, 0) entry of rho to zero on every up edge of x."""
+    for k in sheaf.graph.up[x]:
+        entries = [list(row) for row in sheaf.rho[(x, k)].entries]
+        entries[0][0] = {}
+        sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+
+
 # -- subgraphs -----------------------------------------------------------------
 
 
@@ -322,6 +343,31 @@ def increasing_paths(
             if k in allowed and g.leq(g.edges[k].upper, goal):
                 stack.append((g.edges[k].upper, trail + (k,)))
     return paths, truncated
+
+
+def _transport_entries(
+    sheaf: GammaSheaf, quotient: LinearQuotient, start: int, path: Sequence[int]
+) -> list[list[Poly]]:
+    """Entries (over A_V) of the composite transport M_start -> M_end along
+    an increasing path; inverts the identity upper restrictions."""
+    rank = sheaf.vertex_modules[start].rank
+    entries = [list(row) for row in _identity_rho(rank, sheaf.n).entries]
+    v = start
+    for k in path:
+        e = sheaf.graph.edges[k]
+        if e.lower != v:
+            raise ValidationError("path is not increasing from the start vertex")
+        _assert_identity_upper(sheaf, e.upper, k)
+        step = [[_normal_form(quotient, p) for p in row] for row in sheaf.rho[(v, k)].entries]
+        entries = [
+            [
+                _poly_dot(step_row, [entries[t][i] for t in range(len(entries))])
+                for i in range(rank)
+            ]
+            for step_row in step
+        ]
+        v = e.upper
+    return entries
 
 
 @dataclass

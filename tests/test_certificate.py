@@ -28,7 +28,7 @@ from momentsheaf.sheaf import (
     planar_image,
     sweep_order,
 )
-from helpers import poly_scale
+from helpers import poly_scale, zero_rho_corner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -106,6 +106,20 @@ def test_a_perturbed_rho_entry_fails_verify(lab, monkeypatch, capsys):
     assert code == 1
     assert "purity: FAIL (axiom 3 at " in err
     assert (code, out, err) == _verify(monkeypatch, capsys, argv, sheaf, certify=False)[:3]
+
+
+def test_a_zeroed_constant_term_fails_monotonicity_in_verify(lab, monkeypatch, capsys):
+    g = lab.graph("A", 3)
+    sheaf = canonical_sheaf(g)
+    order = sweep_order(g, g.unique_maximal())
+    zero_rho_corner(sheaf, order[len(order) // 2])
+    code, _, err, _ = _verify(monkeypatch, capsys, ["verify", "--type", "A3"], sheaf)
+    assert code == 1
+    assert err.splitlines() == [
+        "monotonicity (transport surjective): FAIL",
+        "purity: FAIL (axiom 3 at e)",
+        "planar image equals sections image: FAIL",
+    ]
 
 
 def _drop_generator(sheaf, x, i):

@@ -97,16 +97,16 @@ def test_monomial_basis_dims():
 
 
 def test_kernel_trivial_and_tiny():
-    ident = QMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ident = QMatrix(3, 3, [{0: 1}, {1: 1}, {2: 1}])
     assert kernel_basis(ident) == []
-    m = QMatrix.from_dense([[1, -1]])
+    m = QMatrix(1, 2, [{0: 1, 1: -1}])
     assert kernel_basis(m) == [(Q(1), Q(1))]
 
 
 def test_image_trivial_and_tiny():
     zero = QMatrix(2, 3, [{}, {}])
     assert image_basis(zero) == []
-    m = QMatrix.from_dense([[1], [2]])
+    m = QMatrix(2, 1, [{0: 1}, {0: 2}])
     assert image_basis(m) == [(Q(1), Q(2))]
 
 

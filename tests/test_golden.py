@@ -39,12 +39,14 @@ GOLDEN = {
     "hilbert-A3-J2": "56b50e6b3bb4ed63ae9fcf30e3f7632cc4fff129d4367b77477b211fafa4a5b2",
     "hilbert-A3-deg3": "d133e33daa9f065925ea863fa92aace5df8311a14e02a77199c635706c57d7a8",
     "hilbert-A3-deg8": "dfdefed7b52a97024d224381d4ba6184e57f2f3288391d317cd2bc9bb30641e2",
+    "hilbert-A3-deg32": "f3d93cb0a6955d58e2e3a31a222a63bb64cd98e07807c27e8875f2716f4ea6d8",
     "hilbert-generic-A3-deg2": "15cc37073d6f041a67c3d4e8667babad40f34a7664b045d17135f439feb21ce7",
     "hilbert-generic-B2-deg2": "e0cf91116bfcfcdeb583210f917cfb7199872fc71880b11586cdf3d58a61d634",
     "hilbert-generic-G2-deg2": "6ea61c6f70ffedbfeb163a34eb21d27fe985dec479acfa850119001edc26507b",
     "hilbert-B3-J1": "4fa572e17efc340e032884c95cd3b14fcf6c65157050c82c3a392439345350ef",
     "verify-A3": "663e818ab06add59c5912ebc95e90a4f5dc663baa77f7e46a1d181a13ffd3a15",
     "verify-G2": "68680d971fc0da362ddcbc2d7426067caaff8d73bd09654d755ccc116c4d6e89",
+    "verify-B3-J1": "725ff2d1a75620568261bd405db41f9326a1f68dd77335a0faa198bd37ccf9dc",
     "verify-B3-213213": "89c5d9ea50aeb8c82717ef1d8a0fa614edd2b58ed0fad1b9b99418ad8a4d6cab",
     "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
     "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
@@ -181,6 +183,9 @@ ARTIFACTS = {
     "hilbert-A3-deg8": lambda lab, tmp: _cli(
         ["hilbert", "--type", "A3", "--max-degree", "8"], tmp, "h.csv"
     ),
+    "hilbert-A3-deg32": lambda lab, tmp: _cli(
+        ["hilbert", "--type", "A3", "--max-degree", "32"], tmp, "h.csv"
+    ),
     # a loaded graph takes the direct whole-graph solve
     "hilbert-generic-A3-deg2": lambda lab, tmp: _cli(
         ["hilbert", "--graph", _write_json(tmp / "generic.json", _generic_a3_doc()),
@@ -202,6 +207,9 @@ ARTIFACTS = {
     ),
     "verify-A3": lambda lab, tmp: _cli(["verify", "--type", "A3"], tmp, "v.txt"),
     "verify-G2": lambda lab, tmp: _cli(["verify", "--type", "G2"], tmp, "v.txt"),
+    "verify-B3-J1": lambda lab, tmp: _cli(
+        ["verify", "--type", "B3", "--parabolic", "1"], tmp, "v.txt"
+    ),
     "verify-B3-213213": lambda lab, tmp: _cli(
         ["verify", "--type", "B3", "--word", "213213"], tmp, "v.txt"
     ),

@@ -194,6 +194,52 @@ def test_no_dead_definitions(path):
     assert [k for k in _unreachable_in_src() if k.split(".")[0] == path.stem] == []
 
 
+# -- unread fields -------------------------------------------------------------
+
+
+def unread_fields(modules: dict[str, str], external: list[str]) -> list[str]:
+    """The fields (module.Class.field) of the dataclasses and NamedTuples of
+    a package, given as {module: source}, that no attribute read in it or
+    in the external sources names.  Reads resolve by name, as in
+    `unreachable`: any x.field read keeps every field of that name."""
+    trees = {mod: ast.parse(source) for mod, source in modules.items()}
+    nodes = [n for t in [*trees.values(), *map(ast.parse, external)] for n in ast.walk(t)]
+    read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for mod, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            marks = [*map(ast.unparse, cls.decorator_list), *map(ast.unparse, cls.bases)]
+            if not any("dataclass" in m or m == "NamedTuple" for m in marks):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in read:
+                        out.append(f"{mod}.{cls.name}.{item.target.id}")
+    return sorted(out)
+
+
+def test_the_guard_finds_an_unread_field():
+    modules = {
+        "cli": "from .util import Point, Pair\ndef main():\n    return Point(1, 2).x, Pair(3, 4)\n",
+        "util": (
+            "from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+            "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
+            "class Pair(NamedTuple):\n    left: int\n    right: int\n"
+            "class Plain:\n    unread: int\n"
+        ),
+    }
+    bench = "print(thing.left)\n"
+    # a field only set, by a constructor or an assignment, is unread; a
+    # plain class's annotations are no fields
+    assert unread_fields(modules, [bench]) == ["util.Pair.right", "util.Point.y"]
+
+
+def test_no_unread_fields():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_fields(modules, bench) == []
+
+
 def test_perfbench_imports_resolve():
     imported = [
         (node.module, alias.name)

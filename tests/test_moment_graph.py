@@ -24,7 +24,7 @@ from momentsheaf.moment_graph import (
     up_edges,
     whole,
 )
-from helpers import finite_two_orbit_test, vertex
+from helpers import finite_two_orbit_test, reflection_element, vertex
 
 
 def full_flag_graph(family, rank):
@@ -329,7 +329,7 @@ def _matrix_edges(W, w, J):
     edges = set()
     for i, p in enumerate(points):
         for refl in W.reflections:
-            q = mat_vec(refl.element.matrix, p)
+            q = mat_vec(reflection_element(W, refl).matrix, p)
             j = index.get(q)
             if q != p and j is not None:
                 lo, hi = sorted((i, j), key=lambda t: reps[t].length)

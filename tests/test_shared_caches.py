@@ -1,9 +1,8 @@
 """The process-level caches of the sheaf engine, and guards on the work they
 save.
 
-Edge rings (`edge_ring`), their memoized monomial reductions, the
-t*-span matrices of `_degree_span` and the whole-t* quotient of the
-monotonicity checks (`_whole_space`) outlive any one sheaf.  These tests build
+Edge rings (`edge_ring`), their memoized monomial reductions and the
+t*-span matrices of `_degree_span` outlive any one sheaf.  These tests build
 sheaves of different `dim_t` in one process and check the artifacts against
 the golden digests, and they count, without timing anything, the work a
 `verify` run does on B3/J={1}.
@@ -26,7 +25,6 @@ from test_golden import GOLDEN, _dump, _generic_a3_doc, _polygon_images
 def _clear_shared_caches():
     edge_ring.cache_clear()
     sheaf_mod._SPAN_MATRICES.clear()
-    sheaf_mod._whole_space.cache_clear()
 
 
 def _snapshot(sheaves):
@@ -152,8 +150,8 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     assert main(["verify", "--type", "B3", "--parabolic", "1", "--out", str(out)]) == 0
     assert "FAIL" not in out.read_text(encoding="utf-8")
 
-    # one quotient by all of t* for every monotonicity pair
-    assert whole_quotients[0] == 1
+    # no quotient by all of t*: the monotonicity checks read constant terms
+    assert whole_quotients[0] == 0
     # one edge ring per direction
     assert rings and max(rings.values()) == 1
     # one membership test per distinct direction per plane

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from momentsheaf.errors import ValidationError
-from momentsheaf.exactalg import graded_dim
+from momentsheaf.exactalg import LinearForm, LinearQuotient, QMatrix, graded_dim, matrix_rank
 from momentsheaf.hecke_oracle import _padd, _pshift, kl_polynomial
 from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.coxeter import bruhat_leq
@@ -34,10 +34,12 @@ from momentsheaf.sheaf import (
     sheaf_dump,
     stalk_poincare,
     stalk_table_csv,
+    sweep_order,
     verify_pure,
 )
 from helpers import (
     KL_ONE,
+    _transport_entries,
     check_sections,
     increasing_paths,
     polygon_image,
@@ -47,6 +49,7 @@ from helpers import (
     transport_degree_matrix,
     vertex,
     vpath_map,
+    zero_rho_corner,
 )
 
 
@@ -303,6 +306,66 @@ def test_monotonicity_transports_along_the_first_enumerated_path(lab, family, ra
             if g.leq(x, y):
                 first = increasing_paths(g, x, y, every, cap=1)[0][0]
                 assert _first_path(g, x, y) == first
+
+
+def _reference_monotonicity(sh, x, y):
+    """The surjectivity test on the transport over A/(all coordinate forms)
+    along _first_path, computed with polynomial arithmetic: per degree, the
+    rank of the constant terms between the generators of that degree."""
+    n = sh.n
+    whole_space = LinearQuotient([LinearForm([int(i == j) for j in range(n)]) for i in range(n)])
+    entries = _transport_entries(sh, whole_space, x, _first_path(sh.graph, x, y))
+    src, dst = sh.vertex_modules[x].gens, sh.vertex_modules[y].gens
+    out = {}
+    for d in sorted(set(dst)):
+        rows = [j for j, eg in enumerate(dst) if eg == d]
+        cols = [i for i, dg in enumerate(src) if dg == d]
+        block = [{c: v for c, i in enumerate(cols) if (v := entries[j][i].get((0,) * n, 0))}
+                 for j in rows]
+        out[d] = matrix_rank(QMatrix(len(rows), len(cols), block)) == len(rows)
+    return out
+
+
+def _comparable_pairs(g):
+    return [(x, y) for x in range(g.n_vertices) for y in range(g.n_vertices) if g.leq(x, y)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,J", [("A", 3, ()), ("G", 2, ()), ("B", 3, (1,))], ids=["A3", "G2", "B3-J1"]
+)
+def test_monotonicity_equals_the_polynomial_transport(lab, family, rank, J):
+    sh = lab.sheaf(family, rank, J=J)
+    for x, y in _comparable_pairs(sh.graph):
+        assert monotonicity_check(sh, x, y) == _reference_monotonicity(sh, x, y), (x, y)
+
+
+def test_monotonicity_sees_a_zeroed_constant_term(lab):
+    g = lab.graph("A", 3)
+    sh = canonical_sheaf(g)
+    order = sweep_order(g, g.unique_maximal())
+    x = order[len(order) // 2]
+    assert g.labels[x] == "213"
+    zero_rho_corner(sh, x)
+    results = {(a, b): monotonicity_check(sh, a, b) for a, b in _comparable_pairs(g)}
+    assert len(results) == 213
+    failed = [pair for pair, r in results.items() if not all(r.values())]
+    assert len(failed) == 16
+    assert all(results[pair] == {0: False} for pair in failed)
+    for (a, b), r in results.items():
+        assert r == _reference_monotonicity(sh, a, b), (a, b)
+
+
+def test_monotonicity_refuses_a_non_identity_upper_map(lab):
+    g = lab.graph("B", 2)
+    sh = canonical_sheaf(g)
+    x, y = vertex(g, "e"), g.unique_maximal()
+    k = _first_path(g, x, y)[-1]
+    upper = g.edges[k].upper
+    entries = [list(row) for row in sh.rho[(upper, k)].entries]
+    entries[0][0] = poly_scale(entries[0][0], 2)
+    sh.rho[(upper, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    with pytest.raises(ValidationError):
+        monotonicity_check(sh, x, y)
 
 
 # -- polygon and planar images ----------------------------------------------
