@@ -897,25 +897,22 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     so every step 0 -> ker rho_x -> Gamma(J + x) -> Gamma(J) -> 0 of the
     sweep is exact and dim Gamma_d is the sum over all vertices, the top
     included, of dim (M_x)_d - rank rho_{x,d}.  Gamma is free, so the answer
-    is that series times (1 - q)^n: n passes of first differences.  The
-    answer is the intersection cohomology of the Schubert variety, zero
-    above its dimension, the top rank, so the sum stops there and the rest
-    is zero.  Any other sheaf, a loaded graph's canonical sheaf included,
-    need not have a free Gamma, so it takes direct_hilbert.
+    is that series times (1 - q)^n: n passes of first differences.  Any
+    other sheaf, a loaded graph's canonical sheaf included, need not have a
+    free Gamma, so it takes direct_hilbert.
     """
     g = sheaf.graph
     if not (sheaf.canonical and g.schubert_origin):
         return direct_hilbert(sheaf, d_max)
-    top = min(d_max, max(g.ranks))
-    dims = [0] * (top + 1)
+    dims = [0] * (d_max + 1)
     for x in range(g.n_vertices):
         target = up_edges(g, x)
-        for d in range(top + 1):
+        for d in range(d_max + 1):
             rho = stacked_rho(sheaf, x, section_layout(sheaf, target, d))
             dims[d] += rho.ncols - matrix_rank(rho)
     for _ in range(sheaf.n):
         dims = [a - b for a, b in zip(dims, [0] + dims)]
-    return dims + [0] * (d_max - top)
+    return dims
 
 
 def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:

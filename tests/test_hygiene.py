@@ -9,7 +9,9 @@ anywhere in the module (an attribute chain such as json.dumps roots in one);
 counts as unused, since the package re-exports nothing.  Reachability is a
 static walk described at `unreachable`; its roots are cli.main,
 module-level statements and perfbench, not __all__ and not the tests, so a
-definition that only tests call belongs under tests/.
+definition that only tests call belongs under tests/.  A field of a
+dataclass or NamedTuple in src fails too when no attribute read in src or
+perfbench names it; reads resolve by name here as well.
 
 Attribute reads resolve by name, since a static walk cannot know the owner,
 but a call is told from a plain read: x.name(...) reaches every definition

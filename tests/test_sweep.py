@@ -171,6 +171,16 @@ def test_sweep_hilbert_equals_direct_solve(lab, family, rank, word, J):
     assert global_hilbert(sheaf, d_max) == direct_hilbert(sheaf, d_max)
 
 
+@pytest.mark.parametrize("word,J", [("2132", ()), ("longest", (2,))])
+def test_sweep_hilbert_above_the_dimension(lab, word, J):
+    # a singular and a parabolic Schubert graph, two degrees past dim X
+    sheaf = lab.sheaf("A", 3, word, J)
+    top = max(sheaf.graph.ranks)
+    hilbert = global_hilbert(sheaf, top + 2)
+    assert hilbert == direct_hilbert(sheaf, top + 2)
+    assert hilbert[top + 1 :] == [0, 0]
+
+
 # (family, rank, word, J): B3/213213 and B3/321323 are singular, and the
 # edge rings of B3 and G2 run on Fraction
 ORACLE_SUM_INPUTS = [
