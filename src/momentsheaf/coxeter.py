@@ -289,7 +289,6 @@ class WeylGroup:
         gram = self.cartan.gram
         scale = lcm(*(v.denominator for row in gram for v in row))
         form = [[int(v * scale) for v in row] for row in gram]
-        self.positive_roots: list[tuple[int, ...]] = positive
         self.reflections: list[Reflection] = []
         for beta in positive:
             pair = [sum(f * b for f, b in zip(row, beta)) for row in form]

@@ -16,9 +16,10 @@ explicit degree bound downstream.
 The sheaf layer works on a few fixed pieces of a graph, each a `Subgraph`
 from one constructor: `whole`, `above` (the vertices strictly above x),
 `above_punctured` (the same with the up edges of x dangling), `up_edges`
-(the star U_x alone) and, through `planar_family`, the planar slices (the
+(the star U_x alone) and, from `planar_family`, the planar slices (the
 part above x of the x-component of the edges with direction in a 2-plane,
-with its up edges).
+with the up edges of x in that plane dangling).  The sheaf layer cuts the
+images at x out of the slices and of `above_punctured` alike.
 """
 
 from __future__ import annotations
@@ -388,21 +389,14 @@ class GraphPlanes:
         return self._pairs[pair]
 
 
-@dataclass(frozen=True)
-class PlanarSlice:
-    """One 2-plane H with the subgraphs the planar algorithm consumes."""
-
-    basis: tuple[Direction, Direction]
-    subgraph: Subgraph  # the punctured H-subgraph above x
-    up_edges: tuple[int, ...]  # U_x edges with direction in H
-
-
 def planar_family(
     g: MomentGraph, x: int, planes: GraphPlanes | None = None
-) -> list[PlanarSlice]:
-    """All 2-planes spanned by pairs of edge directions in the closure above
-    x whose punctured subgraph above x has more than one edge, in the order
-    of their keys; planes, when given, carries the planes of g found so far.
+) -> list[Subgraph]:
+    """The planar slices above x (see _slice), one for each 2-plane spanned
+    by a pair of edge directions in the closure above x whose slice has
+    more than one edge, in the order of the planes' keys; the dangling
+    edges of a slice are the up edges of x in its plane.  planes, when
+    given, carries the planes of g found so far.
 
     With a single edge (or none) the restriction onto the upward edge
     modules is automatically surjective, so such planes impose nothing.
@@ -416,15 +410,8 @@ def planar_family(
     closure = {j for j in range(g.n_vertices) if g.leq(x, j)}
     dirs = {e.direction for e in g.edges if e.lower in closure and e.upper in closure}
     keys = {planes.key(d1, d2) for d1, d2 in combinations(dirs, 2)} - {None}
-    out = []
-    up_x = set(g.up[x])
-    for key in sorted(keys):
-        sub = _slice(g, x, planes.edges[key])
-        if len(sub.edges) <= 1:
-            continue
-        up = tuple(k for k in sub.edges if k in up_x)
-        out.append(PlanarSlice(key, sub, up))
-    return out
+    slices = (_slice(g, x, planes.edges[key]) for key in sorted(keys))
+    return [sub for sub in slices if len(sub.edges) > 1]
 
 
 # ---------------------------------------------------------------------------

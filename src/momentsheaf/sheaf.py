@@ -38,9 +38,10 @@ sweep's linear algebra.  certified_images replays the sweep and checks every
 generator on the star of each vertex by substitution (_restrict).  With S'
 the span of the generators' boundaries at x and P the planar image,
 S' <= T <= P; where their dimensions meet, T = S' = P, and verify reads S'.
-boundary_image is the fallback: it solves the sections over {>x} directly,
-eliminating only the vertex unknowns, and planar_image reads each plane's
-relations from the same elimination.  These stages reread the top sheaf's
+boundary_image is the fallback: it solves the sections over {>x} directly.
+It and planar_image are one routine, _cut_out, over {>x} or over the planar
+slices: eliminate each subgraph's vertex unknowns, and take the kernel of
+the relations left on the up edges of x.  These stages reread the top sheaf's
 rho matrices at many vertices, so verify hands them one SheafReads, which
 builds each matrix once; nothing else keeps a matrix between two reads.
 direct_hilbert, the whole-graph solve, gives global_hilbert on loaded
@@ -450,27 +451,41 @@ def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
 # boundary image and the canonical construction
 
 
-def _boundary_relations(
-    sheaf: GammaSheaf, sub: Subgraph, d: int, reads: SheafReads | None = None
-) -> list[dict[int, int]]:
-    """Linear relations that cut the boundary image of the sections over sub
-    out of its dangling-edge coordinates in degree d.
+def _cut_out(
+    sheaf: GammaSheaf, x: int, subgraphs: list[Subgraph], d_max: int, reads: SheafReads | None
+) -> SectionSpace:
+    """The part of M(U_x) that meets every relation the sections over each
+    subgraph impose on its dangling edges, all up edges of x, as RREF bases.
 
-    The vertex blocks come first in the section layout, here ordered by
-    rank, highest first (ties by index), so the elimination works down from
-    the top as the sweep does.  The forward phase of the elimination over
-    the vertex columns leaves rows that involve only edge columns; they span
-    every relation the section system imposes on the dangling edges, so the
-    boundary image is their kernel.  That span does not depend on the order
-    of the vertex columns, and neither do the RREF bases read off it.  The
-    rows are shifted to start at the first edge column.
+    A subgraph's vertex blocks come first, ordered by rank, highest first
+    (ties by index), so the elimination works down from the top as the sweep
+    does.  The forward phase over the vertex columns leaves rows in the
+    dangling-edge columns alone, which span every relation there, whatever
+    the vertex order.  They move to the matching columns of U_x; a subgraph
+    with no dangling coordinates in a degree imposes nothing there.
     """
     ranks = sheaf.graph.ranks
-    top_down = sorted(sub.vertices, key=lambda v: (-ranks[v], v))
-    layout = section_layout(sheaf, Subgraph(tuple(top_down), sub.edges), d)
-    nv = sum(size for (kind, _), size in zip(layout.components, layout.sizes) if kind == "v")
-    _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, layout, reads), nv)
-    return [{c - nv: v for c, v in r.items()} for r in rest]
+    target = up_edges(sheaf.graph, x)
+    subs = [
+        Subgraph(tuple(sorted(s.vertices, key=lambda v: (-ranks[v], v))), s.edges)
+        for s in subgraphs
+    ]
+    layouts, bases = {}, {}
+    for d in range(d_max + 1):
+        layout = layouts[d] = section_layout(sheaf, target, d)
+        relations: list[Row] = []
+        for sub in subs:
+            sub_layout = section_layout(sheaf, sub, d)
+            nvert = len(sub.vertices)
+            nv = sum(sub_layout.sizes[:nvert])
+            if sub_layout.total == nv:
+                continue
+            edges = zip(sub_layout.components[nvert:], sub_layout.sizes[nvert:])
+            to_full = [layout.slot(*comp)[0] + i for comp, size in edges for i in range(size)]
+            _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, sub_layout, reads), nv)
+            relations += ({to_full[c - nv]: v for c, v in r.items()} for r in rest)
+        bases[d] = kernel_echelon_basis(relations, layout.total)
+    return SectionSpace(target, layouts, bases)
 
 
 def boundary_image(
@@ -478,16 +493,8 @@ def boundary_image(
 ) -> SectionSpace:
     """Image of the restriction from sections above x (with its upward
     edges) to the product of the upward edge modules, degree by degree,
-    solved directly from the incidence equations over {>x}."""
-    sub = above_punctured(sheaf.graph, x)
-    target = up_edges(sheaf.graph, x)
-    layouts = {}
-    bases = {}
-    for d in range(d_max + 1):
-        layout = layouts[d] = section_layout(sheaf, target, d)
-        relations = _boundary_relations(sheaf, sub, d, reads)
-        bases[d] = kernel_echelon_basis(relations, layout.total)
-    return SectionSpace(target, layouts, bases)
+    solved directly from the incidence equations over {>x} by _cut_out."""
+    return _cut_out(sheaf, x, [above_punctured(sheaf.graph, x)], d_max, reads)
 
 
 # (dim_t, generator degrees, edge ring or None for A, degree) -> per
@@ -540,9 +547,9 @@ def _degree_span(
 
 def projective_cover(
     sheaf: GammaSheaf, image: SectionSpace, d_max: int
-) -> tuple[list[int], list[tuple[int, Vector]], list[list[int]]]:
+) -> tuple[list[int], list[tuple[int, Vector]], list[list[Row]]]:
     """Minimal generators of an image module, with their canonical lifts,
-    and per degree the pivot columns of an echelon basis of the image.
+    and per degree an echelon basis of the image.
 
     image.bases[d] need only span image_d modulo t* . image_{d-1}.  In each
     degree the new generators are the reduced-echelon coset representatives
@@ -554,13 +561,13 @@ def projective_cover(
     next degree reads.
 
     The residues vanish at every pivot of the echelon rows, so these rows
-    and the representatives lead at distinct columns, dim image_d of them,
-    returned in increasing order: projecting onto those coordinates is
-    injective on image_d.
+    and the representatives lead at distinct columns, dim image_d of them:
+    together they are the echelon basis returned, and projecting onto their
+    leading columns is injective on image_d.
     """
     gen_degrees: list[int] = []
     lifts: list[tuple[int, Vector]] = []
-    pivot_rows: list[list[int]] = []
+    echelons: list[list[Row]] = []
     lower: list[Row] = []
     for d in range(d_max + 1):
         total = image.layouts[d].total
@@ -575,13 +582,13 @@ def projective_cover(
                         break
             if r:
                 residues.append(r)
-        rep_pivots, reps = rref(residues, total)
+        reps = rref(residues, total)[1]
         lower = echelon + reps
-        pivot_rows.append(sorted(pivots + rep_pivots))
+        echelons.append(lower)
         for rep in reps:
             gen_degrees.append(d)
             lifts.append((d, dense(rep, total)))
-    return gen_degrees, lifts, pivot_rows
+    return gen_degrees, lifts, echelons
 
 
 def kl_degree_bound(g: MomentGraph, x: int, top: int) -> int:
@@ -707,7 +714,8 @@ class _SectionSweep:
         up to probe, returned with the up-edge layouts its lifts are given
         in.  The image is given in each degree d by the nonzero boundaries
         of the degree-d generators, which span image_d modulo
-        t* . image_{d-1}.  The cover's pivot rows are kept for extend(x)."""
+        t* . image_{d-1}.  The leading columns of the cover's echelon basis
+        are kept for extend(x) as its pivot rows."""
         self._load(x)
         degrees = range(probe + 1)
         image = SectionSpace(
@@ -715,7 +723,8 @@ class _SectionSweep:
             {d: self._layouts[d] for d in degrees},
             {d: [b for _, b in self._live[d]] for d in degrees},
         )
-        gens, lifts, self._pivot_rows = projective_cover(self.sheaf, image, probe)
+        gens, lifts, echelons = projective_cover(self.sheaf, image, probe)
+        self._pivot_rows = [sorted(min(r) for r in rows) for rows in echelons]
         return gens, lifts, image.layouts
 
     def extend(self, x: int) -> None:
@@ -927,8 +936,14 @@ def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 
 
 def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
-    rank = sheaf.vertex_modules[v].rank
-    if sheaf.rho[(v, k)].entries != _identity_rho(rank, sheaf.n).entries:
+    """rho_{v,k} must be the identity, read in place: row j holds the
+    constant 1 at j and zero elsewhere."""
+    rank, one = sheaf.vertex_modules[v].rank, {(0,) * sheaf.n: 1}
+    entries = sheaf.rho[(v, k)].entries
+    if len(entries) != rank or any(
+        len(row) != rank or row[j] != one or any(row[:j]) or any(row[j + 1 :])
+        for j, row in enumerate(entries)
+    ):
         raise ValidationError(
             "transport requires quotient (identity) restriction maps "
             "on upper incidences; found a non-identity map"
@@ -996,37 +1011,12 @@ def planar_image(
     sheaf: GammaSheaf, x: int, d_max: int, reads: SheafReads | None = None
 ) -> SectionSpace:
     """Intersection over all 2-planes H (with more than one edge above x in
-    the H-component) of the pullbacks of the planar boundary images; equals
-    the boundary image for graphs of projective origin.  With reads, the
-    planes and rho matrices found at one vertex serve the next."""
-    g = sheaf.graph
-    target = up_edges(g, x)
-    layouts = {d: section_layout(sheaf, target, d) for d in range(d_max + 1)}
-    family = planar_family(g, x, reads.planes if reads is not None else None)
-    rows_by_degree: dict[int, list[Row]] = {d: [] for d in range(d_max + 1)}
-    for plane in family:
-        sub_target = Subgraph((), plane.up_edges)
-        for d in range(d_max + 1):
-            sub_layout = section_layout(sheaf, sub_target, d)
-            if sub_layout.total == 0:
-                continue
-            # the plane's image is cut out by its relations, and only their
-            # row span matters to the kernel taken below; the plane's up
-            # edges are a subset of U_x, so relabel the columns
-            to_full = [
-                layouts[d].slot(kind, k)[0] + inner
-                for (kind, k), size in zip(sub_layout.components, sub_layout.sizes)
-                for inner in range(size)
-            ]
-            rows_by_degree[d] += (
-                {to_full[col]: val for col, val in relation.items()}
-                for relation in _boundary_relations(sheaf, plane.subgraph, d, reads)
-            )
-    bases = {
-        d: kernel_basis(QMatrix(len(rows), layouts[d].total, rows))
-        for d, rows in rows_by_degree.items()
-    }
-    return SectionSpace(target, layouts, bases)
+    the H-component) of the pullbacks of the planar boundary images, cut out
+    of all the planar slices at once; equals the boundary image for graphs
+    of projective origin.  With reads, the planes and rho matrices found at
+    one vertex serve the next."""
+    planes = reads.planes if reads is not None else None
+    return _cut_out(sheaf, x, planar_family(sheaf.graph, x, planes), d_max, reads)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,22 +1097,23 @@ def _witnessed_image(
     sheaf: GammaSheaf, planar: SectionSpace, boundaries: list[tuple[int, tuple[Poly, ...]]]
 ) -> SectionSpace | None:
     """S', the A-span of the (degree, boundary) pairs, in the degrees of
-    the planar image P, built as the RREF of t* . S'_{d-1} plus the degree-d
-    boundaries; None unless dim S'_d = dim P_d in every degree."""
-    span = SectionSpace(planar.subgraph, planar.layouts, {})
-    lower: list[Row] = []
-    for d, layout in sorted(planar.layouts.items()):
+    the planar image P, as the echelon basis projective_cover builds of
+    it; None unless dim S'_d = dim P_d in every degree."""
+    layouts = planar.layouts
+    generators = {}
+    for d, layout in layouts.items():
         blocks = [b for _, k in layout.components for b in sheaf.blocks("e", k, d)]
-        new = [
-            sparse([c for p, basis in zip(boundary, blocks) for c in poly_to_coeffs(basis, p)])
+        generators[d] = [
+            tuple(c for p, basis in zip(boundary, blocks) for c in poly_to_coeffs(basis, p))
             for dg, boundary in boundaries
             if dg == d
         ]
-        pivots, lower = rref(_degree_span(sheaf, planar.layouts, lower, d) + new, layout.total)
-        if len(pivots) != planar.dim(d):
-            return None
-        span.bases[d] = [dense(r, layout.total) for r in lower]
-    return span
+    span = SectionSpace(planar.subgraph, layouts, generators)
+    echelons = projective_cover(sheaf, span, max(layouts))[2]
+    if any(len(rows) != planar.dim(d) for d, rows in enumerate(echelons)):
+        return None
+    bases = {d: [dense(r, layouts[d].total) for r in rows] for d, rows in enumerate(echelons)}
+    return SectionSpace(planar.subgraph, layouts, bases)
 
 
 # ---------------------------------------------------------------------------

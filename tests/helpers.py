@@ -2,7 +2,8 @@
 reflections and inversion counts on a Weyl group, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
 as matrices, the projective cover by reduction against a Fraction-normalized
-RREF, the finite two-orbit test on a moment graph, and small accessors.
+RREF, the finite two-orbit test on a moment graph, the planar image slice by
+slice, and small accessors.
 
 It also holds the paper's cross-checks that no command runs: the Bruhat
 interval and planar slice subgraphs, the structure sheaf, the substitution
@@ -36,6 +37,7 @@ from momentsheaf.exactalg import (
     poly_from_coeffs,
     poly_to_coeffs,
     rref,
+    sparse,
 )
 from momentsheaf.errors import ResourceCapError, ValidationError
 from momentsheaf.hecke_oracle import IntPoly, _padd, _pmul, _pshift
@@ -46,6 +48,7 @@ from momentsheaf.moment_graph import (
     _h_edges,
     _induced,
     _slice,
+    planar_family,
     up_edges,
 )
 from momentsheaf.sheaf import (
@@ -63,6 +66,7 @@ from momentsheaf.sheaf import (
     dangling_edges,
     degree_matrix,
     section_layout,
+    sections,
     split,
 )
 
@@ -101,7 +105,7 @@ def simple_matrices(W: WeylGroup) -> list[Matrix]:
 def inversions(W: WeylGroup, i: int) -> int:
     """Number of positive roots sent to negative roots by element i."""
     m = W.elements[i].matrix
-    return sum(all(c <= 0 for c in mat_vec(m, b)) for b in W.positive_roots)
+    return sum(all(c <= 0 for c in mat_vec(m, r.positive_root)) for r in W.reflections)
 
 
 @lru_cache(maxsize=None)
@@ -480,6 +484,31 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
         for d, rows in rows_by_degree.items()
     }
     return SectionSpace(target, layouts, bases)
+
+
+def reference_planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> dict[int, Subspace]:
+    """sheaf.planar_image slice by slice: the sections over each planar
+    slice, projected onto its dangling coordinates; the annihilator of that
+    projection, moved into M(U_x); and, per degree, the kernel of all the
+    slices' annihilators together."""
+    g = sheaf.graph
+    per_slice = [sections(sheaf, sub, d_max) for sub in planar_family(g, x)]
+    out = {}
+    for d in range(d_max + 1):
+        layout = section_layout(sheaf, up_edges(g, x), d)
+        relations: list[Row] = []
+        for secs in per_slice:
+            sub_layout = secs.layouts[d]
+            n_vertices = len(secs.subgraph.vertices)
+            nv = sum(sub_layout.sizes[:n_vertices])
+            projected = [sparse(vec[nv:]) for vec in secs.bases[d]]
+            annihilator = kernel_basis(QMatrix(len(projected), sub_layout.total - nv, projected))
+            edges = zip(sub_layout.components[n_vertices:], sub_layout.sizes[n_vertices:])
+            to_full = [layout.slot(*comp)[0] + i for comp, size in edges for i in range(size)]
+            relations += ({to_full[c]: v for c, v in sparse(a).items()} for a in annihilator)
+        kernel = kernel_basis(QMatrix(len(relations), layout.total, relations))
+        out[d] = Subspace(layout.total, kernel)
+    return out
 
 
 def reference_projective_cover(

@@ -48,6 +48,8 @@ GOLDEN = {
     "verify-G2": "68680d971fc0da362ddcbc2d7426067caaff8d73bd09654d755ccc116c4d6e89",
     "verify-B3-J1": "725ff2d1a75620568261bd405db41f9326a1f68dd77335a0faa198bd37ccf9dc",
     "verify-B3-213213": "89c5d9ea50aeb8c82717ef1d8a0fa614edd2b58ed0fad1b9b99418ad8a4d6cab",
+    "verify-A3-2132": "ed76c669dc1e84fee3e93f41835e23300f98ca2153d85b2980c99f795671f94f",
+    "verify-B2-deg3": "5d9ae2fa38d38a378c77a8fae5d6728e63c5194245f68d1d0aad19dfebe805a3",
     "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
     "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
     "graph-D4-json": "afc5796cd0fd4d55caca70473aa49d083c2f083319d5d003c093fc6bd37d7fe3",
@@ -212,6 +214,14 @@ ARTIFACTS = {
     ),
     "verify-B3-213213": lambda lab, tmp: _cli(
         ["verify", "--type", "B3", "--word", "213213"], tmp, "v.txt"
+    ),
+    # singular, with several planes per vertex
+    "verify-A3-2132": lambda lab, tmp: _cli(
+        ["verify", "--type", "A3", "--word", "2132"], tmp, "v.txt"
+    ),
+    # the planar images and the certificate run above the proven bound
+    "verify-B2-deg3": lambda lab, tmp: _cli(
+        ["verify", "--type", "B2", "--max-degree", "3"], tmp, "v.txt"
     ),
     "graph-B4": lambda lab, tmp: _cli(
         ["graph", "--type", "B4"], tmp, "g.json", "g.dot"

@@ -10,8 +10,9 @@ counts as unused, since the package re-exports nothing.  Reachability is a
 static walk described at `unreachable`; its roots are cli.main,
 module-level statements and perfbench, not __all__ and not the tests, so a
 definition that only tests call belongs under tests/.  A field of a
-dataclass or NamedTuple in src fails too when no attribute read in src or
-perfbench names it; reads resolve by name here as well.
+dataclass or NamedTuple in src, or an attribute a method assigns on self,
+fails too when no attribute read in src or perfbench names it; reads
+resolve by name here as well, and the function of a call is no read.
 
 Attribute reads resolve by name, since a static walk cannot know the owner,
 but a call is told from a plain read: x.name(...) reaches every definition
@@ -200,40 +201,66 @@ def test_no_dead_definitions(path):
 
 
 def unread_fields(modules: dict[str, str], external: list[str]) -> list[str]:
-    """The fields (module.Class.field) of the dataclasses and NamedTuples of
-    a package, given as {module: source}, that no attribute read in it or
-    in the external sources names.  Reads resolve by name, as in
-    `unreachable`: any x.field read keeps every field of that name."""
+    """The fields (module.Class.field) of the classes of a package, given as
+    {module: source}, that no attribute read in it or in the external
+    sources names.  A field is annotated in the body of a dataclass or
+    NamedTuple, or assigned on self in a method of any class.  Reads resolve
+    by name, as in `unreachable`: any x.field read keeps every field of
+    that name, and the function of a call, x.field(...), is no read."""
     trees = {mod: ast.parse(source) for mod, source in modules.items()}
     nodes = [n for t in [*trees.values(), *map(ast.parse, external)] for n in ast.walk(t)]
-    read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    out = []
+    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+    read = {
+        n.attr
+        for n in nodes
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in called
+    }
+    out = set()
     for mod, tree in trees.items():
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             marks = [*map(ast.unparse, cls.decorator_list), *map(ast.unparse, cls.bases)]
-            if not any("dataclass" in m or m == "NamedTuple" for m in marks):
-                continue
-            for item in cls.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    if item.target.id not in read:
-                        out.append(f"{mod}.{cls.name}.{item.target.id}")
+            names = [
+                n.attr
+                for n in ast.walk(cls)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"
+            ]
+            if any("dataclass" in m or m == "NamedTuple" for m in marks):
+                names += [
+                    item.target.id
+                    for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+            out.update(f"{mod}.{cls.name}.{name}" for name in names if name not in read)
     return sorted(out)
 
 
 def test_the_guard_finds_an_unread_field():
     modules = {
-        "cli": "from .util import Point, Pair\ndef main():\n    return Point(1, 2).x, Pair(3, 4)\n",
+        "cli": (
+            "from .util import Point, Pair, Plain\ndef main():\n"
+            "    p = Plain()\n    p.count(), p.size(), p.kept\n"
+            "    return Point(1, 2).x, Pair(3, 4)\n"
+        ),
         "util": (
             "from dataclasses import dataclass\nfrom typing import NamedTuple\n"
             "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n"
             "class Pair(NamedTuple):\n    left: int\n    right: int\n"
-            "class Plain:\n    unread: int\n"
+            "class Plain:\n    unread: int\n    def __init__(self):\n"
+            "        self.kept = 1\n        self.count: int = 0\n        self.size = []\n"
+            "    def size(self): ...\n"
         ),
     }
     bench = "print(thing.left)\n"
     # a field only set, by a constructor or an assignment, is unread; a
-    # plain class's annotations are no fields
-    assert unread_fields(modules, [bench]) == ["util.Pair.right", "util.Point.y"]
+    # plain class's annotations are no fields, but what its methods assign
+    # on self is, and calling x.count(...) or x.size(...) reads neither
+    assert unread_fields(modules, [bench]) == [
+        "util.Pair.right",
+        "util.Plain.count",
+        "util.Plain.size",
+        "util.Point.y",
+    ]
 
 
 def test_no_unread_fields():

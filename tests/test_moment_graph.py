@@ -196,8 +196,8 @@ def test_planar_family_a2_single_plane():
     fam = planar_family(g, vertex(g, "e"))
     assert len(fam) == 1
     slice_ = fam[0]
-    assert set(slice_.subgraph.vertices) == {i for i in range(6) if g.labels[i] != "e"}
-    assert len(slice_.subgraph.edges) == 9  # six above the bottom vertex plus its three up edges
+    assert set(slice_.vertices) == {i for i in range(6) if g.labels[i] != "e"}
+    assert len(slice_.edges) == 9  # six above the bottom vertex plus its three up edges
 
 
 def test_planar_family_a3_rank2_subsystems():
@@ -210,13 +210,15 @@ def test_planar_family_a3_rank2_subsystems():
     from fractions import Fraction
     from momentsheaf.exactalg import Subspace, primitive_integer
 
-    keys = set()
-    for d1, d2 in combinations(W.positive_roots, 2):
-        h = Subspace(3, [[Fraction(c) for c in d1], [Fraction(c) for c in d2]])
-        if h.dim == 2:
-            keys.add(tuple(primitive_integer(v) for v in h.basis_vectors()))
-    assert {s.basis for s in fam} <= keys
-    assert all(len(s.subgraph.edges) > 1 for s in fam)
+    def plane(directions):
+        h = Subspace(3, [[Fraction(c) for c in d] for d in directions])
+        return tuple(primitive_integer(v) for v in h.basis_vectors()) if h.dim == 2 else None
+
+    roots = [r.positive_root for r in W.reflections]
+    keys = {plane(pair) for pair in combinations(roots, 2)} - {None}
+    # each slice's edge directions span one of the root-pair planes
+    assert {plane([g.edges[k].direction for k in s.edges]) for s in fam} <= keys
+    assert all(len(s.edges) > 1 for s in fam)
 
 
 def test_finite_two_orbit():

@@ -1,6 +1,7 @@
 """Tests for section spaces, the canonical construction, transports, the
 planar and polygon images, and purity."""
 
+import json
 from fractions import Fraction as Q
 
 import pytest
@@ -26,6 +27,7 @@ from momentsheaf.sheaf import (
     _first_path,
     boundary_image,
     canonical_sheaf,
+    degree_bounds,
     global_hilbert,
     monotonicity_check,
     planar_image,
@@ -44,6 +46,7 @@ from helpers import (
     increasing_paths,
     polygon_image,
     poly_scale,
+    reference_planar_image,
     section_dims,
     structure_sheaf,
     transport_degree_matrix,
@@ -51,6 +54,7 @@ from helpers import (
     vpath_map,
     zero_rho_corner,
 )
+from test_certificate import _kl_battery_generic_graph
 
 
 def expected_section_dims(lengths, n, d_max):
@@ -427,6 +431,35 @@ def test_planar_equals_sections_b2_everywhere(lab):
         pl = planar_image(sh, x, bound)
         for d in range(bound + 1):
             assert bi.subspace(d) == pl.subspace(d)
+
+
+@pytest.mark.parametrize("case", ["generic-A3", "B3-J1"])
+def test_planar_image_equals_the_slice_by_slice_reference(lab, tmp_path, monkeypatch, case):
+    """planar_image at every vertex, against the sections over each slice
+    projected and intersected, on the kl-battery seed-1 generic A3 graph
+    (degree bound 2), where P differs from the sections image T at 44 of
+    the 69 (vertex, degree) pairs, and on B3/J={1}, where P = T."""
+    if case == "generic-A3":
+        path = _kl_battery_generic_graph(tmp_path, monkeypatch)
+        sh = canonical_sheaf(load_graph(json.loads(path.read_text())), degree_bound=2)
+        bounds = [2] * sh.graph.n_vertices
+    else:
+        sh = lab.sheaf("B", 3, J=(1,))
+        bounds = [bound + 1 for bound in degree_bounds(sh.graph)]
+    g = sh.graph
+    pairs = differ = 0
+    for x in (x for x in range(g.n_vertices) if g.up[x]):
+        pl = planar_image(sh, x, bounds[x])
+        reference = reference_planar_image(sh, x, bounds[x])
+        bi = boundary_image(sh, x, bounds[x])
+        for d in range(bounds[x] + 1):
+            assert pl.subspace(d) == reference[d]
+            pairs += 1
+            differ += pl.subspace(d) != bi.subspace(d)
+    if case == "generic-A3":
+        assert (pairs, differ) == (69, 44)
+    else:
+        assert differ == 0
 
 
 # -- purity ------------------------------------------------------------------
