@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # sheaf first: without a bytecode cache the largest module then compiles
 # before the others are loaded, which lowers every command's peak memory
@@ -52,8 +52,7 @@ from .moment_graph import (
 COMMANDS = ("graph", "sheaf", "kl", "hilbert", "verify")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation: a graph source plus output options."""
 
     command: str
@@ -140,8 +139,7 @@ def parse_args(argv: list[str]) -> RunConfig:
 # graph resolution
 
 
-@dataclass
-class ResolvedInput:
+class ResolvedInput(NamedTuple):
     graph: MomentGraph
     group: WeylGroup | None = None
     parabolic: tuple[int, ...] = ()
@@ -170,7 +168,8 @@ def resolve_input(config: RunConfig) -> ResolvedInput:
                 doc = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"cannot read {config.graph_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # a decode error and too deep a nesting are refused like bad JSON
             raise ValidationError(f"invalid JSON in {config.graph_path}: {exc}") from exc
         g = load_graph(doc)
         tops = g.maximal_vertices()

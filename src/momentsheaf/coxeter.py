@@ -23,10 +23,9 @@ first word found for a matrix is minimal).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 
@@ -126,8 +125,7 @@ def _invert_rational(mat: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     """Root datum of a finite Weyl group in root coordinates."""
 
     family: str
@@ -208,8 +206,7 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A group element: integer matrix on t*, length, ShortLex-minimal word."""
 
     index: int
@@ -221,8 +218,7 @@ class WeylElement:
         return "".join(str(s) for s in self.word) if self.word else "e"
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(NamedTuple):
     positive_root: tuple[int, ...]  # integer root coordinates
     coroot: tuple[int, ...]  # c[j] = 2(a_j, b)/(b, b); s_b(l) = l - (c . l) b
 

@@ -24,13 +24,12 @@ Identical inputs therefore give bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Dense vector over Q.
 Vector = tuple[int | Fraction, ...]
@@ -76,7 +75,6 @@ def primitive_integer(vec: Sequence[int | Fraction]) -> tuple[int, ...]:
 # monomial bases
 
 
-@dataclass(frozen=True)
 class MonomialBasis:
     """Ordered basis of the degree-d piece of Q[x1..xn], optionally skipping
     variables (used for edge rings A_L where pivot variables are eliminated).
@@ -85,10 +83,15 @@ class MonomialBasis:
     Order is graded-lex with x1 > x2 > ... > xn.
     """
 
-    n: int
-    d: int
-    skip: tuple[int, ...]
-    exponents: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "d", "skip", "exponents")
+
+    def __init__(
+        self, n: int, d: int, skip: tuple[int, ...], exponents: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self.n = n
+        self.d = d
+        self.skip = skip
+        self.exponents = exponents
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -213,14 +216,13 @@ def poly_str(p: Poly) -> str:
 # linear forms and quotients by spans of linear forms
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """A degree-1 element of A, stored by its coefficient vector."""
 
-    coeffs: Vector
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(exact(c) for c in self.coeffs))
+    def __init__(self, coeffs: Sequence[int | Fraction]) -> None:
+        self.coeffs = tuple(exact(c) for c in coeffs)
 
     @property
     def n(self) -> int:
@@ -316,8 +318,7 @@ def edge_ring(direction: tuple[int, ...]) -> LinearQuotient:
 # sparse matrices over Q
 
 
-@dataclass
-class QMatrix:
+class QMatrix(NamedTuple):
     """Sparse rational matrix; rows are dicts with no stored zeros."""
 
     nrows: int

@@ -8,7 +8,6 @@ compromising their independence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -19,7 +18,6 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class KLPolynomial:
     """A polynomial in q with nonnegative integer coefficients.
 
@@ -27,13 +25,16 @@ class KLPolynomial:
     cohomological degree is twice the exponent).  No trailing zeros.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        trimmed = _trim(self.coeffs)
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        trimmed = _trim(coeffs)
         if any(c < 0 for c in trimmed):
             raise ValueError(f"negative coefficient in {trimmed}")
-        object.__setattr__(self, "coeffs", trimmed)
+        self.coeffs = trimmed
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, KLPolynomial) and self.coeffs == other.coeffs
 
     @classmethod
     def from_degree_counts(cls, degrees: Sequence[int]) -> "KLPolynomial":

@@ -5,7 +5,7 @@ constructors, and JSON/DOT serialization.
 The order is always the closure of a generating relation, taken by
 `order_closure`: the reflection edges of a Schubert graph (they generate the
 Bruhat order on W^J) or the cover pairs of a graph document.
-`MomentGraph.__post_init__` is the one validator of the order, the ranks and
+The `MomentGraph` constructor is the one validator of the order, the ranks and
 the edges, and the one place edge directions are normalized.
 
 A graph built from a Weyl group interval carries `schubert_origin=True`;
@@ -24,7 +24,6 @@ images at x out of the slices and of `above_punctured` alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
@@ -52,21 +51,26 @@ class Subgraph(NamedTuple):
     edges: tuple[int, ...]
 
 
-@dataclass
 class MomentGraph:
     """Finite moment graph with order stored as a reachability bitmatrix."""
 
-    dim_t: int
-    labels: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    leq_bits: tuple[int, ...]  # bit j of leq_bits[i] set iff i <= j
-    ranks: tuple[int, ...]
-    schubert_origin: bool = False
-    up: list[list[int]] = field(default_factory=list, repr=False)
-    down: list[list[int]] = field(default_factory=list, repr=False)
+    __slots__ = ("dim_t", "labels", "edges", "leq_bits", "ranks", "schubert_origin", "up", "down")
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
+    def __init__(
+        self,
+        dim_t: int,
+        labels: tuple[str, ...],
+        edges: tuple[Edge, ...],
+        leq_bits: tuple[int, ...],  # bit j of leq_bits[i] set iff i <= j
+        ranks: tuple[int, ...],
+        schubert_origin: bool = False,
+    ) -> None:
+        self.dim_t = dim_t
+        self.labels = labels
+        self.leq_bits = leq_bits
+        self.ranks = ranks
+        self.schubert_origin = schubert_origin
+        n = len(labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate vertex ids")
         if len(self.leq_bits) != n or len(self.ranks) != n:
@@ -89,11 +93,13 @@ class MomentGraph:
                     "vertex ranks must strictly increase along the order "
                     f"({self.labels[i]} vs {self.labels[j]})"
                 )
-        # the edge's name is formatted only for the message of a failed check
-        leq_bits, dim_t = self.leq_bits, self.dim_t
+        # the edge's name is formatted only for the message of a failed check;
+        # a direction is checked and normalized at its first edge, and the
+        # edges along it after that reuse the result
         seen_pairs = set()
+        normal: dict[Direction, Direction] = {}
         normalized = []
-        for e in self.edges:
+        for e in edges:
             lo, hi, direction = e
             if lo == hi or not (leq_bits[lo] >> hi) & 1:
                 raise ValidationError(
@@ -102,11 +108,14 @@ class MomentGraph:
             if (lo, hi) in seen_pairs:
                 raise ValidationError(f"duplicate {self._edge_name(e)}")
             seen_pairs.add((lo, hi))
-            if len(direction) != dim_t:
-                raise ValidationError(f"{self._edge_name(e)} has a direction of wrong length")
-            if not any(direction):
-                raise ValidationError(f"{self._edge_name(e)} has zero direction")
-            normalized.append(Edge(lo, hi, primitive_integer(direction)))
+            unit = normal.get(direction)
+            if unit is None:
+                if len(direction) != dim_t:
+                    raise ValidationError(f"{self._edge_name(e)} has a direction of wrong length")
+                if not any(direction):
+                    raise ValidationError(f"{self._edge_name(e)} has zero direction")
+                unit = normal[direction] = primitive_integer(direction)
+            normalized.append(Edge(lo, hi, unit))
         self.edges = tuple(normalized)
         self.up = [[] for _ in range(n)]
         self.down = [[] for _ in range(n)]

@@ -69,10 +69,9 @@ degree_bounds is the one place that rule is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, ValidationError
 from .exactalg import (
@@ -118,32 +117,29 @@ from .moment_graph import (
 # data model
 
 
-@dataclass(frozen=True)
 class GradedFreeModule:
     """A free graded module recorded by its multiset of generator degrees."""
 
-    gens: tuple[int, ...]
+    __slots__ = ("gens",)
 
-    def __post_init__(self) -> None:
-        if any(g < 0 for g in self.gens):
+    def __init__(self, gens: Sequence[int]) -> None:
+        if any(g < 0 for g in gens):
             raise ValidationError("generator degrees must be nonnegative")
-        object.__setattr__(self, "gens", tuple(sorted(self.gens)))
+        self.gens = tuple(sorted(gens))
 
     @property
     def rank(self) -> int:
         return len(self.gens)
 
 
-@dataclass
-class EdgeModule:
+class EdgeModule(NamedTuple):
     """Edge data: a free module over the edge ring A_L."""
 
     module: GradedFreeModule
     quotient: LinearQuotient
 
 
-@dataclass(frozen=True)
-class RhoMap:
+class RhoMap(NamedTuple):
     """Matrix of a restriction map; entries[j][i] is a homogeneous element
     of A_L (in reduced, pivot-free form) of degree d_i - e_j."""
 
@@ -163,7 +159,6 @@ def _identity_rho(rank: int, n: int) -> RhoMap:
 Piece = tuple[tuple[int, ...], LinearQuotient | None]
 
 
-@dataclass
 class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
@@ -174,11 +169,14 @@ class GammaSheaf:
     The edge rings (edge_ring) and the t*-span matrices of _degree_span
     depend on no sheaf and are shared by every sheaf in the process."""
 
-    graph: MomentGraph
-    vertex_modules: dict[int, GradedFreeModule] = field(default_factory=dict)
-    edge_modules: dict[int, EdgeModule] = field(default_factory=dict)
-    rho: dict[tuple[int, int], RhoMap] = field(default_factory=dict)
-    canonical: bool = False
+    __slots__ = ("graph", "vertex_modules", "edge_modules", "rho", "canonical")
+
+    def __init__(self, graph: MomentGraph, canonical: bool = False) -> None:
+        self.graph = graph
+        self.vertex_modules: dict[int, GradedFreeModule] = {}
+        self.edge_modules: dict[int, EdgeModule] = {}
+        self.rho: dict[tuple[int, int], RhoMap] = {}
+        self.canonical = canonical
 
     @property
     def n(self) -> int:
@@ -225,8 +223,7 @@ def split(blocks: Sequence[MonomialBasis], vec: Sequence) -> tuple[Poly, ...]:
 # degreewise layouts and restriction matrices
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(NamedTuple):
     """Fixed component ordering of the product of module pieces in one
     degree: all subgraph vertices (by index), then dangling edges sorted by
     (upper-vertex id, direction)."""
@@ -345,8 +342,7 @@ def _rho_matrix(
 # sections
 
 
-@dataclass
-class SectionSpace:
+class SectionSpace(NamedTuple):
     """Degreewise bases of the space of sections over one subgraph."""
 
     subgraph: Subgraph
@@ -1120,15 +1116,13 @@ def _witnessed_image(
 # purity verification
 
 
-@dataclass
-class PurityViolation:
+class PurityViolation(NamedTuple):
     vertex: int
     axiom: int
     degree: int | None
 
 
-@dataclass
-class PurityReport:
+class PurityReport(NamedTuple):
     ok: bool
     violations: list[PurityViolation]
 

@@ -241,6 +241,18 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         )
         assert code == 2
         assert message in err
+    # a file that is not UTF-8, and one nested past the decoder's recursion
+    # limit, are refused with a message too
+    for data, message in [(b"\xff\xfe", "can't decode byte 0xff"),
+                          (b"[" * 200_000, "while decoding a JSON array")]:
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(["graph", "--graph", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid JSON in {path}: ") and message in err
+    # so is a number past the interpreter's limit on integer digits
+    path.write_text('{"dim_t": ' + "1" * 5000 + "}")
+    assert run_cli(["graph", "--graph", str(path)], capsys)[:2] == (2, "")
 
 
 def test_parse_args_bare_family_letter_needs_a_rank(capsys):

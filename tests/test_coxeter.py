@@ -253,6 +253,10 @@ def test_enumeration_matches_matrix_product_bfs(family, rank):
     ]
     assert W._rmul == rmul
     assert W.index_of == {m: i for i, (m, _, _) in enumerate(elements)}
+    # a second enumeration gives equal elements, and equal elements hash equal
+    again = build_weyl_group(CartanDatum.build(family, rank)).elements
+    assert again == W.elements
+    assert [hash(w) for w in again] == [hash(w) for w in W.elements]
 
 
 @pytest.mark.parametrize("family,rank", GROUPS)

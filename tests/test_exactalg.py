@@ -94,6 +94,10 @@ def test_monomial_basis_dims():
             assert len(monomial_basis(n, d)) == graded_dim(n, d)
     assert monomial_basis(2, 2).exponents == ((2, 0), (1, 1), (0, 2))
     assert monomial_basis(3, 1, skip=(1,)).exponents == ((1, 0, 0), (0, 0, 1))
+    # an empty basis has no monomials: a negative degree, or a positive one
+    # with every variable skipped
+    assert len(monomial_basis(2, -1)) == 0
+    assert len(monomial_basis(1, 2, skip=(0,))) == 0
 
 
 def test_kernel_trivial_and_tiny():

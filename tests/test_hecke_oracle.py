@@ -18,6 +18,20 @@ from momentsheaf.klpoly import KLPolynomial
 from helpers import KL_ONE, identity, kl_degree, r_polynomial
 
 
+@pytest.mark.parametrize(
+    "coeffs, trimmed",
+    [((1, 1, 0, 0), (1, 1)), ((0, 0), ()), ((), ()), ((0, 2), (0, 2)), ((1, -1, 0), None)],
+)
+def test_kl_polynomial_trims_trailing_zeros(coeffs, trimmed):
+    if trimmed is None:
+        with pytest.raises(ValueError, match="negative coefficient"):
+            KLPolynomial(coeffs)
+        return
+    p = KLPolynomial(coeffs)
+    assert p.coeffs == trimmed
+    assert p == KLPolynomial(trimmed)
+
+
 def test_kl_diagonal_is_one():
     W = weyl_group("B", 2)
     for w in W.elements:

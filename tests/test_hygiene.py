@@ -25,6 +25,9 @@ program calls some other method of the same name.
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from importlib import import_module
 from pathlib import Path
@@ -290,3 +293,20 @@ def test_tracer_resolves_its_names():
     t.install()
     t.uninstall()
     assert t.errors == ["no sheaf.select to trace", "no sheaf.image_basis to trace"]
+
+
+def test_the_cli_imports_no_dataclasses():
+    """Each CLI job is a fresh interpreter, so whatever `import
+    momentsheaf.cli` loads is paid by every job: dataclasses, with the
+    inspect, ast, dis and tokenize it imports, is not among it.  -S leaves
+    out what the environment's .pth files import."""
+    code = (
+        "import sys, momentsheaf.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

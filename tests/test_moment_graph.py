@@ -117,6 +117,29 @@ def test_direction_normalization_idempotent():
         assert first > 0
 
 
+@pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4)])
+def test_each_edge_direction_is_normalized_once(monkeypatch, family, rank):
+    """The constructor normalizes each distinct direction once, not once per
+    edge, on a Schubert graph and on its saved document loaded back."""
+    import momentsheaf.moment_graph as mg
+
+    W, g = full_flag_graph(family, rank)
+    doc = save_graph(g)
+    calls = []
+
+    def counted(vec):
+        calls.append(tuple(vec))
+        return primitive_integer(vec)
+
+    monkeypatch.setattr(mg, "primitive_integer", counted)
+    for build in (lambda: schubert_moment_graph(W, W.longest), lambda: load_graph(doc)):
+        calls.clear()
+        h = build()
+        assert len(calls) == len(set(calls)) == len({e.direction for e in h.edges})
+        assert len(h.edges) > len(calls)
+        assert h.edges == g.edges
+
+
 def test_json_roundtrip_identity():
     for family, rank in [("A", 2), ("B", 2)]:
         W, g = full_flag_graph(family, rank)

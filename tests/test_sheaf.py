@@ -171,6 +171,16 @@ def test_canonical_a3_singular_stalk_matches_oracle(lab):
         assert stalk_poincare(sh, v) == kl_polynomial(W, x, w)
 
 
+@pytest.mark.parametrize("gens, expected", [((2, 0, 1, 0), (0, 0, 1, 2)), ((), ()), ((1, -1), None)])
+def test_graded_free_module_sorts_its_degrees(gens, expected):
+    if expected is None:
+        with pytest.raises(ValidationError, match="nonnegative"):
+            GradedFreeModule(gens)
+        return
+    module = GradedFreeModule(gens)
+    assert (module.gens, module.rank) == (expected, len(expected))
+
+
 def test_canonical_requires_unique_maximal():
     doc = {
         "dim_t": 1,
