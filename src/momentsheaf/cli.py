@@ -18,7 +18,6 @@ from typing import NamedTuple
 # before the others are loaded, which lowers every command's peak memory
 from .sheaf import (
     GammaSheaf,
-    SheafReads,
     boundary_image,
     canonical_sheaf,
     certified_images,
@@ -336,24 +335,27 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
     # proven only for graphs of projective origin, and T < P can happen on
     # a loaded graph, so there no P is computed and every vertex falls back.
     # These stages and purity reread the top sheaf's rho matrices across
-    # vertices, so they share one SheafReads, dropped when verify returns.
-    reads = SheafReads(sheaf)
+    # vertices, so each matrix is kept in sheaf.matrices until verify
+    # returns; none of them changes rho.
     extra = int(config.max_degree is None)
     probes = {
         x: bound + extra
         for x, bound in enumerate(degree_bounds(g, config.max_degree))
         if g.up[x]
     }
-    planar = {}
-    if g.schubert_origin:
-        planar = {x: planar_image(sheaf, x, probe, reads) for x, probe in probes.items()}
-    certified = certified_images(sheaf, planar, reads)
-    images = {
-        x: certified[x] if x in certified else boundary_image(sheaf, x, probe, reads)
-        for x, probe in probes.items()
-    }
-
-    purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images, reads=reads)
+    sheaf.matrices = {}
+    try:
+        planar = {}
+        if g.schubert_origin:
+            planar = {x: planar_image(sheaf, x, probe) for x, probe in probes.items()}
+        certified = certified_images(sheaf, planar)
+        images = {
+            x: certified[x] if x in certified else boundary_image(sheaf, x, probe)
+            for x, probe in probes.items()
+        }
+        purity = verify_pure(sheaf, degree_bound=config.max_degree, images=images)
+    finally:
+        sheaf.matrices = None
     detail = ""
     if not purity.ok:
         v = purity.first_violation
@@ -403,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ResourceCapError, ConsistencyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 3
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 3
 
 

@@ -52,9 +52,12 @@ class Subgraph(NamedTuple):
 
 
 class MomentGraph:
-    """Finite moment graph with order stored as a reachability bitmatrix."""
+    """Finite moment graph with order stored as a reachability bitmatrix;
+    planes is its GraphPlanes, made by the first planar_family call."""
 
-    __slots__ = ("dim_t", "labels", "edges", "leq_bits", "ranks", "schubert_origin", "up", "down")
+    __slots__ = (
+        "dim_t", "labels", "edges", "leq_bits", "ranks", "schubert_origin", "up", "down", "planes"
+    )
 
     def __init__(
         self,
@@ -70,6 +73,7 @@ class MomentGraph:
         self.leq_bits = leq_bits
         self.ranks = ranks
         self.schubert_origin = schubert_origin
+        self.planes: GraphPlanes | None = None
         n = len(labels)
         if len(set(self.labels)) != n:
             raise ValidationError("duplicate vertex ids")
@@ -374,9 +378,11 @@ def _slice(g: MomentGraph, x: int, h_edges: list[int]) -> Subgraph:
 
 class GraphPlanes:
     """The 2-planes of t* spanned by pairs of edge directions of one graph,
-    each with the edges whose direction lies in it.  Each pair of directions
+    each with the edges whose direction lies in it, filled in as
+    planar_family asks.  The graph keeps one (MomentGraph.planes), and
+    nothing changes its edges after construction, so each pair of directions
     is spanned once and each plane's edges are listed once, however many
-    vertices planar_family reads them for; nothing is kept on the graph."""
+    vertices planar_family reads them for."""
 
     def __init__(self, g: MomentGraph):
         self.graph = g
@@ -398,14 +404,12 @@ class GraphPlanes:
         return self._pairs[pair]
 
 
-def planar_family(
-    g: MomentGraph, x: int, planes: GraphPlanes | None = None
-) -> list[Subgraph]:
+def planar_family(g: MomentGraph, x: int) -> list[Subgraph]:
     """The planar slices above x (see _slice), one for each 2-plane spanned
     by a pair of edge directions in the closure above x whose slice has
     more than one edge, in the order of the planes' keys; the dangling
-    edges of a slice are the up edges of x in its plane.  planes, when
-    given, carries the planes of g found so far.
+    edges of a slice are the up edges of x in its plane.  The planes come
+    from g.planes, made here on the first call.
 
     With a single edge (or none) the restriction onto the upward edge
     modules is automatically surjective, so such planes impose nothing.
@@ -414,8 +418,9 @@ def planar_family(
     strictly above x but still constrains the two upward edge values.
     """
     _check_vertex(g, x)
+    planes = g.planes
     if planes is None:
-        planes = GraphPlanes(g)
+        planes = g.planes = GraphPlanes(g)
     closure = {j for j in range(g.n_vertices) if g.leq(x, j)}
     dirs = {e.direction for e in g.edges if e.lower in closure and e.upper in closure}
     keys = {planes.key(d1, d2) for d1, d2 in combinations(dirs, 2)} - {None}

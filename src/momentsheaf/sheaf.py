@@ -42,8 +42,9 @@ boundary_image is the fallback: it solves the sections over {>x} directly.
 It and planar_image are one routine, _cut_out, over {>x} or over the planar
 slices: eliminate each subgraph's vertex unknowns, and take the kernel of
 the relations left on the up edges of x.  These stages reread the top sheaf's
-rho matrices at many vertices, so verify hands them one SheafReads, which
-builds each matrix once; nothing else keeps a matrix between two reads.
+rho matrices at many vertices, so verify sets the sheaf's matrices memo for
+its own call, which builds each matrix once; nothing else keeps a matrix
+between two reads.
 direct_hilbert, the whole-graph solve, gives global_hilbert on loaded
 graphs and is the reference the tests compare the sweep against.
 
@@ -104,7 +105,6 @@ from .exactalg import (
 )
 from .klpoly import KLPolynomial, poincare_csv
 from .moment_graph import (
-    GraphPlanes,
     MomentGraph,
     Subgraph,
     above_punctured,
@@ -163,13 +163,16 @@ class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
     canonical marks the canonical sheaf itself, as canonical_sheaf builds
-    it; any other sheaf leaves it unset.  Nothing derived from rho is kept
-    here: rho_degree_matrix builds each degree-d matrix when it is read, and
-    a caller that rereads a finished sheaf keeps a SheafReads for the call.
+    it; any other sheaf leaves it unset.  rho_degree_matrix builds each
+    degree-d matrix when it is read.  matrices is None except while one
+    verify call rereads the finished sheaf: verify sets it to {} and back to
+    None when it returns, and in between _rho_matrix builds each (vertex,
+    edge, degree) matrix once into it.  Nothing writes rho or a piece in
+    that window; the certificate's replay writes only its own generators.
     The edge rings (edge_ring) and the t*-span matrices of _degree_span
     depend on no sheaf and are shared by every sheaf in the process."""
 
-    __slots__ = ("graph", "vertex_modules", "edge_modules", "rho", "canonical")
+    __slots__ = ("graph", "vertex_modules", "edge_modules", "rho", "canonical", "matrices")
 
     def __init__(self, graph: MomentGraph, canonical: bool = False) -> None:
         self.graph = graph
@@ -177,6 +180,7 @@ class GammaSheaf:
         self.edge_modules: dict[int, EdgeModule] = {}
         self.rho: dict[tuple[int, int], RhoMap] = {}
         self.canonical = canonical
+        self.matrices: dict[tuple[int, int, int], QMatrix] | None = None
 
     @property
     def n(self) -> int:
@@ -302,40 +306,22 @@ def degree_matrix(
 def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
     """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases, built
     on every call from sheaf.rho[(v, e)] and both pieces as they are then.
-    The build reads each matrix once; verify, which rereads a finished
-    sheaf, goes through SheafReads.matrix."""
+    The build reads each matrix once; readers go through _rho_matrix, which
+    keeps what this builds while sheaf.matrices is set."""
     return degree_matrix(
         sheaf.n, sheaf.rho[(v, e)].entries, sheaf.piece("v", v), sheaf.piece("e", e), d
     )
 
 
-class SheafReads:
-    """What one caller rereads of one finished sheaf, kept for that caller
-    only: the degree-d rho matrices, each built by rho_degree_matrix on its
-    first read, and the 2-planes of the graph.  verify makes one for its top
-    sheaf, passes it to the stages that read the sheaf and drops it when it
-    returns.  It is stale once any rho or piece of the sheaf changes."""
-
-    def __init__(self, sheaf: GammaSheaf):
-        self.sheaf = sheaf
-        self.planes = GraphPlanes(sheaf.graph)
-        self._matrices: dict[tuple[int, int, int], QMatrix] = {}
-
-    def matrix(self, v: int, e: int, d: int) -> QMatrix:
-        m = self._matrices.get((v, e, d))
-        if m is None:
-            m = self._matrices[(v, e, d)] = rho_degree_matrix(self.sheaf, v, e, d)
-        return m
-
-
-def _rho_matrix(
-    sheaf: GammaSheaf, v: int, e: int, d: int, reads: SheafReads | None
-) -> QMatrix:
-    """rho_degree_matrix, through reads when the caller keeps one for this
-    sheaf."""
-    if reads is None or reads.sheaf is not sheaf:
+def _rho_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
+    """rho_degree_matrix, built once into sheaf.matrices while it is set."""
+    memo = sheaf.matrices
+    if memo is None:
         return rho_degree_matrix(sheaf, v, e, d)
-    return reads.matrix(v, e, d)
+    m = memo.get((v, e, d))
+    if m is None:
+        m = memo[(v, e, d)] = rho_degree_matrix(sheaf, v, e, d)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +342,7 @@ class SectionSpace(NamedTuple):
         return Subspace(self.layouts[d].total, self.bases[d])
 
 
-def _sections_rows(
-    sheaf: GammaSheaf, sub: Subgraph, layout: Layout, reads: SheafReads | None = None
-) -> list[dict]:
+def _sections_rows(sheaf: GammaSheaf, sub: Subgraph, layout: Layout) -> list[dict]:
     g = sheaf.graph
     vset = set(sub.vertices)
     d = layout.degree
@@ -370,8 +354,8 @@ def _sections_rows(
             continue
         lo_in, hi_in = e.lower in vset, e.upper in vset
         if lo_in and hi_in:
-            a = _rho_matrix(sheaf, e.lower, k, d, reads)
-            b = _rho_matrix(sheaf, e.upper, k, d, reads)
+            a = _rho_matrix(sheaf, e.lower, k, d)
+            b = _rho_matrix(sheaf, e.upper, k, d)
             lo_off, _ = layout.slot("v", e.lower)
             hi_off, _ = layout.slot("v", e.upper)
             for r in range(erows):
@@ -385,7 +369,7 @@ def _sections_rows(
             for v in (e.lower, e.upper):
                 if v not in vset:
                     continue
-                a = _rho_matrix(sheaf, v, k, d, reads)
+                a = _rho_matrix(sheaf, v, k, d)
                 v_off, _ = layout.slot("v", v)
                 for r in range(erows):
                     row = {e_off + r: -1}
@@ -447,9 +431,7 @@ def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
 # boundary image and the canonical construction
 
 
-def _cut_out(
-    sheaf: GammaSheaf, x: int, subgraphs: list[Subgraph], d_max: int, reads: SheafReads | None
-) -> SectionSpace:
+def _cut_out(sheaf: GammaSheaf, x: int, subgraphs: list[Subgraph], d_max: int) -> SectionSpace:
     """The part of M(U_x) that meets every relation the sections over each
     subgraph impose on its dangling edges, all up edges of x, as RREF bases.
 
@@ -478,19 +460,17 @@ def _cut_out(
                 continue
             edges = zip(sub_layout.components[nvert:], sub_layout.sizes[nvert:])
             to_full = [layout.slot(*comp)[0] + i for comp, size in edges for i in range(size)]
-            _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, sub_layout, reads), nv)
+            _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, sub_layout), nv)
             relations += ({to_full[c - nv]: v for c, v in r.items()} for r in rest)
         bases[d] = kernel_echelon_basis(relations, layout.total)
     return SectionSpace(target, layouts, bases)
 
 
-def boundary_image(
-    sheaf: GammaSheaf, x: int, d_max: int, reads: SheafReads | None = None
-) -> SectionSpace:
+def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Image of the restriction from sections above x (with its upward
     edges) to the product of the upward edge modules, degree by degree,
     solved directly from the incidence equations over {>x} by _cut_out."""
-    return _cut_out(sheaf, x, [above_punctured(sheaf.graph, x)], d_max, reads)
+    return _cut_out(sheaf, x, [above_punctured(sheaf.graph, x)], d_max)
 
 
 # (dim_t, generator degrees, edge ring or None for A, degree) -> per
@@ -607,16 +587,14 @@ def degree_bounds(g: MomentGraph, degree_bound: int | None = None) -> list[int]:
     return [kl_degree_bound(g, x, top) for x in range(g.n_vertices)]
 
 
-def stacked_rho(
-    sheaf: GammaSheaf, x: int, layout: Layout, reads: SheafReads | None = None
-) -> QMatrix:
+def stacked_rho(sheaf: GammaSheaf, x: int, layout: Layout) -> QMatrix:
     """rho_x in one degree: the up-edge restriction matrices of x stacked at
     their slots of the up-edge layout, from (M_x)_d to M(U_x)_d."""
     d = layout.degree
     rows: list[Row] = [{} for _ in range(layout.total)]
     for k in sheaf.graph.up[x]:
         off, size = layout.slot("e", k)
-        rows[off : off + size] = _rho_matrix(sheaf, x, k, d, reads).rows
+        rows[off : off + size] = _rho_matrix(sheaf, x, k, d).rows
     return QMatrix(layout.total, sheaf.piece_dim("v", x, d), rows)
 
 
@@ -657,13 +635,10 @@ class _SectionSweep:
     on spans only.
     """
 
-    def __init__(
-        self, sheaf: GammaSheaf, top: int, d_max: int, reads: SheafReads | None = None
-    ):
+    def __init__(self, sheaf: GammaSheaf, top: int, d_max: int):
         g = sheaf.graph
         self.sheaf = sheaf
         self.d_max = d_max
-        self.reads = reads
         self.gens: list[tuple[int, dict[int, tuple[Poly, ...]]]] = [
             (0, {top: (poly_const(g.dim_t, 1),)})
         ]
@@ -749,7 +724,7 @@ class _SectionSweep:
         sheaf, g = self.sheaf, self.sheaf.graph
         kernel_bases: dict[int, list[Vector]] = {}
         for d, (layout, live) in enumerate(zip(self._layouts, self._live)):
-            r_x = stacked_rho(sheaf, x, layout, self.reads)
+            r_x = stacked_rho(sheaf, x, layout)
             ncx = r_x.ncols
             keep = self._pivot_rows[d] if d < len(self._pivot_rows) else range(layout.total)
             rows = [dict(r_x.rows[i]) for i in keep]
@@ -1003,16 +978,14 @@ def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
 # planar image
 
 
-def planar_image(
-    sheaf: GammaSheaf, x: int, d_max: int, reads: SheafReads | None = None
-) -> SectionSpace:
+def planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
     """Intersection over all 2-planes H (with more than one edge above x in
     the H-component) of the pullbacks of the planar boundary images, cut out
     of all the planar slices at once; equals the boundary image for graphs
-    of projective origin.  With reads, the planes and rho matrices found at
-    one vertex serve the next."""
-    planes = reads.planes if reads is not None else None
-    return _cut_out(sheaf, x, planar_family(sheaf.graph, x, planes), d_max, reads)
+    of projective origin.  The graph keeps its planes, and the rho matrices
+    go through _rho_matrix, so under verify what one vertex builds serves
+    the next."""
+    return _cut_out(sheaf, x, planar_family(sheaf.graph, x), d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +993,7 @@ def planar_image(
 
 
 def certified_images(
-    sheaf: GammaSheaf, planar: dict[int, SectionSpace], reads: SheafReads | None = None
+    sheaf: GammaSheaf, planar: dict[int, SectionSpace]
 ) -> dict[int, SectionSpace]:
     """The image T of the sections over {>x} at each vertex x of planar,
     which maps x to its planar image P in the degrees wanted, wherever a
@@ -1036,14 +1009,14 @@ def certified_images(
     every degree, S' = T = P.  The planar theorem of Braden-MacPherson makes
     the dimensions meet on Schubert graphs, so the speed rests on it and
     soundness never does.  A failed star check, or a ConsistencyError in
-    the replay, ends the certificate there.  The replay reads rho through
-    reads when one is given.
+    the replay, ends the certificate there.  The replay writes only its own
+    generators, never rho, so it may run while sheaf.matrices is set.
     """
     if not planar:
         return {}
     g = sheaf.graph
     top = g.unique_maximal()
-    sweep = _SectionSweep(sheaf, top, max(max(p.layouts) for p in planar.values()), reads)
+    sweep = _SectionSweep(sheaf, top, max(max(p.layouts) for p in planar.values()))
     out = {}
     for x in sweep_order(g, top):
         try:
@@ -1123,8 +1096,11 @@ class PurityViolation(NamedTuple):
 
 
 class PurityReport(NamedTuple):
-    ok: bool
     violations: list[PurityViolation]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     @property
     def first_violation(self) -> PurityViolation | None:
@@ -1135,7 +1111,6 @@ def verify_pure(
     sheaf: GammaSheaf,
     degree_bound: int | None = None,
     images: dict[int, SectionSpace] | None = None,
-    reads: SheafReads | None = None,
 ) -> PurityReport:
     """Check the pure-sheaf axioms degreewise: (1) stalk freeness is
     structural in this model, (2) every downward edge carries the quotient
@@ -1156,23 +1131,23 @@ def verify_pure(
                 violations.append(PurityViolation(x, 2, None))
                 continue
             for d in range(bound + 1):
-                m = _rho_matrix(sheaf, x, k, d, reads)
+                m = _rho_matrix(sheaf, x, k, d)
                 if matrix_rank(m) != sheaf.piece_dim("e", k, d):
                     violations.append(PurityViolation(x, 2, d))
                     break
         if not g.up[x]:
             continue
-        image = images[x] if images is not None else boundary_image(sheaf, x, bound, reads)
+        image = images[x] if images is not None else boundary_image(sheaf, x, bound)
         for d in range(bound + 1):
             layout = image.layouts[d]
-            stacked = stacked_rho(sheaf, x, layout, reads)
+            stacked = stacked_rho(sheaf, x, layout)
             cols = (stacked.column(j) for j in range(stacked.ncols))
             stalk_image = Subspace(layout.total, cols)
             section_image = image.subspace(d)
             if stalk_image != section_image:
                 violations.append(PurityViolation(x, 3, d))
                 break
-    return PurityReport(not violations, violations)
+    return PurityReport(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -78,34 +78,64 @@ def _verify(monkeypatch, capsys, argv, sheaf=None, certify=True):
     certificate."""
     fallbacks = []
 
-    def spy(sh, x, d, reads):
+    def spy(sh, x, d):
         fallbacks.append(x)
-        return boundary_image(sh, x, d, reads)
+        return boundary_image(sh, x, d)
 
     with monkeypatch.context() as m:
         m.setattr(cli, "boundary_image", spy)
         if sheaf is not None:
             m.setattr(cli, "_build_sheaf", lambda config, resolved: sheaf)
         if not certify:
-            m.setattr(cli, "certified_images", lambda sh, planar, reads: {})
+            m.setattr(cli, "certified_images", lambda sh, planar: {})
         code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err, fallbacks
 
 
-def test_a_perturbed_rho_entry_fails_verify(lab, monkeypatch, capsys):
-    g = lab.graph("A", 3)
-    sheaf = canonical_sheaf(g)
+def _double_a_rho_entry(sheaf):
+    """Double one rho entry on an up edge of a vertex with several up edges."""
+    g = sheaf.graph
     x = next(v for v in sweep_order(g, g.unique_maximal()) if len(g.up[v]) > 1)
     k = g.up[x][0]
     entries = [list(row) for row in sheaf.rho[(x, k)].entries]
     entries[0][0] = poly_scale(entries[0][0], 2)
     sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+
+
+def test_a_perturbed_rho_entry_fails_verify(lab, monkeypatch, capsys):
+    sheaf = canonical_sheaf(lab.graph("A", 3))
+    _double_a_rho_entry(sheaf)
     argv = ["verify", "--type", "A3"]
     code, out, err, _ = _verify(monkeypatch, capsys, argv, sheaf)
     assert code == 1
     assert "purity: FAIL (axiom 3 at " in err
     assert (code, out, err) == _verify(monkeypatch, capsys, argv, sheaf, certify=False)[:3]
+
+
+def test_verify_keeps_its_rho_memo_for_one_call(lab, monkeypatch, capsys):
+    # the memo lives on the sheaf for one verify call: a rho changed after a
+    # passing run is read afresh by the next run on the same object, and the
+    # memo is cleared however verify ends
+    sheaf = canonical_sheaf(lab.graph("A", 3))
+    argv = ["verify", "--type", "A3"]
+    assert _verify(monkeypatch, capsys, argv, sheaf)[0] == 0
+    assert sheaf.matrices is None
+    _double_a_rho_entry(sheaf)
+    code, _, err, _ = _verify(monkeypatch, capsys, argv, sheaf)
+    assert code == 1
+    assert "purity: FAIL" in err
+    assert sheaf.matrices is None
+
+    def failing(*args, **kwargs):
+        assert sheaf.matrices is not None
+        raise ConsistencyError("planted")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "verify_pure", failing)
+        code, out, err, _ = _verify(monkeypatch, capsys, argv, sheaf)
+    assert (code, out, err) == (3, "", "error: planted\n")
+    assert sheaf.matrices is None
 
 
 def test_a_zeroed_constant_term_fails_monotonicity_in_verify(lab, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -253,6 +254,14 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     # so is a number past the interpreter's limit on integer digits
     path.write_text('{"dim_t": ' + "1" * 5000 + "}")
     assert run_cli(["graph", "--graph", str(path)], capsys)[:2] == (2, "")
+    # running out of memory is a resource failure, not a mismatch
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "global_hilbert", exhausted)
+    code, out, err = run_cli(["hilbert", "--type", "A2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
 
 
 def test_parse_args_bare_family_letter_needs_a_rank(capsys):
@@ -409,3 +418,50 @@ def test_fuzzed_graph_documents_never_crash(doc, max_degree):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, "--graph", path, *degree])
             assert code in (0, 2, 3)
+
+
+def _byte_fuzzed_graph_files(rng, a2: bytes):
+    """Seeded graph files, as bytes: the A2 document, random bytes,
+    truncated and byte-mutated copies of it, deep [ nesting, and documents
+    whose top-level fields (or the document itself) have the wrong type."""
+    yield a2
+    for _ in range(25):
+        yield bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+    for _ in range(25):
+        yield a2[: rng.randrange(len(a2))]
+    # a random byte almost always breaks the JSON, so half the mutations
+    # write a digit, sign, slash or point over a digit of a label, a
+    # direction, a rank or dim_t
+    digits = [i for i, b in enumerate(a2) if chr(b).isdigit()]
+    for trial in range(80):
+        data = bytearray(a2)
+        for _ in range(rng.randrange(1, 4)):
+            if trial % 2:
+                data[rng.choice(digits)] = rng.choice(b"0123456789-/.")
+            else:
+                data[rng.randrange(len(data))] = rng.randrange(256)
+        yield bytes(data)
+    for depth in (1, 100, 999, 1000, 5000, 100_000):
+        yield b"[" * depth + b"]" * rng.choice((0, depth))
+    doc = json.loads(a2)
+    wrong = [None, True, 1, 1.5, "x", [], {}, [1], {"id": 1}]
+    for field in ("dim_t", "vertices", "order", "edges"):
+        for value in rng.sample(wrong, 5):
+            yield json.dumps({**doc, field: value}).encode()
+    for value in wrong:
+        yield json.dumps(value).encode()
+
+
+def test_byte_fuzzed_graph_files_never_escape_main(tmp_path, capsys):
+    """Whatever bytes a graph file holds, every command answers or refuses
+    with exit 2 or 3; no exception leaves main."""
+    code, a2, _ = run_cli(["graph", "--type", "A2"], capsys)
+    assert code == 0
+    rng = random.Random(20261020)
+    path = tmp_path / "g.json"
+    for data in _byte_fuzzed_graph_files(rng, a2.encode()):
+        path.write_bytes(data)
+        for command in ("graph", "sheaf", "kl", "hilbert", "verify"):
+            code = main([command, "--graph", str(path), "--max-degree", "1"])
+            capsys.readouterr()
+            assert code in (0, 2, 3), (command, data[:200])

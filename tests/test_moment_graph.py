@@ -524,9 +524,14 @@ def _planar_family_graphs():
 def test_planar_family_matches_per_edge_reference(monkeypatch):
     import momentsheaf.moment_graph as mg
 
+    # fresh graphs for the reference: each graph keeps the planes it found
+    with monkeypatch.context() as m:
+        m.setattr(mg, "_h_edges", _per_edge_h_edges)
+        reference = _planar_family_graphs()
+        expected = {
+            name: [planar_family(g, x) for x in range(g.n_vertices)]
+            for name, g in reference.items()
+        }
     for name, g in _planar_family_graphs().items():
         got = [planar_family(g, x) for x in range(g.n_vertices)]
-        with monkeypatch.context() as m:
-            m.setattr(mg, "_h_edges", _per_edge_h_edges)
-            expected = [planar_family(g, x) for x in range(g.n_vertices)]
-        assert got == expected, name
+        assert got == expected[name], name

@@ -8,9 +8,7 @@ the golden digests, and they count, without timing anything, the work a
 `verify` run does on B3/J={1}.
 """
 
-import gc
 import hashlib
-import weakref
 from collections import Counter
 
 import momentsheaf.moment_graph as moment_graph
@@ -132,15 +130,7 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
         builds[(id(sh), v, e, d)] += 1
         return rho_degree_matrix(sh, v, e, d)
 
-    memos = []
-    reads_init = sheaf_mod.SheafReads.__init__
-
-    def recorded_reads_init(self, sh):
-        memos.append(weakref.ref(self))
-        reads_init(self, sh)
-
     monkeypatch.setattr(sheaf_mod, "rho_degree_matrix", counted_rho_degree_matrix)
-    monkeypatch.setattr(sheaf_mod.SheafReads, "__init__", recorded_reads_init)
     monkeypatch.setattr(LinearQuotient, "__init__", counted_quotient_init)
     monkeypatch.setattr(Subspace, "contains", counted_contains)
     monkeypatch.setattr(moment_graph, "_h_edges", counted_h_edges)
@@ -160,11 +150,10 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     assert planes and max(planes.values()) == 1
     # one reduction per distinct (direction, monomial) pair
     assert 0 < reduce_calls[0] <= len(pairs)
-    # each rho matrix built at most once by a build and once into verify's
-    # one SheafReads, which is gone once verify returns
+    # each rho matrix built at most once by a build and once into the top
+    # sheaf's memo, which verify clears when it returns
     assert builds and max(builds.values()) <= 2
-    gc.collect()
-    assert len(memos) == 1 and memos[0]() is None
+    assert all(sh.matrices is None for sh in sheaves)
 
 
 def test_a_b3_build_reduces_each_monomial_once(lab, monkeypatch):
