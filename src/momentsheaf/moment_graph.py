@@ -4,7 +4,9 @@ constructors, and JSON/DOT serialization.
 
 The order is always the closure of a generating relation, taken by
 `order_closure`: the reflection edges of a Schubert graph (they generate the
-Bruhat order on W^J) or the cover pairs of a graph document.
+Bruhat order on W^J, graded by length, so its covers are the rank-one edges)
+or the cover pairs of a graph document.  `save_graph_json` writes a document
+straight from the graph, so writing a Schubert graph is linear in its edges.
 The `MomentGraph` constructor is the one validator of the order, the ranks and
 the edges, and the one place edge directions are normalized.
 
@@ -98,8 +100,9 @@ class MomentGraph:
                     f"({self.labels[i]} vs {self.labels[j]})"
                 )
         # the edge's name is formatted only for the message of a failed check;
-        # a direction is checked and normalized at its first edge, and the
-        # edges along it after that reuse the result
+        # a direction is checked and normalized at its first edge, the edges
+        # along it after that reuse the result, and an edge whose direction
+        # already is its normal form (all int and primitive) is kept as it is
         seen_pairs = set()
         normal: dict[Direction, Direction] = {}
         normalized = []
@@ -118,8 +121,10 @@ class MomentGraph:
                     raise ValidationError(f"{self._edge_name(e)} has a direction of wrong length")
                 if not any(direction):
                     raise ValidationError(f"{self._edge_name(e)} has zero direction")
-                unit = normal[direction] = primitive_integer(direction)
-            normalized.append(Edge(lo, hi, unit))
+                unit = primitive_integer(direction)
+                keep = unit == direction and all(type(c) is int for c in direction)
+                unit = normal[direction] = direction if keep else unit
+            normalized.append(e if unit is direction else Edge(lo, hi, unit))
         self.edges = tuple(normalized)
         self.up = [[] for _ in range(n)]
         self.down = [[] for _ in range(n)]
@@ -157,16 +162,20 @@ class MomentGraph:
     def covers(self) -> list[tuple[int, int]]:
         """Cover relations (transitive reduction of the order), sorted.
 
-        i < j is a cover iff j lies strictly above i but not strictly above
-        any vertex strictly above i.  Both sets are walked over their set
-        bits, so the cost is one OR per comparable pair i < k and one
-        append per cover, not n^2 bit tests.
+        On a Schubert graph they are the edges whose ranks differ by one: the
+        Bruhat order on W^J is graded by length and generated by the
+        reflection edges (Deodhar).  A loaded graph's order comes from its
+        document's covers, not its edges; there i < j is a cover iff j lies
+        strictly above i but not strictly above any vertex strictly above i,
+        found with one OR per comparable pair i < k, walking set bits.
         """
+        if self.schubert_origin:
+            r = self.ranks
+            return sorted((e.lower, e.upper) for e in self.edges if r[e.upper] - r[e.lower] == 1)
         above = [bits & ~(1 << i) for i, bits in enumerate(self.leq_bits)]
         out = []
         for i, bits in enumerate(above):
-            higher = 0
-            rest = bits
+            higher, rest = 0, bits
             while rest:
                 low = rest & -rest
                 higher |= above[low.bit_length() - 1]
@@ -436,14 +445,8 @@ def save_graph(g: MomentGraph) -> dict:
     """JSON document for a graph; rationals are canonical 'p/q' strings."""
     return {
         "dim_t": g.dim_t,
-        "vertices": [
-            {"id": g.labels[i], "rank": g.ranks[i]} for i in range(g.n_vertices)
-        ],
-        "order": {
-            "covers": [
-                [g.labels[i], g.labels[j]] for i, j in sorted(g.covers())
-            ]
-        },
+        "vertices": [{"id": label, "rank": r} for label, r in zip(g.labels, g.ranks)],
+        "order": {"covers": [[g.labels[i], g.labels[j]] for i, j in g.covers()]},
         "edges": [
             {
                 "lower": g.labels[e.lower],
@@ -535,40 +538,37 @@ def load_graph(doc: dict) -> MomentGraph:
     )
 
 
-def _json_array(items: list[str], pad: str) -> str:
-    """A JSON array of encoded items, laid out as json.dumps(indent=2) lays
-    it out when the array opens on a line indented by pad."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(pad + "  " + item for item in items) + "\n" + pad + "]"
-
-
 def save_graph_json(g: MomentGraph) -> str:
     """save_graph's document, byte for byte as json.dumps(doc, indent=2,
-    sort_keys=True) writes it.  Each element of the fixed schema is laid
-    out inline, and only the string leaves go through json's (C) encoder;
-    a direction has dim_t > 0 entries, so it is never the empty array."""
-    doc = save_graph(g)
-    q = encode_basestring_ascii
-    edges = [
-        '{\n      "direction": [\n        ' + ",\n        ".join(map(q, e["direction"]))
-        + '\n      ],\n      "lower": ' + q(e["lower"])
-        + ',\n      "upper": ' + q(e["upper"]) + "\n    }"
-        for e in doc["edges"]
-    ]
-    covers = [
-        "[\n        " + q(a) + ",\n        " + q(b) + "\n      ]"
-        for a, b in doc["order"]["covers"]
-    ]
-    vertices = [
-        '{\n      "id": ' + q(v["id"]) + ',\n      "rank": ' + str(v["rank"]) + "\n    }"
-        for v in doc["vertices"]
-    ]
-    return (
-        f'{{\n  "dim_t": {doc["dim_t"]},\n  "edges": {_json_array(edges, "  ")},\n'
-        f'  "order": {{\n    "covers": {_json_array(covers, "    ")}\n  }},\n'
-        f'  "vertices": {_json_array(vertices, "  ")}\n}}\n'
-    )
+    sort_keys=True) writes it, formatted straight from the graph into one
+    list joined once: each label is escaped once by json's (C) encoder, and
+    each distinct direction (dim_t > 0 ints) is laid out once, unescaped."""
+    q = [encode_basestring_ascii(label) for label in g.labels]
+    blocks: dict[Direction, str] = {}
+    out = ['{\n  "dim_t": ', str(g.dim_t), ',\n  "edges": [']
+    sep = "\n    "
+    for e in g.edges:
+        block = blocks.get(e.direction)
+        if block is None:
+            entries = '",\n        "'.join(map(str, e.direction))
+            block = blocks[e.direction] = (
+                f'{{\n      "direction": [\n        "{entries}"\n      ],\n      "lower": '
+            )
+        out += (sep, block, q[e.lower], ',\n      "upper": ', q[e.upper], "\n    }")
+        sep = ",\n    "
+    out += ("\n  ]" if g.edges else "]", ',\n  "order": {\n    "covers": [')
+    sep = "\n      [\n        "
+    covers = g.covers()
+    for i, j in covers:
+        out += (sep, q[i], ",\n        ", q[j], "\n      ]")
+        sep = ",\n      [\n        "
+    out += ("\n    ]" if covers else "]", '\n  },\n  "vertices": [')
+    sep = '\n    {\n      "id": '
+    for label, rank in zip(q, g.ranks):
+        out += (sep, label, ',\n      "rank": ', str(rank), "\n    }")
+        sep = ',\n    {\n      "id": '
+    out += ("\n  ]" if q else "]", "\n}\n")
+    return "".join(out)
 
 
 def to_dot(g: MomentGraph) -> str:
