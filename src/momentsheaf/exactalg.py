@@ -10,9 +10,10 @@ pivot; the one other division, normalizing the defining forms of a
 LinearQuotient, is taken in Fractions.
 
 The graded ring is A = Q[x1..xn] with every variable in internal degree 1,
-and quotients A/(l1,..,lk) by independent linear forms are modelled by
-substituting pivot variables away, so that each graded piece is a plain
-finite-dimensional Q-vector space with a fixed monomial basis.
+and quotients A/(l1,..,lk) by independent linear forms, each given by its
+coefficient vector, are modelled by substituting pivot variables away, so
+that each graded piece is a plain finite-dimensional Q-vector space with a
+fixed monomial basis.
 
 Determinism contract: monomial bases use graded-lex order, Gaussian
 elimination processes columns left to right (the reduced row echelon form is
@@ -213,24 +214,12 @@ def poly_str(p: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# linear forms and quotients by spans of linear forms
-
-
-class LinearForm:
-    """A degree-1 element of A, stored by its coefficient vector."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int | Fraction]) -> None:
-        self.coeffs = tuple(exact(c) for c in coeffs)
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs)
+# quotients by spans of linear forms
 
 
 class LinearQuotient:
-    """Normal-form model of A/(l1,..,lk) for independent linear forms l_i.
+    """Normal-form model of A/(l1,..,lk) for independent linear forms l_i,
+    each given by its coefficient vector.
 
     The pivot variables are those of the reduced echelon form of the forms
     with the variables in reverse order, so they are taken from the *largest*
@@ -240,11 +229,11 @@ class LinearQuotient:
     exactly (l1,..,lk)*A_{d-1}.
     """
 
-    def __init__(self, forms: Sequence[LinearForm]):
+    def __init__(self, forms: Sequence[Sequence[int | Fraction]]):
         if not forms:
             raise ValueError("need at least one linear form")
-        self.n = n = forms[0].n
-        flipped = [{n - 1 - j: c for j, c in enumerate(f.coeffs) if c} for f in forms]
+        self.n = n = len(forms[0])
+        flipped = [{n - 1 - j: c for j, c in enumerate(f) if c} for f in forms]
         pivots, reduced = rref(flipped, n)
         if len(pivots) < len(forms):
             raise ValueError("linear forms are dependent")
@@ -311,7 +300,7 @@ def edge_ring(direction: tuple[int, ...]) -> LinearQuotient:
     """The edge ring A_L = A/(alpha) of one (normalized, nonzero) edge
     direction, built once per process: every edge along that direction, in
     every sheaf, shares it and its memoized monomial reductions."""
-    return LinearQuotient([LinearForm(direction)])
+    return LinearQuotient([direction])
 
 
 # ---------------------------------------------------------------------------

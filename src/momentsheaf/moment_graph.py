@@ -573,18 +573,22 @@ def save_graph_json(g: MomentGraph) -> str:
 
 def to_dot(g: MomentGraph) -> str:
     """DOT rendering: vertices grouped by poset rank, edges labelled with
-    their direction vectors."""
-    lines = ["digraph moment_graph {", "  rankdir=BT;", "  node [shape=ellipse];"]
+    their direction vectors.  Each label is quoted once as a DOT string
+    (\\ and " escaped) and each distinct direction's label is formatted
+    once, into one list joined once."""
+    q = ['"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"' for label in g.labels]
+    out = ["digraph moment_graph {\n  rankdir=BT;\n  node [shape=ellipse];\n"]
     by_rank: dict[int, list[int]] = {}
     for i in range(g.n_vertices):
         by_rank.setdefault(g.ranks[i], []).append(i)
     for r in sorted(by_rank):
-        ids = " ".join(f'"{g.labels[i]}";' for i in by_rank[r])
-        lines.append(f"  {{ rank=same; {ids} }}")
+        ids = " ".join(f"{q[i]};" for i in by_rank[r])
+        out.append(f"  {{ rank=same; {ids} }}\n")
+    tails: dict[Direction, str] = {}
     for e in g.edges:
-        label = "(" + ",".join(str(c) for c in e.direction) + ")"
-        lines.append(
-            f'  "{g.labels[e.lower]}" -> "{g.labels[e.upper]}" [label="{label}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        tail = tails.get(e.direction)
+        if tail is None:
+            tail = tails[e.direction] = f' [label="({",".join(map(str, e.direction))})"];\n'
+        out += ("  ", q[e.lower], " -> ", q[e.upper], tail)
+    out.append("}\n")
+    return "".join(out)

@@ -28,17 +28,17 @@ have integer coefficients: a generator whose lift has denominators is
 scaled by their lcm, which changes no span and so no artifact.
 
 On a Schubert graph, global_hilbert reads the global sections off the
-finished sheaf: flabbiness makes dim Gamma_d the sum over the vertices of
-dim (M_x)_d - rank rho_{x,d}, and Gamma is free, so (1 - q)^n times that
-series is its Hilbert series modulo t*.
+finished canonical sheaf: flabbiness makes dim Gamma_d the sum over the
+vertices of dim (M_x)_d - rank rho_{x,d}, and Gamma is free, so (1 - q)^n
+times that series is its Hilbert series modulo t*.
 
 verify_pure compares every stalk image S with T, the image of the sections
-over the punctured upper set {>x}, and verify reads T without trusting the
-sweep's linear algebra.  certified_images replays the sweep and checks every
-generator on the star of each vertex by substitution (_restrict).  With S'
-the span of the generators' boundaries at x and P the planar image,
-S' <= T <= P; where their dimensions meet, T = S' = P, and verify reads S'.
-boundary_image is the fallback: it solves the sections over {>x} directly.
+over the punctured upper set {>x}, which its caller passes; verify reads T
+without trusting the sweep's linear algebra.  certified_images replays the
+sweep and checks every generator on the star of each vertex by substitution
+(_restrict).  With S' the span of the generators' boundaries at x and P the
+planar image, S' <= T <= P; where their dimensions meet, T = S' = P, and
+verify reads S'.  Elsewhere boundary_image solves the sections over {>x}.
 It and planar_image are one routine, _cut_out, over {>x} or over the planar
 slices: eliminate each subgraph's vertex unknowns, and take the kernel of
 the relations left on the up edges of x.  These stages reread the top sheaf's
@@ -162,24 +162,22 @@ Piece = tuple[tuple[int, ...], LinearQuotient | None]
 class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
 
-    canonical marks the canonical sheaf itself, as canonical_sheaf builds
-    it; any other sheaf leaves it unset.  rho_degree_matrix builds each
-    degree-d matrix when it is read.  matrices is None except while one
-    verify call rereads the finished sheaf: verify sets it to {} and back to
-    None when it returns, and in between _rho_matrix builds each (vertex,
-    edge, degree) matrix once into it.  Nothing writes rho or a piece in
-    that window; the certificate's replay writes only its own generators.
-    The edge rings (edge_ring) and the t*-span matrices of _degree_span
-    depend on no sheaf and are shared by every sheaf in the process."""
+    rho_degree_matrix builds each degree-d matrix when it is read.  matrices
+    is None except while one verify call rereads the finished sheaf: verify
+    sets it to {} and back to None when it returns, and in between
+    _rho_matrix builds each (vertex, edge, degree) matrix once into it.
+    Nothing writes rho or a piece in that window; the certificate's replay
+    writes only its own generators.  The edge rings (edge_ring) and the
+    t*-span matrices of _degree_span depend on no sheaf and are shared by
+    every sheaf in the process."""
 
-    __slots__ = ("graph", "vertex_modules", "edge_modules", "rho", "canonical", "matrices")
+    __slots__ = ("graph", "vertex_modules", "edge_modules", "rho", "matrices")
 
-    def __init__(self, graph: MomentGraph, canonical: bool = False) -> None:
+    def __init__(self, graph: MomentGraph) -> None:
         self.graph = graph
         self.vertex_modules: dict[int, GradedFreeModule] = {}
         self.edge_modules: dict[int, EdgeModule] = {}
         self.rho: dict[tuple[int, int], RhoMap] = {}
-        self.canonical = canonical
         self.matrices: dict[tuple[int, int, int], QMatrix] | None = None
 
     @property
@@ -479,7 +477,7 @@ _SPAN_MATRICES: dict[tuple, list[tuple[Row, ...]]] = {}
 
 
 def _degree_span(
-    sheaf: GammaSheaf, layouts: dict[int, Layout], lower: Sequence[Row], d: int
+    sheaf: GammaSheaf, layouts: Sequence[Layout] | dict[int, Layout], lower: Sequence[Row], d: int
 ) -> list[Row]:
     """The nonzero rows x_var . v in layouts[d], for every variable and
     every sparse row v of lower in layouts[d - 1]: they span t* . lower.
@@ -522,14 +520,19 @@ def _degree_span(
 
 
 def projective_cover(
-    sheaf: GammaSheaf, image: SectionSpace, d_max: int
+    sheaf: GammaSheaf,
+    layouts: Sequence[Layout] | dict[int, Layout],
+    bases: Sequence[list[Vector]] | dict[int, list[Vector]],
+    d_max: int,
 ) -> tuple[list[int], list[tuple[int, Vector]], list[list[Row]]]:
     """Minimal generators of an image module, with their canonical lifts,
     and per degree an echelon basis of the image.
 
-    image.bases[d] need only span image_d modulo t* . image_{d-1}.  In each
-    degree the new generators are the reduced-echelon coset representatives
-    of image_d modulo t* . image_{d-1}.  They are found on integer rows:
+    In each degree d up to d_max the image is given by the vectors bases[d]
+    in layouts[d], the layout its lifts come back in, indexed by degree;
+    they need only span image_d modulo t* . image_{d-1}.  In each degree the
+    new generators are the reduced-echelon coset representatives of image_d
+    modulo t* . image_{d-1}.  They are found on integer rows:
     each vector is reduced fraction-free against the echelon form of the
     t*-span rows, which leaves a multiple of its residue modulo the RREF of
     that span, and the RREF of these residues, unique, gives them.  The
@@ -546,10 +549,10 @@ def projective_cover(
     echelons: list[list[Row]] = []
     lower: list[Row] = []
     for d in range(d_max + 1):
-        total = image.layouts[d].total
-        pivots, echelon, _ = forward_eliminate(_degree_span(sheaf, image.layouts, lower, d), total)
+        total = layouts[d].total
+        pivots, echelon, _ = forward_eliminate(_degree_span(sheaf, layouts, lower, d), total)
         residues = []
-        for vec in image.bases[d]:
+        for vec in bases[d]:
             r = _int_row(sparse(vec))
             for col, piv in zip(pivots, echelon):
                 if col in r:
@@ -644,7 +647,6 @@ class _SectionSweep:
         ]
         self.pending = [len(g.down[v]) for v in range(g.n_vertices)]
         self._at = -1
-        self._target = Subgraph((), ())
         self._layouts: list[Layout] = []
         self._live: list[list[tuple[dict[int, tuple[Poly, ...]], Vector]]] = []
         self._pivot_rows: list[list[int]] = []
@@ -670,7 +672,7 @@ class _SectionSweep:
         generators whose boundary is not zero, each with its boundary, read
         by both cover(x) and extend(x).  No pivot rows are known yet."""
         self._at = x
-        self._target = target = up_edges(self.sheaf.graph, x)
+        target = up_edges(self.sheaf.graph, x)
         self._layouts = [section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)]
         self._live = []
         for d, layout in enumerate(self._layouts):
@@ -680,7 +682,7 @@ class _SectionSweep:
 
     def cover(
         self, x: int, probe: int
-    ) -> tuple[list[int], list[tuple[int, Vector]], dict[int, Layout]]:
+    ) -> tuple[list[int], list[tuple[int, Vector]], list[Layout]]:
         """The stalk at x: projective_cover of the boundary image in degrees
         up to probe, returned with the up-edge layouts its lifts are given
         in.  The image is given in each degree d by the nonzero boundaries
@@ -688,15 +690,10 @@ class _SectionSweep:
         t* . image_{d-1}.  The leading columns of the cover's echelon basis
         are kept for extend(x) as its pivot rows."""
         self._load(x)
-        degrees = range(probe + 1)
-        image = SectionSpace(
-            self._target,
-            {d: self._layouts[d] for d in degrees},
-            {d: [b for _, b in self._live[d]] for d in degrees},
-        )
-        gens, lifts, echelons = projective_cover(self.sheaf, image, probe)
+        bases = [[b for _, b in live] for live in self._live[: probe + 1]]
+        gens, lifts, echelons = projective_cover(self.sheaf, self._layouts, bases, probe)
         self._pivot_rows = [sorted(min(r) for r in rows) for rows in echelons]
-        return gens, lifts, image.layouts
+        return gens, lifts, self._layouts
 
     def extend(self, x: int) -> None:
         """Extend the generators from J to J + x once M_x and rho_x exist.
@@ -749,12 +746,8 @@ class _SectionSweep:
                             values[v] = tuple({e: c * scale for e, c in p.items()} for p in value)
                     values[x] = split(blocks, m)
         point = Subgraph((x,), ())
-        ker_rho = SectionSpace(
-            point,
-            {d: section_layout(sheaf, point, d) for d in kernel_bases},
-            kernel_bases,
-        )
-        for d, vec in projective_cover(sheaf, ker_rho, self.d_max)[1]:
+        layouts = [section_layout(sheaf, point, d) for d in kernel_bases]
+        for d, vec in projective_cover(sheaf, layouts, kernel_bases, self.d_max)[1]:
             self.gens.append((d, {x: split(sheaf.blocks("v", x, d), _integral(vec)[1])}))
 
     def forget(self, x: int) -> None:
@@ -772,11 +765,7 @@ class _SectionSweep:
         self.gens = [gen for gen in self.gens if gen[1]]
 
 
-def canonical_sheaf(
-    g: MomentGraph,
-    degree_bound: int | None = None,
-    extra_degree_check: bool = False,
-) -> GammaSheaf:
+def canonical_sheaf(g: MomentGraph, degree_bound: int | None = None) -> GammaSheaf:
     """The canonical sheaf, built from the top vertex downwards.
 
     The boundary image at each vertex is read off a generating set of the
@@ -786,18 +775,13 @@ def canonical_sheaf(
     on graphs of projective origin, and verify reads it as an upper bound.
     The polygon relations, exact only under the finite-two-orbit
     criterion, and the V-path transports are cross-checks in the tests.
-
-    extra_degree_check computes one degree past the proven bound of a
-    Schubert graph and raises ConsistencyError if a generator shows up
-    there; loaded graphs carry no proven bound, so it changes nothing there.
     """
     top = g.unique_maximal()
     bounds = degree_bounds(g, degree_bound)
-    sheaf = GammaSheaf(graph=g, canonical=True)
+    sheaf = GammaSheaf(g)
     sheaf.vertex_modules[top] = GradedFreeModule((0,))
     order = sweep_order(g, top)
-    extra = int(extra_degree_check and g.schubert_origin)
-    d_max = max((bounds[x] for x in order), default=0) + extra
+    d_max = max((bounds[x] for x in order), default=0)
     sweep = _SectionSweep(sheaf, top, d_max)
     # the upper incidences of one stalk rank share one identity map: the
     # sheaf outlives the build, and a RhoMap is only ever replaced whole
@@ -811,12 +795,7 @@ def canonical_sheaf(
             if rank not in identities:
                 identities[rank] = _identity_rho(rank, g.dim_t)
             sheaf.rho[(e.upper, k)] = identities[rank]
-        probe = bounds[x] + extra
-        gens, lifts, layouts = sweep.cover(x, probe)
-        if extra and any(d == probe for d in gens):
-            raise ConsistencyError(
-                f"generator beyond the KL degree bound at vertex {g.labels[x]}"
-            )
+        gens, lifts, layouts = sweep.cover(x, bounds[x])
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
         _install_lift_rho(sheaf, x, lifts, layouts)
         sweep.extend(x)
@@ -834,7 +813,7 @@ def _install_lift_rho(
     sheaf: GammaSheaf,
     x: int,
     lifts: list[tuple[int, Vector]],
-    layouts: dict[int, Layout],
+    layouts: list[Layout],
 ) -> None:
     """Split each generator lift, given in the up-edge layouts of x, into
     per-edge polynomial columns."""
@@ -877,12 +856,13 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     so every step 0 -> ker rho_x -> Gamma(J + x) -> Gamma(J) -> 0 of the
     sweep is exact and dim Gamma_d is the sum over all vertices, the top
     included, of dim (M_x)_d - rank rho_{x,d}.  Gamma is free, so the answer
-    is that series times (1 - q)^n: n passes of first differences.  Any
-    other sheaf, a loaded graph's canonical sheaf included, need not have a
+    is that series times (1 - q)^n: n passes of first differences.  So a
+    sheaf on a Schubert graph must be its canonical sheaf, as every sheaf
+    the commands pass is.  A loaded graph's canonical sheaf need not have a
     free Gamma, so it takes direct_hilbert.
     """
     g = sheaf.graph
-    if not (sheaf.canonical and g.schubert_origin):
+    if not g.schubert_origin:
         return direct_hilbert(sheaf, d_max)
     dims = [0] * (d_max + 1)
     for x in range(g.n_vertices):
@@ -898,7 +878,8 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     """global_hilbert by solving the sections over the whole graph: the
     generator degrees of their projective cover; any sheaf, any graph."""
-    gens = projective_cover(sheaf, sections(sheaf, whole(sheaf.graph), d_max), d_max)[0]
+    space = sections(sheaf, whole(sheaf.graph), d_max)
+    gens = projective_cover(sheaf, space.layouts, space.bases, d_max)[0]
     return [gens.count(d) for d in range(d_max + 1)]
 
 
@@ -1077,8 +1058,7 @@ def _witnessed_image(
             for dg, boundary in boundaries
             if dg == d
         ]
-    span = SectionSpace(planar.subgraph, layouts, generators)
-    echelons = projective_cover(sheaf, span, max(layouts))[2]
+    echelons = projective_cover(sheaf, layouts, generators, max(layouts))[2]
     if any(len(rows) != planar.dim(d) for d, rows in enumerate(echelons)):
         return None
     bases = {d: [dense(r, layouts[d].total) for r in rows] for d, rows in enumerate(echelons)}
@@ -1108,18 +1088,16 @@ class PurityReport(NamedTuple):
 
 
 def verify_pure(
-    sheaf: GammaSheaf,
-    degree_bound: int | None = None,
-    images: dict[int, SectionSpace] | None = None,
+    sheaf: GammaSheaf, degree_bound: int | None, images: dict[int, SectionSpace]
 ) -> PurityReport:
     """Check the pure-sheaf axioms degreewise: (1) stalk freeness is
     structural in this model, (2) every downward edge carries the quotient
     of its upper stalk, (3) the stalk restriction and the sections above
     have the same image in M(U_x).
 
-    Axiom 3 reads the sections image from the direct solver; images maps
-    each vertex with up edges to its boundary_image, solved to at least
-    the bound, when the caller has solved it already."""
+    Axiom 3 reads the sections image from images, which maps each vertex
+    with up edges to the image of the sections over {>x}, to at least its
+    bound: boundary_image, or what certified_images proves equal to it."""
     g = sheaf.graph
     g.unique_maximal()  # raises unless the graph has one top
     bounds = degree_bounds(g, degree_bound)
@@ -1137,7 +1115,7 @@ def verify_pure(
                     break
         if not g.up[x]:
             continue
-        image = images[x] if images is not None else boundary_image(sheaf, x, bound)
+        image = images[x]
         for d in range(bound + 1):
             layout = image.layouts[d]
             stacked = stacked_rho(sheaf, x, layout)

@@ -3,7 +3,8 @@ reflections and inversion counts on a Weyl group, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
 as matrices, the projective cover by reduction against a Fraction-normalized
 RREF, the finite two-orbit test on a moment graph, the planar image slice by
-slice, and small accessors.
+slice, the boundary images verify_pure reads solved directly, a build past
+the proven degree bound, and small accessors.
 
 It also holds the paper's cross-checks that no command runs: the Bruhat
 interval and planar slice subgraphs, the structure sheaf, the substitution
@@ -21,7 +22,6 @@ from typing import Sequence
 
 from momentsheaf.coxeter import Matrix, Reflection, WeylElement, WeylGroup, bruhat_leq, mat_vec
 from momentsheaf.exactalg import (
-    LinearForm,
     LinearQuotient,
     Poly,
     QMatrix,
@@ -63,10 +63,13 @@ from momentsheaf.sheaf import (
     _normal_form,
     _poly_dot,
     _restrict,
+    boundary_image,
     dangling_edges,
+    degree_bounds,
     degree_matrix,
     section_layout,
     sections,
+    sheaf_dump,
     split,
 )
 
@@ -172,23 +175,25 @@ def poly_scale(p: Poly, c: int | Fraction) -> Poly:
     return {e: v * c for e, v in p.items()}
 
 
-def as_poly(f: LinearForm) -> Poly:
+def as_poly(f: Sequence[int | Fraction]) -> Poly:
+    """The linear form with coefficient vector f."""
     p: Poly = {}
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(f):
         if c:
-            e = [0] * f.n
+            e = [0] * len(f)
             e[i] = 1
             p[tuple(e)] = c
     return p
 
 
-def multiply_map(f: LinearForm, n: int, d: int) -> QMatrix:
-    """Matrix of multiplication by f from A_d to A_{d+1} in monomial bases."""
+def multiply_map(f: Sequence[int | Fraction], n: int, d: int) -> QMatrix:
+    """Matrix of multiplication by the linear form with coefficient vector f
+    from A_d to A_{d+1} in monomial bases."""
     src = monomial_basis(n, d)
     dst = monomial_basis(n, d + 1)
     rows: list[Row] = [{} for _ in range(len(dst))]
     for j, e in enumerate(src.exponents):
-        for i, c in enumerate(f.coeffs):
+        for i, c in enumerate(f):
             if not c:
                 continue
             e2 = list(e)
@@ -398,7 +403,7 @@ def vpath_map(
     span = Subspace(g.dim_t, v_span)
     if span.dim == 0:
         raise ValidationError("V must be a nonzero subspace")
-    quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
+    quotient = LinearQuotient(span.basis_vectors())
     paths, truncated = increasing_paths(g, x, y, set(_h_edges(g, span)))
     if not paths:
         raise ValidationError(
@@ -437,7 +442,7 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
         for b in range(a + 1, len(up)):
             k1, k2 = up[a], up[b]
             span = Subspace(g.dim_t, [g.edges[k1].direction, g.edges[k2].direction])
-            quotient = LinearQuotient([LinearForm(w) for w in span.basis_vectors()])
+            quotient = LinearQuotient(span.basis_vectors())
             allowed = set(_h_edges(g, span))
             starts = {k1: g.edges[k1].upper, k2: g.edges[k2].upper}
             # enumerate V-paths from x with first edge k1 or k2, grouped by target
@@ -512,7 +517,7 @@ def reference_planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> dict[int, S
 
 
 def reference_projective_cover(
-    sheaf: GammaSheaf, image: SectionSpace, d_max: int
+    sheaf: GammaSheaf, layouts, bases, d_max: int
 ) -> tuple[list[int], list[tuple[int, Vector]]]:
     """sheaf.projective_cover the way it was first written: each degree-d
     vector is reduced against the Fraction-normalized RREF of
@@ -522,13 +527,34 @@ def reference_projective_cover(
     lifts: list[tuple[int, Vector]] = []
     lower: list[Row] = []
     for d in range(d_max + 1):
-        total = image.layouts[d].total
-        span = _degree_span(sheaf, image.layouts, lower, d)
+        total = layouts[d].total
+        span = _degree_span(sheaf, layouts, lower, d)
         old = Subspace(total, [dense(r, total) for r in span])
-        residues = [dense(r, total) for r in map(old.reduce, image.bases[d]) if r]
+        residues = [dense(r, total) for r in map(old.reduce, bases[d]) if r]
         reps = Subspace(total, residues)
         lower = old.rows + reps.rows
         for rep in reps.basis_vectors():
             gen_degrees.append(d)
             lifts.append((d, rep))
     return gen_degrees, lifts
+
+
+def solved_images(sheaf: GammaSheaf, degree_bound: int | None = None) -> dict[int, SectionSpace]:
+    """boundary_image, solved directly to its bound at every vertex with up
+    edges: the images verify_pure reads, without the certificate."""
+    g = sheaf.graph
+    bounds = degree_bounds(g, degree_bound)
+    return {x: boundary_image(sheaf, x, bounds[x]) for x in range(g.n_vertices) if g.up[x]}
+
+
+def built_past_the_bound(lab, family: str, rank: int, word: str = "longest") -> GammaSheaf:
+    """The canonical sheaf of a Schubert graph built to the uniform bound one
+    past its largest proven one, so that every vertex is computed at least
+    one degree past its own: no stalk has a generator above its own KL bound,
+    and the sheaf is the proven-bound build, byte for byte."""
+    bounds = degree_bounds(lab.graph(family, rank, word))
+    sheaf = lab.sheaf(family, rank, word, degree_bound=max(bounds) + 1)
+    for x, bound in enumerate(bounds):
+        assert all(d <= bound for d in sheaf.vertex_modules[x].gens), (x, bound)
+    assert sheaf_dump(sheaf) == sheaf_dump(lab.sheaf(family, rank, word))
+    return sheaf

@@ -6,25 +6,25 @@ from momentsheaf.coxeter import bruhat_leq
 from momentsheaf.hecke_oracle import _padd, _pshift, kl_polynomial
 from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.sheaf import global_hilbert, stalk_poincare, verify_pure
-from helpers import vertex
+from helpers import built_past_the_bound, solved_images, vertex
 
 
 def test_b3_q_squared_interval(lab):
     W = lab.group("B", 3)
     w = lab.element("B", 3, "321323")
     g = lab.graph("B", 3, "321323")
-    sheaf = lab.sheaf("B", 3, "321323", extra_degree_check=True)
+    sheaf = built_past_the_bound(lab, "B", 3, "321323")
     assert stalk_poincare(sheaf, vertex(g, "e")) == KLPolynomial((1, 0, 1))
     for v in range(g.n_vertices):
         x = lab.element("B", 3, g.labels[v])
         assert stalk_poincare(sheaf, v) == kl_polynomial(W, x, w)
-    assert verify_pure(sheaf).ok
+    assert verify_pure(sheaf, None, solved_images(sheaf)).ok
 
 
 def test_b3_q_squared_global_sections(lab):
     W = lab.group("B", 3)
     w = lab.element("B", 3, "321323")
-    sheaf = lab.sheaf("B", 3, "321323", extra_degree_check=True)
+    sheaf = built_past_the_bound(lab, "B", 3, "321323")
     expected = ()
     for y in W.elements:
         if bruhat_leq(W, y, w):

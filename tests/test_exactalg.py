@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.exactalg import (
-    LinearForm,
     LinearQuotient,
     QMatrix,
     Subspace,
@@ -222,14 +221,14 @@ def test_image_of_product_in_image():
 
 
 def test_multiply_map_one_var():
-    m = multiply_map(LinearForm([Q(3)]), 1, 2)
+    m = multiply_map([Q(3)], 1, 2)
     assert m.nrows == 1 and m.ncols == 1
     assert m.rows == [{0: Q(3)}]
 
 
 def test_multiply_map_two_vars_by_hand():
     # f = x1 + x2 on A_1 -> A_2 over Q[x1,x2]; columns are x1*f, x2*f
-    m = multiply_map(LinearForm([Q(1), Q(1)]), 2, 1)
+    m = multiply_map([Q(1), Q(1)], 2, 1)
     assert (m.nrows, m.ncols) == (3, 2)
     assert m.column(0) == (Q(1), Q(1), Q(0))  # x1^2 + x1x2
     assert m.column(1) == (Q(0), Q(1), Q(1))  # x1x2 + x2^2
@@ -239,9 +238,9 @@ def test_multiply_maps_commute():
     rng = random.Random(5)
     n = 3
     for _ in range(5):
-        f = LinearForm([Q(rng.randint(-3, 3)) for _ in range(n)])
-        g = LinearForm([Q(rng.randint(-3, 3)) for _ in range(n)])
-        if not any(f.coeffs) or not any(g.coeffs):
+        f = [Q(rng.randint(-3, 3)) for _ in range(n)]
+        g = [Q(rng.randint(-3, 3)) for _ in range(n)]
+        if not any(f) or not any(g):
             continue
         for d in range(3):
             fg = _compose(multiply_map(g, n, d + 1), multiply_map(f, n, d))
@@ -254,7 +253,7 @@ def _compose(a: QMatrix, b: QMatrix):
 
 
 def test_quotient_reduce_kills_alpha():
-    alpha = LinearForm([Q(1), Q(-1), Q(2)])
+    alpha = [Q(1), Q(-1), Q(2)]
     q = LinearQuotient([alpha])
     assert q.pivots == (2,)  # largest index with nonzero coefficient
     out = quotient_reduce(q, poly_to_coeffs(monomial_basis(3, 1), as_poly(alpha)), 1)
@@ -262,7 +261,7 @@ def test_quotient_reduce_kills_alpha():
 
 
 def test_quotient_reduce_fixes_pivot_free():
-    alpha = LinearForm([Q(1), Q(0), Q(1)])
+    alpha = [Q(1), Q(0), Q(1)]
     q = LinearQuotient([alpha])
     p = poly_parse("x1*x2 - 2*x2^2", 3)
     coeffs = poly_to_coeffs(monomial_basis(3, 2), p)
@@ -273,7 +272,7 @@ def test_quotient_reduce_fixes_pivot_free():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quotient_kernel_dimension(n):
     # kernel of reduce on A_d has dimension dim A_{d-1}
-    alpha = LinearForm([Q(i + 1) for i in range(n)])
+    alpha = [Q(i + 1) for i in range(n)]
     q = LinearQuotient([alpha])
     for d in range(0, 7):
         basis = monomial_basis(n, d)
@@ -286,7 +285,7 @@ def test_quotient_kernel_dimension(n):
 
 
 def test_linear_quotient_two_forms():
-    quo = LinearQuotient([LinearForm([Q(1), Q(0), Q(-1)]), LinearForm([Q(0), Q(1), Q(1)])])
+    quo = LinearQuotient([[Q(1), Q(0), Q(-1)], [Q(0), Q(1), Q(1)]])
     assert quo.codim == 2
     # x3 and x2 are eliminated: x3 -> x1, x2 -> -x3 -> -x1
     p = poly_parse("x3^2 + x2", 3)
@@ -321,7 +320,7 @@ def test_poly_str_parse_roundtrip():
 
 
 def test_poly_mul_agrees_with_multiply_map():
-    f = LinearForm([Q(2), Q(-1), Q(3)])
+    f = [Q(2), Q(-1), Q(3)]
     d = 2
     basis_d = monomial_basis(3, d)
     basis_d1 = monomial_basis(3, d + 1)
@@ -393,7 +392,7 @@ def test_linear_quotient_reduce_is_rational():
     for _ in range(30):
         n = rng.randint(1, 4)
         forms = [
-            LinearForm([rng.randint(-3, 3) for _ in range(n)])
+            [rng.randint(-3, 3) for _ in range(n)]
             for _ in range(rng.randint(1, n))
         ]
         try:
@@ -418,10 +417,10 @@ def _greedy_quotient(forms):
     """Reference for LinearQuotient: Gauss-Jordan on the forms in order, each
     taking its largest-index nonzero variable as pivot.  Returns the sorted
     pivots and the substitutions, or None for zero or dependent forms."""
-    n = forms[0].n
+    n = len(forms[0])
     pivots, reduced = [], []
     for f in forms:
-        row = list(f.coeffs)
+        row = list(f)
         for p, r in zip(pivots, reduced):
             if row[p]:
                 c = row[p]
@@ -454,14 +453,14 @@ def test_linear_quotient_matches_greedy_elimination():
     for _ in range(600):
         n = rng.randint(1, 5)
         forms = [
-            LinearForm([
+            [
                 rng.choice([0, 0, rng.randint(-4, 4), Q(rng.randint(-4, 4), rng.randint(1, 5))])
                 for _ in range(n)
-            ])
+            ]
             for _ in range(rng.randint(1, n))
         ]
         if rng.random() < 0.1 and len(forms) > 1:
-            forms[-1] = LinearForm([2 * c for c in forms[0].coeffs])  # dependent
+            forms[-1] = [2 * c for c in forms[0]]  # dependent
         expected = _greedy_quotient(forms)
         if expected is None:
             with pytest.raises(ValueError):
@@ -641,9 +640,9 @@ def test_extend_without_zero_columns_matches_the_full_elimination(lab, monkeypat
     covered = []
     cover = sheaf_mod.projective_cover
 
-    def spy(sh, image, d_max):
-        covered.append(image.bases)
-        return cover(sh, image, d_max)
+    def spy(sh, layouts, bases, d_max):
+        covered.append(bases)
+        return cover(sh, layouts, bases, d_max)
 
     monkeypatch.setattr(sheaf_mod, "projective_cover", spy)
     zeros = 0

@@ -50,6 +50,8 @@ GOLDEN = {
     "verify-B3-213213": "89c5d9ea50aeb8c82717ef1d8a0fa614edd2b58ed0fad1b9b99418ad8a4d6cab",
     "verify-A3-2132": "ed76c669dc1e84fee3e93f41835e23300f98ca2153d85b2980c99f795671f94f",
     "verify-B2-deg3": "5d9ae2fa38d38a378c77a8fae5d6728e63c5194245f68d1d0aad19dfebe805a3",
+    "verify-generic-A3-deg2": "ff891dcf9b3abc7c1f45b1a98a8e81962a57fb41a3867c8e3d901440cfdfe133",
+    "verify-generic-G2-deg2": "b06a36a490a848b456dfa18808de00ba37d59e59442fc1ee93075c2d38e777d2",
     "graph-B4-json": "332295a6bfb365fc2c1a7358219359088d228fb584bd876a33dc475222794018",
     "graph-B4-dot": "3e4fb614a9220ef90391a75e0f67c5d913cf99c8b43b98241131b96eaf8dfeb0",
     "graph-D4-json": "afc5796cd0fd4d55caca70473aa49d083c2f083319d5d003c093fc6bd37d7fe3",
@@ -225,6 +227,18 @@ ARTIFACTS = {
     # the planar images and the certificate run above the proven bound
     "verify-B2-deg3": lambda lab, tmp: _cli(
         ["verify", "--type", "B2", "--max-degree", "3"], tmp, "v.txt"
+    ),
+    # every vertex of a loaded graph takes boundary_image: no planar image,
+    # no certificate
+    "verify-generic-A3-deg2": lambda lab, tmp: _cli(
+        ["verify", "--graph", _write_json(tmp / "generic.json", _generic_a3_doc()),
+         "--max-degree", "2"],
+        tmp, "v.txt",
+    ),
+    "verify-generic-G2-deg2": lambda lab, tmp: _cli(
+        ["verify", "--graph", _write_json(tmp / "generic.json", _generic_doc("G", 2)),
+         "--max-degree", "2"],
+        tmp, "v.txt",
     ),
     "graph-B4": lambda lab, tmp: _cli(
         ["graph", "--type", "B4"], tmp, "g.json", "g.dot"

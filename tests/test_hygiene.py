@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every function, class and method of the package is reachable from what runs
-it, and every name the benchmark imports from the package exists.
+it, every parameter with a default is passed by some call in src or
+perfbench (`unset_options`), so no option is set only by the tests, and
+every name the benchmark imports from the package exists.
 
 No linter is a dependency, so this walks each module's syntax tree with the
 standard library.  A name counts as used when it occurs as a Name node
@@ -270,6 +272,79 @@ def test_no_unread_fields():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     bench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
     assert unread_fields(modules, bench) == []
+
+
+# -- options no caller sets ----------------------------------------------------
+
+
+def unset_options(modules: dict[str, str], external: list[str]) -> list[str]:
+    """The parameters with a default (module.function(param), or
+    module.Class.method(param)) of a package, given as {module: source},
+    that no call in it or in the external sources passes, by keyword or by
+    position.  Callees resolve by name, as in `unreachable`: f(...) and
+    x.f(...) count for every function or method called f, and C(...) for
+    the __init__ of every class called C.  A method's first parameter is
+    bound, and *args or **kwargs in a call passes every parameter."""
+    defaults, passed = {}, set()
+    for mod, source in modules.items():
+        tree = ast.parse(source)
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        owners = {id(n): c for c in classes for n in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owners.get(id(node))
+            args = node.args
+            positional = [*args.posonlyargs, *args.args][1 if cls else 0 :]
+            optional = positional[len(positional) - len(args.defaults) :]
+            optional += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            qual = f"{mod}.{cls.name}.{node.name}" if cls else f"{mod}.{node.name}"
+            callee = cls.name if cls and node.name == "__init__" else node.name
+            for a in optional:
+                index = positional.index(a) if a in positional else None
+                defaults[f"{qual}({a.arg})"] = (callee, a.arg, index)
+    for source in [*modules.values(), *external]:
+        for call in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            spread = any(isinstance(a, ast.Starred) for a in call.args)
+            spread |= any(k.arg is None for k in call.keywords)
+            keywords = {k.arg for k in call.keywords}
+            passed.update(
+                key for key, (callee, arg, index) in defaults.items() if callee == name and (
+                    spread or arg in keywords or (index is not None and index < len(call.args)))
+            )
+    return sorted(set(defaults) - passed)
+
+
+def test_the_guard_finds_an_unset_option():
+    modules = {
+        "cli": (
+            "from .util import Kept, build, read\ndef main(argv=None):\n"
+            "    k = Kept(1, 2)\n    k.fetch(1)\n    build(0, strict=True)\n"
+            "    return read(*argv)\n"
+        ),
+        "util": (
+            "class Kept:\n    def __init__(self, a, b=0): ...\n"
+            "    def fetch(self, key, default=None): ...\n"
+            "def build(g, bound=None, *, strict=False, check=False): ...\n"
+            "def read(path, mode='r'): ...\ndef tested(x, flag=False): ...\n"
+        ),
+    }
+    bench = "main(['x'])\n"
+    # Kept(1, 2) passes b by position past the bound self, *argv passes
+    # mode, and the benchmark passes argv; a call from the tests is no caller
+    assert unset_options(modules, [bench]) == [
+        "util.Kept.fetch(default)",
+        "util.build(bound)",
+        "util.build(check)",
+        "util.tested(flag)",
+    ]
+
+
+def test_no_unset_options():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unset_options(modules, bench) == []
 
 
 def test_perfbench_imports_resolve():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -267,6 +268,24 @@ def test_dot_export_mentions_every_vertex_and_rank():
         assert f'"{lab}"' in dot
     assert dot.count("rank=same") == 4  # ranks 0..3
     assert "->" in dot and "label=" in dot
+
+
+def test_dot_writes_each_label_as_one_quoted_string():
+    """Labels holding " and \\ are escaped once, so the DOT text splits into
+    quoted strings and syntax with no stray quote, and each string reads
+    back as its label."""
+    low, high = 'a"b', "top\\"
+    doc = {
+        "dim_t": 1,
+        "vertices": [{"id": low, "rank": 0}, {"id": high, "rank": 1}],
+        "edges": [{"lower": low, "upper": high, "direction": ["1"]}],
+        "order": {"covers": [[low, high]]},
+    }
+    dot = to_dot(load_graph(doc))
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    assert '"' not in quoted.sub("", dot)
+    strings = [re.sub(r"\\(.)", r"\1", token[1:-1]) for token in quoted.findall(dot)]
+    assert strings == [low, high, low, high, "(1)"]
 
 
 def test_save_graph_json_stable():

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from momentsheaf.errors import ValidationError
-from momentsheaf.exactalg import LinearForm, LinearQuotient, QMatrix, graded_dim, matrix_rank
+from momentsheaf.exactalg import LinearQuotient, QMatrix, graded_dim, matrix_rank
 from momentsheaf.hecke_oracle import _padd, _pshift, kl_polynomial
 from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.coxeter import bruhat_leq
@@ -42,12 +42,14 @@ from momentsheaf.sheaf import (
 from helpers import (
     KL_ONE,
     _transport_entries,
+    built_past_the_bound,
     check_sections,
     increasing_paths,
     polygon_image,
     poly_scale,
     reference_planar_image,
     section_dims,
+    solved_images,
     structure_sheaf,
     transport_degree_matrix,
     vertex,
@@ -206,11 +208,11 @@ def test_canonical_generic_graph_needs_bound(lab):
 
 
 def test_canonical_extra_degree_check_clean(lab):
-    # test mode computes one degree past the KL bound and must find nothing
-    for family, rank, word in [("A", 2, "longest"), ("B", 2, "longest"), ("A", 3, "2132")]:
-        g = lab.graph(family, rank, word)
-        sh = canonical_sheaf(g, extra_degree_check=True)
-        assert sheaf_dump(sh) == sheaf_dump(lab.sheaf(family, rank, word))
+    # computed one degree past the KL bound at every vertex, the sweep finds
+    # no generator above a vertex's own bound and builds the same sheaf
+    for family, rank, word in [("A", 2, "longest"), ("B", 2, "longest"), ("A", 3, "2132"),
+                               ("A", 3, "longest")]:
+        built_past_the_bound(lab, family, rank, word)
 
 
 def test_deterministic_rebuild(lab):
@@ -327,7 +329,7 @@ def _reference_monotonicity(sh, x, y):
     along _first_path, computed with polynomial arithmetic: per degree, the
     rank of the constant terms between the generators of that degree."""
     n = sh.n
-    whole_space = LinearQuotient([LinearForm([int(i == j) for j in range(n)]) for i in range(n)])
+    whole_space = LinearQuotient([[int(i == j) for j in range(n)] for i in range(n)])
     entries = _transport_entries(sh, whole_space, x, _first_path(sh.graph, x, y))
     src, dst = sh.vertex_modules[x].gens, sh.vertex_modules[y].gens
     out = {}
@@ -478,14 +480,16 @@ def test_planar_image_equals_the_slice_by_slice_reference(lab, tmp_path, monkeyp
 def test_verify_pure_passes(lab):
     for family, rank, word in [("A", 1, "longest"), ("A", 2, "longest"),
                                ("B", 2, "longest"), ("A", 3, "2132")]:
-        report = verify_pure(lab.sheaf(family, rank, word))
+        sheaf = lab.sheaf(family, rank, word)
+        report = verify_pure(sheaf, None, solved_images(sheaf))
         assert report.ok, report.violations
 
 
 def test_verify_pure_structure_sheaf_a2(lab):
     # the structure sheaf on the smooth full-flag graph is the canonical one
     g = lab.graph("A", 2)
-    report = verify_pure(structure_sheaf(g), degree_bound=2)
+    sheaf = structure_sheaf(g)
+    report = verify_pure(sheaf, 2, solved_images(sheaf, 2))
     assert report.ok
 
 
@@ -493,7 +497,7 @@ def test_verify_pure_detects_dropped_generator(lab):
     g = lab.graph("A", 3, "2132")
     good = lab.sheaf("A", 3, "2132")
     e = vertex(g, "e")
-    mutated = GammaSheaf(graph=g, canonical=True)
+    mutated = GammaSheaf(g)
     mutated.vertex_modules = dict(good.vertex_modules)
     mutated.edge_modules = dict(good.edge_modules)
     mutated.rho = dict(good.rho)
@@ -504,7 +508,7 @@ def test_verify_pure_detects_dropped_generator(lab):
     for k in g.up[e]:
         rho = good.rho[(e, k)]
         mutated.rho[(e, k)] = type(rho)(tuple((row[0],) for row in rho.entries))
-    report = verify_pure(mutated)
+    report = verify_pure(mutated, None, solved_images(mutated))
     assert not report.ok
     first = report.first_violation
     assert first.axiom == 3 and first.vertex == e and first.degree == 1
@@ -513,7 +517,7 @@ def test_verify_pure_detects_dropped_generator(lab):
 def test_verify_pure_detects_broken_down_edge_quotient(lab):
     g = lab.graph("A", 2)
     good = lab.sheaf("A", 2)
-    mutated = GammaSheaf(graph=g, canonical=True)
+    mutated = GammaSheaf(g)
     mutated.vertex_modules = dict(good.vertex_modules)
     mutated.edge_modules = dict(good.edge_modules)
     mutated.rho = dict(good.rho)
@@ -522,7 +526,7 @@ def test_verify_pure_detects_broken_down_edge_quotient(lab):
     top = g.unique_maximal()
     k = g.down[top][0]
     mutated.rho[(top, k)] = RhoMap((({},),))
-    report = verify_pure(mutated)
+    report = verify_pure(mutated, None, solved_images(mutated))
     assert not report.ok
     assert any(v.axiom == 2 and v.vertex == top for v in report.violations)
 

@@ -67,7 +67,7 @@ from momentsheaf.sheaf import (
     stacked_rho,
     verify_pure,
 )
-from helpers import check_sections, reference_projective_cover
+from helpers import built_past_the_bound, check_sections, reference_projective_cover
 from test_certificate import _kl_battery_generic_graph
 from test_golden import _generic_a3_doc
 
@@ -136,9 +136,8 @@ def test_sweep_agrees_with_direct_solver(case):
 
 
 def test_extra_degree_check_is_byte_identical_on_b3(lab):
-    plain = lab.sheaf("B", 3)
-    checked = lab.sheaf("B", 3, extra_degree_check=True)
-    assert json.dumps(sheaf_dump(checked)) == json.dumps(sheaf_dump(plain))
+    checked = built_past_the_bound(lab, "B", 3)
+    assert json.dumps(sheaf_dump(checked)) == json.dumps(sheaf_dump(lab.sheaf("B", 3)))
 
 
 def test_sweep_refuses_a_stalk_below_its_boundary_image():
@@ -284,7 +283,8 @@ def cover_inputs(draw):
 @given(cover_inputs())
 def test_integer_cover_matches_the_reference(case):
     sheaf, image, d_max = case
-    assert projective_cover(sheaf, image, d_max)[:2] == reference_projective_cover(sheaf, image, d_max)
+    args = (sheaf, image.layouts, image.bases, d_max)
+    assert projective_cover(*args)[:2] == reference_projective_cover(*args)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "generic-A3"])
@@ -293,9 +293,9 @@ def test_integer_cover_matches_the_reference_at_every_vertex(lab, monkeypatch, n
     against the reference on the same input."""
     calls = []
 
-    def checked(sheaf, image, d_max):
-        out = projective_cover(sheaf, image, d_max)
-        assert out[:2] == reference_projective_cover(sheaf, image, d_max)
+    def checked(sheaf, layouts, bases, d_max):
+        out = projective_cover(sheaf, layouts, bases, d_max)
+        assert out[:2] == reference_projective_cover(sheaf, layouts, bases, d_max)
         calls.append(out)
         return out
 
