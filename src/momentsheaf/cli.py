@@ -35,7 +35,6 @@ from .coxeter import (
     WeylElement,
     WeylGroup,
     build_weyl_group,
-    check_group_cap,
     minimal_coset_reps,
 )
 from .errors import ConsistencyError, ResourceCapError, ValidationError
@@ -179,7 +178,6 @@ def resolve_input(config: RunConfig) -> ResolvedInput:
                 "canonical-sheaf construction needs exactly one\n"
             )
         return ResolvedInput(graph=g)
-    check_group_cap(config.family, config.rank)  # before the datum, which costs rank^4
     W = build_weyl_group(CartanDatum.build(config.family, config.rank))
     w = _resolve_word(W, config.word, config.parabolic)
     g = schubert_moment_graph(W, w, config.parabolic)

@@ -4,16 +4,17 @@ parabolic quotients.
 Realization.  For a family of rank n we work in t* = Q^n with the simple
 roots as the standard basis ("root coordinates").  Every group element then
 acts by an integer matrix, all arithmetic is exact, and no family needs
-radicals (in particular G2).  The invariant bilinear form is carried
-explicitly as the symmetrized Cartan matrix, so Cartan integers can be
-recovered from coordinates.
+radicals (in particular G2).  Everything is generated from the integer Cartan
+matrix C[j][i] = <a_j, a_i^v>; no invariant form is carried.
 
 Products and reflections are formed on integer root data, not by matrix
 products.  Right multiplication by s_i is a column update, (w s_i)[k][j] =
 w[k][j] - C[j][i] w[k][i], which leaves the rows with w[k][i] = 0 alone.  The
-roots close under s_i(b) = b - (sum_j b_j C[j][i]) a_i.  Each positive root b
-has an integer coroot c_b[j] = 2(a_j, b)/(b, b); s_b(l) = l - (c_b . l) b, and
-its matrix I - b c_b^T is looked up in the group.
+roots close under s_i(b) = b - (sum_j b_j C[j][i]) a_i, and each root b
+carries its integer coroot c_b[j] = <a_j, b^v> through the same closure:
+c_{a_i}[j] = C[j][i], and c_{s_i b}[j] = c_b[j] - C[j][i] c_b[i], since
+<a_j, (s_i b)^v> = <s_i a_j, b^v>.  Then s_b(l) = l - (c_b . l) b, and its
+matrix I - b c_b^T is looked up in the group.
 
 Element identity is exact matrix equality; the canonical word of an element
 is its ShortLex-minimal reduced word (BFS in ShortLex order guarantees the
@@ -23,14 +24,13 @@ first word found for a matrix is minimal).
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError, ResourceCapError, ValidationError
 
 Matrix = tuple[tuple[int, ...], ...]
-Vector = tuple[Fraction, ...]
 
 DEFAULT_GROUP_CAP = 50_000
 
@@ -109,82 +109,17 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _invert_rational(mat: Sequence[Sequence[Fraction]]) -> tuple[Vector, ...]:
-    n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 class CartanDatum(NamedTuple):
-    """Root datum of a finite Weyl group in root coordinates."""
+    """A finite Weyl group's family, rank and integer Cartan matrix."""
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    gram: tuple[Vector, ...]
-    simple_roots: tuple[Vector, ...]
-    fundamental_weights: tuple[Vector, ...]
 
     @classmethod
     def build(cls, family: str, rank: int) -> "CartanDatum":
         family = family.upper()
-        c = cartan_matrix(family, rank)
-        n = rank
-        # symmetrizers: d_j/d_i = C[j][i]/C[i][j] along Dynkin bonds
-        d = [Fraction(0)] * n
-        d[0] = Fraction(1)
-        todo = [0]
-        while todo:
-            i = todo.pop()
-            for j in range(n):
-                if j != i and c[i][j] and d[j] == 0:
-                    d[j] = d[i] * c[j][i] / c[i][j]
-                    todo.append(j)
-        if any(v == 0 for v in d):
-            raise ValidationError("disconnected Dynkin diagram")
-        gram = tuple(
-            tuple(Fraction(c[i][j]) * d[j] for j in range(n)) for i in range(n)
-        )
-        simple = tuple(
-            tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-        )
-        weights = _invert_rational([[Fraction(v) for v in row] for row in c])
-        datum = cls(family, rank, c, gram, simple, weights)
-        datum.validate()
-        return datum
-
-    def validate(self) -> None:
-        n = self.rank
-        if len(self.simple_roots) != n:
-            raise ValidationError("wrong number of simple roots")
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
-            raise ValidationError("bilinear form is not symmetric")
-        simple, pair = self.simple_roots, self.pairing
-        for i in range(n):
-            for j in range(n):
-                norm = pair(simple[j], simple[j])
-                if 2 * pair(simple[i], simple[j]) / norm != self.cartan[i][j]:
-                    raise ValidationError("Cartan integers do not match the family")
-                if 2 * pair(self.fundamental_weights[i], simple[j]) / norm != int(i == j):
-                    raise ValidationError("fundamental weights are wrong")
-
-    def pairing(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        """The W-invariant bilinear form on t*."""
-        return sum(
-            x[i] * self.gram[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return cls(family, rank, cartan_matrix(family, rank))
 
 
 def _column_update(row: tuple[int, ...], i: int, update) -> tuple[int, ...]:
@@ -198,7 +133,7 @@ def _column_update(row: tuple[int, ...], i: int, update) -> tuple[int, ...]:
     return tuple(out)
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
+def mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(row))) for row in a)
 
 
@@ -220,7 +155,7 @@ class WeylElement(NamedTuple):
 
 class Reflection(NamedTuple):
     positive_root: tuple[int, ...]  # integer root coordinates
-    coroot: tuple[int, ...]  # c[j] = 2(a_j, b)/(b, b); s_b(l) = l - (c . l) b
+    coroot: tuple[int, ...]  # c[j] = <a_j, b^v>; s_b(l) = l - (c . l) b
 
 
 class WeylGroup:
@@ -271,32 +206,31 @@ class WeylGroup:
     def _build_roots(self) -> None:
         n = self.cartan.rank
         c = self.cartan.cartan
-        roots: set[tuple[int, ...]] = set()
-        todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        # each root with its coroot pairings c_b[j] = <a_j, b^v>
+        coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
+        todo = [
+            (tuple(int(i == j) for j in range(n)), tuple(c[j][i] for j in range(n)))
+            for i in range(n)
+        ]
         while todo:
-            r = todo.pop()
-            if r not in roots:
-                roots.add(r)
+            r, cr = todo.pop()
+            if r not in coroots:
+                coroots[r] = cr
                 for i in range(n):  # s_i(r) = r - <r, a_i^v> a_i
                     k = sum(r[j] * c[j][i] for j in range(n))
-                    todo.append(r[:i] + (r[i] - k,) + r[i + 1:])
-        positive = sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
-        # the invariant form scaled to integers
-        gram = self.cartan.gram
-        scale = lcm(*(v.denominator for row in gram for v in row))
-        form = [[int(v * scale) for v in row] for row in gram]
+                    todo.append((
+                        r[:i] + (r[i] - k,) + r[i + 1:],
+                        tuple(cr[j] - c[j][i] * cr[i] for j in range(n)),
+                    ))
+        positive = sorted((r for r in coroots if min(r) >= 0), key=lambda r: (sum(r), r))
         self.reflections: list[Reflection] = []
         for beta in positive:
-            pair = [sum(f * b for f, b in zip(row, beta)) for row in form]
-            norm = sum(p * b for p, b in zip(pair, beta))
-            if any(2 * p % norm for p in pair):
-                raise ValidationError("reflection matrix is not integral")
-            coroot = tuple(2 * p // norm for p in pair)
+            coroot = coroots[beta]
             m = tuple(
                 tuple(int(k == j) - b * cj for j, cj in enumerate(coroot))
                 for k, b in enumerate(beta)
             )
-            if m not in self.index_of:
+            if sum(map(mul, coroot, beta)) != 2 or m not in self.index_of:
                 raise ValidationError("reflection does not lie in the group")
             self.reflections.append(Reflection(beta, coroot))
 
@@ -331,8 +265,8 @@ class WeylGroup:
 
 def check_group_cap(family: str, rank: int) -> int:
     """|W| for a valid family and rank, or ResourceCapError above the cap
-    (MOMENTSHEAF_CAP, default 50,000).  It builds no root datum, so it runs
-    before CartanDatum.build, whose cost grows like rank^4."""
+    (MOMENTSHEAF_CAP, default 50,000).  WeylGroup runs it before it
+    enumerates anything."""
     family = family.upper()
     _check_family_rank(family, rank)
     raw = os.environ.get("MOMENTSHEAF_CAP", str(DEFAULT_GROUP_CAP))
@@ -355,7 +289,6 @@ def build_weyl_group(cartan: CartanDatum) -> WeylGroup:
 
 def weyl_group(family: str, rank: int) -> WeylGroup:
     """Convenience builder from a family letter and rank."""
-    check_group_cap(family, rank)
     return build_weyl_group(CartanDatum.build(family, rank))
 
 

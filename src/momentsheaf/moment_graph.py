@@ -29,7 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from json.encoder import encode_basestring_ascii
-from math import lcm
 from operator import mul, sub
 from typing import Iterable, NamedTuple
 
@@ -238,9 +237,11 @@ def schubert_moment_graph(
     Vertices are the minimal coset representatives y in W^J with y <= w;
     y and z are joined when z = Ry (as cosets) for a reflection R, with
     direction spanned by the difference of the orbit points y(v), z(v)
-    for v = the sum of the fundamental weights off J.  The difference is a
-    multiple of the reflection's root, and each edge is taken from the one
-    end where that root pairs positively with the point.
+    for v = the sum of the positive roots whose support is not inside J
+    (2 rho - 2 rho_J).  Each s_i with i in J permutes those roots, so
+    <v, a_i^v> = 0, and <v, a_i^v> >= 2 off J: the stabilizer of v is W_J.
+    The difference is a multiple of the reflection's root, and each edge is
+    taken from the one end where that root pairs positively with the point.
     """
     J = tuple(sorted(set(J)))
     reps = minimal_coset_reps(W, J)  # validates J first
@@ -249,13 +250,10 @@ def schubert_moment_graph(
             f"{w.word_str()} is not a minimal coset representative for J={J}"
         )
     n = W.cartan.rank
-    v = [Fraction(0)] * n
-    for i in range(1, n + 1):
-        if i not in J:
-            v = [a + b for a, b in zip(v, W.cartan.fundamental_weights[i - 1])]
-    # a positive multiple of v has the same stabilizer and directions
-    scale = lcm(*(c.denominator for c in v))
-    v = [int(c * scale) for c in v]
+    v = [0] * n
+    for r in W.reflections:
+        if any(b for i, b in enumerate(r.positive_root, 1) if i not in J):
+            v = [a + b for a, b in zip(v, r.positive_root)]
     reps = [y for y in reps if bruhat_leq(W, y, w)]
     points = [mat_vec(y.matrix, v) for y in reps]
     point_index = {p: i for i, p in enumerate(points)}

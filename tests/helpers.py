@@ -1,5 +1,7 @@
 """Reference helpers that only the tests call: matrix products, simple
-reflections and inversion counts on a Weyl group, R-polynomials, a parser for
+reflections and inversion counts on a Weyl group, the rational root datum
+(the invariant form and the fundamental weights), the reflection edges and
+Bruhat order of a Schubert graph by brute force, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
 as matrices, the projective cover by reduction against a Fraction-normalized
 RREF, the finite two-orbit test on a moment graph, the planar image slice by
@@ -20,7 +22,16 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from momentsheaf.coxeter import Matrix, Reflection, WeylElement, WeylGroup, bruhat_leq, mat_vec
+from momentsheaf.coxeter import (
+    CartanDatum,
+    Matrix,
+    Reflection,
+    WeylElement,
+    WeylGroup,
+    bruhat_leq,
+    mat_vec,
+    minimal_coset_reps,
+)
 from momentsheaf.exactalg import (
     LinearQuotient,
     Poly,
@@ -36,6 +47,7 @@ from momentsheaf.exactalg import (
     monomial_basis,
     poly_from_coeffs,
     poly_to_coeffs,
+    primitive_integer,
     rref,
     sparse,
 )
@@ -109,6 +121,73 @@ def inversions(W: WeylGroup, i: int) -> int:
     """Number of positive roots sent to negative roots by element i."""
     m = W.elements[i].matrix
     return sum(all(c <= 0 for c in mat_vec(m, r.positive_root)) for r in W.reflections)
+
+
+def gram(cartan: CartanDatum) -> list[list[Fraction]]:
+    """The W-invariant form on t* in root coordinates, C[i][j] d_j, with the
+    symmetrizers d_j/d_i = C[j][i]/C[i][j] along the Dynkin bonds."""
+    c, n = cartan.cartan, cartan.rank
+    d = [Fraction(0)] * n
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if j != i and c[i][j] and d[j] == 0:
+                d[j] = d[i] * c[j][i] / c[i][j]
+                todo.append(j)
+    assert all(d), "disconnected Dynkin diagram"
+    return [[c[i][j] * d[j] for j in range(n)] for i in range(n)]
+
+
+def pairing(form: Sequence[Sequence[Fraction]], x: Sequence, y: Sequence) -> Fraction:
+    """(x, y) under a form from gram."""
+    return sum(x[i] * row[j] * y[j] for i, row in enumerate(form) for j in range(len(row)))
+
+
+def fundamental_weights(cartan: CartanDatum) -> list[list[Fraction]]:
+    """The rows of C^-1 by Fraction Gauss-Jordan: <w_i, a_j^v> = delta_ij."""
+    n = cartan.rank
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(cartan.cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def bruhat_bits(W: WeylGroup, reps: Sequence[WeylElement]) -> tuple[int, ...]:
+    """The order as the Schubert builder once took it: a bruhat_leq call for
+    every pair of vertices."""
+    return tuple(
+        sum(1 << j for j, z in enumerate(reps) if bruhat_leq(W, y, z)) for y in reps
+    )
+
+
+def matrix_edges(W: WeylGroup, w: WeylElement, J: Sequence[int]) -> list[tuple]:
+    """The reflection edges as (lower, upper, direction), by applying the
+    matrix of every reflection to every orbit point of the sum of the
+    fundamental weights off J."""
+    reps = [y for y in minimal_coset_reps(W, J) if bruhat_leq(W, y, w)]
+    weights = fundamental_weights(W.cartan)
+    v = [sum(col) for col in zip(*(weights[i - 1] for i in range(1, len(weights) + 1)
+                                   if i not in J))]
+    points = [mat_vec(y.matrix, v) for y in reps]
+    index = {p: i for i, p in enumerate(points)}
+    edges = set()
+    for i, p in enumerate(points):
+        for refl in W.reflections:
+            q = mat_vec(reflection_element(W, refl).matrix, p)
+            j = index.get(q)
+            if q != p and j is not None:
+                lo, hi = sorted((i, j), key=lambda t: reps[t].length)
+                edges.add((lo, hi, primitive_integer([a - b for a, b in zip(p, q)])))
+    return sorted(edges)
 
 
 @lru_cache(maxsize=None)

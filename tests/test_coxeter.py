@@ -1,14 +1,18 @@
 """Tests for Weyl group enumeration, lengths, Bruhat order, and quotients."""
 
+import ast
+import inspect
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from momentsheaf import coxeter
 from momentsheaf.coxeter import (
     CartanDatum,
     bruhat_leq,
     build_weyl_group,
+    cartan_matrix,
     identity_matrix,
     longest_element,
     mat_vec,
@@ -17,8 +21,19 @@ from momentsheaf.coxeter import (
     weyl_group,
     weyl_order,
 )
-from momentsheaf.errors import ResourceCapError, ValidationError
-from helpers import identity, inversions, mat_mul, reflection_element, simple_matrices
+from momentsheaf.errors import ConsistencyError, ResourceCapError, ValidationError
+from helpers import (
+    bruhat_bits,
+    fundamental_weights,
+    gram,
+    identity,
+    inversions,
+    mat_mul,
+    matrix_edges,
+    pairing,
+    reflection_element,
+    simple_matrices,
+)
 
 
 def subword_leq(W, x, y):
@@ -78,6 +93,12 @@ def test_cap_exceeded_names_order():
     with pytest.raises(ResourceCapError) as err:
         build_weyl_group(datum)
     assert "51840" in str(err.value)
+
+
+def test_a_wrong_cartan_matrix_fails_the_order_check():
+    # nothing checks the Cartan tables up front; the group's order does
+    with pytest.raises(ConsistencyError, match=r"enumerated 6 elements, not \|W\| = 8"):
+        build_weyl_group(CartanDatum("B", 2, cartan_matrix("A", 2)))
 
 
 def test_unsupported_family_rank():
@@ -230,15 +251,42 @@ def reference_enumeration(W):
 def reference_reflection_matrix(cartan, beta):
     """I - 2(., beta)/(beta, beta) beta in root coordinates, over Fraction."""
     n = cartan.rank
+    form = gram(cartan)
     b = [Fraction(v) for v in beta]
-    norm = cartan.pairing(b, b)
+    norm = pairing(form, b, b)
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for j in range(n):
-        coef = 2 * cartan.pairing(cartan.simple_roots[j], b) / norm
+        simple = [int(i == j) for i in range(n)]
+        coef = 2 * pairing(form, simple, b) / norm
         for k in range(n):
             rows[k][j] -= coef * b[k]
     assert all(v.denominator == 1 for row in rows for v in row)
     return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def check_rational_root_datum(cartan):
+    """The rational references reproduce the Cartan integers: the form is
+    symmetric, 2(a_i, a_j)/(a_j, a_j) = C[i][j], and the fundamental weights
+    pair to delta_ij with the simple coroots."""
+    n, c = cartan.rank, cartan.cartan
+    form, weights = gram(cartan), fundamental_weights(cartan)
+    simple = identity_matrix(n)
+    for i in range(n):
+        for j in range(n):
+            assert form[i][j] == form[j][i]
+            norm = pairing(form, simple[j], simple[j])
+            assert 2 * pairing(form, simple[i], simple[j]) / norm == c[i][j]
+            assert 2 * pairing(form, weights[i], simple[j]) / norm == int(i == j)
+
+
+def check_reflections(W):
+    """Each reflection's matrix is the rational formula's, and its coroot
+    pairs to 2 with its root."""
+    for refl in W.reflections:
+        beta = refl.positive_root
+        assert reflection_element(W, refl).matrix == reference_reflection_matrix(W.cartan, beta)
+        assert sum(c * b for c, b in zip(refl.coroot, beta)) == 2
+        assert all(isinstance(c, int) for c in refl.coroot)
 
 
 GROUPS = [(f, r) for f, r, *_ in INVENTORY] + [("B", 4)]
@@ -262,19 +310,66 @@ def test_enumeration_matches_matrix_product_bfs(family, rank):
 @pytest.mark.parametrize("family,rank", GROUPS)
 def test_reflections_match_the_rational_formula(family, rank):
     W = weyl_group(family, rank)
+    check_rational_root_datum(W.cartan)
     # the positive roots, closed under the simple reflection matrices
-    roots, todo = set(), list(W.cartan.simple_roots)
+    roots, todo = set(), list(identity_matrix(rank))
     while todo:
         r = tuple(todo.pop())
         if r not in roots:
             roots.add(r)
             todo.extend(mat_vec(sm, r) for sm in simple_matrices(W))
-    positive = {tuple(int(v) for v in r) for r in roots if all(v >= 0 for v in r)}
+    positive = {r for r in roots if all(v >= 0 for v in r)}
     roots = [r.positive_root for r in W.reflections]
     assert set(roots) == positive
     assert len(roots) == len(positive)
-    for refl in W.reflections:
-        beta = refl.positive_root
-        assert reflection_element(W, refl).matrix == reference_reflection_matrix(W.cartan, beta)
-        assert sum(c * b for c, b in zip(refl.coroot, beta)) == 2
-        assert all(isinstance(c, int) for c in refl.coroot)
+    check_reflections(W)
+
+
+def test_the_group_layer_is_integer():
+    """coxeter runs on the integer Cartan matrix alone: it imports neither
+    fractions nor math.lcm, and every root, coroot and matrix entry is an
+    int."""
+    for node in ast.walk(ast.parse(inspect.getsource(coxeter))):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "fractions" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"
+            if node.module == "math":
+                assert all(alias.name != "lcm" for alias in node.names)
+    for family, rank in GROUPS:
+        W = weyl_group(family, rank)
+        for refl in W.reflections:
+            assert all(type(v) is int for v in refl.positive_root + refl.coroot)
+        for w in W.elements:
+            assert all(type(v) is int for row in w.matrix for v in row)
+
+
+def _e6(lab, monkeypatch):
+    """W(E6), built once and shared through lab; its 51,840 elements are
+    above the default cap."""
+    monkeypatch.setenv("MOMENTSHEAF_CAP", "60000")
+    return lab.group("E", 6)
+
+
+def test_e6_group(lab, monkeypatch):
+    W = _e6(lab, monkeypatch)
+    assert len(W) == 51840
+    assert len(W.reflections) == 36
+    assert W.longest.length == 36
+    check_rational_root_datum(W.cartan)
+    check_reflections(W)
+
+
+@pytest.mark.parametrize("J", [(1, 2, 3, 4, 5), (2, 3, 4, 5, 6)])
+def test_e6_minuscule_graphs(lab, monkeypatch, J):
+    """The two minuscule quotients of E6: 27 vertices, 216 edges, the
+    reflection edges of the matrices and the Bruhat order."""
+    W = _e6(lab, monkeypatch)
+    g = lab.graph("E", 6, J=J)
+    reps = minimal_coset_reps(W, J)
+    w = max(reps, key=lambda r: r.length)
+    below = [y for y in reps if bruhat_leq(W, y, w)]
+    assert (g.n_vertices, len(g.edges)) == (27, 216)
+    assert g.labels == tuple(y.word_str() for y in below)
+    assert g.leq_bits == bruhat_bits(W, below)
+    assert [(e.lower, e.upper, e.direction) for e in g.edges] == matrix_edges(W, w, J)

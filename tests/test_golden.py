@@ -19,7 +19,7 @@ import pytest
 
 from momentsheaf.cli import main
 from momentsheaf.coxeter import weyl_group
-from momentsheaf.moment_graph import load_graph, save_graph, schubert_moment_graph
+from momentsheaf.moment_graph import load_graph, save_graph, save_graph_json, schubert_moment_graph
 from momentsheaf.sheaf import canonical_sheaf, kl_degree_bound, sheaf_dump
 from helpers import polygon_image
 
@@ -64,6 +64,7 @@ GOLDEN = {
     "graph-B3-J1-dot": "6c5f92379bbbc474eedbb5169d2e07cbb9843012deca752bad502c322ed99be6",
     "graph-G2-json": "ddbbe05f90c7fa9b93034e2f29bbce9c38a5cc268ba6cf311de042a4769e3206",
     "graph-G2-dot": "95c0b03f89841ee405b2ac0ab5f57ca86a43bb7c9169f2b252b2cdd425bdf13b",
+    "graph-E6-J12345-json": "00cdfa4eb9ef119e4161c0fcaf7e6b134eefea900ccfd8ee6cb238e8ba68039f",
 }
 
 
@@ -152,6 +153,13 @@ def _cli(args, tmp_path, *names):
         argv += [flag, str(path)]
     assert main(argv) == 0
     return [path.read_text(encoding="utf-8") for path in paths]
+
+
+def _e6_minuscule_json(lab) -> list[str]:
+    """The graph of E6 mod P_{1,2,3,4,5}; W(E6) is above the default cap."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MOMENTSHEAF_CAP", "60000")
+        return [save_graph_json(lab.graph("E", 6, J=(1, 2, 3, 4, 5)))]
 
 
 def _sheaf(lab, family, rank, word="longest", J=()):
@@ -259,6 +267,7 @@ ARTIFACTS = {
     "graph-G2": lambda lab, tmp: _cli(
         ["graph", "--type", "G2"], tmp, "g.json", "g.dot"
     ),
+    "graph-E6-J12345-json": lambda lab, tmp: _e6_minuscule_json(lab),
 }
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from momentsheaf.coxeter import bruhat_leq, mat_vec, minimal_coset_reps, weyl_group
+from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ValidationError
 from momentsheaf.exactalg import primitive_integer
 from momentsheaf.moment_graph import (
@@ -27,7 +27,7 @@ from momentsheaf.moment_graph import (
     up_edges,
     whole,
 )
-from helpers import finite_two_orbit_test, reflection_element, vertex
+from helpers import bruhat_bits, finite_two_orbit_test, matrix_edges, vertex
 
 
 def full_flag_graph(family, rank):
@@ -398,35 +398,6 @@ def test_random_document_roundtrip():
         assert save_graph(load_graph(doc2)) == doc2
 
 
-def _bruhat_bits(W, reps):
-    """The order as the Schubert builder once took it: a bruhat_leq call for
-    every pair of vertices."""
-    return tuple(
-        sum(1 << j for j, z in enumerate(reps) if bruhat_leq(W, y, z)) for y in reps
-    )
-
-
-def _matrix_edges(W, w, J):
-    """The reflection edges as (lower, upper, direction), by applying the
-    matrix of every reflection to every orbit point of the sum of the
-    fundamental weights off J."""
-    reps = [y for y in minimal_coset_reps(W, J) if bruhat_leq(W, y, w)]
-    weights = W.cartan.fundamental_weights
-    v = [sum(col) for col in zip(*(weights[i - 1] for i in range(1, len(weights) + 1)
-                                   if i not in J))]
-    points = [mat_vec(y.matrix, v) for y in reps]
-    index = {p: i for i, p in enumerate(points)}
-    edges = set()
-    for i, p in enumerate(points):
-        for refl in W.reflections:
-            q = mat_vec(reflection_element(W, refl).matrix, p)
-            j = index.get(q)
-            if q != p and j is not None:
-                lo, hi = sorted((i, j), key=lambda t: reps[t].length)
-                edges.add((lo, hi, primitive_integer([a - b for a, b in zip(p, q)])))
-    return sorted(edges)
-
-
 @pytest.mark.parametrize(
     "family, rank, sampled",
     [("A", 1, None), ("A", 2, None), ("B", 2, None), ("G", 2, None),
@@ -450,9 +421,9 @@ def test_reflection_edges_close_to_the_bruhat_order(family, rank, sampled):
                 g = schubert_moment_graph(W, w, J)
                 below = [y for y in reps if bruhat_leq(W, y, w)]
                 assert g.labels == tuple(y.word_str() for y in below)
-                assert g.leq_bits == _bruhat_bits(W, below)
+                assert g.leq_bits == bruhat_bits(W, below)
                 assert [(e.lower, e.upper, e.direction) for e in g.edges] \
-                    == _matrix_edges(W, w, J)
+                    == matrix_edges(W, w, J)
 
 
 def _poset_ranks(leq_bits, n):
