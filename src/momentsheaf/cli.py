@@ -104,10 +104,10 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--type", dest="family_spec",
                         help="group family and rank, e.g. A3, B2, G2")
-    parser.add_argument("--word", default="longest",
+    parser.add_argument("--word",
                         help="simple-reflection index string like 2132, "
-                        "'e' for the identity, or 'longest'")
-    parser.add_argument("--parabolic", default="",
+                        "'e' for the identity, or 'longest' (the default)")
+    parser.add_argument("--parabolic",
                         help="comma-separated simple indices, e.g. '1,3'")
     parser.add_argument("--graph", dest="graph_path", help="path to a graph JSON file")
     parser.add_argument("--max-degree", dest="max_degree", type=int)
@@ -123,13 +123,21 @@ def parse_args(argv: list[str]) -> RunConfig:
         family=family,
         rank=rank,
         word=ns.word,
-        parabolic=_parse_parabolic(ns.parabolic),
+        parabolic=_parse_parabolic(ns.parabolic or ""),
         graph_path=ns.graph_path,
         max_degree=ns.max_degree,
         out_path=ns.out_path,
         dot_path=ns.dot_path,
     )
     config.validate()
+    # an option the command would ignore is refused, not dropped
+    if ns.dot_path is not None and ns.command != "graph":
+        raise ValidationError(f"--dot applies only to the graph command, not {ns.command}")
+    if ns.max_degree is not None and ns.command == "graph":
+        raise ValidationError("--max-degree does not apply to the graph command")
+    for flag, value in (("--word", ns.word), ("--parabolic", ns.parabolic)):
+        if value is not None and ns.graph_path is not None:
+            raise ValidationError(f"{flag} applies to --type input, not to --graph")
     return config
 
 
@@ -143,8 +151,8 @@ class ResolvedInput(NamedTuple):
     parabolic: tuple[int, ...] = ()
 
 
-def _resolve_word(W: WeylGroup, word: str, J: tuple[int, ...]) -> WeylElement:
-    if word == "longest":
+def _resolve_word(W: WeylGroup, word: str | None, J: tuple[int, ...]) -> WeylElement:
+    if word is None or word == "longest":
         reps = minimal_coset_reps(W, J)
         return max(reps, key=lambda r: r.length)
     if word == "e":  # the identity, as every table prints it

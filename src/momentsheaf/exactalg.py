@@ -6,12 +6,12 @@ it is integral and a `fractions.Fraction` only otherwise, never a float
 (`exact` puts a scalar in that form).  On Schubert graphs every scalar is
 integral, so the engine runs on ints there.  The elimination kernel is
 fraction-free and rref divides only in its final normalization, by the
-pivot; the one other division, normalizing the defining forms of a
-LinearQuotient, is taken in Fractions.
+pivot; the one other division, the substitution of an edge ring's pivot
+variable, is taken in Fractions.
 
 The graded ring is A = Q[x1..xn] with every variable in internal degree 1,
-and quotients A/(l1,..,lk) by independent linear forms, each given by its
-coefficient vector, are modelled by substituting pivot variables away, so
+and the edge ring A/(alpha) of one nonzero linear form, given by its
+coefficient vector, is modelled by substituting its pivot variable away, so
 that each graded piece is a plain finite-dimensional Q-vector space with a
 fixed monomial basis.
 
@@ -214,85 +214,61 @@ def poly_str(p: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# quotients by spans of linear forms
+# edge rings
 
 
 class LinearQuotient:
-    """Normal-form model of A/(l1,..,lk) for independent linear forms l_i,
-    each given by its coefficient vector.
+    """Normal-form model of the edge ring A/(alpha) of one nonzero linear
+    form alpha, given by its coefficient vector.
 
-    The pivot variables are those of the reduced echelon form of the forms
-    with the variables in reverse order, so they are taken from the *largest*
-    index down and the quotient is the polynomial ring in the surviving
-    low-index variables; reduce() substitutes each pivot by minus the rest of
-    its (normalized) form.  reduce is idempotent and its kernel on A_d is
-    exactly (l1,..,lk)*A_{d-1}.
+    The pivot is the largest index p with alpha_p != 0, and the quotient is
+    the polynomial ring in the other variables: x_p is substituted by
+    -sum_{j != p} (alpha_j / alpha_p) x_j.  reduce is idempotent and its
+    kernel on A_d is exactly alpha * A_{d-1}.
     """
 
-    def __init__(self, forms: Sequence[Sequence[int | Fraction]]):
-        if not forms:
-            raise ValueError("need at least one linear form")
-        self.n = n = len(forms[0])
-        flipped = [{n - 1 - j: c for j, c in enumerate(f) if c} for f in forms]
-        pivots, reduced = rref(flipped, n)
-        if len(pivots) < len(forms):
-            raise ValueError("linear forms are dependent")
-        # substitution x_p -> -(rest of the normalized form), pivot-free;
-        # reversed back, the last echelon row has the smallest pivot
-        self.pivots: tuple[int, ...] = tuple(n - 1 - p for p in reversed(pivots))
-        self._subst: dict[int, Poly] = {}
-        for p, flipped_row in zip(self.pivots, reversed(reduced)):
-            row = {n - 1 - c: v for c, v in flipped_row.items()}
-            self._subst[p] = {
-                tuple(int(i == j) for i in range(n)): exact(-row[j])
-                for j in sorted(row)
-                if j != p
-            }
-        self._subst_powers: dict[tuple[int, int], Poly] = {}
+    def __init__(self, alpha: Sequence[int | Fraction]):
+        self.n = n = len(alpha)
+        self.pivot = p = max(j for j, c in enumerate(alpha) if c)
+        subst = {
+            tuple(int(i == j) for i in range(n)): exact(Fraction(-c, alpha[p]))
+            for j, c in enumerate(alpha)
+            if c and j != p
+        }
+        self._powers: list[Poly] = [poly_const(n, 1), subst]
         self._monomials: dict[tuple[int, ...], Poly] = {}
 
-    @property
-    def codim(self) -> int:
-        return len(self.pivots)
-
     def dim(self, d: int) -> int:
-        return graded_dim(self.n - self.codim, d)
+        return graded_dim(self.n - 1, d)
 
     def basis(self, d: int) -> MonomialBasis:
-        return monomial_basis(self.n, d, self.pivots)
-
-    def _power(self, pivot: int, k: int) -> Poly:
-        key = (pivot, k)
-        if key not in self._subst_powers:
-            if k == 0:
-                self._subst_powers[key] = poly_const(self.n, 1)
-            else:
-                self._subst_powers[key] = poly_mul(
-                    self._power(pivot, k - 1), self._subst[pivot]
-                )
-        return self._subst_powers[key]
-
-    def reduce(self, p: Poly) -> Poly:
-        """Normal form of p modulo the span of the defining linear forms: in
-        each monomial every pivot power x_p^k becomes the k-th power of the
-        substitution of x_p, which is pivot-free."""
-        out: Poly = {}
-        for e, c in p.items():
-            term: Poly = {tuple(0 if i in self._subst else k for i, k in enumerate(e)): c}
-            for pivot in self.pivots:
-                if e[pivot]:
-                    term = poly_mul(term, self._power(pivot, e[pivot]))
-            out = poly_add(out, term)
-        return out
+        return monomial_basis(self.n, d, (self.pivot,))
 
     def reduce_monomial(self, mono: tuple[int, ...]) -> Poly:
-        """Normal form of one monomial, memoized on the quotient.  The
-        returned polynomial is shared between callers, who must not mutate
-        it."""
-        p = self._monomials.get(mono)
-        if p is None:
-            p = self._monomials[mono] = self.reduce({mono: 1})
-        return p
+        """Normal form of one monomial, memoized on the ring: x_p^k becomes
+        the k-th power of the substitution.  The returned polynomial is
+        shared between callers, who must not mutate it."""
+        out = self._monomials.get(mono)
+        if out is None:
+            p, k = self.pivot, mono[self.pivot]
+            powers = self._powers
+            while len(powers) <= k:
+                powers.append(poly_mul(powers[-1], powers[1]))
+            rest = {mono[:p] + (0,) + mono[p + 1 :]: 1}
+            out = self._monomials[mono] = poly_mul(rest, powers[k])
+        return out
+
+    def reduce(self, p: Poly) -> Poly:
+        """Normal form of p, summed from reduce_monomial."""
+        acc: Poly = {}
+        for mono, c in p.items():
+            for e, r in self.reduce_monomial(mono).items():
+                s = acc.get(e, 0) + c * r
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +276,7 @@ def edge_ring(direction: tuple[int, ...]) -> LinearQuotient:
     """The edge ring A_L = A/(alpha) of one (normalized, nonzero) edge
     direction, built once per process: every edge along that direction, in
     every sheaf, shares it and its memoized monomial reductions."""
-    return LinearQuotient([direction])
+    return LinearQuotient(direction)
 
 
 # ---------------------------------------------------------------------------

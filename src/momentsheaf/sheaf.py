@@ -4,7 +4,10 @@ A sheaf assigns a free graded module to each vertex (over A = Q[x1..xn]), a
 free graded module over the edge ring A_L = A/(alpha_L) to each edge, and a
 restriction map rho for each incidence.  Sections over a subgraph are tuples
 compatible under all restrictions; everything is computed degreewise by
-exact linear algebra.
+exact linear algebra.  The edge ring (exactalg.edge_ring, one per
+direction) owns every normal form: its memoized reduce_monomial, which
+degree_matrix reads, and reduce, which sums it over a polynomial for
+_restrict and the sweep's boundaries.
 
 The canonical sheaf is built in one sweep from the unique maximal vertex
 downwards.  The sweep carries a generating set of the sections over the
@@ -396,25 +399,11 @@ def sections(sheaf: GammaSheaf, sub: Subgraph, d_max: int) -> SectionSpace:
 def _restrict(sheaf: GammaSheaf, v: int, k: int, value: Sequence[Poly]) -> tuple[Poly, ...]:
     """rho_{v,k} of a value at v (one polynomial per stalk generator, an
     empty value being zero), by substitution: each polynomial is reduced
-    into the edge ring (_normal_form) and multiplied into the entries, which
-    are normal forms, so the result is one too."""
+    into the edge ring (LinearQuotient.reduce) and multiplied into the
+    entries, which are normal forms, so the result is one too."""
     ring = sheaf.edge_modules[k].quotient
-    reduced = [_normal_form(ring, p) for p in value]
+    reduced = [ring.reduce(p) for p in value]
     return tuple(_poly_dot(row, reduced) for row in sheaf.rho[(v, k)].entries)
-
-
-def _normal_form(ring: LinearQuotient, p: Poly) -> Poly:
-    """ring.reduce(p), summed from reduce_monomial, which is memoized on the
-    ring."""
-    acc: Poly = {}
-    for mono, c in p.items():
-        for e, r in ring.reduce_monomial(mono).items():
-            s = acc.get(e, 0) + c * r
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return acc
 
 
 def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
@@ -663,7 +652,7 @@ class _SectionSweep:
             ring = sheaf.edge_modules[k].quotient
             for p, basis in zip(value, sheaf.blocks("e", k, layout.degree)):
                 if p:
-                    vec[off : off + len(basis)] = poly_to_coeffs(basis, _normal_form(ring, p))
+                    vec[off : off + len(basis)] = poly_to_coeffs(basis, ring.reduce(p))
                 off += len(basis)
         return tuple(vec)
 

@@ -3,10 +3,11 @@ reflections and inversion counts on a Weyl group, the rational root datum
 (the invariant form and the fundamental weights), the reflection edges and
 Bruhat order of a Schubert graph by brute force, R-polynomials, a parser for
 `poly_str`'s format, the multiplication and quotient maps of the graded ring
-as matrices, the projective cover by reduction against a Fraction-normalized
-RREF, the finite two-orbit test on a moment graph, the planar image slice by
-slice, the boundary images verify_pure reads solved directly, a build past
-the proven degree bound, and small accessors.
+as matrices, the quotient A/V by a span of linear forms as edge rings
+applied in turn, the projective cover by reduction against a
+Fraction-normalized RREF, the finite two-orbit test on a moment graph, the
+planar image slice by slice, the boundary images verify_pure reads solved
+directly, a build past the proven degree bound, and small accessors.
 
 It also holds the paper's cross-checks that no command runs: the Bruhat
 interval and planar slice subgraphs, the structure sheaf, the substitution
@@ -43,6 +44,7 @@ from momentsheaf.exactalg import (
     dense,
     edge_ring,
     exact,
+    graded_dim,
     kernel_basis,
     monomial_basis,
     poly_from_coeffs,
@@ -72,7 +74,6 @@ from momentsheaf.sheaf import (
     _assert_identity_upper,
     _degree_span,
     _identity_rho,
-    _normal_form,
     _poly_dot,
     _restrict,
     boundary_image,
@@ -283,7 +284,45 @@ def multiply_map(f: Sequence[int | Fraction], n: int, d: int) -> QMatrix:
     return QMatrix(len(dst), len(src), rows)
 
 
-def quotient_reduce(q: LinearQuotient, coeffs: Sequence[int | Fraction], d: int) -> Vector:
+class SpanQuotient:
+    """A/V for the span V of independent linear forms, the model the
+    V-path transports, the polygon relations and the reference
+    monotonicity test read: one-form edge rings applied in turn, each form
+    first reduced by the rings before it, so no later ring brings back an
+    earlier ring's pivot."""
+
+    def __init__(self, forms: Sequence[Sequence[int | Fraction]]):
+        self.n = n = len(forms[0])
+        self.rings: list[LinearQuotient] = []
+        for form in forms:
+            rest = self.reduce({tuple(int(i == j) for i in range(n)): c
+                                for j, c in enumerate(form) if c})
+            if not rest:
+                raise ValueError("linear forms are dependent")
+            alpha = [0] * n
+            for e, c in rest.items():
+                alpha[e.index(1)] = c
+            self.rings.append(LinearQuotient(alpha))
+        self.pivots = tuple(sorted(ring.pivot for ring in self.rings))
+
+    def dim(self, d: int) -> int:
+        return graded_dim(self.n - len(self.rings), d)
+
+    def basis(self, d: int):
+        return monomial_basis(self.n, d, self.pivots)
+
+    def reduce(self, p: Poly) -> Poly:
+        for ring in self.rings:
+            p = ring.reduce(p)
+        return p
+
+    def reduce_monomial(self, mono: tuple[int, ...]) -> Poly:
+        return self.reduce({mono: 1})
+
+
+def quotient_reduce(
+    q: LinearQuotient | SpanQuotient, coeffs: Sequence[int | Fraction], d: int
+) -> Vector:
     """Reduce a degree-d coefficient vector of A into the quotient's basis."""
     p = poly_from_coeffs(monomial_basis(q.n, d), coeffs)
     return poly_to_coeffs(q.basis(d), q.reduce(p))
@@ -434,7 +473,7 @@ def increasing_paths(
 
 
 def _transport_entries(
-    sheaf: GammaSheaf, quotient: LinearQuotient, start: int, path: Sequence[int]
+    sheaf: GammaSheaf, quotient: SpanQuotient, start: int, path: Sequence[int]
 ) -> list[list[Poly]]:
     """Entries (over A_V) of the composite transport M_start -> M_end along
     an increasing path; inverts the identity upper restrictions."""
@@ -446,7 +485,7 @@ def _transport_entries(
         if e.lower != v:
             raise ValidationError("path is not increasing from the start vertex")
         _assert_identity_upper(sheaf, e.upper, k)
-        step = [[_normal_form(quotient, p) for p in row] for row in sheaf.rho[(v, k)].entries]
+        step = [[quotient.reduce(p) for p in row] for row in sheaf.rho[(v, k)].entries]
         entries = [
             [
                 _poly_dot(step_row, [entries[t][i] for t in range(len(entries))])
@@ -464,7 +503,7 @@ class VPathTransport:
 
     x: int
     y: int
-    quotient: LinearQuotient
+    quotient: SpanQuotient
     entries: list[list[Poly]]
     path_independent: bool
     truncated: bool
@@ -482,7 +521,7 @@ def vpath_map(
     span = Subspace(g.dim_t, v_span)
     if span.dim == 0:
         raise ValidationError("V must be a nonzero subspace")
-    quotient = LinearQuotient(span.basis_vectors())
+    quotient = SpanQuotient(span.basis_vectors())
     paths, truncated = increasing_paths(g, x, y, set(_h_edges(g, span)))
     if not paths:
         raise ValidationError(
@@ -521,7 +560,7 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
         for b in range(a + 1, len(up)):
             k1, k2 = up[a], up[b]
             span = Subspace(g.dim_t, [g.edges[k1].direction, g.edges[k2].direction])
-            quotient = LinearQuotient(span.basis_vectors())
+            quotient = SpanQuotient(span.basis_vectors())
             allowed = set(_h_edges(g, span))
             starts = {k1: g.edges[k1].upper, k2: g.edges[k2].upper}
             # enumerate V-paths from x with first edge k1 or k2, grouped by target

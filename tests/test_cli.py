@@ -286,6 +286,33 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
     assert err.startswith(f"error: cannot write {missing}: ") and err.count("\n") == 1
 
 
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        *[([command, "--type", "A2", "--dot", "{art}"],
+           f"--dot applies only to the graph command, not {command}")
+          for command in ("sheaf", "kl", "hilbert", "verify")],
+        (["graph", "--type", "A2", "--max-degree", "1", "--out", "{art}"],
+         "--max-degree does not apply to the graph command"),
+        *[([command, "--graph", "{graph}", "--max-degree", "1", *option, "--out", "{art}"],
+           f"{option[0]} applies to --type input, not to --graph")
+          for command in ("kl", "verify")
+          for option in (["--word", "longest"], ["--word", "e"],
+                         ["--parabolic", "1"], ["--parabolic", ""])],
+    ],
+)
+def test_an_option_the_command_would_ignore_exits_2(tmp_path, capsys, args, message):
+    """--dot off graph, --max-degree on graph, and --word or --parabolic
+    with --graph are refused with one line, and no artifact is written."""
+    graph = tmp_path / "a2.json"
+    assert main(["graph", "--type", "A2", "--out", str(graph)]) == 0
+    artifact = tmp_path / "artifact"
+    argv = [a.format(art=artifact, graph=graph) for a in args]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not artifact.exists()
+
 def test_verify_detects_mismatch_on_loaded_graph(tmp_path, capsys):
     # a hand-made wedge with two maximal vertices cannot be verified
     doc = {
@@ -414,9 +441,11 @@ def test_fuzzed_graph_documents_never_crash(doc, max_degree):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         for command in ("graph", "kl", "sheaf", "hilbert", "verify"):
+            # graph refuses --max-degree, so it reads the file without one
+            bound = [] if command == "graph" else degree
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, "--graph", path, *degree])
+                code = main([command, "--graph", path, *bound])
             assert code in (0, 2, 3)
 
 
@@ -462,6 +491,7 @@ def test_byte_fuzzed_graph_files_never_escape_main(tmp_path, capsys):
     for data in _byte_fuzzed_graph_files(rng, a2.encode()):
         path.write_bytes(data)
         for command in ("graph", "sheaf", "kl", "hilbert", "verify"):
-            code = main([command, "--graph", str(path), "--max-degree", "1"])
+            bound = [] if command == "graph" else ["--max-degree", "1"]
+            code = main([command, "--graph", str(path), *bound])
             capsys.readouterr()
             assert code in (0, 2, 3), (command, data[:200])

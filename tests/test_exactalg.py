@@ -1,8 +1,10 @@
 """Tests for the exact linear algebra substrate."""
 
+import json
 import random
 from fractions import Fraction as Q
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from momentsheaf.exactalg import (
     Subspace,
     _content_reduce,
     _row_step,
+    edge_ring,
     exact,
     forward_eliminate,
     graded_dim,
@@ -42,6 +45,7 @@ from momentsheaf.sheaf import (
     sweep_order,
 )
 from helpers import (
+    SpanQuotient,
     apply,
     as_poly,
     from_columns,
@@ -50,6 +54,8 @@ from helpers import (
     poly_parse,
     quotient_reduce,
 )
+from test_certificate import _kl_battery_generic_graph
+from test_coxeter import INVENTORY
 from test_golden import _generic_a3_doc
 
 
@@ -254,15 +260,15 @@ def _compose(a: QMatrix, b: QMatrix):
 
 def test_quotient_reduce_kills_alpha():
     alpha = [Q(1), Q(-1), Q(2)]
-    q = LinearQuotient([alpha])
-    assert q.pivots == (2,)  # largest index with nonzero coefficient
+    q = LinearQuotient(alpha)
+    assert q.pivot == 2  # largest index with nonzero coefficient
     out = quotient_reduce(q, poly_to_coeffs(monomial_basis(3, 1), as_poly(alpha)), 1)
     assert all(c == 0 for c in out)
 
 
 def test_quotient_reduce_fixes_pivot_free():
     alpha = [Q(1), Q(0), Q(1)]
-    q = LinearQuotient([alpha])
+    q = LinearQuotient(alpha)
     p = poly_parse("x1*x2 - 2*x2^2", 3)
     coeffs = poly_to_coeffs(monomial_basis(3, 2), p)
     reduced = quotient_reduce(q, coeffs, 2)
@@ -273,7 +279,7 @@ def test_quotient_reduce_fixes_pivot_free():
 def test_quotient_kernel_dimension(n):
     # kernel of reduce on A_d has dimension dim A_{d-1}
     alpha = [Q(i + 1) for i in range(n)]
-    q = LinearQuotient([alpha])
+    q = LinearQuotient(alpha)
     for d in range(0, 7):
         basis = monomial_basis(n, d)
         cols = [
@@ -285,9 +291,10 @@ def test_quotient_kernel_dimension(n):
 
 
 def test_linear_quotient_two_forms():
-    quo = LinearQuotient([[Q(1), Q(0), Q(-1)], [Q(0), Q(1), Q(1)]])
-    assert quo.codim == 2
-    # x3 and x2 are eliminated: x3 -> x1, x2 -> -x3 -> -x1
+    quo = SpanQuotient([[Q(1), Q(0), Q(-1)], [Q(0), Q(1), Q(1)]])
+    assert quo.pivots == (1, 2)
+    # x3 and x2 are eliminated: x3 -> x1, then the second form reads
+    # x2 + x1, so x2 -> -x1
     p = poly_parse("x3^2 + x2", 3)
     assert quo.reduce(p) == poly_parse("x1^2 - x1", 3)
     assert quo.reduce(quo.reduce(p)) == quo.reduce(p)
@@ -391,16 +398,11 @@ def test_linear_quotient_reduce_is_rational():
     rng = random.Random(31)
     for _ in range(30):
         n = rng.randint(1, 4)
-        forms = [
-            [rng.randint(-3, 3) for _ in range(n)]
-            for _ in range(rng.randint(1, n))
-        ]
-        try:
-            quo = LinearQuotient(forms)
-        except ValueError:
-            continue  # dependent or zero forms
-        for sub in quo._subst.values():
-            _exact(sub.values())
+        alpha = [rng.randint(-3, 3) for _ in range(n)]
+        if not any(alpha):
+            continue
+        quo = LinearQuotient(alpha)
+        _exact(quo.reduce_monomial(tuple(int(i == quo.pivot) for i in range(n))).values())
         p = {}
         for _ in range(5):
             e = tuple(rng.randint(0, 2) for _ in range(n))
@@ -452,31 +454,69 @@ def test_linear_quotient_matches_greedy_elimination():
     compared = 0
     for _ in range(600):
         n = rng.randint(1, 5)
-        forms = [
-            [
-                rng.choice([0, 0, rng.randint(-4, 4), Q(rng.randint(-4, 4), rng.randint(1, 5))])
-                for _ in range(n)
-            ]
-            for _ in range(rng.randint(1, n))
+        alpha = [
+            rng.choice([0, 0, rng.randint(-4, 4), Q(rng.randint(-4, 4), rng.randint(1, 5))])
+            for _ in range(n)
         ]
-        if rng.random() < 0.1 and len(forms) > 1:
-            forms[-1] = [2 * c for c in forms[0]]  # dependent
-        expected = _greedy_quotient(forms)
+        expected = _greedy_quotient([alpha])
         if expected is None:
             with pytest.raises(ValueError):
-                LinearQuotient(forms)
+                LinearQuotient(alpha)
             continue
-        quo = LinearQuotient(forms)
-        pivots, subst = expected
-        assert quo.pivots == pivots
-        assert quo._subst == subst
-        for p in pivots:
-            assert list(quo._subst[p]) == list(subst[p])
-            assert [type(c) for c in quo._subst[p].values()] == [
-                type(c) for c in subst[p].values()
-            ]
+        quo = LinearQuotient(alpha)
+        (p,), subst = expected
+        assert quo.pivot == p
+        # the normal form of x_p is the substitution itself
+        got = quo.reduce_monomial(tuple(int(i == p) for i in range(n)))
+        assert got == subst[p]
+        assert list(got) == list(subst[p])
+        assert [type(c) for c in got.values()] == [type(c) for c in subst[p].values()]
         compared += 1
     assert compared > 300
+
+
+
+def _edge_ring_directions(lab, tmp_path, monkeypatch):
+    """Every positive root of every INVENTORY group and of B4 and F4, and
+    the edge directions of the seed-1 generic A3 graph of the kl-battery."""
+    groups = sorted({(f, r) for f, r, *_ in INVENTORY} | {("B", 4), ("F", 4)})
+    roots = {ref.positive_root for f, r in groups for ref in lab.group(f, r).reflections}
+    path = _kl_battery_generic_graph(tmp_path, monkeypatch)
+    g = load_graph(json.loads(path.read_text(encoding="utf-8")))
+    return sorted(roots) + sorted({e.direction for e in g.edges})
+
+
+def test_edge_ring_matches_a_fraction_reference(lab, tmp_path, monkeypatch):
+    """edge_ring against a Fraction reference: the pivot is the last nonzero
+    coordinate, x_p's normal form is -sum (alpha_j / alpha_p) x_j in
+    increasing j, an int exactly when integral; alpha * m reduces to zero,
+    and reduce is idempotent."""
+    directions = _edge_ring_directions(lab, tmp_path, monkeypatch)
+    assert any(max(abs(c) for c in a) > 1 for a in directions)
+    fractional = 0
+    for alpha in directions:
+        n = len(alpha)
+        ring = edge_ring(alpha)
+        p = [j for j in range(n) if alpha[j] != 0][-1]
+        assert ring.pivot == p
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        want = [(unit[j], Q(-alpha[j], alpha[p])) for j in range(n) if j != p and alpha[j]]
+        got = ring.reduce_monomial(unit[p])
+        assert list(got.items()) == want
+        assert [type(c) for c in got.values()] == [
+            int if c.denominator == 1 else Q for _, c in want
+        ]
+        fractional += any(type(c) is Q for c in got.values())
+        monos = [m for d in range(3) for m in monomial_basis(n, d).exponents]
+        for m in monos:
+            assert ring.reduce({tuple(map(add, m, unit[j])): c
+                                for j, c in enumerate(alpha) if c}) == {}
+        p_poly = {m: Q(k % 5 - 2, k % 3 + 1) for k, m in enumerate(monos) if k % 5 != 2}
+        for poly in [p_poly] + [{m: 1} for m in monos]:
+            once = ring.reduce(poly)
+            assert all(e[p] == 0 for e in once)
+            assert ring.reduce(once) == once
+    assert fractional > 0
 
 
 SHEAVES = {

@@ -69,18 +69,13 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     """verify --type B3 --parabolic 1, with counters on the shared caches."""
     _clear_shared_caches()
     rings = Counter()
-    whole_quotients = [0]
-    forms_of = {}
+    direction_of = {}
     quotient_init = LinearQuotient.__init__
 
-    def counted_quotient_init(self, forms):
-        # under verify, the one-form quotients are the edge rings
-        if len(forms) == 1:
-            rings[tuple(forms[0])] += 1
-        if len(forms) == len(forms[0]):
-            whole_quotients[0] += 1
-        forms_of[id(self)] = tuple(map(tuple, forms))
-        quotient_init(self, forms)
+    def counted_quotient_init(self, alpha):
+        rings[tuple(alpha)] += 1
+        direction_of[id(self)] = tuple(alpha)
+        quotient_init(self, alpha)
 
     contains_calls = [0]
     contains = Subspace.contains
@@ -102,24 +97,12 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
             over_budget.append(tests)
         return out
 
-    depth = [0]
-    reduce_calls = [0]
-    pairs = set()
-    reduce = LinearQuotient.reduce
-    degree_matrix = sheaf_mod.degree_matrix
+    substitutions = Counter()
+    reduce_monomial = LinearQuotient.reduce_monomial
 
-    def counted_reduce(self, p):
-        if depth[0]:
-            reduce_calls[0] += 1
-            pairs.add((forms_of.get(id(self), id(self)), tuple(p)))
-        return reduce(self, p)
-
-    def counted_degree_matrix(*args):
-        depth[0] += 1
-        try:
-            return degree_matrix(*args)
-        finally:
-            depth[0] -= 1
+    def counted_reduce_monomial(self, mono):
+        substitutions[(direction_of[id(self)], mono)] += mono not in self._monomials
+        return reduce_monomial(self, mono)
 
     builds = Counter()
     sheaves = []  # kept alive, so that no two sheaves share an id
@@ -134,22 +117,19 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
     monkeypatch.setattr(LinearQuotient, "__init__", counted_quotient_init)
     monkeypatch.setattr(Subspace, "contains", counted_contains)
     monkeypatch.setattr(moment_graph, "_h_edges", counted_h_edges)
-    monkeypatch.setattr(LinearQuotient, "reduce", counted_reduce)
-    monkeypatch.setattr(sheaf_mod, "degree_matrix", counted_degree_matrix)
+    monkeypatch.setattr(LinearQuotient, "reduce_monomial", counted_reduce_monomial)
     out = tmp_path / "verify.txt"
     assert main(["verify", "--type", "B3", "--parabolic", "1", "--out", str(out)]) == 0
     assert "FAIL" not in out.read_text(encoding="utf-8")
 
-    # no quotient by all of t*: the monotonicity checks read constant terms
-    assert whole_quotients[0] == 0
     # one edge ring per direction
     assert rings and max(rings.values()) == 1
     # one membership test per distinct direction per plane
     assert contains_calls[0] > 0 and over_budget == []
     # each plane's edges listed once for the graph, not once per vertex
     assert planes and max(planes.values()) == 1
-    # one reduction per distinct (direction, monomial) pair
-    assert 0 < reduce_calls[0] <= len(pairs)
+    # each (direction, monomial) pair substituted at most once
+    assert substitutions and max(substitutions.values()) == 1
     # each rho matrix built at most once by a build and once into the top
     # sheaf's memo, which verify clears when it returns
     assert builds and max(builds.values()) <= 2
@@ -157,27 +137,34 @@ def test_verify_work_counts_on_b3_parabolic(tmp_path, monkeypatch):
 
 
 def test_a_b3_build_reduces_each_monomial_once(lab, monkeypatch):
-    """Every LinearQuotient.reduce call of canonical_sheaf(B3) comes from a
-    reduce_monomial miss: no caller reduces a whole polynomial."""
+    """canonical_sheaf(B3) substitutes each (edge ring, monomial) pair at
+    most once, in reduce_monomial, and every later call returns that same
+    normal form; LinearQuotient.reduce substitutes nothing itself: it looks
+    up each of its terms once, in reduce_monomial."""
     _clear_shared_caches()
-    misses, inside, calls, stray = [0], [0], [0], [0]
+    first = {}
+    substitutions = Counter()
+    in_reduce, lookups, terms = [0], [0], [0]
     reduce, reduce_monomial = LinearQuotient.reduce, LinearQuotient.reduce_monomial
 
     def counted_reduce_monomial(self, mono):
-        misses[0] += mono not in self._monomials
-        inside[0] += 1
-        try:
-            return reduce_monomial(self, mono)
-        finally:
-            inside[0] -= 1
+        lookups[0] += in_reduce[0]
+        key = (id(self), mono)
+        substitutions[key] += mono not in self._monomials
+        out = reduce_monomial(self, mono)
+        assert first.setdefault(key, out) is out
+        return out
 
     def counted_reduce(self, p):
-        calls[0] += 1
-        stray[0] += not inside[0]
-        return reduce(self, p)
+        terms[0] += len(p)
+        in_reduce[0] += 1
+        try:
+            return reduce(self, p)
+        finally:
+            in_reduce[0] -= 1
 
     monkeypatch.setattr(LinearQuotient, "reduce_monomial", counted_reduce_monomial)
     monkeypatch.setattr(LinearQuotient, "reduce", counted_reduce)
     canonical_sheaf(lab.graph("B", 3))
-    assert stray[0] == 0
-    assert 0 < calls[0] == misses[0]
+    assert substitutions and max(substitutions.values()) == 1
+    assert 0 < terms[0] == lookups[0]

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from momentsheaf.errors import ValidationError
-from momentsheaf.exactalg import LinearQuotient, QMatrix, graded_dim, matrix_rank
+from momentsheaf.exactalg import QMatrix, graded_dim, matrix_rank
 from momentsheaf.hecke_oracle import _padd, _pshift, kl_polynomial
 from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.coxeter import bruhat_leq
@@ -41,6 +41,7 @@ from momentsheaf.sheaf import (
 )
 from helpers import (
     KL_ONE,
+    SpanQuotient,
     _transport_entries,
     built_past_the_bound,
     check_sections,
@@ -329,7 +330,7 @@ def _reference_monotonicity(sh, x, y):
     along _first_path, computed with polynomial arithmetic: per degree, the
     rank of the constant terms between the generators of that degree."""
     n = sh.n
-    whole_space = LinearQuotient([[int(i == j) for j in range(n)] for i in range(n)])
+    whole_space = SpanQuotient([[int(i == j) for j in range(n)] for i in range(n)])
     entries = _transport_entries(sh, whole_space, x, _first_path(sh.graph, x, y))
     src, dst = sh.vertex_modules[x].gens, sh.vertex_modules[y].gens
     out = {}
