@@ -318,18 +318,15 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         record("oracle", matches == total, f"{matches}/{total} KL values match")
         report_lines.extend(diffs)
 
-        mono_ok = True
-        ineq_ok = True
-        for x in range(g.n_vertices):
-            for y in range(g.n_vertices):
-                if not g.leq(x, y):
-                    continue
-                if not all(monotonicity_check(sheaf, x, y).values()):
-                    mono_ok = False
-                if not kl_to_top[x].dominates(kl_to_top[y]):
-                    ineq_ok = False
-        record("monotonicity (transport surjective)", mono_ok)
-        record("monotonicity (KL coefficientwise)", ineq_ok)
+        # both properties pass along increasing paths, so the edges check
+        # every pair x <= y (see monotonicity_check); none is skipped, so a
+        # non-identity upper map anywhere still raises
+        surjective = [all(monotonicity_check(sheaf, k).values()) for k in range(len(g.edges))]
+        record("monotonicity (transport surjective)", all(surjective))
+        record(
+            "monotonicity (KL coefficientwise)",
+            all(kl_to_top[e.lower].dominates(kl_to_top[e.upper]) for e in g.edges),
+        )
 
     # the image T of the sections over {>x} at every vertex with up edges,
     # to the degree purity reads; without --max-degree (a Schubert graph)

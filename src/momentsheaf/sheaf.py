@@ -51,12 +51,11 @@ between two reads.
 direct_hilbert, the whole-graph solve, gives global_hilbert on loaded
 graphs and is the reference the tests compare the sweep against.
 
-monotonicity_check transports the fibre M_x / t* M_x up to y along one
-increasing path, as the product of the constant terms of rho; it reduces
-no polynomial.  The paper's other shortcuts, the polygon relations and the
-transports over A_V along every V-path, are cross-checks kept with the
-tests, as are the structure sheaf and the substitution check of a section
-space.
+monotonicity_check reads the map of fibres M_x / t* M_x -> M_y / t* M_y
+along one edge off the constant terms of rho; it reduces no polynomial.
+The paper's other shortcuts, the polygon relations and the transports over
+A_V along every V-path, are cross-checks kept with the tests, as are the
+structure sheaf and the substitution check of a section space.
 
 Every vertex or edge carries one piece, (generator degrees, ring), the ring
 None for A or the edge ring; GammaSheaf.piece is the one place that choice
@@ -73,7 +72,6 @@ degree_bounds is the one place that rule is applied.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -873,7 +871,7 @@ def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity: the transport of the fibres M_x / t* M_x
+# monotonicity: the maps of the fibres M_x / t* M_x along the edges
 
 
 def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
@@ -891,55 +889,28 @@ def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
         )
 
 
-def _first_path(g: MomentGraph, start: int, goal: int) -> tuple[int, ...] | None:
-    """The first increasing edge path start -> goal of a depth-first walk
-    that takes the up edges of each vertex in reverse order, or None."""
-    stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
-    while stack:
-        v, trail = stack.pop()
-        if v == goal:
-            return trail
-        for k in g.up[v]:
-            if g.leq(g.edges[k].upper, goal):
-                stack.append((g.edges[k].upper, trail + (k,)))
-    return None
-
-
-def monotonicity_check(sheaf: GammaSheaf, x: int, y: int) -> dict[int, bool]:
-    """Surjectivity, degree by degree, of the transport of the fibres
-    M_x / t* M_x -> M_y / t* M_y along the first increasing path _first_path
-    finds.  On the fibres rho acts by the constant terms of its entries, and
-    every upper incidence must be the identity, so the transport is the
-    product of the constant-term matrices of rho at the lower end of each
-    step.  One path suffices: the transport is path-independent, which the
-    tests check over every V-path."""
-    g = sheaf.graph
-    if not g.leq(x, y):
-        raise ValidationError("monotonicity_check requires x <= y")
-    path = _first_path(g, x, y)
-    if path is None:
-        raise ValidationError(
-            f"no V-path from {g.labels[x]} to {g.labels[y]} inside the subspace"
-        )
+def monotonicity_check(sheaf: GammaSheaf, k: int) -> dict[int, bool]:
+    """Surjectivity, degree by degree, of the map of fibres
+    M_x / t* M_x -> M_y / t* M_y along edge k from x up to y.  On the fibres
+    rho acts by the constant terms of its entries, and the upper incidence
+    must be the identity, so the map is the constant-term matrix of rho at
+    x, one block per generator degree of M_y.  For x <= y the map of fibres
+    is the composite of these edge maps along an increasing path; it keeps
+    degree, surjections compose, and the order of a Schubert graph is the
+    closure of its edges, so every edge passing proves every pair x <= y.
+    The order of a loaded graph need not be, so verify runs this check on
+    Schubert graphs only."""
+    e = sheaf.graph.edges[k]
+    _assert_identity_upper(sheaf, e.upper, k)
     const = (0,) * sheaf.n
-    src = sheaf.vertex_modules[x].gens
-    transport = [[int(i == j) for i in range(len(src))] for j in range(len(src))]
-    v = x
-    for k in path:
-        u = g.edges[k].upper
-        _assert_identity_upper(sheaf, u, k)
-        step = [[p.get(const, 0) for p in row] for row in sheaf.rho[(v, k)].entries]
-        transport = [
-            [sum(a * transport[t][i] for t, a in enumerate(row) if a) for i in range(len(src))]
-            for row in step
-        ]
-        v = u
-    dst = sheaf.vertex_modules[y].gens
+    step = sheaf.rho[(e.lower, k)].entries
+    src = sheaf.vertex_modules[e.lower].gens
+    dst = sheaf.vertex_modules[e.upper].gens
     out: dict[int, bool] = {}
     for d in sorted(set(dst)):
         rows = [j for j, eg in enumerate(dst) if eg == d]
         cols = [i for i, dg in enumerate(src) if dg == d]
-        block = [{c: a for c, i in enumerate(cols) if (a := transport[j][i])} for j in rows]
+        block = [{c: a for c, i in enumerate(cols) if (a := step[j][i].get(const, 0))} for j in rows]
         out[d] = matrix_rank(QMatrix(len(rows), len(cols), block)) == len(rows)
     return out
 
@@ -1139,7 +1110,7 @@ def sheaf_dump(sheaf: GammaSheaf) -> dict:
             {
                 "lower": g.labels[e.lower],
                 "upper": g.labels[e.upper],
-                "alpha": [str(Fraction(c)) for c in e.direction],
+                "alpha": [str(c) for c in e.direction],
                 "generator_degrees": list(em.module.gens),
             }
         )

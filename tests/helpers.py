@@ -380,12 +380,17 @@ def reflection_element(W: WeylGroup, refl: Reflection) -> WeylElement:
     return W.elements[W.index_of[m]]
 
 
+def set_rho_corner(sheaf: GammaSheaf, v: int, k: int, entry: Poly) -> None:
+    """Replace the (0, 0) entry of rho_{v,k}."""
+    entries = [list(row) for row in sheaf.rho[(v, k)].entries]
+    entries[0][0] = entry
+    sheaf.rho[(v, k)] = RhoMap(tuple(tuple(row) for row in entries))
+
+
 def zero_rho_corner(sheaf: GammaSheaf, x: int) -> None:
     """Set the (0, 0) entry of rho to zero on every up edge of x."""
     for k in sheaf.graph.up[x]:
-        entries = [list(row) for row in sheaf.rho[(x, k)].entries]
-        entries[0][0] = {}
-        sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+        set_rho_corner(sheaf, x, k, {})
 
 
 # -- subgraphs -----------------------------------------------------------------
@@ -453,8 +458,8 @@ def increasing_paths(
     g: MomentGraph, start: int, goal: int, allowed: set[int], cap: int = PATH_CAP
 ) -> tuple[list[tuple[int, ...]], bool]:
     """All increasing edge paths start -> goal inside the allowed edge set,
-    up to cap paths, in the order of sheaf._first_path's walk; the flag
-    reports truncation."""
+    up to cap paths, in the order of a depth-first walk that takes the up
+    edges of each vertex in reverse order; the flag reports truncation."""
     paths: list[tuple[int, ...]] = []
     truncated = False
     stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]

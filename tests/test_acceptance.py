@@ -192,16 +192,16 @@ def test_criterion_6_purity(lab):
 
 def test_criterion_7_monotonicity(lab):
     ok = True
-    # transport surjectivity on every A3 graph in the battery
+    # surjectivity on every edge of every A3 graph in the battery, which
+    # covers every comparable pair: the order is the closure of the edges
     for family, rank, word in BATTERY:
         if (family, rank) != ("A", 3):
             continue
         g = lab.graph(family, rank, word)
         sheaf = lab.sheaf(family, rank, word)
-        for x in range(g.n_vertices):
-            for y in range(g.n_vertices):
-                if g.leq(x, y) and not all(monotonicity_check(sheaf, x, y).values()):
-                    ok = False
+        for k in range(len(g.edges)):
+            if not all(monotonicity_check(sheaf, k).values()):
+                ok = False
     # coefficientwise KL inequality over all comparable triples in A3
     W = lab.group("A", 3)
     triples = 0

@@ -28,7 +28,7 @@ from momentsheaf.sheaf import (
     planar_image,
     sweep_order,
 )
-from helpers import poly_scale, zero_rho_corner
+from helpers import poly_scale, set_rho_corner, zero_rho_corner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -150,6 +150,20 @@ def test_a_zeroed_constant_term_fails_monotonicity_in_verify(lab, monkeypatch, c
         "purity: FAIL (axiom 3 at e)",
         "planar image equals sections image: FAIL",
     ]
+
+
+def test_verify_checks_the_upper_map_of_every_edge(lab, monkeypatch, capsys):
+    # the first edge already fails surjectivity; the last edge's non-identity
+    # upper map must still be read and refused
+    g = lab.graph("A", 3)
+    sheaf = canonical_sheaf(g)
+    zero_rho_corner(sheaf, g.edges[0].lower)
+    k = len(g.edges) - 1
+    upper = g.edges[k].upper
+    set_rho_corner(sheaf, upper, k, poly_scale(sheaf.rho[(upper, k)].entries[0][0], 2))
+    code, out, err, _ = _verify(monkeypatch, capsys, ["verify", "--type", "A3"], sheaf)
+    assert (code, out) == (2, "")
+    assert "non-identity map" in err
 
 
 def _drop_generator(sheaf, x, i):

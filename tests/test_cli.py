@@ -64,7 +64,18 @@ def test_the_console_script_runs_in_a_fresh_interpreter():
     assert (done.returncode, done.stdout, done.stderr) == (0, "x,y,P\ne,1,1\n1,1,1\n", "")
 
 
-@pytest.mark.parametrize("command", ["kl", "graph"])
+VERIFY_ON_ONE_VERTEX = [
+    "oracle: pass (1/1 KL values match)",
+    "monotonicity (transport surjective): pass",
+    "monotonicity (KL coefficientwise): pass",
+    "purity: pass",
+    "planar image equals sections image: pass",
+    "x,y,P",
+    "e,e,1",
+]
+
+
+@pytest.mark.parametrize("command", ["kl", "graph", "verify"])
 def test_word_e_is_the_identity(command, capsys):
     # every table prints the identity as e, so --word e names it
     code, out, err = run_cli([command, "--type", "A2", "--word", "e"], capsys)
@@ -72,6 +83,11 @@ def test_word_e_is_the_identity(command, capsys):
     assert run_cli([command, "--type", "A2", "--word="], capsys) == (0, out, "")
     if command == "kl":
         assert out == "x,y,P\ne,e,1\n"
+    if command == "verify":
+        # one vertex and no edges, here and on A3/J={1,2,3}, one coset: the
+        # edge loops of verify run on nothing and every line passes
+        assert out.splitlines() == VERIFY_ON_ONE_VERTEX
+        assert run_cli([command, "--type", "A3", "--parabolic", "1,2,3"], capsys) == (0, out, "")
 
 
 def test_graph_json_and_dot(tmp_path, capsys):

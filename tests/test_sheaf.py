@@ -24,7 +24,6 @@ from momentsheaf.sheaf import (
     GammaSheaf,
     GradedFreeModule,
     SectionSpace,
-    _first_path,
     boundary_image,
     canonical_sheaf,
     degree_bounds,
@@ -50,6 +49,7 @@ from helpers import (
     poly_scale,
     reference_planar_image,
     section_dims,
+    set_rho_corner,
     solved_images,
     structure_sheaf,
     transport_degree_matrix,
@@ -58,6 +58,7 @@ from helpers import (
     zero_rho_corner,
 )
 from test_certificate import _kl_battery_generic_graph
+from test_coxeter import INVENTORY
 
 
 def expected_section_dims(lengths, n, d_max):
@@ -302,36 +303,35 @@ def test_vpath_requires_a_path(lab):
         vpath_map(sh, vertex(g, "1"), vertex(g, "121"), [[Q(5), Q(7)]])
 
 
+def _edge_verdicts(sh):
+    return [monotonicity_check(sh, k) for k in range(len(sh.graph.edges))]
+
+
+def _edge_verdict(sh):
+    return all(all(r.values()) for r in _edge_verdicts(sh))
+
+
 def test_monotonicity_trivial_and_exhaustive(lab):
     g = lab.graph("B", 2)
     sh = lab.sheaf("B", 2)
-    for x in range(g.n_vertices):
-        assert all(monotonicity_check(sh, x, x).values())
-        for y in range(g.n_vertices):
-            if g.leq(x, y):
-                assert all(monotonicity_check(sh, x, y).values())
-    with pytest.raises(ValidationError):
-        monotonicity_check(sh, vertex(g, "121"), vertex(g, "1"))
+    verdicts = _edge_verdicts(sh)
+    assert len(verdicts) == 16
+    for e, r in zip(g.edges, verdicts):
+        # one verdict per generator degree of the upper stalk, every one true
+        assert set(r) == set(sh.vertex_modules[e.upper].gens)
+        assert all(r.values())
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 2), ("G", 2)])
-def test_monotonicity_transports_along_the_first_enumerated_path(lab, family, rank):
-    g = lab.graph(family, rank)
-    every = set(range(len(g.edges)))
-    for x in range(g.n_vertices):
-        for y in range(g.n_vertices):
-            if g.leq(x, y):
-                first = increasing_paths(g, x, y, every, cap=1)[0][0]
-                assert _first_path(g, x, y) == first
-
-
-def _reference_monotonicity(sh, x, y):
+def _reference_monotonicity(sh, x, y, path=None):
     """The surjectivity test on the transport over A/(all coordinate forms)
-    along _first_path, computed with polynomial arithmetic: per degree, the
-    rank of the constant terms between the generators of that degree."""
+    along path, by default the first increasing path that increasing_paths
+    enumerates, computed with polynomial arithmetic: per degree, the rank of
+    the constant terms between the generators of that degree."""
     n = sh.n
+    if path is None:
+        path = increasing_paths(sh.graph, x, y, set(range(len(sh.graph.edges))), cap=1)[0][0]
     whole_space = SpanQuotient([[int(i == j) for j in range(n)] for i in range(n)])
-    entries = _transport_entries(sh, whole_space, x, _first_path(sh.graph, x, y))
+    entries = _transport_entries(sh, whole_space, x, path)
     src, dst = sh.vertex_modules[x].gens, sh.vertex_modules[y].gens
     out = {}
     for d in sorted(set(dst)):
@@ -347,13 +347,53 @@ def _comparable_pairs(g):
     return [(x, y) for x in range(g.n_vertices) for y in range(g.n_vertices) if g.leq(x, y)]
 
 
+def _all_pairs_verdict(sh):
+    """The verdict of the per-pair walk the edge check replaces: the
+    reference transport of every comparable pair is surjective."""
+    return all(all(_reference_monotonicity(sh, x, y).values())
+               for x, y in _comparable_pairs(sh.graph))
+
+
 @pytest.mark.parametrize(
     "family,rank,J", [("A", 3, ()), ("G", 2, ()), ("B", 3, (1,))], ids=["A3", "G2", "B3-J1"]
 )
 def test_monotonicity_equals_the_polynomial_transport(lab, family, rank, J):
     sh = lab.sheaf(family, rank, J=J)
-    for x, y in _comparable_pairs(sh.graph):
-        assert monotonicity_check(sh, x, y) == _reference_monotonicity(sh, x, y), (x, y)
+    for k, e in enumerate(sh.graph.edges):
+        expected = _reference_monotonicity(sh, e.lower, e.upper, (k,))
+        assert monotonicity_check(sh, k) == expected, k
+
+
+# every INVENTORY group whose longest element builds in seconds (F4 does not),
+# and three parabolic graphs
+EDGE_CLOSURE_GRAPHS = [
+    (f, r, ()) for f, r, *_ in INVENTORY if (f, r) != ("F", 4)
+] + [("B", 3, (1,)), ("A", 4, (1, 3)), ("G", 2, (2,))]
+
+
+@pytest.mark.parametrize(
+    "family,rank,J", EDGE_CLOSURE_GRAPHS,
+    ids=[f"{f}{r}" + ("-J" + "".join(map(str, J)) if J else "") for f, r, J in EDGE_CLOSURE_GRAPHS],
+)
+def test_the_edge_verdict_equals_the_all_pairs_verdict(lab, family, rank, J):
+    sh = lab.sheaf(family, rank, J=J)
+    assert _edge_verdict(sh) and _all_pairs_verdict(sh)
+
+
+@pytest.mark.parametrize("family,rank,n_edges", [("A", 3, 72), ("G", 2, 36), ("B", 2, 16)])
+def test_a_zeroed_constant_term_on_any_edge_fails(lab, family, rank, n_edges):
+    g = lab.graph(family, rank)
+    good = lab.sheaf(family, rank)
+    caught = 0
+    for k, e in enumerate(g.edges):
+        sh = GammaSheaf(g)
+        sh.vertex_modules, sh.edge_modules = good.vertex_modules, good.edge_modules
+        sh.rho = dict(good.rho)
+        set_rho_corner(sh, e.lower, k, {})
+        edge_ok = _edge_verdict(sh)
+        assert edge_ok == _all_pairs_verdict(sh), k
+        caught += not edge_ok
+    assert caught == len(g.edges) == n_edges
 
 
 def test_monotonicity_sees_a_zeroed_constant_term(lab):
@@ -363,26 +403,24 @@ def test_monotonicity_sees_a_zeroed_constant_term(lab):
     x = order[len(order) // 2]
     assert g.labels[x] == "213"
     zero_rho_corner(sh, x)
-    results = {(a, b): monotonicity_check(sh, a, b) for a, b in _comparable_pairs(g)}
-    assert len(results) == 213
-    failed = [pair for pair, r in results.items() if not all(r.values())]
-    assert len(failed) == 16
-    assert all(results[pair] == {0: False} for pair in failed)
-    for (a, b), r in results.items():
-        assert r == _reference_monotonicity(sh, a, b), (a, b)
+    results = _edge_verdicts(sh)
+    assert len(results) == 72
+    failed = [k for k, r in enumerate(results) if not all(r.values())]
+    assert failed == list(g.up[x]) and len(failed) == 3
+    assert all(results[k] == {0: False} for k in failed)
+    for k, (r, e) in enumerate(zip(results, g.edges)):
+        assert r == _reference_monotonicity(sh, e.lower, e.upper, (k,)), k
+    assert not _all_pairs_verdict(sh)
 
 
 def test_monotonicity_refuses_a_non_identity_upper_map(lab):
     g = lab.graph("B", 2)
     sh = canonical_sheaf(g)
-    x, y = vertex(g, "e"), g.unique_maximal()
-    k = _first_path(g, x, y)[-1]
-    upper = g.edges[k].upper
-    entries = [list(row) for row in sh.rho[(upper, k)].entries]
-    entries[0][0] = poly_scale(entries[0][0], 2)
-    sh.rho[(upper, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    top = g.unique_maximal()
+    k = g.down[top][-1]
+    set_rho_corner(sh, top, k, poly_scale(sh.rho[(top, k)].entries[0][0], 2))
     with pytest.raises(ValidationError):
-        monotonicity_check(sh, x, y)
+        monotonicity_check(sh, k)
 
 
 # -- polygon and planar images ----------------------------------------------
