@@ -1,10 +1,11 @@
 """Sheaves on moment graphs and the canonical top-down construction.
 
-A sheaf assigns a free graded module to each vertex (over A = Q[x1..xn]), a
-free graded module over the edge ring A_L = A/(alpha_L) to each edge, and a
-restriction map rho for each incidence.  Sections over a subgraph are tuples
-compatible under all restrictions; everything is computed degreewise by
-exact linear algebra.  The edge ring (exactalg.edge_ring, one per
+A sheaf assigns a free graded module M_x to each vertex (over A =
+Q[x1..xn]), to each edge L from x up to y the module M_y / alpha_L M_y over
+the edge ring A_L = A/(alpha_L), reached from M_y by the quotient map, and
+the one stored restriction rho from M_x.  Sections over a subgraph are
+tuples compatible under all restrictions; everything is computed degreewise
+by exact linear algebra.  The edge ring (exactalg.edge_ring, one per
 direction) owns every normal form: its memoized reduce_monomial, which
 degree_matrix reads, and reduce, which sums it over a polynomial for
 _restrict and the sweep's boundaries.
@@ -57,8 +58,9 @@ The paper's other shortcuts, the polygon relations and the transports over
 A_V along every V-path, are cross-checks kept with the tests, as are the
 structure sheaf and the substitution check of a section space.
 
-Every vertex or edge carries one piece, (generator degrees, ring), the ring
-None for A or the edge ring; GammaSheaf.piece is the one place that choice
+Every vertex or edge carries one piece, (generator degrees, ring): a
+vertex its stalk's degrees over A (ring None), an edge its upper stalk's
+degrees over its edge ring.  GammaSheaf.piece is the one place that choice
 is made.  In degree d a piece has block coordinates: one monomial basis of
 degree d - g of its ring per generator degree g, laid end to end (blocks),
 and split cuts a coordinate vector back into one polynomial per generator.
@@ -133,13 +135,6 @@ class GradedFreeModule:
         return len(self.gens)
 
 
-class EdgeModule(NamedTuple):
-    """Edge data: a free module over the edge ring A_L."""
-
-    module: GradedFreeModule
-    quotient: LinearQuotient
-
-
 class RhoMap(NamedTuple):
     """Matrix of a restriction map; entries[j][i] is a homogeneous element
     of A_L (in reduced, pivot-free form) of degree d_i - e_j."""
@@ -147,13 +142,9 @@ class RhoMap(NamedTuple):
     entries: tuple[tuple[Poly, ...], ...]
 
 
-def _identity_rho(rank: int, n: int) -> RhoMap:
-    one = poly_const(n, 1)
-    return RhoMap(
-        tuple(
-            tuple(one if i == j else {} for i in range(rank)) for j in range(rank)
-        )
-    )
+def _diagonal(rank: int, entry: Poly) -> list[list[Poly]]:
+    """The rank x rank matrix with entry on the diagonal and zero elsewhere."""
+    return [[entry if i == j else {} for i in range(rank)] for j in range(rank)]
 
 
 # (generator degrees, ring): ring None means A
@@ -162,6 +153,10 @@ Piece = tuple[tuple[int, ...], LinearQuotient | None]
 
 class GammaSheaf:
     """A sheaf on a moment graph; may be partially defined mid-construction.
+
+    It is its stalks (vertex_modules) and one restriction per edge, rho[k]
+    from the stalk at the lower end of edge k; the edge module (piece) and
+    the map from the upper stalk are its quotient, so neither is stored.
 
     rho_degree_matrix builds each degree-d matrix when it is read.  matrices
     is None except while one verify call rereads the finished sheaf: verify
@@ -172,13 +167,12 @@ class GammaSheaf:
     t*-span matrices of _degree_span depend on no sheaf and are shared by
     every sheaf in the process."""
 
-    __slots__ = ("graph", "vertex_modules", "edge_modules", "rho", "matrices")
+    __slots__ = ("graph", "vertex_modules", "rho", "matrices")
 
     def __init__(self, graph: MomentGraph) -> None:
         self.graph = graph
         self.vertex_modules: dict[int, GradedFreeModule] = {}
-        self.edge_modules: dict[int, EdgeModule] = {}
-        self.rho: dict[tuple[int, int], RhoMap] = {}
+        self.rho: dict[int, RhoMap] = {}
         self.matrices: dict[tuple[int, int, int], QMatrix] | None = None
 
     @property
@@ -187,11 +181,12 @@ class GammaSheaf:
 
     def piece(self, kind: str, idx: int) -> Piece:
         """Generator degrees and ring of the module at vertex idx (kind "v",
-        over A: ring None) or at edge idx (kind "e", over its edge ring)."""
+        over A: ring None) or at edge idx (kind "e": the upper stalk's
+        degrees over the edge ring)."""
         if kind == "v":
             return self.vertex_modules[idx].gens, None
-        em = self.edge_modules[idx]
-        return em.module.gens, em.quotient
+        e = self.graph.edges[idx]
+        return self.vertex_modules[e.upper].gens, edge_ring(e.direction)
 
     def blocks(self, kind: str, idx: int, d: int) -> list[MonomialBasis]:
         """The block coordinates of a piece in degree d."""
@@ -303,13 +298,16 @@ def degree_matrix(
 
 
 def rho_degree_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
-    """Matrix of rho_{v,e} from (M_v)_d to (M_e)_d in the fixed bases, built
-    on every call from sheaf.rho[(v, e)] and both pieces as they are then.
-    The build reads each matrix once; readers go through _rho_matrix, which
-    keeps what this builds while sheaf.matrices is set."""
-    return degree_matrix(
-        sheaf.n, sheaf.rho[(v, e)].entries, sheaf.piece("v", v), sheaf.piece("e", e), d
-    )
+    """Matrix of the restriction from (M_v)_d to (M_e)_d in the fixed bases,
+    built on every call from both pieces as they are then: from sheaf.rho[e]
+    when v is the lower end of edge e, else from a diagonal of 1s, the
+    quotient map of the upper stalk.  The build reads each matrix once;
+    readers go through _rho_matrix, which keeps what this builds while
+    sheaf.matrices is set."""
+    src = sheaf.piece("v", v)
+    lower = v == sheaf.graph.edges[e].lower
+    entries = sheaf.rho[e].entries if lower else _diagonal(len(src[0]), poly_const(sheaf.n, 1))
+    return degree_matrix(sheaf.n, entries, src, sheaf.piece("e", e), d)
 
 
 def _rho_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
@@ -330,7 +328,6 @@ def _rho_matrix(sheaf: GammaSheaf, v: int, e: int, d: int) -> QMatrix:
 class SectionSpace(NamedTuple):
     """Degreewise bases of the space of sections over one subgraph."""
 
-    subgraph: Subgraph
     layouts: dict[int, Layout]
     bases: dict[int, list[Vector]]
 
@@ -391,17 +388,17 @@ def sections(sheaf: GammaSheaf, sub: Subgraph, d_max: int) -> SectionSpace:
         layout = layouts[d] = section_layout(sheaf, sub, d)
         rows = _sections_rows(sheaf, sub, layout)
         bases[d] = kernel_basis(QMatrix(len(rows), layout.total, rows))
-    return SectionSpace(sub, layouts, bases)
+    return SectionSpace(layouts, bases)
 
 
-def _restrict(sheaf: GammaSheaf, v: int, k: int, value: Sequence[Poly]) -> tuple[Poly, ...]:
-    """rho_{v,k} of a value at v (one polynomial per stalk generator, an
-    empty value being zero), by substitution: each polynomial is reduced
-    into the edge ring (LinearQuotient.reduce) and multiplied into the
-    entries, which are normal forms, so the result is one too."""
-    ring = sheaf.edge_modules[k].quotient
+def _restrict(sheaf: GammaSheaf, k: int, value: Sequence[Poly]) -> tuple[Poly, ...]:
+    """rho[k] of a value at the lower end of edge k (one polynomial per
+    stalk generator, an empty value being zero), by substitution: each
+    polynomial is reduced into the edge ring (LinearQuotient.reduce) and
+    multiplied into the entries, normal forms, so the result is one too."""
+    ring = edge_ring(sheaf.graph.edges[k].direction)
     reduced = [ring.reduce(p) for p in value]
-    return tuple(_poly_dot(row, reduced) for row in sheaf.rho[(v, k)].entries)
+    return tuple(_poly_dot(row, reduced) for row in sheaf.rho[k].entries)
 
 
 def _poly_dot(row: Sequence[Poly], col: Sequence[Poly]) -> Poly:
@@ -448,7 +445,7 @@ def _cut_out(sheaf: GammaSheaf, x: int, subgraphs: list[Subgraph], d_max: int) -
             _, _, rest = forward_eliminate(_sections_rows(sheaf, sub, sub_layout), nv)
             relations += ({to_full[c - nv]: v for c, v in r.items()} for r in rest)
         bases[d] = kernel_echelon_basis(relations, layout.total)
-    return SectionSpace(target, layouts, bases)
+    return SectionSpace(layouts, bases)
 
 
 def boundary_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
@@ -488,8 +485,7 @@ def _degree_span(
             for var in range(n):
                 mono = tuple(int(i == var) for i in range(n))
                 x: Poly = {mono: 1} if ring is None else ring.reduce_monomial(mono)
-                rank = range(len(gens))
-                entries = [[x if i == j else {} for i in rank] for j in rank]
+                entries = _diagonal(len(gens), x)
                 shifted = [g + 1 for g in gens]
                 m = degree_matrix(n, entries, (shifted, ring), (gens, ring), d)
                 per_var.append(m.transpose().rows)
@@ -647,10 +643,10 @@ class _SectionSweep:
             value = values.get(sheaf.graph.edges[k].upper)
             if value is None:
                 continue
-            ring = sheaf.edge_modules[k].quotient
-            for p, basis in zip(value, sheaf.blocks("e", k, layout.degree)):
+            piece = sheaf.piece("e", k)
+            for p, basis in zip(value, _blocks(sheaf.n, piece, layout.degree)):
                 if p:
-                    vec[off : off + len(basis)] = poly_to_coeffs(basis, ring.reduce(p))
+                    vec[off : off + len(basis)] = poly_to_coeffs(basis, piece[1].reduce(p))
                 off += len(basis)
         return tuple(vec)
 
@@ -770,18 +766,7 @@ def canonical_sheaf(g: MomentGraph, degree_bound: int | None = None) -> GammaShe
     order = sweep_order(g, top)
     d_max = max((bounds[x] for x in order), default=0)
     sweep = _SectionSweep(sheaf, top, d_max)
-    # the upper incidences of one stalk rank share one identity map: the
-    # sheaf outlives the build, and a RhoMap is only ever replaced whole
-    identities: dict[int, RhoMap] = {}
     for x in order:
-        for k in g.up[x]:
-            e = g.edges[k]
-            upper_module = sheaf.vertex_modules[e.upper]
-            sheaf.edge_modules[k] = EdgeModule(upper_module, edge_ring(e.direction))
-            rank = upper_module.rank
-            if rank not in identities:
-                identities[rank] = _identity_rho(rank, g.dim_t)
-            sheaf.rho[(e.upper, k)] = identities[rank]
         gens, lifts, layouts = sweep.cover(x, bounds[x])
         sheaf.vertex_modules[x] = GradedFreeModule(tuple(gens))
         _install_lift_rho(sheaf, x, lifts, layouts)
@@ -803,14 +788,14 @@ def _install_lift_rho(
     layouts: list[Layout],
 ) -> None:
     """Split each generator lift, given in the up-edge layouts of x, into
-    per-edge polynomial columns."""
+    per-edge polynomial columns: rho on every up edge of x."""
     for k in sheaf.graph.up[x]:
         columns = []
         for dg, vec in lifts:
             off, size = layouts[dg].slot("e", k)
             columns.append(split(sheaf.blocks("e", k, dg), vec[off : off + size]))
-        rank = sheaf.edge_modules[k].module.rank
-        sheaf.rho[(x, k)] = RhoMap(tuple(tuple(c[j] for c in columns) for j in range(rank)))
+        rank = len(sheaf.piece("e", k)[0])
+        sheaf.rho[k] = RhoMap(tuple(tuple(c[j] for c in columns) for j in range(rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -874,36 +859,20 @@ def direct_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
 # monotonicity: the maps of the fibres M_x / t* M_x along the edges
 
 
-def _assert_identity_upper(sheaf: GammaSheaf, v: int, k: int) -> None:
-    """rho_{v,k} must be the identity, read in place: row j holds the
-    constant 1 at j and zero elsewhere."""
-    rank, one = sheaf.vertex_modules[v].rank, {(0,) * sheaf.n: 1}
-    entries = sheaf.rho[(v, k)].entries
-    if len(entries) != rank or any(
-        len(row) != rank or row[j] != one or any(row[:j]) or any(row[j + 1 :])
-        for j, row in enumerate(entries)
-    ):
-        raise ValidationError(
-            "transport requires quotient (identity) restriction maps "
-            "on upper incidences; found a non-identity map"
-        )
-
-
 def monotonicity_check(sheaf: GammaSheaf, k: int) -> dict[int, bool]:
     """Surjectivity, degree by degree, of the map of fibres
     M_x / t* M_x -> M_y / t* M_y along edge k from x up to y.  On the fibres
-    rho acts by the constant terms of its entries, and the upper incidence
-    must be the identity, so the map is the constant-term matrix of rho at
-    x, one block per generator degree of M_y.  For x <= y the map of fibres
-    is the composite of these edge maps along an increasing path; it keeps
-    degree, surjections compose, and the order of a Schubert graph is the
-    closure of its edges, so every edge passing proves every pair x <= y.
+    rho acts by the constant terms of its entries, and the upper map is the
+    quotient map by construction, so the map is the constant-term matrix of
+    rho at x, one block per generator degree of M_y.  For x <= y the map of
+    fibres is the composite of these edge maps along an increasing path; it
+    keeps degree, surjections compose, and the order of a Schubert graph is
+    the closure of its edges, so every edge passing proves every pair x <= y.
     The order of a loaded graph need not be, so verify runs this check on
     Schubert graphs only."""
     e = sheaf.graph.edges[k]
-    _assert_identity_upper(sheaf, e.upper, k)
     const = (0,) * sheaf.n
-    step = sheaf.rho[(e.lower, k)].entries
+    step = sheaf.rho[k].entries
     src = sheaf.vertex_modules[e.lower].gens
     dst = sheaf.vertex_modules[e.upper].gens
     out: dict[int, bool] = {}
@@ -941,9 +910,9 @@ def certified_images(
     certificate proves it; the vertices left out need boundary_image.
 
     Right after the replayed sweep's extend(x), every generator is checked
-    on the star of x by substitution: rho_{x,k} of its value at x equals
-    rho_{u,k} of its value at the upper end u, for every up edge k.  Each
-    value is set once, so these checks cover every edge of J, and every
+    on the star of x by substitution: on every up edge k, rho[k] of its
+    value at x equals its value at the upper end under the quotient map.
+    Each value is set once, so these checks cover every edge of J, and every
     generator is a section over J; its restriction to {>x} witnesses that
     its boundary lies in T.  So S' <= T, and T <= P since each plane slice
     is a subgraph of {>x} with the same up edges.  Where dim S' = dim P in
@@ -982,12 +951,15 @@ def certified_images(
 def _section_boundary(
     sheaf: GammaSheaf, ups: list[int], values: dict[int, tuple[Poly, ...]]
 ) -> tuple[Poly, ...]:
-    """A section's boundary: rho_{u,k} of its value at the upper end u of
-    each up edge k in ups, laid end to end."""
-    ends = (sheaf.graph.edges[k].upper for k in ups)
-    return tuple(
-        p for k, u in zip(ups, ends) for p in _restrict(sheaf, u, k, values.get(u, ()))
-    )
+    """A section's boundary: its value at the upper end u of each up edge k
+    in ups under the quotient map, reduced into the edge ring, laid end to
+    end; one polynomial per generator of M_u, zero where u has no value."""
+    out: list[Poly] = []
+    for k in ups:
+        gens, ring = sheaf.piece("e", k)
+        value = values.get(sheaf.graph.edges[k].upper)
+        out += ({} for _ in gens) if value is None else map(ring.reduce, value)
+    return tuple(out)
 
 
 def _lift_holds(
@@ -997,10 +969,10 @@ def _lift_holds(
     values: dict[int, tuple[Poly, ...]],
     boundary: tuple[Poly, ...],
 ) -> bool:
-    """Whether rho_{x,k} of the value at x equals the boundary on every up
-    edge k in ups, i.e. every incidence of the star of x holds."""
+    """Whether rho of the value at x equals the boundary on every up edge k
+    in ups, i.e. every incidence of the star of x holds."""
     value = values.get(x, ())
-    return tuple(p for k in ups for p in _restrict(sheaf, x, k, value)) == boundary
+    return tuple(p for k in ups for p in _restrict(sheaf, k, value)) == boundary
 
 
 def _witnessed_image(
@@ -1022,7 +994,7 @@ def _witnessed_image(
     if any(len(rows) != planar.dim(d) for d, rows in enumerate(echelons)):
         return None
     bases = {d: [dense(r, layouts[d].total) for r in rows] for d, rows in enumerate(echelons)}
-    return SectionSpace(planar.subgraph, layouts, bases)
+    return SectionSpace(layouts, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,8 +1003,7 @@ def _witnessed_image(
 
 class PurityViolation(NamedTuple):
     vertex: int
-    axiom: int
-    degree: int | None
+    degree: int
 
 
 class PurityReport(NamedTuple):
@@ -1050,29 +1021,19 @@ class PurityReport(NamedTuple):
 def verify_pure(
     sheaf: GammaSheaf, degree_bound: int | None, images: dict[int, SectionSpace]
 ) -> PurityReport:
-    """Check the pure-sheaf axioms degreewise: (1) stalk freeness is
-    structural in this model, (2) every downward edge carries the quotient
-    of its upper stalk, (3) the stalk restriction and the sections above
-    have the same image in M(U_x).
+    """Check purity axiom 3 degreewise: the stalk restriction and the
+    sections above have the same image in M(U_x).  Axioms 1 (free stalks)
+    and 2 (each edge carries the quotient of its upper stalk) hold by
+    construction of the model.
 
-    Axiom 3 reads the sections image from images, which maps each vertex
-    with up edges to the image of the sections over {>x}, to at least its
-    bound: boundary_image, or what certified_images proves equal to it."""
+    images maps each vertex with up edges to the image of the sections
+    over {>x}, to at least its bound: boundary_image, or what
+    certified_images proves equal to it."""
     g = sheaf.graph
     g.unique_maximal()  # raises unless the graph has one top
     bounds = degree_bounds(g, degree_bound)
     violations: list[PurityViolation] = []
     for x, bound in enumerate(bounds):
-        for k in g.down[x]:
-            em = sheaf.edge_modules[k]
-            if em.module.gens != sheaf.vertex_modules[x].gens:
-                violations.append(PurityViolation(x, 2, None))
-                continue
-            for d in range(bound + 1):
-                m = _rho_matrix(sheaf, x, k, d)
-                if matrix_rank(m) != sheaf.piece_dim("e", k, d):
-                    violations.append(PurityViolation(x, 2, d))
-                    break
         if not g.up[x]:
             continue
         image = images[x]
@@ -1083,7 +1044,7 @@ def verify_pure(
             stalk_image = Subspace(layout.total, cols)
             section_image = image.subspace(d)
             if stalk_image != section_image:
-                violations.append(PurityViolation(x, 3, d))
+                violations.append(PurityViolation(x, d))
                 break
     return PurityReport(violations)
 
@@ -1104,22 +1065,26 @@ def sheaf_dump(sheaf: GammaSheaf) -> dict:
                 "generator_degrees": list(sheaf.vertex_modules[v].gens),
             }
         )
+    one = poly_const(g.dim_t, 1)
+    rho = {}  # by (vertex, edge): rho at the lower end, the quotient map above
     for k, e in enumerate(g.edges):
-        em = sheaf.edge_modules[k]
+        upper = sheaf.vertex_modules[e.upper]
         doc["edges"].append(
             {
                 "lower": g.labels[e.lower],
                 "upper": g.labels[e.upper],
                 "alpha": [str(c) for c in e.direction],
-                "generator_degrees": list(em.module.gens),
+                "generator_degrees": list(upper.gens),
             }
         )
-    for (v, k), rho in sorted(sheaf.rho.items()):
+        rho[(e.lower, k)] = sheaf.rho[k].entries
+        rho[(e.upper, k)] = _diagonal(upper.rank, one)
+    for (v, k), entries in sorted(rho.items()):
         doc["rho"].append(
             {
                 "vertex": g.labels[v],
                 "edge": k,
-                "matrix": [[poly_str(p) for p in row] for row in rho.entries],
+                "matrix": [[poly_str(p) for p in row] for row in entries],
             }
         )
     return doc

@@ -47,6 +47,7 @@ from momentsheaf.exactalg import (
     graded_dim,
     kernel_basis,
     monomial_basis,
+    poly_const,
     poly_from_coeffs,
     poly_to_coeffs,
     primitive_integer,
@@ -66,14 +67,11 @@ from momentsheaf.moment_graph import (
     up_edges,
 )
 from momentsheaf.sheaf import (
-    EdgeModule,
     GammaSheaf,
     GradedFreeModule,
     RhoMap,
     SectionSpace,
-    _assert_identity_upper,
     _degree_span,
-    _identity_rho,
     _poly_dot,
     _restrict,
     boundary_image,
@@ -380,17 +378,17 @@ def reflection_element(W: WeylGroup, refl: Reflection) -> WeylElement:
     return W.elements[W.index_of[m]]
 
 
-def set_rho_corner(sheaf: GammaSheaf, v: int, k: int, entry: Poly) -> None:
-    """Replace the (0, 0) entry of rho_{v,k}."""
-    entries = [list(row) for row in sheaf.rho[(v, k)].entries]
+def set_rho_corner(sheaf: GammaSheaf, k: int, entry: Poly) -> None:
+    """Replace the (0, 0) entry of rho at the lower end of edge k."""
+    entries = [list(row) for row in sheaf.rho[k].entries]
     entries[0][0] = entry
-    sheaf.rho[(v, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    sheaf.rho[k] = RhoMap(tuple(tuple(row) for row in entries))
 
 
 def zero_rho_corner(sheaf: GammaSheaf, x: int) -> None:
     """Set the (0, 0) entry of rho to zero on every up edge of x."""
     for k in sheaf.graph.up[x]:
-        set_rho_corner(sheaf, x, k, {})
+        set_rho_corner(sheaf, k, {})
 
 
 # -- subgraphs -----------------------------------------------------------------
@@ -417,18 +415,17 @@ def structure_sheaf(g: MomentGraph) -> GammaSheaf:
     unit = GradedFreeModule((0,))
     for v in range(g.n_vertices):
         sheaf.vertex_modules[v] = unit
-    for k, e in enumerate(g.edges):
-        sheaf.edge_modules[k] = EdgeModule(unit, edge_ring(e.direction))
-        sheaf.rho[(e.lower, k)] = _identity_rho(1, g.dim_t)
-        sheaf.rho[(e.upper, k)] = _identity_rho(1, g.dim_t)
+    for k in range(len(g.edges)):
+        sheaf.rho[k] = RhoMap(((poly_const(g.dim_t, 1),),))
     return sheaf
 
 
-def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
+def check_sections(sheaf: GammaSheaf, sub: Subgraph, space: SectionSpace) -> bool:
     """Re-verify, by direct polynomial substitution, that every stored basis
-    vector satisfies every incidence constraint exactly."""
+    vector of the sections over sub satisfies every incidence constraint
+    exactly: rho of the value at the lower end, and the value at the upper
+    end reduced into the edge ring."""
     g = sheaf.graph
-    sub = space.subgraph
     vset = set(sub.vertices)
     for d, vecs in space.bases.items():
         layout = space.layouts[d]
@@ -439,11 +436,12 @@ def check_sections(sheaf: GammaSheaf, space: SectionSpace) -> bool:
             }
             for k in sub.edges:
                 e = g.edges[k]
-                sides = [
-                    _restrict(sheaf, v, k, values[("v", v)])
-                    for v in (e.lower, e.upper)
-                    if v in vset
-                ]
+                sides = []
+                if e.lower in vset:
+                    sides.append(_restrict(sheaf, k, values[("v", e.lower)]))
+                if e.upper in vset:
+                    ring = edge_ring(e.direction)
+                    sides.append(tuple(ring.reduce(p) for p in values[("v", e.upper)]))
                 if ("e", k) in values:
                     sides.append(values[("e", k)])
                 if any(other != sides[0] for other in sides[1:]):
@@ -481,16 +479,17 @@ def _transport_entries(
     sheaf: GammaSheaf, quotient: SpanQuotient, start: int, path: Sequence[int]
 ) -> list[list[Poly]]:
     """Entries (over A_V) of the composite transport M_start -> M_end along
-    an increasing path; inverts the identity upper restrictions."""
+    an increasing path; the upper restrictions are quotient maps, so each
+    step is rho at the lower end."""
     rank = sheaf.vertex_modules[start].rank
-    entries = [list(row) for row in _identity_rho(rank, sheaf.n).entries]
+    one = {(0,) * sheaf.n: 1}
+    entries = [[one if i == j else {} for i in range(rank)] for j in range(rank)]
     v = start
     for k in path:
         e = sheaf.graph.edges[k]
         if e.lower != v:
             raise ValidationError("path is not increasing from the start vertex")
-        _assert_identity_upper(sheaf, e.upper, k)
-        step = [[quotient.reduce(p) for p in row] for row in sheaf.rho[(v, k)].entries]
+        step = [[quotient.reduce(p) for p in row] for row in sheaf.rho[k].entries]
         entries = [
             [
                 _poly_dot(step_row, [entries[t][i] for t in range(len(entries))])
@@ -611,7 +610,7 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
         d: kernel_basis(QMatrix(len(rows), layouts[d].total, rows))
         for d, rows in rows_by_degree.items()
     }
-    return SectionSpace(target, layouts, bases)
+    return SectionSpace(layouts, bases)
 
 
 def reference_planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> dict[int, Subspace]:
@@ -620,14 +619,14 @@ def reference_planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> dict[int, S
     projection, moved into M(U_x); and, per degree, the kernel of all the
     slices' annihilators together."""
     g = sheaf.graph
-    per_slice = [sections(sheaf, sub, d_max) for sub in planar_family(g, x)]
+    per_slice = [(sub, sections(sheaf, sub, d_max)) for sub in planar_family(g, x)]
     out = {}
     for d in range(d_max + 1):
         layout = section_layout(sheaf, up_edges(g, x), d)
         relations: list[Row] = []
-        for secs in per_slice:
+        for sub, secs in per_slice:
             sub_layout = secs.layouts[d]
-            n_vertices = len(secs.subgraph.vertices)
+            n_vertices = len(sub.vertices)
             nv = sum(sub_layout.sizes[:n_vertices])
             projected = [sparse(vec[nv:]) for vec in secs.bases[d]]
             annihilator = kernel_basis(QMatrix(len(projected), sub_layout.total - nv, projected))

@@ -17,10 +17,8 @@ import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.cli import main
 from momentsheaf.errors import ConsistencyError
 from momentsheaf.sheaf import (
-    EdgeModule,
     GradedFreeModule,
     RhoMap,
-    _identity_rho,
     boundary_image,
     canonical_sheaf,
     certified_images,
@@ -98,9 +96,9 @@ def _double_a_rho_entry(sheaf):
     g = sheaf.graph
     x = next(v for v in sweep_order(g, g.unique_maximal()) if len(g.up[v]) > 1)
     k = g.up[x][0]
-    entries = [list(row) for row in sheaf.rho[(x, k)].entries]
+    entries = [list(row) for row in sheaf.rho[k].entries]
     entries[0][0] = poly_scale(entries[0][0], 2)
-    sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    sheaf.rho[k] = RhoMap(tuple(tuple(row) for row in entries))
 
 
 def test_a_perturbed_rho_entry_fails_verify(lab, monkeypatch, capsys):
@@ -153,34 +151,41 @@ def test_a_zeroed_constant_term_fails_monotonicity_in_verify(lab, monkeypatch, c
 
 
 def test_verify_checks_the_upper_map_of_every_edge(lab, monkeypatch, capsys):
-    # the first edge already fails surjectivity; the last edge's non-identity
-    # upper map must still be read and refused
+    # the first edge already fails surjectivity; the last edge must still be
+    # checked, and fails too
     g = lab.graph("A", 3)
     sheaf = canonical_sheaf(g)
-    zero_rho_corner(sheaf, g.edges[0].lower)
-    k = len(g.edges) - 1
-    upper = g.edges[k].upper
-    set_rho_corner(sheaf, upper, k, poly_scale(sheaf.rho[(upper, k)].entries[0][0], 2))
-    code, out, err, _ = _verify(monkeypatch, capsys, ["verify", "--type", "A3"], sheaf)
-    assert (code, out) == (2, "")
-    assert "non-identity map" in err
+    last = len(g.edges) - 1
+    set_rho_corner(sheaf, 0, {})
+    set_rho_corner(sheaf, last, {})
+    checked = []
+
+    def spy(sh, k):
+        verdict = sheaf_mod.monotonicity_check(sh, k)
+        checked.append((k, all(verdict.values())))
+        return verdict
+
+    monkeypatch.setattr(cli, "monotonicity_check", spy)
+    code, _, err, _ = _verify(monkeypatch, capsys, ["verify", "--type", "A3"], sheaf)
+    assert code == 1
+    assert "monotonicity (transport surjective): FAIL" in err.splitlines()
+    assert [k for k, _ in checked] == list(range(len(g.edges)))
+    assert [k for k, ok in checked if not ok] == [0, last]
 
 
 def _drop_generator(sheaf, x, i):
     """Remove stalk generator i at x with its rho column on the up edges and
-    its row on the down edges, whose edge modules are the new stalk."""
+    its row of rho on the down edges, whose edge modules are the new
+    stalk's quotients."""
     g = sheaf.graph
     gens = sheaf.vertex_modules[x].gens
-    module = sheaf.vertex_modules[x] = GradedFreeModule(gens[:i] + gens[i + 1 :])
+    sheaf.vertex_modules[x] = GradedFreeModule(gens[:i] + gens[i + 1 :])
     for k in g.up[x]:
-        rows = sheaf.rho[(x, k)].entries
-        sheaf.rho[(x, k)] = RhoMap(tuple(row[:i] + row[i + 1 :] for row in rows))
+        rows = sheaf.rho[k].entries
+        sheaf.rho[k] = RhoMap(tuple(row[:i] + row[i + 1 :] for row in rows))
     for k in g.down[x]:
-        em = sheaf.edge_modules[k]
-        sheaf.edge_modules[k] = EdgeModule(module, em.quotient)
-        sheaf.rho[(x, k)] = _identity_rho(module.rank, g.dim_t)
-        rows = sheaf.rho[(g.edges[k].lower, k)].entries
-        sheaf.rho[(g.edges[k].lower, k)] = RhoMap(rows[:i] + rows[i + 1 :])
+        rows = sheaf.rho[k].entries
+        sheaf.rho[k] = RhoMap(rows[:i] + rows[i + 1 :])
 
 
 def test_a_dropped_stalk_generator_fails_verify(lab, monkeypatch, capsys):

@@ -62,7 +62,7 @@ def test_planar_selector_sections(lab):
     assert len(dangling) == 3 and len(sub.edges) == 9
     secs = sections(sh, sub, 1)
     assert secs.dim(0) == 1  # the slice is connected, constants glue
-    assert check_sections(sh, secs)
+    assert check_sections(sh, sub, secs)
 
 
 def test_canonical_words_shortlex_brute_force():

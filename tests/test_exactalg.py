@@ -540,13 +540,14 @@ def test_sheaf_scalars_follow_the_convention(lab, name):
         assert all(type(c) is int for c in coeffs)
     else:
         assert any(type(c) is Q for c in coeffs)
-    for v, k in sheaf.rho:
-        for d in range(3):
-            m = rho_degree_matrix(sheaf, v, k, d)
-            _rational(c for r in m.rows for c in r.values())
-    for em in sheaf.edge_modules.values():
+    for k, e in enumerate(g.edges):
+        for v in (e.lower, e.upper):
+            for d in range(3):
+                m = rho_degree_matrix(sheaf, v, k, d)
+                _rational(c for r in m.rows for c in r.values())
+        ring = sheaf.piece("e", k)[1]
         for mono in monomial_basis(sheaf.n, 2).exponents:
-            _rational(em.quotient.reduce_monomial(mono).values())
+            _rational(ring.reduce_monomial(mono).values())
     for x in range(g.n_vertices):
         if g.up[x]:
             for vecs in boundary_image(sheaf, x, 1).bases.values():

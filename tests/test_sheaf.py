@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from momentsheaf.errors import ValidationError
-from momentsheaf.exactalg import QMatrix, graded_dim, matrix_rank
+from momentsheaf.exactalg import QMatrix, edge_ring, graded_dim, matrix_rank
 from momentsheaf.hecke_oracle import _padd, _pshift, kl_polynomial
 from momentsheaf.klpoly import KLPolynomial
 from momentsheaf.coxeter import bruhat_leq
@@ -59,6 +59,7 @@ from helpers import (
 )
 from test_certificate import _kl_battery_generic_graph
 from test_coxeter import INVENTORY
+from test_golden import _generic_a3_doc
 
 
 def expected_section_dims(lengths, n, d_max):
@@ -76,7 +77,7 @@ def test_structure_sheaf_a1_inventory(lab):
     g = lab.graph("A", 1)
     sh = structure_sheaf(g)
     assert all(m.gens == (0,) for m in sh.vertex_modules.values())
-    assert len(sh.edge_modules) == 1
+    assert len(sh.rho) == len(g.edges) == 1
     secs = sections(sh, whole(g), 1)
     # pairs of linear forms congruent mod alpha: automatic in one variable
     assert section_dims(secs) == [1, 2]
@@ -90,7 +91,7 @@ def test_structure_sheaf_a2_section_dims(lab):
     secs = sections(sh, whole(g), 3)
     assert section_dims(secs) == expected_section_dims([0, 1, 1, 2, 2, 3], 2, 3)
     assert section_dims(secs)[0] == 1  # constants only, the graph is connected
-    assert check_sections(sh, secs)
+    assert check_sections(sh, whole(g), secs)
 
 
 def test_sections_single_vertex_is_free_module(lab):
@@ -118,18 +119,43 @@ def test_check_sections_rejects_a_flipped_coordinate(lab):
     sh = lab.sheaf("A", 2)
     sub = above_punctured(g, vertex(g, "e"))
     secs = sections(sh, sub, 1)
-    assert check_sections(sh, secs)
+    assert check_sections(sh, sub, secs)
     layout = secs.layouts[1]
     assert {kind for kind, _ in layout.components} == {"v", "e"}
     for vec in secs.bases[1]:
         for c in range(layout.total):
             bad = list(vec)
             bad[c] += 1
-            flipped = SectionSpace(sub, secs.layouts, {1: [tuple(bad)]})
-            assert not check_sections(sh, flipped)
+            flipped = SectionSpace(secs.layouts, {1: [tuple(bad)]})
+            assert not check_sections(sh, sub, flipped)
 
 
 # -- canonical sheaf ---------------------------------------------------------
+
+# every INVENTORY group at its longest element but F4, whose longest element
+# does not build in tier-1 time, at a Coxeter element
+SHAPE_SHEAVES = [
+    (f, r, "4321" if (f, r) == ("F", 4) else "longest") for f, r, *_ in INVENTORY
+]
+
+
+@pytest.mark.parametrize(
+    "family,rank,word", SHAPE_SHEAVES + [("generic", 3, "bound2")],
+    ids=[f"{f}{r}-{w}" for f, r, w in SHAPE_SHEAVES] + ["generic-A3-bound2"],
+)
+def test_a_sheaf_is_its_stalks_and_one_restriction_per_edge(lab, family, rank, word):
+    if family == "generic":
+        sh = canonical_sheaf(load_graph(_generic_a3_doc()), degree_bound=2)
+    else:
+        sh = lab.sheaf(family, rank, word)
+    g = sh.graph
+    assert GammaSheaf.__slots__ == ("graph", "vertex_modules", "rho", "matrices")
+    assert sorted(sh.rho) == list(range(len(g.edges)))
+    for k, e in enumerate(g.edges):
+        gens, ring = sh.piece("e", k)
+        assert ring is edge_ring(e.direction)
+        assert gens == sh.vertex_modules[e.upper].gens
+
 
 
 def test_canonical_a1_smooth(lab):
@@ -387,9 +413,9 @@ def test_a_zeroed_constant_term_on_any_edge_fails(lab, family, rank, n_edges):
     caught = 0
     for k, e in enumerate(g.edges):
         sh = GammaSheaf(g)
-        sh.vertex_modules, sh.edge_modules = good.vertex_modules, good.edge_modules
+        sh.vertex_modules = good.vertex_modules
         sh.rho = dict(good.rho)
-        set_rho_corner(sh, e.lower, k, {})
+        set_rho_corner(sh, k, {})
         edge_ok = _edge_verdict(sh)
         assert edge_ok == _all_pairs_verdict(sh), k
         caught += not edge_ok
@@ -411,16 +437,6 @@ def test_monotonicity_sees_a_zeroed_constant_term(lab):
     for k, (r, e) in enumerate(zip(results, g.edges)):
         assert r == _reference_monotonicity(sh, e.lower, e.upper, (k,)), k
     assert not _all_pairs_verdict(sh)
-
-
-def test_monotonicity_refuses_a_non_identity_upper_map(lab):
-    g = lab.graph("B", 2)
-    sh = canonical_sheaf(g)
-    top = g.unique_maximal()
-    k = g.down[top][-1]
-    set_rho_corner(sh, top, k, poly_scale(sh.rho[(top, k)].entries[0][0], 2))
-    with pytest.raises(ValidationError):
-        monotonicity_check(sh, k)
 
 
 # -- polygon and planar images ----------------------------------------------
@@ -538,36 +554,18 @@ def test_verify_pure_detects_dropped_generator(lab):
     e = vertex(g, "e")
     mutated = GammaSheaf(g)
     mutated.vertex_modules = dict(good.vertex_modules)
-    mutated.edge_modules = dict(good.edge_modules)
     mutated.rho = dict(good.rho)
     # drop the degree-1 generator of the bottom stalk and the matching
     # column of every outgoing restriction
     assert good.vertex_modules[e].gens == (0, 1)
     mutated.vertex_modules[e] = GradedFreeModule((0,))
     for k in g.up[e]:
-        rho = good.rho[(e, k)]
-        mutated.rho[(e, k)] = type(rho)(tuple((row[0],) for row in rho.entries))
+        rho = good.rho[k]
+        mutated.rho[k] = type(rho)(tuple((row[0],) for row in rho.entries))
     report = verify_pure(mutated, None, solved_images(mutated))
     assert not report.ok
     first = report.first_violation
-    assert first.axiom == 3 and first.vertex == e and first.degree == 1
-
-
-def test_verify_pure_detects_broken_down_edge_quotient(lab):
-    g = lab.graph("A", 2)
-    good = lab.sheaf("A", 2)
-    mutated = GammaSheaf(g)
-    mutated.vertex_modules = dict(good.vertex_modules)
-    mutated.edge_modules = dict(good.edge_modules)
-    mutated.rho = dict(good.rho)
-    # zero out the restriction from the top vertex along one down edge: the
-    # edge then no longer carries the quotient of its upper stalk
-    top = g.unique_maximal()
-    k = g.down[top][0]
-    mutated.rho[(top, k)] = RhoMap((({},),))
-    report = verify_pure(mutated, None, solved_images(mutated))
-    assert not report.ok
-    assert any(v.axiom == 2 and v.vertex == top for v in report.violations)
+    assert first.vertex == e and first.degree == 1
 
 
 def test_rho_degree_matrix_follows_a_replaced_rho_entry(lab):
@@ -580,9 +578,9 @@ def test_rho_degree_matrix_follows_a_replaced_rho_entry(lab):
     # built afresh on every read: equal, but no object is kept between reads
     assert again.rows == before.rows
     assert again is not before and again.rows is not before.rows
-    entries = [list(row) for row in sheaf.rho[(x, k)].entries]
+    entries = [list(row) for row in sheaf.rho[k].entries]
     entries[0][0] = poly_scale(entries[0][0], 2)
-    sheaf.rho[(x, k)] = RhoMap(tuple(tuple(row) for row in entries))
+    sheaf.rho[k] = RhoMap(tuple(tuple(row) for row in entries))
     after = rho_degree_matrix(sheaf, x, k, 0)
     assert after.rows != before.rows
     assert after.rows[0][0] == 2 * before.rows[0][0]

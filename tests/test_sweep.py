@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 import momentsheaf.sheaf as sheaf_mod
 from momentsheaf.coxeter import bruhat_leq, minimal_coset_reps, weyl_group
 from momentsheaf.errors import ConsistencyError
-from momentsheaf.exactalg import Subspace, edge_ring, exact, poly_to_coeffs, sparse
+from momentsheaf.exactalg import Subspace, exact, poly_to_coeffs, sparse
 from momentsheaf.hecke_oracle import parabolic_kl
 from momentsheaf.moment_graph import (
     Subgraph,
@@ -48,7 +48,6 @@ from momentsheaf.moment_graph import (
     whole,
 )
 from momentsheaf.sheaf import (
-    EdgeModule,
     GammaSheaf,
     GradedFreeModule,
     RhoMap,
@@ -132,7 +131,7 @@ def test_sweep_agrees_with_direct_solver(case):
     sheaf = canonical_sheaf(g, degree_bound=bound)
     images = _boundary_images_checked(sheaf, lambda x: bound)
     assert verify_pure(sheaf, degree_bound=bound, images=images).ok
-    assert check_sections(sheaf, sections(sheaf, whole(g), bound))
+    assert check_sections(sheaf, whole(g), sections(sheaf, whole(g), bound))
 
 
 def test_extra_degree_check_is_byte_identical_on_b3(lab):
@@ -235,24 +234,25 @@ def test_boundary_image_equals_kernel_then_project_on_b3(lab):
 COVER_DIRECTIONS = [(1, 0, 0), (1, -1, 0), (0, 1, 1), (1, 1, 2), (1, 2, 2), (0, 1, 3), (2, -1, 3)]
 
 
-@lru_cache(maxsize=None)
-def _a3_graph():
-    W = weyl_group("A", 3)
-    return schubert_moment_graph(W, W.longest)
-
-
 @st.composite
 def cover_inputs(draw):
-    """A vertex piece and up to three edge pieces of drawn generator degrees
-    and edge rings on the A3 graph, and image bases of integer or rational
-    vectors, some of them t* times the degree below plus a drawn vector."""
-    g = _a3_graph()
+    """A vertex piece and up to three edge pieces on the A3 poset, and
+    image bases of integer or rational vectors, some of them t* times the
+    degree below plus a drawn vector.  An edge piece is its upper stalk's
+    generator degrees over its edge ring, so the chosen edges' directions
+    are drawn into a loaded copy of the A3 poset document, and the upper
+    stalks' degrees are drawn too."""
+    doc = json.loads(_poset_doc("A", 3))
     gens = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
-    sheaf = GammaSheaf(graph=g)
-    ks = draw(st.lists(st.integers(0, len(g.edges) - 1), min_size=1, max_size=3, unique=True))
+    n_edges = len(doc["edges"])
+    ks = draw(st.lists(st.integers(0, n_edges - 1), min_size=1, max_size=3, unique=True))
     for k in ks:
-        ring = edge_ring(draw(st.sampled_from(COVER_DIRECTIONS)))
-        sheaf.edge_modules[k] = EdgeModule(GradedFreeModule(draw(gens)), ring)
+        direction = draw(st.sampled_from(COVER_DIRECTIONS))
+        doc["edges"][k]["direction"] = [str(c) for c in direction]
+    g = load_graph(doc)
+    sheaf = GammaSheaf(graph=g)
+    for k in ks:
+        sheaf.vertex_modules[g.edges[k].upper] = GradedFreeModule(draw(gens))
     vertices = (g.edges[ks[0]].lower,) if draw(st.booleans()) else ()
     for v in vertices:
         sheaf.vertex_modules[v] = GradedFreeModule(draw(gens))
@@ -276,7 +276,7 @@ def cover_inputs(draw):
                     vec[j] += c * v
             vecs.append(tuple(map(exact, vec)))
         bases[d] = vecs
-    return sheaf, SectionSpace(target, layouts, bases), d_max
+    return sheaf, SectionSpace(layouts, bases), d_max
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -380,8 +380,8 @@ def test_the_pivot_rows_refuse_a_stalk_below_its_boundary_image(monkeypatch):
         i = next(i for i, (d, _) in enumerate(lifts) if d)
         victim.update(x=x, degree=lifts[i][0])
         for k in sheaf.graph.up[x]:
-            entries = sheaf.rho[(x, k)].entries
-            sheaf.rho[(x, k)] = RhoMap(tuple(row[:i] + ({},) + row[i + 1 :] for row in entries))
+            entries = sheaf.rho[k].entries
+            sheaf.rho[k] = RhoMap(tuple(row[:i] + ({},) + row[i + 1 :] for row in entries))
 
     def spy(self, x):
         pivot_degrees[x] = len(self._pivot_rows)
