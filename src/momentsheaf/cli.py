@@ -41,6 +41,7 @@ from .errors import ConsistencyError, ResourceCapError, ValidationError
 from .hecke_oracle import kl_polynomial, parabolic_kl
 from .moment_graph import (
     MomentGraph,
+    generic_subtorus,
     load_graph,
     save_graph_json,
     schubert_moment_graph,
@@ -219,13 +220,12 @@ def cmd_graph(config: RunConfig, resolved: ResolvedInput) -> int:
     return 0
 
 
-def _build_sheaf(config: RunConfig, resolved: ResolvedInput) -> GammaSheaf:
-    """The canonical sheaf.  A Schubert graph carries its own proven bound:
-    no generator lies above it, so the build stops there, and --max-degree
-    only sets the degrees hilbert and verify read; one below it would
-    silently truncate the stalks and is refused.  A loaded graph carries no
-    bound, so it needs --max-degree and is built to it."""
-    g = resolved.graph
+def _build_sheaf(config: RunConfig, g: MomentGraph) -> GammaSheaf:
+    """The canonical sheaf on g.  A Schubert graph carries its own proven
+    bound: no generator lies above it, so the build stops there, and
+    --max-degree only sets the degrees hilbert and verify read; one below it
+    would silently truncate the stalks and is refused.  A loaded graph
+    carries no bound, so it needs --max-degree and is built to it."""
     if g.schubert_origin:
         proven = max(degree_bounds(g))
         if config.max_degree is not None and config.max_degree < proven:
@@ -241,21 +241,30 @@ def _build_sheaf(config: RunConfig, resolved: ResolvedInput) -> GammaSheaf:
     return canonical_sheaf(g, degree_bound=config.max_degree)
 
 
+def _degrees_graph(resolved: ResolvedInput) -> MomentGraph:
+    """The graph kl and hilbert build on: a group's graph on a generic
+    rank-2 subtorus, which keeps every stalk degree and the hilbert table
+    (generic_subtorus); a loaded graph has no roots and stays as it is."""
+    if resolved.group is None:
+        return resolved.graph
+    return generic_subtorus(resolved.group, resolved.graph)
+
+
 def cmd_sheaf(config: RunConfig, resolved: ResolvedInput) -> int:
-    sheaf = _build_sheaf(config, resolved)
+    sheaf = _build_sheaf(config, resolved.graph)
     _emit(json.dumps(sheaf_dump(sheaf), indent=2, sort_keys=True) + "\n", config.out_path)
     return 0
 
 
 def cmd_kl(config: RunConfig, resolved: ResolvedInput) -> int:
-    sheaf = _build_sheaf(config, resolved)
+    sheaf = _build_sheaf(config, _degrees_graph(resolved))
     _emit(stalk_table_csv(sheaf), config.out_path)
     return 0
 
 
 def cmd_hilbert(config: RunConfig, resolved: ResolvedInput) -> int:
-    g = resolved.graph
-    sheaf = _build_sheaf(config, resolved)
+    g = _degrees_graph(resolved)
+    sheaf = _build_sheaf(config, g)
     d_max = config.max_degree
     if d_max is None:
         d_max = max(g.ranks)
@@ -277,7 +286,7 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         if not ok:
             failures.append(line)
 
-    sheaf = _build_sheaf(config, resolved)
+    sheaf = _build_sheaf(config, g)
     table = stalk_table_csv(sheaf)
 
     if resolved.group is not None:
@@ -293,15 +302,17 @@ def cmd_verify(config: RunConfig, resolved: ResolvedInput) -> int:
         total = 0
         diffs = []
         # sweep every Bruhat interval [e, z] below the top word: each gets
-        # its own canonical sheaf, so all comparable KL pairs are compared;
-        # the top's own interval gives P(x, top) for the monotonicity check
+        # its own canonical sheaf, on a generic rank-2 subtorus, since only
+        # its stalk degrees are read, so all comparable KL pairs are
+        # compared; the top's own interval, on the full torus, gives
+        # P(x, top) for the monotonicity check
         top_label = g.labels[g.unique_maximal()]
         for z_label in g.labels:
             z = elements[z_label]
             if z_label == top_label:
                 gz, shz = g, sheaf
             else:
-                gz = schubert_moment_graph(W, z, resolved.parabolic)
+                gz = generic_subtorus(W, schubert_moment_graph(W, z, resolved.parabolic))
                 shz = canonical_sheaf(gz)
             expected_at = [oracle(elements[label], z) for label in gz.labels]
             if z_label == top_label:

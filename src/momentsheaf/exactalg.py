@@ -6,14 +6,15 @@ it is integral and a `fractions.Fraction` only otherwise, never a float
 (`exact` puts a scalar in that form).  On Schubert graphs every scalar is
 integral, so the engine runs on ints there.  The elimination kernel is
 fraction-free and rref divides only in its final normalization, by the
-pivot; the one other division, the substitution of an edge ring's pivot
-variable, is taken in Fractions.
+pivot.  Edge rings divide nowhere: an integer polynomial reduces to an
+integer one.
 
 The graded ring is A = Q[x1..xn] with every variable in internal degree 1,
 and the edge ring A/(alpha) of one nonzero linear form, given by its
-coefficient vector, is modelled by substituting its pivot variable away, so
-that each graded piece is a plain finite-dimensional Q-vector space with a
-fixed monomial basis.
+coefficient vector, is modelled as the polynomial ring in the variables
+other than its pivot, reached by an integral substitution (LinearQuotient),
+so that each graded piece is a plain finite-dimensional Q-vector space with
+a fixed monomial basis.
 
 Determinism contract: monomial bases use graded-lex order, Gaussian
 elimination processes columns left to right (the reduced row echelon form is
@@ -219,23 +220,39 @@ def poly_str(p: Poly) -> str:
 
 class LinearQuotient:
     """Normal-form model of the edge ring A/(alpha) of one nonzero linear
-    form alpha, given by its coefficient vector.
+    form alpha, given by its coefficient vector, over the integers.
 
-    The pivot is the largest index p with alpha_p != 0, and the quotient is
-    the polynomial ring in the other variables: x_p is substituted by
-    -sum_{j != p} (alpha_j / alpha_p) x_j.  reduce is idempotent and its
-    kernel on A_d is exactly alpha * A_{d-1}.
+    alpha is first scaled to primitive integers (primitive_integer), which
+    changes no ideal.  The pivot is the largest index p with alpha_p != 0,
+    s = |alpha_p| is the scale, and the quotient is the polynomial ring in
+    new variables u_j (j != p), each written as the monomial x_j: the ring
+    isomorphism sends x_j to s * u_j and x_p to
+    -sign(alpha_p) * sum_{j != p} alpha_j u_j, under which alpha goes to
+    s * sum alpha_j u_j - |alpha_p| * sum alpha_j u_j = 0.  An integer
+    polynomial therefore reduces to an integer one, and no division runs.
+
+    The rational model of the same ring substitutes x_p by
+    -sum_{j != p} (alpha_j / alpha_p) x_j and keeps the other x_j; a
+    degree-d element's coordinates here are s^d times its coordinates there,
+    so a unit pivot (s = 1) gives that model exactly.  reduce is a ring map
+    with kernel alpha * A_{d-1} on A_d, but it is not idempotent when s > 1
+    (a pivot-free monomial of degree d gains s^d): an element already in
+    ring coordinates is never reduced again, and representative takes it
+    back to A.
     """
 
     def __init__(self, alpha: Sequence[int | Fraction]):
         self.n = n = len(alpha)
+        alpha = primitive_integer(alpha)
         self.pivot = p = max(j for j, c in enumerate(alpha) if c)
-        subst = {
-            tuple(int(i == j) for i in range(n)): exact(Fraction(-c, alpha[p]))
+        self.scale = abs(alpha[p])
+        sign = 1 if alpha[p] > 0 else -1
+        image = {
+            tuple(int(i == j) for i in range(n)): -sign * c
             for j, c in enumerate(alpha)
             if c and j != p
         }
-        self._powers: list[Poly] = [poly_const(n, 1), subst]
+        self._powers: list[Poly] = [poly_const(n, 1), image]
         self._monomials: dict[tuple[int, ...], Poly] = {}
 
     def dim(self, d: int) -> int:
@@ -245,21 +262,22 @@ class LinearQuotient:
         return monomial_basis(self.n, d, (self.pivot,))
 
     def reduce_monomial(self, mono: tuple[int, ...]) -> Poly:
-        """Normal form of one monomial, memoized on the ring: x_p^k becomes
-        the k-th power of the substitution.  The returned polynomial is
-        shared between callers, who must not mutate it."""
+        """Normal form of one monomial of A, memoized on the ring: the other
+        variables contribute s to the power of their degree, and x_p^k the
+        k-th power of x_p's image.  The returned polynomial is shared
+        between callers, who must not mutate it."""
         out = self._monomials.get(mono)
         if out is None:
             p, k = self.pivot, mono[self.pivot]
             powers = self._powers
             while len(powers) <= k:
                 powers.append(poly_mul(powers[-1], powers[1]))
-            rest = {mono[:p] + (0,) + mono[p + 1 :]: 1}
+            rest = {mono[:p] + (0,) + mono[p + 1 :]: self.scale ** (sum(mono) - k)}
             out = self._monomials[mono] = poly_mul(rest, powers[k])
         return out
 
     def reduce(self, p: Poly) -> Poly:
-        """Normal form of p, summed from reduce_monomial."""
+        """Normal form of p, a polynomial of A, summed from reduce_monomial."""
         acc: Poly = {}
         for mono, c in p.items():
             for e, r in self.reduce_monomial(mono).items():
@@ -269,6 +287,15 @@ class LinearQuotient:
                 else:
                     del acc[e]
         return acc
+
+    def representative(self, p: Poly) -> Poly:
+        """The pivot-free polynomial of A that reduce sends to p, an element
+        in ring coordinates: a term of degree m divided by s^m, which is p's
+        normal form in the rational model.  p itself when s = 1."""
+        s = self.scale
+        if s == 1:
+            return p
+        return {e: exact(Fraction(c, s ** sum(e))) for e, c in p.items()}
 
 
 @lru_cache(maxsize=None)

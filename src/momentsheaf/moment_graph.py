@@ -293,6 +293,62 @@ def schubert_moment_graph(
     return g
 
 
+# the largest base k that generic_subtorus tries
+SEPARATING_BASE_CAP = 16
+
+
+def separating_base(W: WeylGroup) -> int | None:
+    """The first integer k >= 2 for which the restrictions
+    (sum c_i k^(i-1), ht beta) of the positive roots beta = sum c_i a_i of W
+    have pairwise distinct slopes, or None when no k up to
+    SEPARATING_BASE_CAP does.  Every positive root is checked, not only the
+    edges of some graph."""
+    roots = [r.positive_root for r in W.reflections]
+    for k in range(2, SEPARATING_BASE_CAP + 1):
+        powers = [k**i for i in range(W.cartan.rank)]
+        slopes = {primitive_integer((sum(map(mul, powers, b)), sum(b))) for b in roots}
+        if len(slopes) == len(roots):
+            return k
+    return None
+
+
+def generic_subtorus(W: WeylGroup, g: MomentGraph) -> MomentGraph:
+    """The Schubert graph g of W on a generic 2-dimensional subtorus T' of
+    T: each direction beta = sum c_i a_i becomes its restriction
+    (sum c_i k^(i-1), ht beta), k = separating_base(W).  g itself when W has
+    rank below 3 or no k separates the roots.
+
+    Why this keeps the stalks.  The canonical sheaf needs only a torus with
+    finitely many fixed points and one-dimensional orbits.  Take T' in T of
+    dimension 2 on which no two positive roots restrict to proportional
+    weights; separating_base checks exactly that, on every root of W, since
+    at a singular point the Zariski tangent space holds more root spaces
+    than the graph has edges there.  Then T' contains a regular cocharacter,
+    so the fixed points of T' are those of T; each T'-weight space of the
+    tangent space at a fixed point is a single root space, so the T'-curves
+    are the T-curves (the subtorus principle of Goresky, Kottwitz and
+    MacPherson, Invent. Math. 131, 1998).  So the T'-moment graph is g with
+    each direction restricted.  IH_T of a Schubert variety is free over H_T,
+    so IH_T' = IH_T tensor H_T': every stalk keeps its generator degrees,
+    and the global sections, free over the smaller ring, keep their
+    quotient by the augmentation ideal, which global_hilbert counts with
+    n = 2.  The degree bounds come from the variety, not the torus.
+
+    The height comes last, so the pivot of each edge ring is the height
+    coordinate, with coefficient ht beta over the gcd of the two coordinates
+    (LinearQuotient).  The graph keeps its vertices, order and edges, and
+    stays of Schubert origin."""
+    k = separating_base(W) if W.cartan.rank >= 3 else None
+    if k is None:
+        return g
+    powers = [k**i for i in range(W.cartan.rank)]
+    edges = tuple(
+        Edge(e.lower, e.upper, (sum(map(mul, powers, e.direction)), sum(e.direction)))
+        for e in g.edges
+    )
+    return MomentGraph(2, g.labels, edges, g.leq_bits, g.ranks, schubert_origin=True)
+
+
 # ---------------------------------------------------------------------------
 # subgraphs
 

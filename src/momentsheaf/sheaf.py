@@ -8,7 +8,11 @@ tuples compatible under all restrictions; everything is computed degreewise
 by exact linear algebra.  The edge ring (exactalg.edge_ring, one per
 direction) owns every normal form: its memoized reduce_monomial, which
 degree_matrix reads, and reduce, which sums it over a polynomial for
-_restrict and the sweep's boundaries.
+_restrict and the boundaries of sections (_section_boundary).  The ring is
+integral: its coordinates in degree m are s^m times those of the rational
+model, s the pivot coefficient's absolute value, so rho is stored in ring
+coordinates, each generator lift rescaled at install (_install_lift_rho),
+and sheaf_dump takes each entry back with LinearQuotient.representative.
 
 The canonical sheaf is built in one sweep from the unique maximal vertex
 downwards.  The sweep carries a generating set of the sections over the
@@ -270,13 +274,16 @@ def degree_matrix(
     """Degree-d matrix, in block coordinates, of the map between the free
     graded modules src and dst whose (j, i) entry is entries[j][i].
 
-    Entries must already be in dst_ring normal form.  Each source basis
-    monomial is reduced into dst_ring (reduce_monomial, memoized on the
-    ring, so an edge ring reduces each monomial once per process) and
-    multiplied by the entry; the product of two normal forms is again one,
-    so no second reduction runs.
+    Entries must already be in dst_ring normal form.  A source basis
+    monomial is taken as it is when the source ring is dst_ring: it is
+    already in ring coordinates there, and the integral edge ring's
+    reduce_monomial is not the identity on them (LinearQuotient).  Otherwise
+    it is a monomial of A, reduced into dst_ring (reduce_monomial, memoized
+    on the ring, so an edge ring reduces each monomial once per process).
+    Either way it is multiplied by the entry; the product of two normal
+    forms is again one, so no second reduction runs.
     """
-    dst_ring = dst[1]
+    src_ring, dst_ring = src[1], dst[1]
     # per target block, the row of each of its monomials
     where: list[dict[tuple[int, ...], int]] = []
     nrows = 0
@@ -287,7 +294,7 @@ def degree_matrix(
     col = 0
     for i, src_basis in enumerate(_blocks(n, src, d)):
         for mono in src_basis.exponents:
-            reduced = {mono: 1} if dst_ring is None else dst_ring.reduce_monomial(mono)
+            reduced = {mono: 1} if src_ring is dst_ring else dst_ring.reduce_monomial(mono)
             for j, row_of in enumerate(where):
                 entry = entries[j][i]
                 if entry and reduced:
@@ -634,22 +641,6 @@ class _SectionSweep:
         self._live: list[list[tuple[dict[int, tuple[Poly, ...]], Vector]]] = []
         self._pivot_rows: list[list[int]] = []
 
-    def _boundary(self, layout: Layout, values: dict[int, tuple[Poly, ...]]) -> Vector:
-        """A section's values at the upper ends of the up edges, reduced
-        into the edge rings, in the up-edge layout."""
-        sheaf = self.sheaf
-        vec = [0] * layout.total
-        for (_, k), off in zip(layout.components, layout.offsets):
-            value = values.get(sheaf.graph.edges[k].upper)
-            if value is None:
-                continue
-            piece = sheaf.piece("e", k)
-            for p, basis in zip(value, _blocks(sheaf.n, piece, layout.degree)):
-                if p:
-                    vec[off : off + len(basis)] = poly_to_coeffs(basis, piece[1].reduce(p))
-                off += len(basis)
-        return tuple(vec)
-
     def _load(self, x: int) -> None:
         """The up-edge layouts of x and, in every degree up to d_max, the
         generators whose boundary is not zero, each with its boundary, read
@@ -659,7 +650,11 @@ class _SectionSweep:
         self._layouts = [section_layout(self.sheaf, target, d) for d in range(self.d_max + 1)]
         self._live = []
         for d, layout in enumerate(self._layouts):
-            pairs = [(vals, self._boundary(layout, vals)) for dg, vals in self.gens if dg == d]
+            pairs = [
+                (vals, _section_boundary(self.sheaf, layout, vals))
+                for dg, vals in self.gens
+                if dg == d
+            ]
             self._live.append([(vals, b) for vals, b in pairs if any(b)])
         self._pivot_rows = []
 
@@ -788,7 +783,16 @@ def _install_lift_rho(
     layouts: list[Layout],
 ) -> None:
     """Split each generator lift, given in the up-edge layouts of x, into
-    per-edge polynomial columns: rho on every up edge of x."""
+    per-edge polynomial columns: rho on every up edge of x.
+
+    A lift is a reduced-echelon representative in ring coordinates, 1 at
+    its leading coordinate.  A term of degree m of an edge ring with scale
+    s has s^m times its rational-model coordinates (LinearQuotient): a
+    diagonal change of coordinates D, which keeps leading columns and sends
+    the rational model's representative r to D r / D_lead.  So each lift is
+    multiplied by D_lead, and rho is D r, the rational model's map in ring
+    coordinates; sheaf_dump takes each entry back with representative."""
+    lifts = [(dg, _rescaled_lift(sheaf, layouts[dg], vec)) for dg, vec in lifts]
     for k in sheaf.graph.up[x]:
         columns = []
         for dg, vec in lifts:
@@ -796,6 +800,23 @@ def _install_lift_rho(
             columns.append(split(sheaf.blocks("e", k, dg), vec[off : off + size]))
         rank = len(sheaf.piece("e", k)[0])
         sheaf.rho[k] = RhoMap(tuple(tuple(c[j] for c in columns) for j in range(rank)))
+
+
+def _rescaled_lift(sheaf: GammaSheaf, layout: Layout, vec: Vector) -> Vector:
+    """vec, a vector of the up-edge layout with a 1 at its leading
+    coordinate, times the scale of that coordinate: s^(d - g) for a block of
+    generator degree g of an edge ring with scale s."""
+    d = layout.degree
+    lead = next(c for c, v in enumerate(vec) if v)
+    end = 0
+    for _, k in layout.components:
+        gens, ring = sheaf.piece("e", k)
+        for g, basis in zip(gens, _blocks(sheaf.n, (gens, ring), d)):
+            end += len(basis)
+            if lead < end:
+                scale = ring.scale ** (d - g)
+                return vec if scale == 1 else tuple(c * scale for c in vec)
+    raise ValueError("the lift lies outside its layout")
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +849,13 @@ def global_hilbert(sheaf: GammaSheaf, d_max: int) -> list[int]:
     so every step 0 -> ker rho_x -> Gamma(J + x) -> Gamma(J) -> 0 of the
     sweep is exact and dim Gamma_d is the sum over all vertices, the top
     included, of dim (M_x)_d - rank rho_{x,d}.  Gamma is free, so the answer
-    is that series times (1 - q)^n: n passes of first differences.  So a
-    sheaf on a Schubert graph must be its canonical sheaf, as every sheaf
-    the commands pass is.  A loaded graph's canonical sheaf need not have a
-    free Gamma, so it takes direct_hilbert.
+    is that series times (1 - q)^n: n passes of first differences, n the
+    rank of the graph's torus.  On a generic rank-2 subtorus
+    (moment_graph.generic_subtorus) n = 2: Gamma is free over the smaller
+    ring too, with the same quotient by its augmentation ideal, so the
+    table is the full torus's.  So a sheaf on a Schubert graph must be its
+    canonical sheaf, as every sheaf the commands pass is.  A loaded graph's
+    canonical sheaf need not have a free Gamma, so it takes direct_hilbert.
     """
     g = sheaf.graph
     if not g.schubert_origin:
@@ -933,11 +957,12 @@ def certified_images(
             sweep.extend(x)
         except ConsistencyError:
             return out
-        ups = dangling_edges(g, up_edges(g, x))
         boundaries = []
         for dg, values in sweep.gens:
-            boundary = _section_boundary(sheaf, ups, values)
-            if not _lift_holds(sheaf, x, ups, values, boundary):
+            # the up-edge layouts of x, which extend(x) has just loaded
+            layout = sweep._layouts[dg]
+            boundary = _section_boundary(sheaf, layout, values)
+            if not _lift_holds(sheaf, x, layout, values, boundary):
                 return out
             if any(boundary):
                 boundaries.append((dg, boundary))
@@ -949,47 +974,55 @@ def certified_images(
 
 
 def _section_boundary(
-    sheaf: GammaSheaf, ups: list[int], values: dict[int, tuple[Poly, ...]]
-) -> tuple[Poly, ...]:
-    """A section's boundary: its value at the upper end u of each up edge k
-    in ups under the quotient map, reduced into the edge ring, laid end to
-    end; one polynomial per generator of M_u, zero where u has no value."""
-    out: list[Poly] = []
-    for k in ups:
-        gens, ring = sheaf.piece("e", k)
+    sheaf: GammaSheaf, layout: Layout, values: dict[int, tuple[Poly, ...]]
+) -> Vector:
+    """A section's boundary at x, read by the sweep and the certificate
+    alike: its value at the upper end of each up edge of x under the
+    quotient map, reduced into the edge ring, in the up-edge layout of x in
+    one degree.  An edge whose upper end has no value is zero, and skipped."""
+    vec = [0] * layout.total
+    for (_, k), off in zip(layout.components, layout.offsets):
         value = values.get(sheaf.graph.edges[k].upper)
-        out += ({} for _ in gens) if value is None else map(ring.reduce, value)
-    return tuple(out)
+        if value is None:
+            continue
+        piece = sheaf.piece("e", k)
+        for p, basis in zip(value, _blocks(sheaf.n, piece, layout.degree)):
+            if p:
+                vec[off : off + len(basis)] = poly_to_coeffs(basis, piece[1].reduce(p))
+            off += len(basis)
+    return tuple(vec)
 
 
 def _lift_holds(
     sheaf: GammaSheaf,
     x: int,
-    ups: list[int],
+    layout: Layout,
     values: dict[int, tuple[Poly, ...]],
-    boundary: tuple[Poly, ...],
+    boundary: Vector,
 ) -> bool:
-    """Whether rho of the value at x equals the boundary on every up edge k
-    in ups, i.e. every incidence of the star of x holds."""
+    """Whether rho of the value at x, by substitution (_restrict), equals
+    the boundary on every up edge of x, i.e. every incidence of the star of
+    x holds; both are compared in the up-edge layout of x."""
     value = values.get(x, ())
-    return tuple(p for k in ups for p in _restrict(sheaf, k, value)) == boundary
+    vec = [0] * layout.total
+    for (_, k), off in zip(layout.components, layout.offsets):
+        for p, basis in zip(_restrict(sheaf, k, value), sheaf.blocks("e", k, layout.degree)):
+            if p:
+                vec[off : off + len(basis)] = poly_to_coeffs(basis, p)
+            off += len(basis)
+    return tuple(vec) == boundary
 
 
 def _witnessed_image(
-    sheaf: GammaSheaf, planar: SectionSpace, boundaries: list[tuple[int, tuple[Poly, ...]]]
+    sheaf: GammaSheaf,
+    planar: SectionSpace,
+    boundaries: list[tuple[int, Vector]],
 ) -> SectionSpace | None:
     """S', the A-span of the (degree, boundary) pairs, in the degrees of
     the planar image P, as the echelon basis projective_cover builds of
     it; None unless dim S'_d = dim P_d in every degree."""
     layouts = planar.layouts
-    generators = {}
-    for d, layout in layouts.items():
-        blocks = [b for _, k in layout.components for b in sheaf.blocks("e", k, d)]
-        generators[d] = [
-            tuple(c for p, basis in zip(boundary, blocks) for c in poly_to_coeffs(basis, p))
-            for dg, boundary in boundaries
-            if dg == d
-        ]
+    generators = {d: [b for dg, b in boundaries if dg == d] for d in layouts}
     echelons = projective_cover(sheaf, layouts, generators, max(layouts))[2]
     if any(len(rows) != planar.dim(d) for d, rows in enumerate(echelons)):
         return None
@@ -1055,7 +1088,8 @@ def verify_pure(
 
 def sheaf_dump(sheaf: GammaSheaf) -> dict:
     """JSON document: generator degrees per vertex and edge, the edge forms,
-    and the rho matrices as polynomial strings in the surviving variables."""
+    and the rho matrices as polynomial strings in the surviving variables,
+    each entry in the rational model of its edge ring (representative)."""
     g = sheaf.graph
     doc: dict = {"dim_t": g.dim_t, "vertices": [], "edges": [], "rho": []}
     for v in range(g.n_vertices):
@@ -1077,7 +1111,8 @@ def sheaf_dump(sheaf: GammaSheaf) -> dict:
                 "generator_degrees": list(upper.gens),
             }
         )
-        rho[(e.lower, k)] = sheaf.rho[k].entries
+        ring = edge_ring(e.direction)
+        rho[(e.lower, k)] = [list(map(ring.representative, row)) for row in sheaf.rho[k].entries]
         rho[(e.upper, k)] = _diagonal(upper.rank, one)
     for (v, k), entries in sorted(rho.items()):
         doc["rho"].append(

@@ -480,7 +480,8 @@ def _transport_entries(
 ) -> list[list[Poly]]:
     """Entries (over A_V) of the composite transport M_start -> M_end along
     an increasing path; the upper restrictions are quotient maps, so each
-    step is rho at the lower end."""
+    step is rho at the lower end, its entries taken from edge-ring
+    coordinates back to A (representative) and reduced into A_V."""
     rank = sheaf.vertex_modules[start].rank
     one = {(0,) * sheaf.n: 1}
     entries = [[one if i == j else {} for i in range(rank)] for j in range(rank)]
@@ -489,7 +490,9 @@ def _transport_entries(
         e = sheaf.graph.edges[k]
         if e.lower != v:
             raise ValidationError("path is not increasing from the start vertex")
-        step = [[quotient.reduce(p) for p in row] for row in sheaf.rho[k].entries]
+        ring = edge_ring(e.direction)
+        step = [[quotient.reduce(ring.representative(p)) for p in row]
+                for row in sheaf.rho[k].entries]
         entries = [
             [
                 _poly_dot(step_row, [entries[t][i] for t in range(len(entries))])
@@ -584,13 +587,14 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
                 mats = [(k, _transport_entries(sheaf, quotient, starts[k], p)) for k, p in tagged]
                 for d in range(d_max + 1):
                     layout = layouts[d]
-                    # reduce the edge value into A_V, then transport it to t
+                    # take the edge value back to A, reduce it into A_V,
+                    # then transport it to t
                     deg_mats = [
                         (
                             layout.slot("e", k)[0],
                             degree_matrix(
                                 sheaf.n,
-                                entries,
+                                _from_ring_coordinates(sheaf.piece("e", k), entries, d),
                                 sheaf.piece("e", k),
                                 (sheaf.vertex_modules[t].gens, quotient),
                                 d,
@@ -611,6 +615,20 @@ def polygon_image(sheaf: GammaSheaf, x: int, d_max: int) -> SectionSpace:
         for d, rows in rows_by_degree.items()
     }
     return SectionSpace(layouts, bases)
+
+
+def _from_ring_coordinates(piece, entries: list[list[Poly]], d: int) -> list[list[Poly]]:
+    """entries, to be applied in degree d to a value of the edge piece read
+    as a polynomial of A: a source block of generator degree g holds ring
+    coordinates of degree d - g, each s^(d - g) times its representative's,
+    so its column of entries is divided by that.  A block with g > d is
+    empty and keeps its entries."""
+    gens, ring = piece
+    return [
+        [{e: exact(Fraction(c, ring.scale ** max(d - g, 0))) for e, c in p.items()}
+         for g, p in zip(gens, row)]
+        for row in entries
+    ]
 
 
 def reference_planar_image(sheaf: GammaSheaf, x: int, d_max: int) -> dict[int, Subspace]:

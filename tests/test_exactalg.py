@@ -4,7 +4,6 @@ import json
 import random
 from fractions import Fraction as Q
 from math import gcd
-from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from momentsheaf.exactalg import (
     Subspace,
     _content_reduce,
     _row_step,
-    edge_ring,
     exact,
     forward_eliminate,
     graded_dim,
@@ -32,7 +30,7 @@ from momentsheaf.exactalg import (
     primitive_integer,
     rref,
 )
-from momentsheaf.moment_graph import load_graph, up_edges
+from momentsheaf.moment_graph import load_graph, separating_base, up_edges
 from momentsheaf.sheaf import (
     _SectionSweep,
     boundary_image,
@@ -55,7 +53,7 @@ from helpers import (
     quotient_reduce,
 )
 from test_certificate import _kl_battery_generic_graph
-from test_coxeter import INVENTORY
+from test_coxeter import INVENTORY, _e6
 from test_golden import _generic_a3_doc
 
 
@@ -449,9 +447,31 @@ def _greedy_quotient(forms):
     return tuple(sorted(pivots)), subst
 
 
+def _times_alpha(alpha, p):
+    """alpha * p, alpha a coefficient vector and p a polynomial of A."""
+    n = len(alpha)
+    form = {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(alpha) if c}
+    return poly_mul(form, p)
+
+
+def _check_ring_map(quo, alpha, polys):
+    """reduce kills alpha * m for every monomial m, is multiplicative, and
+    lands in the pivot-free monomials."""
+    n = len(alpha)
+    for m in (m for d in range(3) for m in monomial_basis(n, d).exponents):
+        assert quo.reduce(_times_alpha(alpha, {m: 1})) == {}
+    for f, g in zip(polys, polys[1:] + polys[:1]):
+        assert quo.reduce(poly_mul(f, g)) == poly_mul(quo.reduce(f), quo.reduce(g))
+        assert all(e[quo.pivot] == 0 for e in quo.reduce(f))
+
+
 def test_linear_quotient_matches_greedy_elimination():
+    """Random forms, integral and rational: the pivot is the greedy
+    reference's, reduce is a ring map killing alpha, and a form whose
+    primitive integer scaling has a unit pivot gives the reference's
+    substitution exactly, types included."""
     rng = random.Random(47)
-    compared = 0
+    compared = unit = 0
     for _ in range(600):
         n = rng.randint(1, 5)
         alpha = [
@@ -466,57 +486,94 @@ def test_linear_quotient_matches_greedy_elimination():
         quo = LinearQuotient(alpha)
         (p,), subst = expected
         assert quo.pivot == p
-        # the normal form of x_p is the substitution itself
-        got = quo.reduce_monomial(tuple(int(i == p) for i in range(n)))
-        assert got == subst[p]
-        assert list(got) == list(subst[p])
-        assert [type(c) for c in got.values()] == [type(c) for c in subst[p].values()]
+        assert quo.scale == abs(primitive_integer(alpha)[p])
+        polys = [
+            {tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(-3, 3) or 1}
+            for _ in range(3)
+        ]
+        _check_ring_map(quo, alpha, polys)
+        if quo.scale == 1:
+            got = quo.reduce_monomial(tuple(int(i == p) for i in range(n)))
+            assert list(got.items()) == list(subst[p].items())
+            assert [type(c) for c in got.values()] == [type(c) for c in subst[p].values()]
+            unit += 1
         compared += 1
-    assert compared > 300
-
+    assert compared > 300 and 0 < unit < compared
 
 
 def _edge_ring_directions(lab, tmp_path, monkeypatch):
-    """Every positive root of every INVENTORY group and of B4 and F4, and
-    the edge directions of the seed-1 generic A3 graph of the kl-battery."""
+    """Every positive root of every INVENTORY group and of B4, F4 and E6,
+    each group's projected directions (generic_subtorus), and the edge
+    directions of the seed-1 generic A3 graph of the kl-battery."""
     groups = sorted({(f, r) for f, r, *_ in INVENTORY} | {("B", 4), ("F", 4)})
-    roots = {ref.positive_root for f, r in groups for ref in lab.group(f, r).reflections}
+    weyl = [lab.group(f, r) for f, r in groups] + [_e6(lab, monkeypatch)]
+    roots = {ref.positive_root for W in weyl for ref in W.reflections}
+    projected = set()
+    for W in weyl:
+        k = separating_base(W)
+        if W.cartan.rank >= 3 and k is not None:
+            projected |= {
+                primitive_integer((sum(c * k**i for i, c in enumerate(b)), sum(b)))
+                for b in (ref.positive_root for ref in W.reflections)
+            }
     path = _kl_battery_generic_graph(tmp_path, monkeypatch)
     g = load_graph(json.loads(path.read_text(encoding="utf-8")))
-    return sorted(roots) + sorted({e.direction for e in g.edges})
+    return sorted(roots) + sorted(projected) + sorted({e.direction for e in g.edges})
 
 
 def test_edge_ring_matches_a_fraction_reference(lab, tmp_path, monkeypatch):
-    """edge_ring against a Fraction reference: the pivot is the last nonzero
-    coordinate, x_p's normal form is -sum (alpha_j / alpha_p) x_j in
-    increasing j, an int exactly when integral; alpha * m reduces to zero,
-    and reduce is idempotent."""
+    """The edge ring of every root and projected direction, built afresh so
+    that every reduction is counted, builds no Fraction and returns ints:
+    x_p's normal form is -sign(alpha_p) sum alpha_j x_j in increasing j, a
+    pivot-free monomial of degree m gains s^m, alpha * m reduces to zero
+    and reduce is a ring map.  A unit-pivot ring equals the Fraction
+    reference, -sum (alpha_j / alpha_p) x_j, exactly."""
     directions = _edge_ring_directions(lab, tmp_path, monkeypatch)
-    assert any(max(abs(c) for c in a) > 1 for a in directions)
-    fractional = 0
+    built = [0]
+    new = Q.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counted_new)
+    if hasattr(Q, "_from_coprime_ints"):
+        from_coprime = Q._from_coprime_ints.__func__
+
+        def counted_from_coprime(cls, *args):
+            built[0] += 1
+            return from_coprime(cls, *args)
+
+        monkeypatch.setattr(Q, "_from_coprime_ints", classmethod(counted_from_coprime))
+    unit = []
     for alpha in directions:
         n = len(alpha)
-        ring = edge_ring(alpha)
+        ring = LinearQuotient(alpha)
         p = [j for j in range(n) if alpha[j] != 0][-1]
-        assert ring.pivot == p
-        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        want = [(unit[j], Q(-alpha[j], alpha[p])) for j in range(n) if j != p and alpha[j]]
-        got = ring.reduce_monomial(unit[p])
-        assert list(got.items()) == want
-        assert [type(c) for c in got.values()] == [
-            int if c.denominator == 1 else Q for _, c in want
-        ]
-        fractional += any(type(c) is Q for c in got.values())
+        s, sign = abs(alpha[p]), (1 if alpha[p] > 0 else -1)
+        assert (ring.pivot, ring.scale) == (p, s)
+        one = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        got = ring.reduce_monomial(one[p])
+        image = [(one[j], -sign * c) for j, c in enumerate(alpha) if j != p and c]
+        assert list(got.items()) == image
         monos = [m for d in range(3) for m in monomial_basis(n, d).exponents]
         for m in monos:
-            assert ring.reduce({tuple(map(add, m, unit[j])): c
-                                for j, c in enumerate(alpha) if c}) == {}
-        p_poly = {m: Q(k % 5 - 2, k % 3 + 1) for k, m in enumerate(monos) if k % 5 != 2}
-        for poly in [p_poly] + [{m: 1} for m in monos]:
-            once = ring.reduce(poly)
-            assert all(e[p] == 0 for e in once)
-            assert ring.reduce(once) == once
-    assert fractional > 0
+            if m[p] == 0:
+                assert ring.reduce_monomial(m) == {m: s ** sum(m)}
+        polys = [{m: k % 5 - 2 for k, m in enumerate(monos) if k % 5 != 2}]
+        polys += ({m: 1} for m in monos)
+        _check_ring_map(ring, alpha, polys[:8])
+        for poly in polys:
+            assert all(type(c) is int for c in ring.reduce(poly).values())
+        if s == 1:
+            unit.append((alpha, p, got))
+    assert built[0] == 0
+    assert 0 < len(unit) < len(directions)
+    for alpha, p, got in unit:
+        one = [tuple(int(i == j) for i in range(len(alpha))) for j in range(len(alpha))]
+        want = [(one[j], Q(-c, alpha[p])) for j, c in enumerate(alpha) if j != p and c]
+        assert list(got.items()) == want
+        assert [type(c) for c in got.values()] == [type(exact(c)) for _, c in want]
 
 
 SHEAVES = {
@@ -658,7 +715,11 @@ def _extend_over_all_columns(sweep, x):
     lifts, kernels, zeros = {}, {}, 0
     for d in range(sweep.d_max + 1):
         layout = section_layout(sheaf, target, d)
-        boundaries = [sweep._boundary(layout, values) for dg, values in sweep.gens if dg == d]
+        boundaries = [
+            sheaf_mod._section_boundary(sheaf, layout, values)
+            for dg, values in sweep.gens
+            if dg == d
+        ]
         zeros += sum(not any(b) for b in boundaries)
         r_x = stacked_rho(sheaf, x, layout)
         ncx = r_x.ncols

@@ -28,6 +28,7 @@ GOLDEN = {
     "sheaf-G2": "5e0209995d7f9ba46037e0664033e93bff4dfca38ae649826b72451dd0488df6",
     "sheaf-B3-J1": "845e82b22df1862f78257a16b31e53d264e8c73fc8fb0a3876c4b08cafef4b3c",
     "sheaf-B3": "b320b0549d6f52f5aed499baaf1acddd4f0ab4e41e275e55b53b9f38df8bc285",
+    "sheaf-B3-213213": "28f146f6f1c279c8c005af267c195cb131e8e978234590b64d2007c60d5dae60",
     "sheaf-C3": "7439fd543175024c8f7ea185ce016018ffecd9fcda5d0bd77670d0d690a4a003",
     "sheaf-A4-J13": "a2177268c667dad52ab7ba24e73d005838c3a4512520e09ea4720c554c17789d",
     "sheaf-generic-A3-bound2": "231fc734703918f980f6a894d8d02b0db68f782000212ba7a68e250c69a66b30",
@@ -71,6 +72,10 @@ GOLDEN = {
 # kl D4 longest, the one rank-4 longest sheaf pinned; it runs in a fresh
 # process, which also reads its peak memory
 KL_D4_LONGEST = "83610cc6e5178b48197a223063697e4fbb5db4600f3bda04068d0ce1e7085a4f"
+
+# kl B4 longest and hilbert A4 longest, built on a generic rank-2 subtorus
+KL_B4_LONGEST = "814877d4efc2b13c92154dca22852ef5b66fc26f0117f6d1cd94cb056145c217"
+HILBERT_A4_LONGEST = "240e0962256660adeac2814d4c8e81f38455d290b1a191dfd52a254f01556b30"
 
 # graph F4 longest, 1,152 vertices and 13,824 edges, likewise in a fresh process
 GRAPH_F4_LONGEST = "4b05b2c8b5c6a02da06a9e7c667bf405a4ebbdf5e7bba08738355ff38fe8d211"
@@ -171,6 +176,9 @@ ARTIFACTS = {
     "sheaf-G2": lambda lab, tmp: [_sheaf(lab, "G", 2)],
     "sheaf-B3-J1": lambda lab, tmp: [_sheaf(lab, "B", 3, J=(1,))],
     "sheaf-B3": lambda lab, tmp: [_sheaf(lab, "B", 3)],
+    # edge rings of scale 2, where the cover's lifts, reduced-echelon in
+    # ring coordinates, must be rescaled at install to print these bytes
+    "sheaf-B3-213213": lambda lab, tmp: [_sheaf(lab, "B", 3, "213213")],
     "sheaf-C3": lambda lab, tmp: [_sheaf(lab, "C", 3)],
     "sheaf-A4-J13": lambda lab, tmp: [_sheaf(lab, "A", 4, J=(1, 3))],
     "sheaf-generic-A3-bound2": lambda lab, tmp: [
@@ -295,14 +303,25 @@ def test_golden_digest(computed, name):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
 def test_kl_d4_longest_digest_and_memory(tmp_path):
     """The build keeps no rho matrix between reads, so kl D4 longest peaks
-    within 10 MB of kl A1: about 4.5 MB above it on CPython 3.11, and 24 MB
-    above it with every matrix kept on the sheaf."""
+    within 10 MB of kl A1: about 3.5 MB above it on CPython 3.11, built on a
+    generic rank-2 subtorus as kl builds it.  On the full torus it read
+    4.5 MB above it, and 24 MB above it with every matrix kept on the
+    sheaf."""
     code, out, d4 = _fresh_cli(["kl", "--type", "D4", "--word", "longest"], tmp_path / "d4")
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == KL_D4_LONGEST
     code, _, a1 = _fresh_cli(["kl", "--type", "A1", "--word", "longest"], tmp_path / "a1")
     assert code == 0
     assert d4 - a1 < 10 * 1024, (d4, a1)
+
+
+def test_kl_b4_and_hilbert_a4_longest_digests(tmp_path):
+    """The two jobs that a generic rank-2 subtorus brings into tier-1 time:
+    on the full torus they take about a minute and 6 s of CPU."""
+    code, out, _ = _fresh_cli(["kl", "--type", "B4"], tmp_path / "kl")
+    assert code == 0 and hashlib.sha256(out).hexdigest() == KL_B4_LONGEST
+    code, out, _ = _fresh_cli(["hilbert", "--type", "A4"], tmp_path / "hilbert")
+    assert code == 0 and hashlib.sha256(out).hexdigest() == HILBERT_A4_LONGEST
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")

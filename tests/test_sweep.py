@@ -356,7 +356,7 @@ def test_pivot_rows_solve_as_the_full_elimination(lab, tmp_path, monkeypatch, na
             for values, _ in live[d]:
                 m = [c for p, basis in zip(values[x], blocks) for c in poly_to_coeffs(basis, p)]
                 image = [sum(c * m[j] for j, c in row.items()) for row in r_x.rows]
-                assert image == list(self._boundary(layout, values))
+                assert image == list(sheaf_mod._section_boundary(sheaf, layout, values))
 
     monkeypatch.setattr(sheaf_mod._SectionSweep, "extend", both)
     canonical_sheaf(g, degree_bound=bound)
